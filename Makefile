@@ -8,7 +8,7 @@ build:
 	$(GO) build ./...
 
 test:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
 lint:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
@@ -103,8 +103,8 @@ bench-serve:
 # bench-restore records the restart trajectory: cold boot (dictionary
 # build + encode + bulk load) vs snapshot restore across schemes ×
 # backends × corpus sizes, written to BENCH_restore.json. benchdiff
-# -mode restore gates both boot times and the cold/restore speedup — the
-# figure's claim that restarting from a snapshot beats a cold re-encode.
+# -mode restore gates both boot times; the cold/restore speedup is
+# recorded but not gated (see restoreMetrics in cmd/benchdiff).
 bench-restore:
 	$(GO) run ./cmd/hopebench -fig restore -dataset email -keys 30000 \
 		-json BENCH_restore.json

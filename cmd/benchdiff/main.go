@@ -19,7 +19,7 @@
 // `make bench-tree` writes, gating load throughput plus point, scan and
 // insert latencies); mode restore compares BENCH_restore.json records
 // (the restart record `make bench-restore` writes, gating the cold and
-// restore boot times and the cold/restore speedup). Rows are
+// restore boot times). Rows are
 // matched by identity key — (dataset, scheme) for encode, (dataset,
 // workload, backend, config, threads) for ycsb, (dataset, config, window)
 // for drift, (dataset, backend, config, partition, shards) for scan,
@@ -108,15 +108,14 @@ var treeMetrics = []metric{
 	{name: "insert_ns"},
 }
 
-// Restore gates both boot paths of the restart figure plus their ratio:
-// restore_sec catches a slow restore (decode or parallel bulk path),
-// cold_sec catches a slow from-scratch build, and speedup is the
-// figure's claim itself — snapshot restore must keep beating the cold
-// re-encode by roughly the recorded margin.
+// Restore gates both boot paths of the restart figure: restore_sec
+// catches a slow restore (decode or parallel bulk path), cold_sec a slow
+// from-scratch build. The record's speedup (cold_sec/restore_sec) is not
+// gated: it falls only if cold_sec falls or restore_sec rises, so it adds
+// no regression coverage and would fail a faster cold build.
 var restoreMetrics = []metric{
 	{name: "cold_sec"},
 	{name: "restore_sec"},
-	{name: "speedup", higherBetter: true},
 }
 
 func main() {
@@ -378,7 +377,6 @@ func flattenRestore(rows []bench.RestoreBenchRow) []row {
 			vals: map[string]float64{
 				"cold_sec":    r.ColdSec,
 				"restore_sec": r.RestoreSec,
-				"speedup":     r.Speedup,
 			},
 		}
 	}

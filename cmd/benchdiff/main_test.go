@@ -304,3 +304,40 @@ func TestDriftWithinThresholdPasses(t *testing.T) {
 		t.Fatalf("in-threshold drift record failed:\n%s", report)
 	}
 }
+
+func restoreRows(coldScale, restoreScale float64) []bench.RestoreBenchRow {
+	var out []bench.RestoreBenchRow
+	for _, cfg := range []string{"Uncompressed", "Double-Char", "3-Grams/64K"} {
+		cold, restore := 0.5*coldScale, 0.02*restoreScale
+		out = append(out, bench.RestoreBenchRow{
+			Dataset: "email", Backend: "btree", Config: cfg, Keys: 30000,
+			ColdSec: cold, RestoreSec: restore, Speedup: cold / restore,
+		})
+	}
+	return out
+}
+
+// TestRestoreFasterColdBootPasses: a many-fold faster cold boot shrinks the
+// recorded cold/restore speedup, but it is an improvement and must pass.
+func TestRestoreFasterColdBootPasses(t *testing.T) {
+	report, failed, err := diffRows(flattenRestore(restoreRows(1, 1)),
+		flattenRestore(restoreRows(0.05, 1)), restoreMetrics, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed {
+		t.Fatalf("a faster cold boot failed the restore gate:\n%s", report)
+	}
+}
+
+// TestRestoreSlowerRestoreFails: restore_sec keeps its own gate.
+func TestRestoreSlowerRestoreFails(t *testing.T) {
+	report, failed, err := diffRows(flattenRestore(restoreRows(1, 1)),
+		flattenRestore(restoreRows(1, 1.4)), restoreMetrics, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !failed {
+		t.Fatalf("a +40%% restore_sec regression passed the 25%% gate:\n%s", report)
+	}
+}

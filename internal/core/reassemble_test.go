@@ -52,3 +52,22 @@ func TestReassembleEncodeIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestReassembleRefusesDisorderedCodes: a snapshot whose codes are not
+// strictly increasing and prefix-free would encode keys out of order or
+// merge them, so every scheme's Reassemble must refuse it.
+func TestReassembleRefusesDisorderedCodes(t *testing.T) {
+	encs := buildAll(t, nil)
+	for _, s := range Schemes {
+		opt := Options{DictLimit: 1024, MaxPatternLen: 16}
+		if s == DoubleChar {
+			opt = Options{}
+		}
+		entries := append([]dict.Entry(nil), encs[s].Entries()...)
+		i := len(entries) / 2
+		entries[i].Code, entries[i+1].Code = entries[i+1].Code, entries[i].Code
+		if _, err := Reassemble(s, opt, entries); err == nil {
+			t.Fatalf("%v: Reassemble accepted swapped codes at %d", s, i)
+		}
+	}
+}

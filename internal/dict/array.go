@@ -35,13 +35,13 @@ func NewSingleCharArray(entries []Entry) (*SingleCharArray, error) {
 	if len(entries) != 256 {
 		return nil, fmt.Errorf("dict: Single-Char needs 256 entries, got %d", len(entries))
 	}
+	if err := validateEntries(entries); err != nil {
+		return nil, err
+	}
 	d := &SingleCharArray{}
 	for i, e := range entries {
 		if len(e.Boundary) != 1 || e.Boundary[0] != byte(i) || e.SymbolLen != 1 {
 			return nil, fmt.Errorf("dict: entry %d is not the single byte %#02x", i, i)
-		}
-		if err := checkCode(e.Code); err != nil {
-			return nil, fmt.Errorf("dict: entry %d: %w", i, err)
 		}
 		d.codes[i] = e.Code
 		if l := uint(e.Code.Len); l > d.maxLen {
@@ -115,14 +115,14 @@ func NewDoubleCharArray(alphabet int, entries []Entry) (*DoubleCharArray, error)
 		return nil, fmt.Errorf("dict: Double-Char over alphabet %d needs %d entries, got %d",
 			alphabet, want, len(entries))
 	}
+	if err := validateEntries(entries); err != nil {
+		return nil, err
+	}
 	d := &DoubleCharArray{alphabet: alphabet, codes: make([]hutucker.Code, want)}
 	for i, e := range entries {
 		term := i%(alphabet+1) == 0
 		if term && e.SymbolLen != 1 || !term && e.SymbolLen != 2 {
 			return nil, fmt.Errorf("dict: entry %d has symbol length %d", i, e.SymbolLen)
-		}
-		if err := checkCode(e.Code); err != nil {
-			return nil, fmt.Errorf("dict: entry %d: %w", i, err)
 		}
 		d.codes[i] = e.Code
 		if l := uint(e.Code.Len); l > d.maxLen {

@@ -57,13 +57,13 @@ func benchBatch(b *testing.B, d Kernel, bk BatchKernel) {
 
 func BenchmarkBatchSingleChar(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	d := singleFixture(b, rng, 2, 14)
+	d := singleFixture(b, orderedCodes(rng, 256, 2, 14))
 	benchBatch(b, d, d)
 }
 
 func BenchmarkBatchDoubleChar(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	d := doubleFixture(b, rng, 256, 3, 22)
+	d := doubleFixture(b, 256, orderedCodes(rng, DoubleCharEntries(256), 3, 22))
 	benchBatch(b, d, d)
 }
 

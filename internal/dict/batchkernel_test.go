@@ -10,26 +10,62 @@ import (
 	"repro/internal/hutucker"
 )
 
-// randCode returns a code of the given length whose bits fit it, as the
-// constructors require.
-func randCode(rng *rand.Rand, l int) hutucker.Code {
-	var bits uint64
-	if l > 0 {
-		bits = rng.Uint64() & ((1 << uint(l)) - 1)
+// orderedCodes returns n strictly increasing, prefix-free codes, as the
+// constructors require: the leaves, left to right, of a random binary tree
+// no deeper than maxLen, each extended by random bits to a length drawn
+// from [max(depth, minLen), maxLen]. n must not exceed 2^maxLen.
+func orderedCodes(rng *rand.Rand, n, minLen, maxLen int) []hutucker.Code {
+	codes := make([]hutucker.Code, 0, n)
+	var grow func(n int, c hutucker.Code)
+	grow = func(n int, c hutucker.Code) {
+		d := int(c.Len)
+		if n == 1 {
+			l := max(d, minLen)
+			l += rng.Intn(maxLen - l + 1)
+			ext := uint(l - d)
+			bits := c.Bits<<ext | rng.Uint64()&(1<<ext-1)
+			codes = append(codes, hutucker.Code{Bits: bits, Len: uint8(l)})
+			return
+		}
+		half := 1 << (maxLen - d - 1) // leaves each subtree can hold
+		lo, hi := max(1, n-half), min(n-1, half)
+		left := lo + rng.Intn(hi-lo+1)
+		grow(left, hutucker.Code{Bits: c.Bits << 1, Len: c.Len + 1})
+		grow(n-left, hutucker.Code{Bits: c.Bits<<1 | 1, Len: c.Len + 1})
 	}
-	return hutucker.Code{Bits: bits, Len: uint8(l)}
+	grow(n, hutucker.Code{})
+	return codes
 }
 
-// singleFixture builds a Single-Char dictionary with code lengths drawn
-// from [minLen, maxLen] — wide ranges force the staging-word spill paths.
-func singleFixture(t testing.TB, rng *rand.Rand, minLen, maxLen int) *SingleCharArray {
+// skewedCodes returns the Hu-Tucker codes of n symbols with Zipf weights
+// in random order, so 1-4-bit codes sit next to long ones as in a real
+// dictionary. It fails the test if no code is 4 bits or shorter.
+func skewedCodes(t testing.TB, rng *rand.Rand, n int) []hutucker.Code {
+	t.Helper()
+	weights := make([]float64, n)
+	for i, r := range rng.Perm(n) {
+		weights[i] = 1 / float64(r+1)
+	}
+	codes := hutucker.Build(weights)
+	for _, c := range codes {
+		if c.Len <= 4 {
+			return codes
+		}
+	}
+	t.Fatalf("skewedCodes(%d): no code of 4 bits or fewer", n)
+	return nil
+}
+
+// singleFixture builds a Single-Char dictionary with the given 256 codes;
+// wide length ranges force the staging-word spill paths.
+func singleFixture(t testing.TB, codes []hutucker.Code) *SingleCharArray {
 	t.Helper()
 	entries := make([]Entry, 256)
 	for i := range entries {
 		entries[i] = Entry{
 			Boundary:  []byte{byte(i)},
 			SymbolLen: 1,
-			Code:      randCode(rng, minLen+rng.Intn(maxLen-minLen+1)),
+			Code:      codes[i],
 		}
 	}
 	d, err := NewSingleCharArray(entries)
@@ -39,17 +75,17 @@ func singleFixture(t testing.TB, rng *rand.Rand, minLen, maxLen int) *SingleChar
 	return d
 }
 
-func doubleFixture(t testing.TB, rng *rand.Rand, alphabet, minLen, maxLen int) *DoubleCharArray {
+// doubleFixture builds a Double-Char dictionary over alphabet with the
+// given DoubleCharEntries(alphabet) codes.
+func doubleFixture(t testing.TB, alphabet int, codes []hutucker.Code) *DoubleCharArray {
 	t.Helper()
 	entries := make([]Entry, DoubleCharEntries(alphabet))
 	for i := range entries {
-		sl := uint8(2)
-		if i%(alphabet+1) == 0 {
-			sl = 1
-		}
-		entries[i] = Entry{
-			SymbolLen: sl,
-			Code:      randCode(rng, minLen+rng.Intn(maxLen-minLen+1)),
+		c1, c2 := i/(alphabet+1), i%(alphabet+1)
+		entries[i] = Entry{Boundary: []byte{byte(c1)}, SymbolLen: 1, Code: codes[i]}
+		if c2 > 0 {
+			entries[i].Boundary = []byte{byte(c1), byte(c2 - 1)}
+			entries[i].SymbolLen = 2
 		}
 	}
 	d, err := NewDoubleCharArray(alphabet, entries)
@@ -155,12 +191,12 @@ func TestBatchKernelMatchesPerKey(t *testing.T) {
 		}
 		alphabet int
 	}{
-		{"Single-Char/short", singleFixture(t, rng, 1, 8), 256},
-		{"Single-Char/mixed", singleFixture(t, rng, 1, 24), 256},
-		{"Single-Char/long", singleFixture(t, rng, 40, 63), 256},
-		{"Double-Char/256", doubleFixture(t, rng, 256, 1, 16), 256},
-		{"Double-Char/256-long", doubleFixture(t, rng, 256, 30, 63), 256},
-		{"Double-Char/16", doubleFixture(t, rng, 16, 1, 12), 16},
+		{"Single-Char/short", singleFixture(t, skewedCodes(t, rng, 256)), 256},
+		{"Single-Char/mixed", singleFixture(t, orderedCodes(rng, 256, 1, 24)), 256},
+		{"Single-Char/long", singleFixture(t, orderedCodes(rng, 256, 40, 63)), 256},
+		{"Double-Char/256", doubleFixture(t, 256, skewedCodes(t, rng, DoubleCharEntries(256))), 256},
+		{"Double-Char/256-long", doubleFixture(t, 256, orderedCodes(rng, DoubleCharEntries(256), 30, 63)), 256},
+		{"Double-Char/16", doubleFixture(t, 16, skewedCodes(t, rng, DoubleCharEntries(16))), 16},
 		{"3-Grams", trieFixture(t, rng, 3), 256},
 		{"4-Grams", trieFixture(t, rng, 4), 256},
 	}
@@ -185,8 +221,8 @@ func TestBatchKernelMatchesPerKey(t *testing.T) {
 // mandatory fallback they would otherwise bypass.
 func TestBatchKernelGoPathMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	single := singleFixture(t, rng, 1, 20)
-	double := doubleFixture(t, rng, 256, 1, 20)
+	single := singleFixture(t, orderedCodes(rng, 256, 1, 20))
+	double := doubleFixture(t, 256, orderedCodes(rng, DoubleCharEntries(256), 1, 20))
 	for ci, keys := range batchCases(rng, 256) {
 		for _, key := range keys {
 			var want, got bitops.Appender
@@ -220,8 +256,8 @@ func TestBatchKernelAsmLeg(t *testing.T) {
 		t.Skip("assembly kernels disabled in this build/CPU")
 	}
 	rng := rand.New(rand.NewSource(44))
-	single := singleFixture(t, rng, 1, 18)
-	double := doubleFixture(t, rng, 256, 1, 18)
+	single := singleFixture(t, orderedCodes(rng, 256, 1, 18))
+	double := doubleFixture(t, 256, orderedCodes(rng, DoubleCharEntries(256), 1, 18))
 	if !single.useAsm || !double.useAsm {
 		t.Fatalf("asmKernels set but dictionaries did not enable the asm path")
 	}
@@ -272,7 +308,7 @@ func TestBatchKernelAsmLeg(t *testing.T) {
 // a non-empty appender: offsets are absolute byte counts, not per-batch.
 func TestBatchKernelAppendsMidStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	d := singleFixture(t, rng, 1, 12)
+	d := singleFixture(t, orderedCodes(rng, 256, 1, 12))
 	keys := [][]byte{[]byte("alpha"), []byte("beta-gamma-delta"), {}}
 
 	var a bitops.Appender

@@ -47,7 +47,10 @@ type Dictionary interface {
 // cover the string axis from "\x00" upward.
 var ErrNoCoverage = errors.New("dict: entries do not cover the axis from \"\\x00\"")
 
-// validateEntries checks ordering, coverage and symbol sanity.
+// validateEntries checks ordering, coverage, symbol and code sanity. The
+// codes must strictly increase and no code may be a prefix of the next:
+// otherwise two keys could encode in the wrong order, or to the same
+// bytes, and a store built on the dictionary would misorder or merge them.
 func validateEntries(entries []Entry) error {
 	if len(entries) == 0 {
 		return errors.New("dict: empty entry set")
@@ -69,11 +72,26 @@ func validateEntries(entries []Entry) error {
 		if int(e.SymbolLen) > len(e.Boundary) {
 			return fmt.Errorf("dict: entry %d symbol longer than boundary", i)
 		}
-		if i > 0 && bytes.Compare(entries[i-1].Boundary, e.Boundary) >= 0 {
+		if i == 0 {
+			continue
+		}
+		if bytes.Compare(entries[i-1].Boundary, e.Boundary) >= 0 {
 			return fmt.Errorf("dict: boundaries not strictly increasing at %d", i)
+		}
+		if prev := entries[i-1].Code; !prev.Less(e.Code) || isPrefix(prev, e.Code) {
+			return fmt.Errorf("dict: codes not increasing and prefix-free at %d (%v then %v)",
+				i, prev, e.Code)
 		}
 	}
 	return nil
+}
+
+// isPrefix reports whether code a is a bit-prefix of code b.
+func isPrefix(a, b hutucker.Code) bool {
+	if a.Len > b.Len {
+		return false
+	}
+	return a.Len == 0 || b.Bits>>(b.Len-a.Len) == a.Bits
 }
 
 // checkCode rejects code words with set bits above their length. The

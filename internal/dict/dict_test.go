@@ -118,6 +118,48 @@ func TestValidateEntriesRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestConstructorsRejectDisorderedCodes: every constructor refuses a code
+// set that is not strictly increasing and prefix-free, since encoding
+// through it would misorder keys or map distinct keys to the same bytes.
+func TestConstructorsRejectDisorderedCodes(t *testing.T) {
+	var singles [][]byte
+	for c := 0; c < 256; c++ {
+		singles = append(singles, []byte{byte(c)})
+	}
+	const alpha = 8
+	ctors := []struct {
+		name    string
+		entries []Entry
+		build   func([]Entry) error
+	}{
+		{"binary-search", makeEntries(t, singles), func(e []Entry) error { _, err := NewBinarySearch(e); return err }},
+		{"single-char", makeEntries(t, singles), func(e []Entry) error { _, err := NewSingleCharArray(e); return err }},
+		{"double-char", doubleCharEntries(alpha), func(e []Entry) error { _, err := NewDoubleCharArray(alpha, e); return err }},
+	}
+	for _, c := range ctors {
+		if err := c.build(c.entries); err != nil {
+			t.Fatalf("%s: valid codes refused: %v", c.name, err)
+		}
+		swapped := append([]Entry{}, c.entries...)
+		swapped[3].Code, swapped[4].Code = swapped[4].Code, swapped[3].Code
+		if c.build(swapped) == nil {
+			t.Fatalf("%s: decreasing codes accepted", c.name)
+		}
+		equal := append([]Entry{}, c.entries...)
+		equal[4].Code = equal[3].Code
+		if c.build(equal) == nil {
+			t.Fatalf("%s: equal adjacent codes accepted", c.name)
+		}
+		// 0...010 (31 bits) is a prefix of its successor 0...0100 (32
+		// bits) and orders before it, so only the prefix check catches it.
+		prefix := append([]Entry{}, c.entries...)
+		prefix[3].Code = hutucker.Code{Bits: 2, Len: 31}
+		if c.build(prefix) == nil {
+			t.Fatalf("%s: a code that is a prefix of its successor accepted", c.name)
+		}
+	}
+}
+
 func TestSingleCharArray(t *testing.T) {
 	var boundaries [][]byte
 	for c := 0; c < 256; c++ {

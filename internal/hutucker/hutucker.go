@@ -7,11 +7,16 @@
 //     formulation (Yohe 1972): repeatedly combine the minimum-weight
 //     "compatible" pair (no leaf between them), then read code lengths off
 //     the combination tree.
-//   - Garsia-Wachs (1977), an equivalent algorithm that runs much faster in
-//     practice; it is the default because the paper's Double-Char scheme
-//     needs codes for 65,792 symbols and the n-gram schemes up to 2^18.
+//   - Garsia-Wachs (1977), an equivalent algorithm in the left-to-right
+//     stack formulation (Knuth, TAOCP §6.2.2), with binary-searched
+//     re-insertion. It is the default because the paper's Double-Char
+//     scheme needs codes for 65,792 symbols (tens of milliseconds; see
+//     BenchmarkGarsiaWachs64K) and the n-gram schemes up to 2^18.
 //
-// Both produce a depth (code length) per symbol; the actual monotonically
+// Both run on exact integer weights: the input is quantised once to
+// round(w/sum·2^40), at least 1, so no merge decision depends on float
+// rounding (rounded sums can yield depths no alphabetic tree has). Both
+// produce a depth (code length) per symbol; the actual monotonically
 // increasing codes are then assembled canonically. The two algorithms may
 // emit different depth vectors, but both achieve the optimal weighted code
 // length, which the tests verify against a Gilbert-Moore dynamic program.
@@ -20,6 +25,7 @@ package hutucker
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Code is a binary prefix code word of Len bits stored in the low bits of
@@ -85,9 +91,12 @@ func BuildDepths(weights []float64) []int {
 }
 
 // BuildDepthsWith returns the optimal code length for each weight.
-// If the optimal tree would exceed MaxCodeLen (possible only under extreme
-// skew), weights are progressively floored until the depth bound holds;
-// the result is then optimal for the floored distribution.
+// Both algorithms run on the exact integer weights of quantize. If the
+// optimal tree would exceed MaxCodeLen (possible only under extreme skew),
+// weights are floored at a geometrically rising level until the depth
+// bound holds; the result is then optimal for the floored distribution.
+// Once the floor reaches the largest weight all weights are equal and the
+// depth is ceil(log2 n), so the loop ends.
 func BuildDepthsWith(weights []float64, alg Algorithm) []int {
 	n := len(weights)
 	switch n {
@@ -96,25 +105,48 @@ func BuildDepthsWith(weights []float64, alg Algorithm) []int {
 	case 1:
 		return []int{0}
 	}
-	w := prepareWeights(weights, 1e-12)
-	for floor := 1e-12; ; floor *= 1e3 {
+	w := quantize(weights)
+	for floor := uint64(1); ; floor <<= 10 {
+		for i := range w {
+			w[i] = max(w[i], floor)
+		}
 		var depths []int
 		if alg == HuTucker {
 			depths = huTuckerDepths(w)
 		} else {
 			depths = garsiaWachsDepths(w)
 		}
-		maxD := 0
-		for _, d := range depths {
-			if d > maxD {
-				maxD = d
-			}
-		}
-		if maxD <= MaxCodeLen {
+		if slices.Max(depths) <= MaxCodeLen {
 			return depths
 		}
-		w = prepareWeights(weights, floor*1e3)
 	}
+}
+
+// quantUnits is the integer total that quantize scales the weights to.
+const quantUnits = 1 << 40
+
+// quantize maps weights onto exact integers: a finite positive weight w
+// becomes round(w/sum·2^40), where sum is the total of those weights, and
+// every symbol gets at least one unit so it stays encodable. NaN, infinite
+// and non-positive weights count as zero. The coders then add and compare
+// integers only, so rounding can never make their merge decisions
+// inconsistent.
+func quantize(weights []float64) []uint64 {
+	usable := func(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+	var sum float64
+	for _, x := range weights {
+		if usable(x) {
+			sum += x
+		}
+	}
+	out := make([]uint64, len(weights))
+	for i, x := range weights {
+		out[i] = 1
+		if usable(x) {
+			out[i] = max(1, uint64(math.Round(x/sum*quantUnits)))
+		}
+	}
+	return out
 }
 
 // prepareWeights normalizes to sum 1 and floors each weight at relFloor of

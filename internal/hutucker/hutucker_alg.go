@@ -10,26 +10,25 @@ package hutucker
 // Each round scans the working sequence once (candidate pairs are the two
 // lightest nodes inside every window delimited by consecutive leaves), so
 // the whole run is O(n²).
-func huTuckerDepths(weights []float64) []int {
+func huTuckerDepths(weights []uint64) []int {
 	n := len(weights)
-	pool := make([]gwNode, n, 2*n-1)
-	seq := make([]int, n)
-	leaf := make([]bool, n, 2*n-1) // parallel to pool: is this a leaf node?
+	parent := make([]int32, 2*n-1)
+	seq := make([]gwItem, n)
 	for i, w := range weights {
-		pool[i] = gwNode{w: w, leafIdx: i, left: -1, right: -1}
-		seq[i] = i
-		leaf[i] = true
+		seq[i] = gwItem{w: w, id: int32(i)}
 	}
+	leaf := func(p int) bool { return int(seq[p].id) < n }
+	next := int32(n)
 	for len(seq) > 1 {
 		bi, bj := -1, -1
-		var bw float64
+		var bw uint64
 		// Scan windows delimited by leaves. A window runs from one leaf
 		// (or the sequence start) to the next leaf (or the end), with only
 		// internal nodes inside; any two nodes in a window are compatible.
 		start := 0
 		for start < len(seq) {
 			end := start + 1
-			for end < len(seq) && !leaf[seq[end]] {
+			for end < len(seq) && !leaf(end) {
 				end++
 			}
 			// Window [start, end] inclusive (end may be len(seq)-1+1?).
@@ -41,11 +40,11 @@ func huTuckerDepths(weights []float64) []int {
 				// Two lightest in window, preferring smaller positions.
 				m1, m2 := -1, -1 // positions
 				for p := start; p <= hi; p++ {
-					w := pool[seq[p]].w
-					if m1 == -1 || w < pool[seq[m1]].w {
+					w := seq[p].w
+					if m1 == -1 || w < seq[m1].w {
 						m2 = m1
 						m1 = p
-					} else if m2 == -1 || w < pool[seq[m2]].w {
+					} else if m2 == -1 || w < seq[m2].w {
 						m2 = p
 					}
 				}
@@ -53,7 +52,7 @@ func huTuckerDepths(weights []float64) []int {
 				if i > j {
 					i, j = j, i
 				}
-				sum := pool[seq[i]].w + pool[seq[j]].w
+				sum := seq[i].w + seq[j].w
 				if bi == -1 || sum < bw || (sum == bw && (i < bi || (i == bi && j < bj))) {
 					bi, bj, bw = i, j, sum
 				}
@@ -63,13 +62,11 @@ func huTuckerDepths(weights []float64) []int {
 			}
 			start = end
 		}
-		pool = append(pool, gwNode{w: bw, leafIdx: -1, left: seq[bi], right: seq[bj]})
-		leaf = append(leaf, false)
-		id := len(pool) - 1
-		seq[bi] = id // merged node takes the leftmost position
+		parent[seq[bi].id] = next
+		parent[seq[bj].id] = next
+		seq[bi] = gwItem{w: bw, id: next} // merged node takes the leftmost position
+		next++
 		seq = append(seq[:bj], seq[bj+1:]...)
 	}
-	depths := make([]int, n)
-	assignDepths(pool, seq[0], 0, depths)
-	return depths
+	return depthsFromParents(parent, n)
 }

@@ -3,6 +3,9 @@ package hutucker
 import (
 	"math"
 	"math/rand"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -367,7 +370,8 @@ func TestCodeString(t *testing.T) {
 }
 
 func TestLargeUniformBuildFast(t *testing.T) {
-	// Sanity: GW handles Double-Char-scale inputs (65,792 symbols) quickly.
+	// Sanity: GW handles Double-Char-scale inputs (65,792 symbols);
+	// BenchmarkGarsiaWachs64K records how long it takes.
 	n := 65792
 	rng := rand.New(rand.NewSource(7))
 	w := make([]float64, n)
@@ -377,5 +381,43 @@ func TestLargeUniformBuildFast(t *testing.T) {
 	depths := BuildDepthsWith(w, GarsiaWachs)
 	if ks := kraftSum(depths); ks != 1<<63 {
 		t.Fatal("Kraft violated at scale")
+	}
+}
+
+// TestEmailMixCodesOrdered is the regression test for Garsia-Wachs on
+// float64-normalised weights: on this 3-Grams weight vector, rounding in
+// the merged sums gave depths that no alphabetic tree has, so adjacent
+// codes came out of order. On exact integer weights both coders must give
+// strictly increasing, prefix-free codes.
+func TestEmailMixCodesOrdered(t *testing.T) {
+	raw, err := os.ReadFile("testdata/email_mix_3grams_weights.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w []float64
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		for _, f := range strings.Fields(line) {
+			x, err := strconv.ParseFloat(f, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w = append(w, x)
+		}
+	}
+	if len(w) != 3739 {
+		t.Fatalf("read %d weights, want 3739", len(w))
+	}
+	for _, alg := range []Algorithm{GarsiaWachs, HuTucker} {
+		codes := BuildWith(w, alg)
+		for i := 1; i < len(codes); i++ {
+			a, b := codes[i-1], codes[i]
+			if !a.Less(b) || a.Len <= b.Len && b.Bits>>(b.Len-a.Len) == a.Bits {
+				t.Fatalf("alg %v: code %d (%v) does not strictly precede code %d (%v) prefix-free",
+					alg, i-1, a, i, b)
+			}
+		}
 	}
 }

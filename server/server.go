@@ -329,12 +329,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // typically), then drains with the given grace period. It is the main
 // loop of cmd/hopeserve, kept here so it is testable.
 func (s *Server) RunUntilSignal(grace time.Duration, sigs ...os.Signal) error {
-	errc := make(chan error, 1)
-	go func() { errc <- s.Serve() }()
-
+	// Subscribe before serving, so a signal sent once clients are being
+	// answered is never missed.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, sigs...)
 	defer signal.Stop(sigc)
+
+	errc := make(chan error, 1)
+	go func() { errc <- s.Serve() }()
 	select {
 	case err := <-errc:
 		// Accept loop died on its own — still release the store.

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -402,40 +405,79 @@ func TestRangeShardedScanUnderChurn(t *testing.T) {
 	if err := s.Bulk(base, nil); err != nil {
 		t.Fatal(err)
 	}
+	// The churner writes only keys outside the corpus, so every corpus
+	// value must stay visible exactly once. Split points are themselves
+	// corpus keys; churn their nearest non-corpus successors instead
+	// (split+0x01, extended while that is a corpus key too), which land
+	// in the split's shard right at its boundary.
+	corpus := map[string]bool{}
+	for _, k := range base {
+		corpus[string(k)] = true
+	}
+	var edges [][]byte
+	for _, sp := range s.Partitioner().Splits() {
+		k := append(append([]byte(nil), sp...), 0x01)
+		for corpus[string(k)] {
+			k = append(k, 0x01)
+		}
+		edges = append(edges, k)
+	}
+	churnKey := func(rng *rand.Rand, i int) []byte {
+		if i%5 == 0 && len(edges) > 0 {
+			return edges[rng.Intn(len(edges))]
+		}
+		return []byte(fmt.Sprintf("net.churn@%d", rng.Intn(100)))
+	}
+	for i := 0; i < 100; i++ {
+		if k := []byte(fmt.Sprintf("net.churn@%d", i)); corpus[string(k)] {
+			t.Fatalf("churn key %q is a corpus key", k)
+		}
+	}
 	stop := make(chan struct{})
+	var churned atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // churn a disjoint namespace while scans run
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(42))
-		splits := s.Partitioner().Splits()
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			var k []byte
-			if i%5 == 0 && len(splits) > 0 {
-				// Churn on a shard boundary: the split point key itself.
-				k = append([]byte(nil), splits[rng.Intn(len(splits))]...)
-			} else {
-				k = []byte(fmt.Sprintf("net.churn@%d", rng.Intn(100)))
-			}
+			k := churnKey(rng, i)
 			if i%3 == 0 {
 				s.Delete(k)
 			} else {
 				s.Put(k, uint64(i)+(1<<32))
 			}
+			churned.Add(1)
 		}
 	}()
+	defer wg.Wait()
+	defer close(stop)
 	stable := map[uint64]bool{}
 	for i := range base {
 		stable[uint64(i)] = true
 	}
-	for iter := 0; iter < 30; iter++ {
+	const iters, opsPerIter = 30, 20
+	deadline := time.Now().Add(30 * time.Second)
+	// awaitChurn blocks until the churner has made opsPerIter more ops, so
+	// churn lands where the test needs it even when the goroutines share
+	// one core.
+	awaitChurn := func(iter int) {
+		for target := churned.Load() + opsPerIter; churned.Load() < target; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("iter %d: churner stalled at %d ops", iter, churned.Load())
+			}
+		}
+	}
+	for iter := 0; iter < iters; iter++ {
+		awaitChurn(iter)
 		seen := map[uint64]int{}
 		var last []byte
+		visited := 0
 		s.Scan(nil, nil, func(k []byte, v uint64) bool {
 			if last != nil && bytes.Compare(last, k) > 0 {
 				t.Errorf("scan out of order")
@@ -443,6 +485,11 @@ func TestRangeShardedScanUnderChurn(t *testing.T) {
 			}
 			last = append(last[:0], k...)
 			seen[v]++
+			// Pause mid-scan until more churn lands, so every scan resumes
+			// its shard cursors over trees written under it.
+			if visited++; visited == 64 {
+				awaitChurn(iter)
+			}
 			return true
 		})
 		for v := range stable {
@@ -457,8 +504,6 @@ func TestRangeShardedScanUnderChurn(t *testing.T) {
 			return n < 20
 		})
 	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestScanSpanPruning pins the planner's span arithmetic: the span always
