@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/art"
@@ -183,9 +184,13 @@ func (x *Index) Delete(key []byte) (bool, error) {
 }
 
 // Bulk loads keys[i] -> vals[i] through the parallel bulk-encode path. A
-// nil vals assigns each key its position. Keys need not be sorted. For
-// the SuRF backend this both builds the filter and retains the sorted
-// encoded run it filters for.
+// nil vals assigns each key its position; a key given more than once
+// keeps the value of its last position. Keys need not be sorted. Into an
+// empty B+tree, Prefix B+tree or HOT, the encoded keys are sorted once
+// and the tree is built bottom-up; ART, and a tree that already holds
+// keys, insert them one by one (overwriting stored values). For the SuRF
+// backend Bulk builds the filter over the sorted encoded run and retains
+// the run, replacing any earlier contents.
 func (x *Index) Bulk(keys [][]byte, vals []uint64) error {
 	if x.closed {
 		return ErrClosed
@@ -317,7 +322,9 @@ type indexBackend interface {
 	length() int
 }
 
-// insertLoop implements bulk for the mutable trees.
+// insertLoop implements bulk for ART, which has no bottom-up builder, and
+// for every mutable tree that already holds keys: a Put per key keeps the
+// overwrite semantics against what is stored.
 func insertLoop(be indexBackend, keys [][]byte, vals []uint64) error {
 	for i, k := range keys {
 		if err := be.insert(k, vals[i]); err != nil {
@@ -341,43 +348,62 @@ func (b *artBackend) scan(lo, hi []byte, incl bool, fn func([]byte, uint64) bool
 
 type hotBackend struct{ t *hot.Tree }
 
-func (b *hotBackend) insert(k []byte, v uint64) error     { b.t.Insert(k, v); return nil }
-func (b *hotBackend) bulk(ks [][]byte, vs []uint64) error { return insertLoop(b, ks, vs) }
-func (b *hotBackend) get(k []byte) (uint64, bool)         { return b.t.Get(k) }
-func (b *hotBackend) remove(k []byte) (bool, error)       { return b.t.Delete(k), nil }
-func (b *hotBackend) memory() int                         { return b.t.MemoryUsage() }
-func (b *hotBackend) length() int                         { return b.t.Len() }
+func (b *hotBackend) insert(k []byte, v uint64) error { b.t.Insert(k, v); return nil }
+func (b *hotBackend) bulk(ks [][]byte, vs []uint64) error {
+	if b.t.Len() > 0 {
+		return insertLoop(b, ks, vs)
+	}
+	b.t = hot.BulkLoad(sortRun(ks, vs))
+	return nil
+}
+func (b *hotBackend) get(k []byte) (uint64, bool)   { return b.t.Get(k) }
+func (b *hotBackend) remove(k []byte) (bool, error) { return b.t.Delete(k), nil }
+func (b *hotBackend) memory() int                   { return b.t.MemoryUsage() }
+func (b *hotBackend) length() int                   { return b.t.Len() }
 func (b *hotBackend) scan(lo, hi []byte, incl bool, fn func([]byte, uint64) bool) {
 	b.t.Range(lo, hi, incl, fn)
 }
 
 type btreeBackend struct{ t *btree.Tree }
 
-func (b *btreeBackend) insert(k []byte, v uint64) error     { b.t.Insert(k, v); return nil }
-func (b *btreeBackend) bulk(ks [][]byte, vs []uint64) error { return insertLoop(b, ks, vs) }
-func (b *btreeBackend) get(k []byte) (uint64, bool)         { return b.t.Get(k) }
-func (b *btreeBackend) remove(k []byte) (bool, error)       { return b.t.Delete(k), nil }
-func (b *btreeBackend) memory() int                         { return b.t.MemoryUsage() }
-func (b *btreeBackend) length() int                         { return b.t.Len() }
+func (b *btreeBackend) insert(k []byte, v uint64) error { b.t.Insert(k, v); return nil }
+func (b *btreeBackend) bulk(ks [][]byte, vs []uint64) error {
+	if b.t.Len() > 0 {
+		return insertLoop(b, ks, vs)
+	}
+	b.t = btree.BulkLoad(sortRun(ks, vs))
+	return nil
+}
+func (b *btreeBackend) get(k []byte) (uint64, bool)   { return b.t.Get(k) }
+func (b *btreeBackend) remove(k []byte) (bool, error) { return b.t.Delete(k), nil }
+func (b *btreeBackend) memory() int                   { return b.t.MemoryUsage() }
+func (b *btreeBackend) length() int                   { return b.t.Len() }
 func (b *btreeBackend) scan(lo, hi []byte, incl bool, fn func([]byte, uint64) bool) {
 	b.t.Range(lo, hi, incl, fn)
 }
 
 type prefixBackend struct{ t *prefixbtree.Tree }
 
-func (b *prefixBackend) insert(k []byte, v uint64) error     { b.t.Insert(k, v); return nil }
-func (b *prefixBackend) bulk(ks [][]byte, vs []uint64) error { return insertLoop(b, ks, vs) }
-func (b *prefixBackend) get(k []byte) (uint64, bool)         { return b.t.Get(k) }
-func (b *prefixBackend) remove(k []byte) (bool, error)       { return b.t.Delete(k), nil }
-func (b *prefixBackend) memory() int                         { return b.t.MemoryUsage() }
-func (b *prefixBackend) length() int                         { return b.t.Len() }
+func (b *prefixBackend) insert(k []byte, v uint64) error { b.t.Insert(k, v); return nil }
+func (b *prefixBackend) bulk(ks [][]byte, vs []uint64) error {
+	if b.t.Len() > 0 {
+		return insertLoop(b, ks, vs)
+	}
+	b.t = prefixbtree.BulkLoad(sortRun(ks, vs))
+	return nil
+}
+func (b *prefixBackend) get(k []byte) (uint64, bool)   { return b.t.Get(k) }
+func (b *prefixBackend) remove(k []byte) (bool, error) { return b.t.Delete(k), nil }
+func (b *prefixBackend) memory() int                   { return b.t.MemoryUsage() }
+func (b *prefixBackend) length() int                   { return b.t.Len() }
 func (b *prefixBackend) scan(lo, hi []byte, incl bool, fn func([]byte, uint64) bool) {
 	b.t.Range(lo, hi, incl, fn)
 }
 
 // surfBackend is SuRF in its production role: a succinct filter in front
-// of a sorted run (as in an LSM level). Bulk sorts the encoded keys,
-// builds a SuRF-Real8 over them and retains the run; Get consults the
+// of a sorted run (as in an LSM level). Bulk sorts the encoded keys
+// (sortRun: last write wins on duplicates), builds a SuRF-Real8 over them
+// and retains the run, replacing any earlier contents; Get consults the
 // filter before binary-searching the run, and scans short-circuit through
 // MayIntersect. The backend is exact (the run is authoritative) and
 // immutable.
@@ -391,25 +417,9 @@ func (b *surfBackend) insert([]byte, uint64) error { return ErrImmutableBackend 
 func (b *surfBackend) remove([]byte) (bool, error) { return false, ErrImmutableBackend }
 
 func (b *surfBackend) bulk(keys [][]byte, vals []uint64) error {
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool {
-		return bytes.Compare(keys[idx[i]], keys[idx[j]]) < 0
-	})
-	b.keys = b.keys[:0]
-	b.vals = b.vals[:0]
-	for _, i := range idx {
-		// Last write wins on duplicate stored keys, matching the mutable
-		// backends' overwrite semantics.
-		if n := len(b.keys); n > 0 && bytes.Equal(b.keys[n-1], keys[i]) {
-			b.vals[n-1] = vals[i]
-			continue
-		}
-		b.keys = append(b.keys, keys[i])
-		b.vals = append(b.vals, vals[i])
-	}
+	keys, vals = sortRun(keys, vals)
+	// The run may alias the caller's vals; the backend retains its own.
+	b.keys, b.vals = keys, slices.Clone(vals)
 	b.filter = surf.Build(b.keys, surf.Real, 8)
 	return nil
 }

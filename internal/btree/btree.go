@@ -529,75 +529,69 @@ func (t *Tree) Scan(start []byte, fn func(key []byte, val uint64) bool) {
 	}
 }
 
-// BulkLoad builds the tree from sorted unique keys, filling leaves to
-// capacity; values are the key indexes unless vals is non-nil. Each
-// leaf's key bytes live in one per-leaf arena allocation instead of one
-// allocation per key. Bulk-loaded leaves carry no gaps (the load is the
-// memory-footprint baseline); gaps appear where later inserts split.
+// bulkFill is how many of a leaf's Fanout slots BulkLoad fills. The
+// other four stay gaps, spread evenly through the leaf, so the first
+// inserts into a bulk-loaded leaf land in a gap instead of splitting it.
+const bulkFill = 12
+
+// BulkLoad builds the tree bottom-up from sorted unique keys; values are
+// the key indexes unless vals is non-nil. Keys are spread evenly over
+// ceil(n/bulkFill) leaves, each at most bulkFill full with its gaps
+// spread between its entries, and each leaf's key bytes live in one
+// per-leaf arena allocation instead of one allocation per key. Inner
+// levels are packed as full as the fanout allows, again spread evenly.
 func BulkLoad(keys [][]byte, vals []uint64) *Tree {
 	t := New()
-	if len(keys) == 0 {
+	n := len(keys)
+	if n == 0 {
 		return t
 	}
-	var leaves []node
-	var firstKeys [][]byte
+	nLeaves := (n + bulkFill - 1) / bulkFill
+	level := make([]node, nLeaves)
+	seps := make([][]byte, nLeaves)
 	var prev *leafNode
-	for i := 0; i < len(keys); i += Fanout {
-		end := i + Fanout
-		if end > len(keys) {
-			end = len(keys)
-		}
+	for li := range level {
+		lo, hi := li*n/nLeaves, (li+1)*n/nLeaves
 		total := 0
-		for j := i; j < end; j++ {
-			total += len(keys[j])
+		for _, k := range keys[lo:hi] {
+			total += len(k)
 		}
 		arena := make([]byte, 0, total)
 		l := &leafNode{}
-		for j := i; j < end; j++ {
+		for j := lo; j < hi; j++ {
+			s := (j - lo) * Fanout / (hi - lo)
 			off := len(arena)
 			arena = append(arena, keys[j]...)
-			l.keys[j-i] = arena[off:len(arena):len(arena)]
+			l.keys[s] = arena[off:len(arena):len(arena)]
 			if vals != nil {
-				l.vals[j-i] = vals[j]
+				l.vals[s] = vals[j]
 			} else {
-				l.vals[j-i] = uint64(j)
+				l.vals[s] = uint64(j)
 			}
-			l.occ |= 1 << (j - i)
+			l.occ |= 1 << s
 		}
-		l.fillGaps() // pads the final partial leaf's trailing slots
+		l.fillGaps()
 		if prev != nil {
 			prev.next = l
 		}
 		prev = l
-		leaves = append(leaves, l)
-		firstKeys = append(firstKeys, l.keys[0])
+		level[li] = l
+		seps[li] = l.keys[0]
 	}
-	t.size = len(keys)
-	level := leaves
-	seps := firstKeys
-	t.height = 1
+	t.size = n
 	for len(level) > 1 {
-		var up []node
-		var upSeps [][]byte
-		for i := 0; i < len(level); i += Fanout + 1 {
-			in := &innerNode{}
-			end := i + Fanout + 1
-			if end > len(level) {
-				end = len(level)
-			}
-			for j := i; j < end; j++ {
-				in.child[j-i] = level[j]
-				if j > i {
-					in.keys[j-i-1] = seps[j]
-					in.n++
-				}
-			}
+		groups := (len(level) + Fanout) / (Fanout + 1)
+		up := make([]node, groups)
+		upSeps := make([][]byte, groups)
+		for g := range up {
+			lo, hi := g*len(level)/groups, (g+1)*len(level)/groups
+			in := &innerNode{n: hi - lo - 1}
+			copy(in.child[:], level[lo:hi])
+			copy(in.keys[:], seps[lo+1:hi])
 			in.pad()
-			up = append(up, in)
-			upSeps = append(upSeps, seps[i])
+			up[g], upSeps[g] = in, seps[lo]
 		}
-		level = up
-		seps = upSeps
+		level, seps = up, upSeps
 		t.height++
 	}
 	t.root = level[0]

@@ -71,6 +71,14 @@ func TestStructuralInvariants(t *testing.T) {
 		}
 		tr.Insert(k, uint64(i))
 	}
+	checkStructure(t, tr)
+}
+
+// checkStructure asserts the node invariants: sorted leaves within their
+// separator bounds, valid gap padding, sorted separators with current
+// probe words, and every leaf at the tracked height.
+func checkStructure(t *testing.T, tr *Tree) {
+	t.Helper()
 	var check func(n node, lo, hi []byte) int
 	check = func(n node, lo, hi []byte) int {
 		switch v := n.(type) {

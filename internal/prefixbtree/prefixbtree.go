@@ -400,94 +400,76 @@ func (t *Tree) Scan(start []byte, fn func(key []byte, val uint64) bool) {
 	}
 }
 
-// BulkLoad builds the tree from sorted unique keys with maximal prefix
-// truncation per leaf; values default to key indexes.
+// bulkFill is how many of a leaf's Fanout slots BulkLoad fills, leaving
+// four free so the first inserts into a bulk-loaded leaf do not split it.
+const bulkFill = 12
+
+// BulkLoad builds the tree bottom-up from sorted unique keys with maximal
+// prefix truncation per leaf; values default to key indexes. Keys are
+// spread evenly over ceil(n/bulkFill) leaves, inner levels are packed as
+// full as the fanout allows, and separators are suffix-truncated as on a
+// split.
 func BulkLoad(keys [][]byte, vals []uint64) *Tree {
 	t := New()
-	if len(keys) == 0 {
+	n := len(keys)
+	if n == 0 {
 		return t
 	}
-	var leaves []node
-	var mins [][]byte // full first key per leaf, for separators
+	nLeaves := (n + bulkFill - 1) / bulkFill
+	level := make([]node, nLeaves)
+	seps := make([][]byte, nLeaves)
 	var prev *leafNode
-	for i := 0; i < len(keys); i += Fanout {
-		end := i + Fanout
-		if end > len(keys) {
-			end = len(keys)
-		}
-		lcp := keys[i]
-		for j := i + 1; j < end; j++ {
-			lcp = lcp[:lcpLen(lcp, keys[j])]
+	for li := range level {
+		lo, hi := li*n/nLeaves, (li+1)*n/nLeaves
+		lcp := keys[lo]
+		for _, k := range keys[lo+1 : hi] {
+			lcp = lcp[:lcpLen(lcp, k)]
 		}
 		// One arena allocation holds the leaf's suffix bytes, instead of
 		// one allocation per key.
 		total := 0
-		for j := i; j < end; j++ {
-			total += len(keys[j]) - len(lcp)
+		for _, k := range keys[lo:hi] {
+			total += len(k) - len(lcp)
 		}
 		arena := make([]byte, 0, total)
-		l := &leafNode{prefix: append([]byte(nil), lcp...)}
-		for j := i; j < end; j++ {
+		l := &leafNode{prefix: append([]byte(nil), lcp...), n: hi - lo}
+		for j := lo; j < hi; j++ {
 			off := len(arena)
 			arena = append(arena, keys[j][len(lcp):]...)
-			l.sufs[j-i] = arena[off:len(arena):len(arena)]
+			l.sufs[j-lo] = arena[off:len(arena):len(arena)]
 			if vals != nil {
-				l.vals[j-i] = vals[j]
+				l.vals[j-lo] = vals[j]
 			} else {
-				l.vals[j-i] = uint64(j)
+				l.vals[j-lo] = uint64(j)
 			}
-			l.n++
 		}
 		if prev != nil {
 			prev.next = l
+			// Suffix truncation: the shortest s with leftMax < s <= rightMin.
+			leftMax, rightMin := keys[lo-1], keys[lo]
+			seps[li] = append([]byte(nil), rightMin[:lcpLen(leftMax, rightMin)+1]...)
 		}
 		prev = l
-		leaves = append(leaves, l)
-		mins = append(mins, keys[i])
+		level[li] = l
 	}
-	t.size = len(keys)
-	// Suffix-truncated separators between adjacent leaves.
-	seps := make([][]byte, len(leaves))
-	for i := 1; i < len(leaves); i++ {
-		leftMax := keys[minInt(i*Fanout, len(keys))-1]
-		rightMin := mins[i]
-		seps[i] = append([]byte(nil), rightMin[:lcpLen(leftMax, rightMin)+1]...)
-	}
-	level := leaves
-	t.height = 1
+	t.size = n
 	for len(level) > 1 {
-		var up []node
-		var upSeps [][]byte
-		for i := 0; i < len(level); i += Fanout + 1 {
-			in := &innerNode{}
-			end := i + Fanout + 1
-			if end > len(level) {
-				end = len(level)
-			}
-			for j := i; j < end; j++ {
-				in.child[j-i] = level[j]
-				if j > i {
-					in.keys[j-i-1] = seps[j]
-					in.n++
-				}
-			}
+		groups := (len(level) + Fanout) / (Fanout + 1)
+		up := make([]node, groups)
+		upSeps := make([][]byte, groups)
+		for g := range up {
+			lo, hi := g*len(level)/groups, (g+1)*len(level)/groups
+			in := &innerNode{n: hi - lo - 1}
+			copy(in.child[:], level[lo:hi])
+			copy(in.keys[:], seps[lo+1:hi])
 			in.pad()
-			up = append(up, in)
-			upSeps = append(upSeps, seps[i])
+			up[g], upSeps[g] = in, seps[lo]
 		}
-		level = up
-		seps = upSeps
+		level, seps = up, upSeps
 		t.height++
 	}
 	t.root = level[0]
 	return t
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Stats summarizes structure and modeled memory: node headers and slot

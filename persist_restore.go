@@ -13,7 +13,9 @@ import (
 // that no key is re-encoded: the dictionary is reassembled from its
 // serialized entries (core.Reassemble skips symbol selection and code
 // assignment entirely), and the stored encodings in the run sections load
-// back verbatim through each backend's bulk path, shard-parallel.
+// back verbatim through each backend's bulk path, shard-parallel. Runs are
+// dumped in encoded order, so for the B+trees, HOT and SuRF that path is
+// one linear sortedness check and a bottom-up build (sortRun's fast path).
 
 // restoreStore rebuilds the store a snapshot serialized. backend is the
 // caller's requested backend and must match the dumped one — a snapshot
@@ -196,8 +198,8 @@ func restoreAdaptive(backend Backend, meta snapMeta, enc *core.Encoder, sections
 	// the tree shard the generation's partitioner routes each key to. For
 	// hash partitions the tree shard IS the stripe and the grouped run is
 	// already in encoded order; range partitions interleave stripes per
-	// tree shard, which the bulk path tolerates (backends do not require
-	// sorted input).
+	// tree shard. The bulk path takes either (backends do not require
+	// sorted input), but only sorted input skips the sort.
 	nShards := int(meta.shards)
 	treeKeys := make([][][]byte, nShards)
 	treeIDs := make([][]uint64, nShards)
