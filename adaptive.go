@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -255,6 +257,10 @@ type adaptiveShard struct {
 	read  *generation
 	write []*generation
 }
+
+// recordSize is what one record slot costs beside its key bytes: the
+// slice header, value and dead flag, padded (40 bytes on 64-bit).
+const recordSize = int(unsafe.Sizeof(record{}))
 
 func recordID(shard, slot int) uint64 { return uint64(shard)<<32 | uint64(uint32(slot)) }
 func slotOf(id uint64) int            { return int(uint32(id)) }
@@ -555,7 +561,7 @@ func (a *AdaptiveIndex) MemoryUsage() int {
 		sh.mu.RLock()
 		for _, g := range gens {
 			for _, r := range g.recs[i].recs {
-				m += len(r.key) + 33 // slice header + val + dead + padding
+				m += len(r.key) + recordSize
 			}
 		}
 		sh.mu.RUnlock()
@@ -629,30 +635,66 @@ func (a *AdaptiveIndex) bulkLoad(keys [][]byte, vals []uint64) (viaPuts bool, er
 			g.recs[i] = generationShardRecords{}
 		}
 	}
-	// Last write wins on duplicate keys, matching Put-loop semantics.
-	lastIdx := make(map[string]int, len(keys))
+	// One record per input position: each stripe appends its keys' records
+	// in input order, their key bytes copied into one arena per stripe.
+	stripeOf := make([][]int, len(a.shards))
+	maxLen := 0
 	for i, k := range keys {
-		lastIdx[string(k)] = i
+		w := a.shardIdx(k)
+		stripeOf[w] = append(stripeOf[w], i)
+		maxLen = max(maxLen, len(k))
 	}
-	var loadKeys [][]byte
-	var ids []uint64
-	for i, k := range keys {
-		if lastIdx[string(k)] != i {
+	a.trackLen(maxLen)
+	ids := make([]uint64, len(keys))
+	base := make([]int, len(a.shards))
+	var wg sync.WaitGroup
+	for w, pos := range stripeOf {
+		base[w] = len(g.recs[w].recs)
+		if len(pos) == 0 {
 			continue
 		}
-		a.trackLen(len(k))
-		v := uint64(i)
-		if vals != nil {
-			v = vals[i]
-		}
-		w := a.shardIdx(k)
-		slot := len(g.recs[w].recs)
-		g.recs[w].recs = append(g.recs[w].recs, record{key: append([]byte(nil), k...), val: v})
-		g.recs[w].live++
-		loadKeys = append(loadKeys, k)
-		ids = append(ids, recordID(w, slot))
+		wg.Add(1)
+		go func(w int, pos []int) {
+			defer wg.Done()
+			sk := make([][]byte, len(pos))
+			for j, i := range pos {
+				sk[j] = keys[i]
+			}
+			owned := copyAll(sk)
+			gr := &g.recs[w]
+			gr.recs = slices.Grow(gr.recs, len(pos))
+			for j, i := range pos {
+				v := uint64(i)
+				if vals != nil {
+					v = vals[i]
+				}
+				ids[i] = recordID(w, len(gr.recs))
+				gr.recs = append(gr.recs, record{key: owned[j], val: v})
+			}
+			gr.live += len(pos)
+		}(w, pos)
 	}
-	return false, g.idx.Bulk(loadKeys, ids)
+	wg.Wait()
+	if err := g.idx.Bulk(keys, ids); err != nil {
+		return false, err
+	}
+	// A record is live iff its tree maps its key to its id. The tree kept
+	// the last position of a duplicated key (last write wins, as a Put
+	// loop would), so only inputs with duplicates leave records to retire.
+	if g.idx.Len() == len(keys) {
+		return false, nil
+	}
+	for w, pos := range stripeOf {
+		gr := &g.recs[w]
+		for slot := base[w]; slot < base[w]+len(pos); slot++ {
+			r := &gr.recs[slot]
+			if id, ok := g.idx.getShard(routeRecord(g, w, r.key), r.key); !ok || id != recordID(w, slot) {
+				r.dead = true
+				gr.live--
+			}
+		}
+	}
+	return false, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -479,3 +479,53 @@ func BenchmarkAdaptivePut(b *testing.B) {
 		})
 	})
 }
+
+// BenchmarkAdaptiveBulk times the stop-the-world load of an empty
+// AdaptiveIndex the way the drift-email workload sets one up: 200k
+// Email-A keys, ART, 3-Grams with a 4K dictionary, 2 shards. Trees repeats
+// the load on a ShardedIndex of the same shape and dictionary — the tree
+// load alone — so the gap between the two is the adaptive record layer.
+func BenchmarkAdaptiveBulk(b *testing.B) {
+	emailA, _ := datagen.SplitEmailByProvider(datagen.Generate(datagen.Email, 600_000, 1))
+	keys := emailA[:200_000]
+	vals := make([]uint64, len(keys))
+	for i := range vals {
+		vals[i] = uint64(i)
+	}
+	opts := hope.Options{DictLimit: 1 << 12}
+	enc, err := hope.Build(hope.ThreeGrams, hope.SampleKeys(keys, 0.01, 1), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		open func() (hope.Store, error)
+	}{
+		{"Adaptive", func() (hope.Store, error) {
+			return hope.Open(hope.ART, hope.WithAdaptive(hope.AdaptiveOptions{
+				Scheme: hope.ThreeGrams, Build: opts, Encoder: enc.Clone(), Shards: 2, Manual: true,
+			}))
+		}},
+		{"Trees", func() (hope.Store, error) {
+			return hope.Open(hope.ART, hope.WithEncoder(enc.Clone()), hope.WithShards(2))
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st, err := c.open()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := st.Bulk(keys, vals); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				st.Close()
+				b.StartTimer()
+			}
+		})
+	}
+}

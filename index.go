@@ -186,9 +186,9 @@ func (x *Index) Delete(key []byte) (bool, error) {
 // Bulk loads keys[i] -> vals[i] through the parallel bulk-encode path. A
 // nil vals assigns each key its position; a key given more than once
 // keeps the value of its last position. Keys need not be sorted. Into an
-// empty B+tree, Prefix B+tree or HOT, the encoded keys are sorted once
-// and the tree is built bottom-up; ART, and a tree that already holds
-// keys, insert them one by one (overwriting stored values). For the SuRF
+// empty ART, B+tree, Prefix B+tree or HOT, the encoded keys are sorted
+// once and the tree is built bottom-up; a tree that already holds keys
+// inserts them one by one (overwriting stored values). For the SuRF
 // backend Bulk builds the filter over the sorted encoded run and retains
 // the run, replacing any earlier contents.
 func (x *Index) Bulk(keys [][]byte, vals []uint64) error {
@@ -322,9 +322,9 @@ type indexBackend interface {
 	length() int
 }
 
-// insertLoop implements bulk for ART, which has no bottom-up builder, and
-// for every mutable tree that already holds keys: a Put per key keeps the
-// overwrite semantics against what is stored.
+// insertLoop implements bulk for a mutable tree that already holds keys:
+// a Put per key keeps the overwrite semantics against what is stored. An
+// empty tree is built bottom-up from one sortRun instead.
 func insertLoop(be indexBackend, keys [][]byte, vals []uint64) error {
 	for i, k := range keys {
 		if err := be.insert(k, vals[i]); err != nil {
@@ -336,12 +336,19 @@ func insertLoop(be indexBackend, keys [][]byte, vals []uint64) error {
 
 type artBackend struct{ t *art.Tree }
 
-func (b *artBackend) insert(k []byte, v uint64) error     { b.t.Insert(k, v); return nil }
-func (b *artBackend) bulk(ks [][]byte, vs []uint64) error { return insertLoop(b, ks, vs) }
-func (b *artBackend) get(k []byte) (uint64, bool)         { return b.t.Get(k) }
-func (b *artBackend) remove(k []byte) (bool, error)       { return b.t.Delete(k), nil }
-func (b *artBackend) memory() int                         { return b.t.MemoryUsage() }
-func (b *artBackend) length() int                         { return b.t.Len() }
+func (b *artBackend) insert(k []byte, v uint64) error { b.t.Insert(k, v); return nil }
+func (b *artBackend) bulk(ks [][]byte, vs []uint64) error {
+	if b.t.Len() > 0 {
+		return insertLoop(b, ks, vs)
+	}
+	keys, vals := sortRun(ks, vs)
+	b.t = art.BulkLoad(art.IndexMode, keys, vals)
+	return nil
+}
+func (b *artBackend) get(k []byte) (uint64, bool)   { return b.t.Get(k) }
+func (b *artBackend) remove(k []byte) (bool, error) { return b.t.Delete(k), nil }
+func (b *artBackend) memory() int                   { return b.t.MemoryUsage() }
+func (b *artBackend) length() int                   { return b.t.Len() }
 func (b *artBackend) scan(lo, hi []byte, incl bool, fn func([]byte, uint64) bool) {
 	b.t.Range(lo, hi, incl, fn)
 }

@@ -198,3 +198,63 @@ func commonPrefixLen(a, b []byte) int {
 	}
 	return i
 }
+
+// BulkLoad builds a tree from strictly ascending keys (vals[i] is keys[i]'s
+// value) in one recursive pass. The result is exactly the tree that
+// inserting the keys in ascending order builds: an inner node's compressed
+// path is the common prefix of its first and last key, a key ending there
+// becomes its value leaf, and the rest are grouped by their next byte into
+// the smallest layout that holds the groups. Keys are copied, as Insert
+// copies them.
+func BulkLoad(mode Mode, keys [][]byte, vals []uint64) *Tree {
+	t := New(mode)
+	if len(keys) > 0 {
+		t.root = t.build(keys, vals, 0)
+	}
+	return t
+}
+
+// build returns the subtree over keys, which all share their first depth
+// bytes.
+func (t *Tree) build(keys [][]byte, vals []uint64, depth int) node {
+	if len(keys) == 1 {
+		return t.newLeaf(keys[0], vals[0])
+	}
+	first := keys[0]
+	d := depth + commonPrefixLen(first[depth:], keys[len(keys)-1][depth:])
+	var h header
+	t.setPrefix(&h, first[depth:d])
+	if len(first) == d {
+		h.valueLeaf = t.newLeaf(first, vals[0])
+		keys, vals = keys[1:], vals[1:]
+	}
+	groups := 1
+	for i := 1; i < len(keys); i++ {
+		if keys[i][d] != keys[i-1][d] {
+			groups++
+		}
+	}
+	var n node
+	switch {
+	case groups <= 4:
+		n = &node4{header: h}
+	case groups <= 16:
+		n = &node16{header: h}
+	case groups <= 48:
+		n = &node48{header: h}
+	default:
+		n = &node256{header: h}
+	}
+	for lo := 0; lo < len(keys); {
+		c := keys[lo][d]
+		hi := lo + 1
+		for hi < len(keys) && keys[hi][d] == c {
+			hi++
+		}
+		// Children arrive in ascending byte order into a node sized for
+		// all of them, so this appends and never grows.
+		t.addChildGrow(&n, n, c, t.build(keys[lo:hi], vals[lo:hi], d+1))
+		lo = hi
+	}
+	return n
+}

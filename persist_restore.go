@@ -14,8 +14,8 @@ import (
 // serialized entries (core.Reassemble skips symbol selection and code
 // assignment entirely), and the stored encodings in the run sections load
 // back verbatim through each backend's bulk path, shard-parallel. Runs are
-// dumped in encoded order, so for the B+trees, HOT and SuRF that path is
-// one linear sortedness check and a bottom-up build (sortRun's fast path).
+// dumped in encoded order, so for every backend that path is one linear
+// sortedness check and a bottom-up build (sortRun's fast path).
 
 // restoreStore rebuilds the store a snapshot serialized. backend is the
 // caller's requested backend and must match the dumped one — a snapshot

@@ -44,12 +44,11 @@ import (
 //     map.
 //   - Bulk partitions the keys once by shard and loads all shards in
 //     parallel, each shard running the bulk-encode pipeline over its
-//     partition and then its backend's bulk path: into an empty B+tree,
-//     Prefix B+tree, HOT or SuRF shard, one sort of the encoded keys and
-//     a bottom-up build; ART and populated mutable shards insert key by
-//     key. An unseeded range partitioner is seeded here: the first Bulk
-//     into an empty index samples split points from its corpus
-//     (RangeSplits over a core.Sampler reservoir).
+//     partition and then its backend's bulk path: into an empty shard,
+//     one sort of the encoded keys and a bottom-up build; populated
+//     mutable shards insert key by key. An unseeded range partitioner is
+//     seeded here: the first Bulk into an empty index samples split
+//     points from its corpus (RangeSplits over a core.Sampler reservoir).
 //
 // The callback contract differs from Index in one respect: the stored
 // (encoded) key passed to a scan callback is only valid for the duration

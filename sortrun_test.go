@@ -219,9 +219,12 @@ func FuzzSortRun(f *testing.F) {
 	})
 }
 
-// TestBulkDuplicatesLastWins: on every backend, with and without an
-// encoder, Bulk of a run with duplicate keys stores each key's value from
-// its last position — what a Put loop would leave.
+// TestBulkDuplicatesLastWins: on every backend and store shape (plain,
+// sharded by hash and by range, adaptive by hash and by range), with and
+// without an encoder, Bulk of a run with duplicate keys stores each key's
+// value from its last position — what a Put loop would leave. Adaptive
+// stores are checked again after a Rebuild: migration copies only live
+// records, so a stale duplicate record would reappear there.
 func TestBulkDuplicatesLastWins(t *testing.T) {
 	distinct := datagen.Generate(datagen.Email, 3000, 5)
 	rng := rand.New(rand.NewSource(6))
@@ -237,27 +240,59 @@ func TestBulkDuplicatesLastWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	check := func(t *testing.T, phase string, s Store) {
+		t.Helper()
+		if s.Len() != len(last) {
+			t.Fatalf("%s: Len = %d, want %d distinct keys", phase, s.Len(), len(last))
+		}
+		if n := s.Scan(nil, nil, func([]byte, uint64) bool { return true }); n != len(last) {
+			t.Fatalf("%s: full scan saw %d keys, want %d", phase, n, len(last))
+		}
+		wrong := 0
+		for k, want := range last {
+			if v, ok := s.Get([]byte(k)); !ok || v != want {
+				wrong++
+			}
+		}
+		if wrong > 0 {
+			t.Fatalf("%s: %d of %d keys do not return their last value", phase, wrong, len(last))
+		}
+	}
 	for _, backend := range Backends {
 		for _, e := range []*core.Encoder{nil, enc} {
 			t.Run(fmt.Sprintf("%s/encoded=%v", backend, e != nil), func(t *testing.T) {
-				x, err := NewIndex(backend, e)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := x.Bulk(keys, vals); err != nil {
-					t.Fatal(err)
-				}
-				if x.Len() != len(last) {
-					t.Fatalf("Len = %d, want %d distinct keys", x.Len(), len(last))
-				}
-				wrong := 0
-				for k, want := range last {
-					if v, ok := x.Get([]byte(k)); !ok || v != want {
-						wrong++
+				clone := func() *core.Encoder {
+					if e == nil {
+						return nil
 					}
+					return e.Clone()
 				}
-				if wrong > 0 {
-					t.Fatalf("%d of %d keys do not return their last value", wrong, len(last))
+				shapes := []struct {
+					name string
+					opts []Option
+				}{
+					{"Index", []Option{WithEncoder(clone())}},
+					{"Sharded/hash", []Option{WithEncoder(clone()), WithShards(4)}},
+					{"Sharded/range", []Option{WithEncoder(clone()), WithShards(4), WithRangePartitioner(nil)}},
+					{"Adaptive/hash", []Option{WithAdaptive(AdaptiveOptions{Encoder: clone(), Shards: 4, Manual: true})}},
+					{"Adaptive/range", []Option{WithAdaptive(AdaptiveOptions{
+						Encoder: clone(), Shards: 4, Manual: true, Partition: RangePartitioned,
+					})}},
+				}
+				for _, shape := range shapes {
+					t.Run(shape.name, func(t *testing.T) {
+						s := mustOpen(t, backend, shape.opts...)
+						if err := s.Bulk(keys, vals); err != nil {
+							t.Fatal(err)
+						}
+						check(t, "after Bulk", s)
+						if a, ok := s.(*AdaptiveIndex); ok {
+							if err := a.Rebuild(); err != nil {
+								t.Fatal(err)
+							}
+							check(t, "after Rebuild", s)
+						}
+					})
 				}
 			})
 		}
