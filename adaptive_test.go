@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/fault"
 	"repro/internal/lifecycle"
 )
@@ -644,6 +645,84 @@ func TestAdaptiveAutoDriftRebuild(t *testing.T) {
 	}
 	if rec := a.Stats().RecentCPR; rec <= degraded {
 		t.Fatalf("CPR did not recover: %.3f (degraded) -> %.3f (post-rebuild)", degraded, rec)
+	}
+}
+
+// TestAdaptiveDriftRecovery serves a key stream that drifts from one half
+// of the Appendix C email split to the other (between 35% and 65% of the
+// stream) from two adaptive indexes that start on the same 3-Grams
+// dictionary, one of them frozen. The adaptive index must rebuild, and its
+// final dictionary must compress the shifted half to within 10% of one
+// built from scratch on it, and better than the frozen control, which
+// must never rebuild.
+func TestAdaptiveDriftRecovery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drift stream of 24k keys")
+	}
+	const numKeys, windows, seed = 24000, 20, 42
+	base, shifted := datagen.SplitEmailByProvider(datagen.Generate(datagen.Email, numKeys, seed))
+	stream := datagen.DriftStream(base, shifted, numKeys, 0.35, 0.65, seed+1)
+	sample := func(keys [][]byte) [][]byte { return keys[:max(64, len(keys)/50)] }
+	bopt := core.Options{DictLimit: 1 << 11}
+	enc, err := core.Build(core.ThreeGrams, sample(base), bopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunkLen := len(stream) / windows
+	lc := lifecycle.Config{
+		ReservoirSize:  max(1024, numKeys/50),
+		Seed:           seed,
+		WindowSize:     max(256, chunkLen/4),
+		CheckEvery:     128,
+		DriftThreshold: 0.10,
+	}
+	lc.Cooldown = 2 * lc.WindowSize
+	open := func(frozen bool) *AdaptiveIndex {
+		return mustOpen(t, ART, WithAdaptive(AdaptiveOptions{
+			Scheme: core.ThreeGrams, Build: bopt, Encoder: enc.Clone(),
+			Shards: 8, Manual: frozen, Lifecycle: lc,
+		})).(*AdaptiveIndex)
+	}
+	adaptive, frozen := open(false), open(true)
+	// Both indexes see the stream window by window, each window Put and
+	// then read back, interleaved as the two would be served side by side.
+	for w := 0; w < windows; w++ {
+		lo, hi := w*chunkLen, (w+1)*chunkLen
+		if w == windows-1 {
+			hi = len(stream)
+		}
+		for _, a := range []*AdaptiveIndex{adaptive, frozen} {
+			for i, k := range stream[lo:hi] {
+				if err := a.Put(k, uint64(lo+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, k := range stream[lo:hi] {
+				a.Get(k)
+			}
+		}
+	}
+	adaptive.Quiesce()
+
+	scratch, err := core.Build(core.ThreeGrams, sample(shifted), bopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := shifted[:min(len(shifted), 20000)]
+	scratchCPR := scratch.CompressionRate(eval)
+	adaptiveCPR := adaptive.Encoder().Clone().CompressionRate(eval)
+	frozenCPR := frozen.Encoder().Clone().CompressionRate(eval)
+	if st := adaptive.Stats(); st.Rebuilds < 1 || st.Generation < 1 {
+		t.Fatalf("adaptive index never rebuilt: %+v", st)
+	}
+	if st := frozen.Stats(); st.Rebuilds != 0 {
+		t.Fatalf("frozen control rebuilt: %+v", st)
+	}
+	if ratio := adaptiveCPR / scratchCPR; ratio < 0.9 {
+		t.Fatalf("post-adaptation CPR %.3f is below 90%% of scratch %.3f (ratio %.3f)", adaptiveCPR, scratchCPR, ratio)
+	}
+	if adaptiveCPR <= frozenCPR {
+		t.Fatalf("adaptive CPR %.3f not better than frozen %.3f on the shifted distribution", adaptiveCPR, frozenCPR)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/ycsb"
 )
 
 // memo caches experiment results so timer calibration does not re-run
@@ -242,22 +241,6 @@ func BenchmarkFigTree(b *testing.B) {
 	spin(b)
 }
 
-// BenchmarkYCSB reports the concurrent serving series: ShardedIndex
-// throughput per YCSB workload × backend × configuration × goroutine
-// count, at CI scale (`hopebench -fig ycsb` runs the full sweep).
-func BenchmarkYCSB(b *testing.B) {
-	cfg := benchCfg(datagen.Email)
-	threads := []int{1, 2, 4}
-	rows := once(b, "ycsb", func() ([]bench.YCSBBenchRow, error) {
-		return bench.RunFigYCSB(cfg, bench.YCSBBackends, ycsb.Kinds, threads)
-	})
-	for _, r := range rows {
-		b.ReportMetric(r.OpsPerSec/1e6,
-			tag(fmt.Sprintf("Mops:%s/%s/%s/t%d", r.Workload, r.Backend, r.Config, r.Threads)))
-	}
-	spin(b)
-}
-
 // BenchmarkShardedIndexGet measures the zero-alloc concurrent read path
 // against the single-threaded Index.Get baseline (allocs/op must be 0 for
 // both; the sharded path adds the hash, the pool round-trip and the read
@@ -359,41 +342,6 @@ func BenchmarkAblationCoder(b *testing.B) {
 }
 
 var _ = core.Schemes // the façade aliases core's scheme type; keep the link explicit
-
-// BenchmarkFigDrift reports the dictionary-drift adaptation series at CI
-// scale: rolling CPR and recovery ratio for the adaptive index against
-// the frozen-dictionary control (`hopebench -fig drift` runs full scale).
-func BenchmarkFigDrift(b *testing.B) {
-	cfg := benchCfg(datagen.Email)
-	cfg.NumKeys = 16000
-	rows := once(b, "drift", func() ([]bench.DriftBenchRow, error) {
-		return bench.RunFigDrift(cfg)
-	})
-	for _, r := range rows {
-		if r.Window == -1 {
-			b.ReportMetric(r.CPRRecent, tag(fmt.Sprintf("CPR:%s/final", r.Config)))
-			if r.RecoveryRatio > 0 {
-				b.ReportMetric(r.RecoveryRatio, tag(fmt.Sprintf("recovery:%s", r.Config)))
-			}
-		}
-	}
-	spin(b)
-}
-
-// BenchmarkFigScan reports the scan-partitioning series: YCSB-E
-// throughput, hash vs range ShardedIndex, across shard counts, at CI
-// scale (`hopebench -fig scan` runs the full sweep).
-func BenchmarkFigScan(b *testing.B) {
-	cfg := benchCfg(datagen.Email)
-	rows := once(b, "scan", func() ([]bench.ScanBenchRow, error) {
-		return bench.RunFigScan(cfg, bench.ScanBackends, []int{1, 4, 8})
-	})
-	for _, r := range rows {
-		b.ReportMetric(r.OpsPerSec/1e6,
-			tag(fmt.Sprintf("Mops:%s/%s/%s/s%d", r.Backend, r.Config, r.Partition, r.Shards)))
-	}
-	spin(b)
-}
 
 // BenchmarkShardedScan measures one short scan (50 results from a point
 // lower bound) against hash- and range-partitioned indexes at 8 shards.

@@ -1,39 +1,29 @@
-// Command benchdiff is the CI perf-regression gate: it compares two
-// benchmark records of the same kind and fails when the median regression
-// of any gated metric exceeds the threshold.
+// Command benchdiff is the perf-regression gate. It compares two
+// measurements of the same code paths and fails on a regression beyond a
+// bound.
 //
 // Usage:
 //
-//	benchdiff [-threshold 0.15] [-mode encode|ycsb|drift|scan|serve|tree|restore] baseline.json current.json
+//	benchdiff [-threshold 0.15] [-mode encode|tree] baseline.json current.json
+//	benchdiff -mode perfbench BENCHMARK.json base.out head.out
 //
 // Mode encode compares BENCH_encode.json records (the encode-path latency
-// record `make bench` writes); mode ycsb compares BENCH_ycsb.json records
-// (the concurrent serving throughput record `make bench-ycsb` writes);
-// mode drift compares BENCH_drift.json records (the dictionary-drift
-// adaptation record `make bench-drift` writes, gating post-adaptation CPR
-// and throughput); mode scan compares BENCH_scan.json records (the
-// scan-partitioning throughput record `make bench-scan` writes); mode
-// serve compares BENCH_serve.json records (the network serving latency
-// record `make bench-serve` writes, gating p99 per op); mode tree
-// compares BENCH_tree.json records (the end-to-end search-tree record
-// `make bench-tree` writes, gating load throughput plus point, scan and
-// insert latencies); mode restore compares BENCH_restore.json records
-// (the restart record `make bench-restore` writes, gating the cold and
-// restore boot times). Rows are
-// matched by identity key — (dataset, scheme) for encode, (dataset,
-// workload, backend, config, threads) for ycsb, (dataset, config, window)
-// for drift, (dataset, backend, config, partition, shards) for scan,
-// (dataset, store, config, workload, conns, op) for serve,
-// (dataset, backend, config) for tree,
-// (dataset, backend, config, keys) for restore. For
-// every gated
-// metric the tool collects the per-row current/baseline ratios and
-// compares the metric's median ratio against the threshold: latencies fail
-// above 1+threshold, throughputs fail below 1-threshold. The median — not
-// the max — gates the job so a single noisy row on shared CI hardware
-// cannot fail the build, while a real regression (which moves every row)
-// reliably does. Exit status: 0 pass, 1 regression, 2 usage or input
-// error.
+// record `make bench` writes); mode tree compares BENCH_tree.json records
+// (the end-to-end search-tree record `make bench-tree` writes, gating load
+// throughput plus point, scan and insert latencies). Rows are matched by
+// identity key — (dataset, scheme) for encode, (dataset, backend, config)
+// for tree. For every gated metric the tool collects the per-row
+// current/baseline ratios and compares the metric's median ratio against
+// the threshold: latencies fail above 1+threshold, throughputs fail below
+// 1-threshold. The median — not the max — gates the job so a single noisy
+// row on shared CI hardware cannot fail the build, while a real regression
+// (which moves every row) reliably does.
+//
+// Mode perfbench compares the output of perfbench runs on two revisions
+// (see scripts/perf_gate.sh and perfbench.go) against the end-to-end
+// bounds BENCHMARK.json declares.
+//
+// Exit status: 0 pass, 1 regression, 2 usage or input error.
 package main
 
 import (
@@ -66,36 +56,6 @@ var encodeMetrics = []metric{
 	{name: "bulk_ns_per_key"},
 }
 
-var ycsbMetrics = []metric{
-	{name: "ops_per_sec", higherBetter: true},
-}
-
-// Drift gates both axes of adaptation: the rolling/post-adaptation
-// compression rate and the serving throughput under lifecycle overhead.
-// recovery_ratio appears only on the adaptive summary row, so its median
-// IS that row — a direct gate on how close the rebuilt dictionary gets to
-// a from-scratch one.
-var driftMetrics = []metric{
-	{name: "ops_per_sec", higherBetter: true},
-	{name: "cpr_recent", higherBetter: true},
-	{name: "recovery_ratio", higherBetter: true},
-}
-
-// Scan gates the range-vs-hash partitioning figure's throughput: a
-// regression in the pruned scan planner or the single-shard fast path
-// moves the range rows, one in the merge path moves the hash rows.
-var scanMetrics = []metric{
-	{name: "ops_per_sec", higherBetter: true},
-}
-
-// Serve gates the network serving figure on tail latency: the median
-// p99 across the workload × connections × store × config cells. p99 —
-// not p50, which hides queueing, and not p999, which a single-core CI
-// runner's scheduler makes too noisy to gate (it is still recorded).
-var serveMetrics = []metric{
-	{name: "p99_us"},
-}
-
 // Tree gates the end-to-end search-tree figure: load throughput plus
 // point, scan and insert latencies through hope.Index. insert_ns is
 // absent from records written before the insert-heavy cell existed;
@@ -108,24 +68,22 @@ var treeMetrics = []metric{
 	{name: "insert_ns"},
 }
 
-// Restore gates both boot paths of the restart figure: restore_sec
-// catches a slow restore (decode or parallel bulk path), cold_sec a slow
-// from-scratch build. The record's speedup (cold_sec/restore_sec) is not
-// gated: it falls only if cold_sec falls or restore_sec rises, so it adds
-// no regression coverage and would fail a faster cold build.
-var restoreMetrics = []metric{
-	{name: "cold_sec"},
-	{name: "restore_sec"},
-}
-
 func main() {
 	threshold := flag.Float64("threshold", 0.15, "maximum tolerated median regression (0.15 = ±15%)")
-	mode := flag.String("mode", "encode", "record kind: encode (BENCH_encode.json), ycsb (BENCH_ycsb.json), drift (BENCH_drift.json), scan (BENCH_scan.json), serve (BENCH_serve.json), tree (BENCH_tree.json) or restore (BENCH_restore.json)")
+	mode := flag.String("mode", "encode", "what to compare: encode (BENCH_encode.json), tree (BENCH_tree.json) or perfbench (perfbench output against BENCHMARK.json bounds)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: benchdiff [-threshold 0.15] [-mode encode|ycsb|drift|scan|serve|tree|restore] baseline.json current.json\n")
+		fmt.Fprintf(os.Stderr, "usage: benchdiff [-threshold 0.15] [-mode encode|tree] baseline.json current.json\n"+
+			"       benchdiff -mode perfbench BENCHMARK.json base.out head.out\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	if *mode == "perfbench" {
+		if flag.NArg() != 3 {
+			flag.Usage()
+			os.Exit(2)
+		}
+		os.Exit(gatePerfbench(flag.Arg(0), flag.Arg(1), flag.Arg(2)))
+	}
 	if flag.NArg() != 2 {
 		flag.Usage()
 		os.Exit(2)
@@ -140,44 +98,14 @@ func main() {
 		if err == nil {
 			cur, err = readEncodeRows(flag.Arg(1))
 		}
-	case "ycsb":
-		metrics = ycsbMetrics
-		base, err = readYCSBRows(flag.Arg(0))
-		if err == nil {
-			cur, err = readYCSBRows(flag.Arg(1))
-		}
-	case "drift":
-		metrics = driftMetrics
-		base, err = readDriftRows(flag.Arg(0))
-		if err == nil {
-			cur, err = readDriftRows(flag.Arg(1))
-		}
-	case "scan":
-		metrics = scanMetrics
-		base, err = readScanRows(flag.Arg(0))
-		if err == nil {
-			cur, err = readScanRows(flag.Arg(1))
-		}
-	case "serve":
-		metrics = serveMetrics
-		base, err = readServeRows(flag.Arg(0))
-		if err == nil {
-			cur, err = readServeRows(flag.Arg(1))
-		}
 	case "tree":
 		metrics = treeMetrics
 		base, err = readTreeRows(flag.Arg(0))
 		if err == nil {
 			cur, err = readTreeRows(flag.Arg(1))
 		}
-	case "restore":
-		metrics = restoreMetrics
-		base, err = readRestoreRows(flag.Arg(0))
-		if err == nil {
-			cur, err = readRestoreRows(flag.Arg(1))
-		}
 	default:
-		err = fmt.Errorf("unknown -mode %q (want encode, ycsb, drift, scan, serve, tree or restore)", *mode)
+		err = fmt.Errorf("unknown -mode %q (want encode, tree or perfbench)", *mode)
 	}
 	if err != nil {
 		fatal(err)
@@ -222,116 +150,6 @@ func flattenEncode(rows []bench.EncodeBenchRow) []row {
 	return out
 }
 
-func readYCSBRows(path string) ([]row, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rows, err := bench.ReadYCSBBenchJSON(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return flattenYCSB(rows), nil
-}
-
-func flattenYCSB(rows []bench.YCSBBenchRow) []row {
-	out := make([]row, len(rows))
-	for i, r := range rows {
-		out[i] = row{
-			key: fmt.Sprintf("%s/%s/%s/%s/t%d", r.Dataset, r.Workload, r.Backend, r.Config, r.Threads),
-			vals: map[string]float64{
-				"ops_per_sec": r.OpsPerSec,
-			},
-		}
-	}
-	return out
-}
-
-func readDriftRows(path string) ([]row, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rows, err := bench.ReadDriftBenchJSON(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return flattenDrift(rows), nil
-}
-
-func flattenDrift(rows []bench.DriftBenchRow) []row {
-	out := make([]row, len(rows))
-	for i, r := range rows {
-		key := fmt.Sprintf("%s/%s/w%d", r.Dataset, r.Config, r.Window)
-		if r.Window < 0 {
-			key = fmt.Sprintf("%s/%s/summary", r.Dataset, r.Config)
-		}
-		out[i] = row{
-			key: key,
-			vals: map[string]float64{
-				"ops_per_sec":    r.OpsPerSec,
-				"cpr_recent":     r.CPRRecent,
-				"recovery_ratio": r.RecoveryRatio,
-			},
-		}
-	}
-	return out
-}
-
-func readScanRows(path string) ([]row, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rows, err := bench.ReadScanBenchJSON(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return flattenScan(rows), nil
-}
-
-func flattenScan(rows []bench.ScanBenchRow) []row {
-	out := make([]row, len(rows))
-	for i, r := range rows {
-		out[i] = row{
-			key: fmt.Sprintf("%s/%s/%s/%s/s%d", r.Dataset, r.Backend, r.Config, r.Partition, r.Shards),
-			vals: map[string]float64{
-				"ops_per_sec": r.OpsPerSec,
-			},
-		}
-	}
-	return out
-}
-
-func readServeRows(path string) ([]row, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rows, err := bench.ReadServeBenchJSON(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return flattenServe(rows), nil
-}
-
-func flattenServe(rows []bench.ServeBenchRow) []row {
-	out := make([]row, len(rows))
-	for i, r := range rows {
-		out[i] = row{
-			key: fmt.Sprintf("%s/%s/%s/%s/c%d/%s", r.Dataset, r.Store, r.Config, r.Workload, r.Conns, r.Op),
-			vals: map[string]float64{
-				"p99_us": r.P99us,
-			},
-		}
-	}
-	return out
-}
-
 func readTreeRows(path string) ([]row, error) {
 	var rows []bench.TreeBenchRow
 	if err := readJSON(path, &rows); err != nil {
@@ -350,33 +168,6 @@ func flattenTree(rows []bench.TreeBenchRow) []row {
 				"point_ns":          r.PointNs,
 				"scan_ns":           r.ScanNs,
 				"insert_ns":         r.InsertNs,
-			},
-		}
-	}
-	return out
-}
-
-func readRestoreRows(path string) ([]row, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rows, err := bench.ReadRestoreBenchJSON(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return flattenRestore(rows), nil
-}
-
-func flattenRestore(rows []bench.RestoreBenchRow) []row {
-	out := make([]row, len(rows))
-	for i, r := range rows {
-		out[i] = row{
-			key: fmt.Sprintf("%s/%s/%s/k%d", r.Dataset, r.Backend, r.Config, r.Keys),
-			vals: map[string]float64{
-				"cold_sec":    r.ColdSec,
-				"restore_sec": r.RestoreSec,
 			},
 		}
 	}

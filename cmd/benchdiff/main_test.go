@@ -120,97 +120,6 @@ func TestDisjointRowsError(t *testing.T) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// YCSB throughput gating (-mode ycsb): higher is better, so the regression
-// direction flips.
-// ---------------------------------------------------------------------------
-
-func ycsbRows(scale float64) []bench.YCSBBenchRow {
-	var out []bench.YCSBBenchRow
-	for _, wk := range []string{"A", "B", "C", "E"} {
-		for _, th := range []int{1, 4} {
-			out = append(out, bench.YCSBBenchRow{
-				Dataset: "email", Workload: wk, Backend: "ART",
-				Config: "Single-Char", Threads: th,
-				OpsPerSec: 1e6 * scale * float64(th),
-			})
-		}
-	}
-	return out
-}
-
-func diffY(base, cur []bench.YCSBBenchRow, threshold float64) (string, bool, error) {
-	return diffRows(flattenYCSB(base), flattenYCSB(cur), ycsbMetrics, threshold)
-}
-
-// TestYCSBThroughputDropFails: a uniform -20% throughput move must fail a
-// 15% gate (throughput regresses downward, unlike the latency metrics).
-func TestYCSBThroughputDropFails(t *testing.T) {
-	report, failed, err := diffY(ycsbRows(1.0), ycsbRows(0.80), 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !failed {
-		t.Fatalf("synthetic -20%% throughput drop passed the 15%% gate:\n%s", report)
-	}
-	if !strings.Contains(report, "REGRESSION") {
-		t.Fatalf("report does not flag the regression:\n%s", report)
-	}
-}
-
-// TestYCSBThroughputGainPasses: faster must never fail — including the
-// direction that would trip a latency-style gate.
-func TestYCSBThroughputGainPasses(t *testing.T) {
-	_, failed, err := diffY(ycsbRows(1.0), ycsbRows(2.0), 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed {
-		t.Fatal("a 2x throughput gain failed the ycsb gate")
-	}
-}
-
-// TestYCSBWithinThresholdPasses: -10% noise stays under a 15% gate.
-func TestYCSBWithinThresholdPasses(t *testing.T) {
-	_, failed, err := diffY(ycsbRows(1.0), ycsbRows(0.90), 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed {
-		t.Fatal("-10% throughput move failed a 15% gate")
-	}
-}
-
-// TestYCSBSingleNoisyCellTolerated: one collapsed cell out of eight must
-// not trip the median gate.
-func TestYCSBSingleNoisyCellTolerated(t *testing.T) {
-	cur := ycsbRows(1.0)
-	cur[0].OpsPerSec /= 4
-	_, failed, err := diffY(ycsbRows(1.0), cur, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed {
-		t.Fatal("one noisy cell tripped the ycsb median gate")
-	}
-}
-
-// TestYCSBMissingCellFails: a (workload, threads) cell that vanished is a
-// silent total regression.
-func TestYCSBMissingCellFails(t *testing.T) {
-	cur := ycsbRows(1.0)[:5]
-	report, failed, err := diffY(ycsbRows(1.0), cur, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !failed {
-		t.Fatalf("dropped ycsb cells passed the gate:\n%s", report)
-	}
-	if !strings.Contains(report, "MISSING") {
-		t.Fatalf("report does not name the missing cells:\n%s", report)
-	}
-}
-
 // TestZeroBaselineSkipped: sub-tick baseline measurements record 0 and
 // must be skipped rather than dividing by zero.
 func TestZeroBaselineSkipped(t *testing.T) {
@@ -224,120 +133,5 @@ func TestZeroBaselineSkipped(t *testing.T) {
 	}
 	if failed {
 		t.Fatal("zero baseline produced a failure")
-	}
-}
-
-// driftRows synthesizes a drift record: timeline windows for both configs
-// plus summary rows carrying the recovery ratio.
-func driftRows(opsScale, cprScale, recovery float64) []bench.DriftBenchRow {
-	var out []bench.DriftBenchRow
-	for _, config := range []string{"adaptive", "frozen"} {
-		for w := 0; w < 4; w++ {
-			out = append(out, bench.DriftBenchRow{
-				Dataset: "email", Config: config, Window: w,
-				OpsPerSec: 1e6 * opsScale, CPRRecent: 2.0 * cprScale,
-			})
-		}
-		r := bench.DriftBenchRow{
-			Dataset: "email", Config: config, Window: -1,
-			CPRRecent: 1.8 * cprScale, ScratchCPR: 1.9,
-		}
-		if config == "adaptive" {
-			r.RecoveryRatio = recovery
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// A post-adaptation CPR collapse must fail the drift gate even when
-// throughput holds.
-func TestDriftCPRDropFails(t *testing.T) {
-	base := flattenDrift(driftRows(1.0, 1.0, 0.97))
-	cur := flattenDrift(driftRows(1.0, 0.7, 0.97))
-	report, failed, err := diffRows(base, cur, driftMetrics, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !failed {
-		t.Fatalf("-30%% CPR passed the drift gate:\n%s", report)
-	}
-}
-
-// A throughput collapse fails independently of CPR.
-func TestDriftThroughputDropFails(t *testing.T) {
-	base := flattenDrift(driftRows(1.0, 1.0, 0.97))
-	cur := flattenDrift(driftRows(0.7, 1.0, 0.97))
-	_, failed, err := diffRows(base, cur, driftMetrics, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !failed {
-		t.Fatal("-30% throughput passed the drift gate")
-	}
-}
-
-// The recovery ratio lives on a single row; a regression there alone —
-// the rebuild no longer reaching a from-scratch dictionary — must fail.
-func TestDriftRecoveryRatioDropFails(t *testing.T) {
-	base := flattenDrift(driftRows(1.0, 1.0, 0.97))
-	cur := flattenDrift(driftRows(1.0, 1.0, 0.60))
-	_, failed, err := diffRows(base, cur, driftMetrics, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !failed {
-		t.Fatal("recovery-ratio collapse passed the drift gate")
-	}
-}
-
-// Mild wobble passes; the frozen config's zero recovery ratio is an
-// unmeasurable baseline, not a regression.
-func TestDriftWithinThresholdPasses(t *testing.T) {
-	base := flattenDrift(driftRows(1.0, 1.0, 0.97))
-	cur := flattenDrift(driftRows(0.92, 0.95, 0.95))
-	report, failed, err := diffRows(base, cur, driftMetrics, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed {
-		t.Fatalf("in-threshold drift record failed:\n%s", report)
-	}
-}
-
-func restoreRows(coldScale, restoreScale float64) []bench.RestoreBenchRow {
-	var out []bench.RestoreBenchRow
-	for _, cfg := range []string{"Uncompressed", "Double-Char", "3-Grams/64K"} {
-		cold, restore := 0.5*coldScale, 0.02*restoreScale
-		out = append(out, bench.RestoreBenchRow{
-			Dataset: "email", Backend: "btree", Config: cfg, Keys: 30000,
-			ColdSec: cold, RestoreSec: restore, Speedup: cold / restore,
-		})
-	}
-	return out
-}
-
-// TestRestoreFasterColdBootPasses: a many-fold faster cold boot shrinks the
-// recorded cold/restore speedup, but it is an improvement and must pass.
-func TestRestoreFasterColdBootPasses(t *testing.T) {
-	report, failed, err := diffRows(flattenRestore(restoreRows(1, 1)),
-		flattenRestore(restoreRows(0.05, 1)), restoreMetrics, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed {
-		t.Fatalf("a faster cold boot failed the restore gate:\n%s", report)
-	}
-}
-
-// TestRestoreSlowerRestoreFails: restore_sec keeps its own gate.
-func TestRestoreSlowerRestoreFails(t *testing.T) {
-	report, failed, err := diffRows(flattenRestore(restoreRows(1, 1)),
-		flattenRestore(restoreRows(1, 1.4)), restoreMetrics, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !failed {
-		t.Fatalf("a +40%% restore_sec regression passed the 25%% gate:\n%s", report)
 	}
 }

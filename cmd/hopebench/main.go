@@ -13,43 +13,25 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
-	"strings"
 
 	hope "repro"
 	"repro/internal/bench"
 	"repro/internal/datagen"
-	"repro/internal/ycsb"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to reproduce: table1, 8, 9, 10, 11, 12, 13, 14, 15, 16, ablation, encode, tree, ycsb, drift, scan, restore, all")
+	fig := flag.String("fig", "all", "figure to reproduce: table1, 8, 9, 10, 11, 12, 13, 14, 15, 16, ablation, encode, tree, all")
 	dataset := flag.String("dataset", "email", "dataset: email, wiki, url, all")
 	keys := flag.Int("keys", 100000, "number of keys (paper: 14-25M)")
 	ops := flag.Int("ops", 100000, "number of workload operations (paper: 10M)")
 	sample := flag.Float64("sample", 0.01, "HOPE build sample fraction (paper: 1%)")
 	seed := flag.Int64("seed", 42, "dataset seed")
 	quick := flag.Bool("quick", false, "shrink dictionary limits for a fast pass")
-	threads := flag.String("threads", "1,2,4,8", "goroutine sweep for -fig ycsb (comma-separated)")
-	shards := flag.String("shards", "1,4,8,16", "shard-count sweep for -fig scan (comma-separated)")
-	workloads := flag.String("workloads", "A,B,C,D,E,F", "YCSB workloads for -fig ycsb (comma-separated)")
-	jsonOut := flag.String("json", "", "also write results as JSON to this file (fig=encode, tree, ycsb, drift, scan and restore)")
+	jsonOut := flag.String("json", "", "also write results as JSON to this file (fig=encode and tree)")
 	flag.Parse()
-	if *jsonOut != "" && *fig != "encode" && *fig != "tree" && *fig != "ycsb" && *fig != "drift" && *fig != "scan" && *fig != "restore" {
-		fatal(fmt.Errorf("-json only applies to -fig encode, tree, ycsb, drift, scan and restore"))
-	}
-	threadSweep, err := parseIntList(*threads, "-threads")
-	if err != nil {
-		fatal(err)
-	}
-	shardSweep, err := parseIntList(*shards, "-shards")
-	if err != nil {
-		fatal(err)
-	}
-	workloadSweep, err := parseWorkloads(*workloads)
-	if err != nil {
-		fatal(err)
+	if *jsonOut != "" && *fig != "encode" && *fig != "tree" {
+		fatal(fmt.Errorf("-json only applies to -fig encode and tree"))
 	}
 
 	var datasets []datagen.Kind
@@ -67,16 +49,12 @@ func main() {
 	// dataset.
 	var encodeRows []bench.EncodeBenchRow
 	var treeRows []bench.TreeBenchRow
-	var ycsbRows []bench.YCSBBenchRow
-	var driftRows []bench.DriftBenchRow
-	var scanRows []bench.ScanBenchRow
-	var restoreRows []bench.RestoreBenchRow
 	for _, ds := range datasets {
 		cfg := bench.Config{
 			Dataset: ds, NumKeys: *keys, NumOps: *ops,
 			SampleFrac: *sample, Seed: *seed, Quick: *quick,
 		}
-		if err := run(*fig, cfg, workloadSweep, threadSweep, shardSweep, &encodeRows, &treeRows, &ycsbRows, &driftRows, &scanRows, &restoreRows); err != nil {
+		if err := run(*fig, cfg, &encodeRows, &treeRows); err != nil {
 			fatal(err)
 		}
 	}
@@ -87,18 +65,9 @@ func main() {
 		}
 		defer f.Close()
 		var werr error
-		switch *fig {
-		case "tree":
+		if *fig == "tree" {
 			werr = bench.WriteTreeBenchJSON(f, treeRows)
-		case "ycsb":
-			werr = bench.WriteYCSBBenchJSON(f, ycsbRows)
-		case "drift":
-			werr = bench.WriteDriftBenchJSON(f, driftRows)
-		case "scan":
-			werr = bench.WriteScanBenchJSON(f, scanRows)
-		case "restore":
-			werr = bench.WriteRestoreBenchJSON(f, restoreRows)
-		default:
+		} else {
 			werr = bench.WriteEncodeBenchJSON(f, encodeRows)
 		}
 		if werr != nil {
@@ -108,57 +77,16 @@ func main() {
 	}
 }
 
-// parseWorkloads parses the -workloads sweep ("A,B,C").
-func parseWorkloads(s string) ([]ycsb.Kind, error) {
-	var out []ycsb.Kind
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, err := ycsb.ParseKind(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-workloads is empty")
-	}
-	return out, nil
-}
-
-// parseIntList parses a comma-separated positive-integer sweep flag
-// ("1,2,4,8"), naming the flag in errors.
-func parseIntList(s, flagName string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad %s value %q", flagName, part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%s is empty", flagName)
-	}
-	return out, nil
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "hopebench:", err)
 	os.Exit(1)
 }
 
-func run(fig string, cfg bench.Config, workloads []ycsb.Kind, threads, shards []int, encodeRows *[]bench.EncodeBenchRow, treeRows *[]bench.TreeBenchRow, ycsbRows *[]bench.YCSBBenchRow, driftRows *[]bench.DriftBenchRow, scanRows *[]bench.ScanBenchRow, restoreRows *[]bench.RestoreBenchRow) error {
+func run(fig string, cfg bench.Config, encodeRows *[]bench.EncodeBenchRow, treeRows *[]bench.TreeBenchRow) error {
 	switch fig {
 	case "all":
-		for _, f := range []string{"table1", "8", "9", "10", "11", "12", "13", "14", "15", "16", "ablation", "tree", "ycsb", "drift", "scan", "restore"} {
-			if err := run(f, cfg, workloads, threads, shards, encodeRows, treeRows, ycsbRows, driftRows, scanRows, restoreRows); err != nil {
+		for _, f := range []string{"table1", "8", "9", "10", "11", "12", "13", "14", "15", "16", "ablation", "tree"} {
+			if err := run(f, cfg, encodeRows, treeRows); err != nil {
 				return err
 			}
 		}
@@ -189,103 +117,8 @@ func run(fig string, cfg bench.Config, workloads []ycsb.Kind, threads, shards []
 		return encodeBench(cfg, encodeRows)
 	case "tree":
 		return treeBench(cfg, treeRows)
-	case "ycsb":
-		return ycsbBench(cfg, workloads, threads, ycsbRows)
-	case "drift":
-		return driftBench(cfg, driftRows)
-	case "scan":
-		return scanBench(cfg, shards, scanRows)
-	case "restore":
-		return restoreBench(cfg, restoreRows)
 	}
 	return fmt.Errorf("unknown figure %q", fig)
-}
-
-// restoreBench runs the restart figure: cold dictionary-build + bulk load
-// versus snapshot restore, across schemes, backends and corpus sizes.
-func restoreBench(cfg bench.Config, restoreRows *[]bench.RestoreBenchRow) error {
-	rows, err := bench.RunFigRestore(cfg, bench.ScanBackends, bench.RestoreSizes(cfg))
-	if err != nil {
-		return err
-	}
-	*restoreRows = append(*restoreRows, rows...)
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{r.Backend, r.Config, strconv.Itoa(r.Keys),
-			bench.F3(r.ColdSec), bench.F3(r.SnapshotSec), bench.F3(r.RestoreSec),
-			bench.F(r.Speedup), bench.F3(r.SnapshotMB)})
-	}
-	bench.Table(os.Stdout, fmt.Sprintf("Restart (%s): cold re-encode vs snapshot restore (GOMAXPROCS=%d)",
-		cfg.Dataset, runtime.GOMAXPROCS(0)),
-		[]string{"Backend", "Config", "Keys", "Cold (s)", "Snapshot (s)", "Restore (s)", "Speedup", "Snap (MB)"}, out)
-	return nil
-}
-
-// scanBench runs the scan-partitioning figure: YCSB-E throughput, hash vs
-// range partitioning, across shard counts.
-func scanBench(cfg bench.Config, shards []int, scanRows *[]bench.ScanBenchRow) error {
-	rows, err := bench.RunFigScan(cfg, bench.ScanBackends, shards)
-	if err != nil {
-		return err
-	}
-	*scanRows = append(*scanRows, rows...)
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{r.Backend, r.Config, r.Partition,
-			strconv.Itoa(r.Shards),
-			bench.F(r.OpsPerSec / 1e6 * 1000), // kops/s
-			bench.F(r.AvgScan), bench.F(r.MaxShardFrac)})
-	}
-	bench.Table(os.Stdout, fmt.Sprintf("Scan partitioning (%s): YCSB-E hash vs range ShardedIndex (GOMAXPROCS=%d)",
-		cfg.Dataset, runtime.GOMAXPROCS(0)),
-		[]string{"Backend", "Config", "Partition", "Shards", "kops/s", "Avg scan", "Max shard frac"}, out)
-	return nil
-}
-
-// driftBench runs the dictionary-drift adaptation figure: throughput and
-// rolling CPR over a distribution-shifting stream, adaptive vs frozen.
-func driftBench(cfg bench.Config, driftRows *[]bench.DriftBenchRow) error {
-	rows, err := bench.RunFigDrift(cfg)
-	if err != nil {
-		return err
-	}
-	*driftRows = append(*driftRows, rows...)
-	var out [][]string
-	for _, r := range rows {
-		win := strconv.Itoa(r.Window)
-		ops := bench.F(r.OpsPerSec / 1e6 * 1000) // kops/s
-		if r.Window < 0 {
-			win, ops = "final", "-"
-		}
-		rec := "-"
-		if r.RecoveryRatio > 0 {
-			rec = bench.F(r.RecoveryRatio)
-		}
-		out = append(out, []string{r.Config, win, strconv.Itoa(r.KeysSeen), ops,
-			bench.F(r.CPRRecent), r.State, strconv.Itoa(r.Generation), rec})
-	}
-	bench.Table(os.Stdout, "Drift adaptation (email): AdaptiveIndex vs frozen dictionary over a distribution shift",
-		[]string{"Config", "Window", "Keys", "kops/s", "CPR", "State", "Gen", "Recovery"}, out)
-	return nil
-}
-
-func ycsbBench(cfg bench.Config, workloads []ycsb.Kind, threads []int, ycsbRows *[]bench.YCSBBenchRow) error {
-	rows, err := bench.RunFigYCSB(cfg, bench.YCSBBackends, workloads, threads)
-	if err != nil {
-		return err
-	}
-	*ycsbRows = append(*ycsbRows, rows...)
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{r.Workload, r.Backend, r.Config,
-			strconv.Itoa(r.Threads), strconv.Itoa(r.Shards),
-			bench.F(r.OpsPerSec / 1e6 * 1000), // kops/s
-			bench.F3(r.LoadSec)})
-	}
-	bench.Table(os.Stdout, fmt.Sprintf("YCSB A-F (%s): ShardedIndex throughput (GOMAXPROCS=%d)",
-		cfg.Dataset, runtime.GOMAXPROCS(0)),
-		[]string{"Workload", "Backend", "Config", "Threads", "Shards", "kops/s", "Load (s)"}, out)
-	return nil
 }
 
 func treeBench(cfg bench.Config, treeRows *[]bench.TreeBenchRow) error {
@@ -320,12 +153,12 @@ func encodeBench(cfg bench.Config, encodeRows *[]bench.EncodeBenchRow) error {
 	for _, r := range rows {
 		out = append(out, []string{r.Scheme, strconv.Itoa(r.DictEntries),
 			bench.F(r.SerialNsKey), bench.F(r.SerialNsChar),
-			bench.F(r.BulkNsKey), bench.F(r.BulkSpeedup), strconv.Itoa(r.Workers),
+			bench.F(r.BulkNsKey), bench.F(r.BulkSpeedup), strconv.Itoa(r.GOMAXPROCS),
 			bench.F(r.CPR)})
 	}
 	bench.Table(os.Stdout, fmt.Sprintf("Encode kernels (%s): serial vs parallel bulk", cfg.Dataset),
 		[]string{"Scheme", "Entries", "Serial (ns/key)", "Serial (ns/char)",
-			"Bulk (ns/key)", "Bulk speedup", "Workers", "CPR"}, out)
+			"Bulk (ns/key)", "Bulk speedup", "GOMAXPROCS", "CPR"}, out)
 	return nil
 }
 

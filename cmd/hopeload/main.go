@@ -10,12 +10,6 @@
 // exits non-zero if any reply was a protocol error or a connection died
 // mid-run — which is what lets a smoke test assert "N ops, zero errors"
 // with an exit code.
-//
-// With -fig serve it instead produces the serving-layer benchmark record:
-// workload mix × connection count × {ShardedIndex, AdaptiveIndex} ×
-// {Uncompressed, Double-Char}, each cell a paced run against an
-// in-process hopeserve over TCP loopback, written as BENCH_serve.json
-// (gated by cmd/benchdiff -mode serve).
 package main
 
 import (
@@ -24,7 +18,6 @@ import (
 	"log"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -37,10 +30,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hopeload: ")
 	var (
-		fig        = flag.String("fig", "", "benchmark figure to produce: serve (writes -json)")
 		addr       = flag.String("addr", "127.0.0.1:7070", "hopeserve address to load")
 		conns      = flag.Int("conns", 4, "concurrent connections")
-		connList   = flag.String("connlist", "2,8", "-fig serve: connection counts to sweep")
 		qps        = flag.Float64("qps", 10000, "aggregate target ops/sec across all connections")
 		duration   = flag.Duration("duration", 10*time.Second, "measured phase length")
 		warmup     = flag.Duration("warmup", 2*time.Second, "warmup excluded from the record")
@@ -52,8 +43,6 @@ func main() {
 		rangeFrac  = flag.Float64("range", 0, "fraction of range ops")
 		rangeLimit = flag.Int("rangelimit", 50, "results per range op")
 		pipeline   = flag.Int("pipeline", 256, "max outstanding requests per connection")
-		jsonPath   = flag.String("json", "", "write the figure record to this file (-fig serve)")
-		quick      = flag.Bool("quick", false, "-fig serve: shorter phases and smaller keyspace")
 		metricsURL = flag.String("metrics", "", "hopeserve /metrics URL; scraped before and after the run for a server-side report")
 		dumpOnly   = flag.Bool("dump-metrics", false, "with -metrics: fetch the exposition once, print it, and exit (no load)")
 	)
@@ -69,16 +58,6 @@ func main() {
 		}
 		fmt.Print(body)
 		return
-	}
-
-	if *fig == "serve" {
-		if err := runFigServe(*connList, *numKeys, *qps, *warmup, *duration, *dataset, *seed, *quick, *jsonPath); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *fig != "" {
-		log.Fatalf("unknown -fig %q (want serve)", *fig)
 	}
 
 	kind, err := datagen.ParseKind(*dataset)
@@ -178,53 +157,6 @@ func us(d time.Duration) string {
 	return strconv.FormatFloat(float64(d.Nanoseconds())/1e3, 'f', 1, 64)
 }
 
-func runFigServe(connList string, numKeys int, qps float64, warmup, duration time.Duration,
-	dataset string, seed int64, quick bool, jsonPath string) error {
-	conns, err := parseInts(connList)
-	if err != nil {
-		return err
-	}
-	kind, err := datagen.ParseKind(dataset)
-	if err != nil {
-		return err
-	}
-	cfg := bench.Config{Dataset: kind, NumKeys: numKeys, Seed: seed, Quick: quick}
-	if quick {
-		cfg.NumKeys = min(numKeys, 20000)
-		warmup, duration = warmup/4, duration/4
-	}
-	rows, err := bench.RunFigServe(cfg, conns, qps, warmup, duration)
-	if err != nil {
-		return err
-	}
-
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Store, r.Config, r.Workload, strconv.Itoa(r.Conns), r.Op,
-			strconv.FormatUint(r.Count, 10),
-			fmt.Sprintf("%.0f", r.AchievedQPS),
-			fmt.Sprintf("%.1f", r.P50us), fmt.Sprintf("%.1f", r.P99us), fmt.Sprintf("%.1f", r.P999us),
-			strconv.FormatUint(r.ProtoErrors, 10),
-		})
-	}
-	bench.Table(os.Stdout, fmt.Sprintf("Serving latency (%s, target %.0f ops/s, open-loop)", cfg.Dataset, qps),
-		[]string{"Store", "Config", "Workload", "Conns", "Op", "Count", "QPS", "p50 (us)", "p99 (us)", "p999 (us)", "Errs"}, out)
-
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteServeBenchJSON(f, rows); err != nil {
-			return err
-		}
-		log.Printf("wrote %s (%d rows)", jsonPath, len(rows))
-	}
-	return nil
-}
-
 func wireSafe(keys [][]byte) [][]byte {
 	out := keys[:0]
 	for _, k := range keys {
@@ -233,16 +165,4 @@ func wireSafe(keys [][]byte) [][]byte {
 		}
 	}
 	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad count %q in %q", part, s)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

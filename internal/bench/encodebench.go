@@ -13,6 +13,7 @@ import (
 // perf-trajectory record (written to BENCH_encode.json by `make bench` so
 // successive PRs can compare encode performance).
 type EncodeBenchRow struct {
+	Stamp
 	Dataset      string  `json:"dataset"`
 	Scheme       string  `json:"scheme"`
 	DictEntries  int     `json:"dict_entries"`
@@ -21,7 +22,6 @@ type EncodeBenchRow struct {
 	SerialNsChar float64 `json:"serial_ns_per_char"`
 	BulkNsKey    float64 `json:"bulk_ns_per_key"` // EncodeAll wall time per key
 	BulkSpeedup  float64 `json:"bulk_speedup"`    // serial wall / bulk wall
-	Workers      int     `json:"workers"`         // GOMAXPROCS during the run
 	CPR          float64 `json:"cpr"`
 }
 
@@ -39,6 +39,7 @@ func RunEncodeBench(cfg Config) ([]EncodeBenchRow, error) {
 		limit = 1 << 11
 	}
 	chars := totalBytes(keys)
+	stamp := NewStamp()
 	var rows []EncodeBenchRow
 	for _, scheme := range core.Schemes {
 		enc, err := core.Build(scheme, samples, core.Options{DictLimit: limit})
@@ -89,6 +90,7 @@ func RunEncodeBench(cfg Config) ([]EncodeBenchRow, error) {
 		}
 
 		rows = append(rows, EncodeBenchRow{
+			Stamp:        stamp,
 			Dataset:      cfg.Dataset.String(),
 			Scheme:       scheme.String(),
 			DictEntries:  enc.NumEntries(),
@@ -97,7 +99,6 @@ func RunEncodeBench(cfg Config) ([]EncodeBenchRow, error) {
 			SerialNsChar: nsPerChar(serial, chars),
 			BulkNsKey:    float64(bulk.Nanoseconds()) / float64(len(keys)),
 			BulkSpeedup:  speedup,
-			Workers:      runtime.GOMAXPROCS(0),
 			CPR:          enc.CompressionRate(keys),
 		})
 	}

@@ -19,6 +19,7 @@ import (
 // BENCH_tree.json so successive PRs can track the end-to-end trajectory
 // next to the encode-path record in BENCH_encode.json.
 type TreeBenchRow struct {
+	Stamp
 	Dataset     string  `json:"dataset"`
 	Backend     string  `json:"backend"`
 	Config      string  `json:"config"`
@@ -51,6 +52,7 @@ func RunFigTree(cfg Config, backends []hope.Backend) ([]TreeBenchRow, error) {
 	// the scan phase comparable in wall time to the point phase.
 	scanOps := wl.Ops[:max(1, len(wl.Ops)/10)]
 
+	stamp := NewStamp()
 	var rows []TreeBenchRow
 	for _, tc := range StandardConfigs(cfg.Quick) {
 		enc, _, err := tc.BuildEncoder(samples)
@@ -103,6 +105,7 @@ func RunFigTree(cfg Config, backends []hope.Backend) ([]TreeBenchRow, error) {
 			treeMem := x.TreeMemoryUsage()
 			dictMem := x.MemoryUsage() - treeMem
 			row := TreeBenchRow{
+				Stamp:       stamp,
 				Dataset:     cfg.Dataset.String(),
 				Backend:     string(backend),
 				Config:      tc.Name,

@@ -17,7 +17,6 @@ type SingleCharArray struct {
 	// bound how many codes fit the 64-bit staging word so a whole 8-symbol
 	// run can skip the per-symbol overflow check (see AppendEncodeBatch).
 	maxLen uint
-	useAsm bool // amd64 assembly kernel enabled (see kernel_asm_amd64.go)
 
 	// pairBits/pairLens fuse every two-byte source combination into one
 	// precomputed code (pairBits[c1<<8|c2] = bits of c1 followed by bits
@@ -48,7 +47,6 @@ func NewSingleCharArray(entries []Entry) (*SingleCharArray, error) {
 			d.maxLen = l
 		}
 	}
-	d.useAsm = asmKernels
 	if d.maxLen <= 32 {
 		d.pairBits = make([]uint64, 1<<16)
 		d.pairLens = make([]uint8, 1<<16)
@@ -89,7 +87,6 @@ type DoubleCharArray struct {
 	alphabet int
 	codes    []hutucker.Code
 	maxLen   uint // longest code; see SingleCharArray.maxLen
-	useAsm   bool // amd64 assembly kernel enabled (full byte alphabet only)
 }
 
 // DoubleCharEntries returns the number of entries of a Double-Char
@@ -129,9 +126,6 @@ func NewDoubleCharArray(alphabet int, entries []Entry) (*DoubleCharArray, error)
 			d.maxLen = l
 		}
 	}
-	// The assembly kernel hard-codes the production byte alphabet (index
-	// stride c1*257); shrunken test alphabets go through the Go loops.
-	d.useAsm = asmKernels && alphabet == 256
 	return d, nil
 }
 

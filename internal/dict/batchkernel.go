@@ -49,10 +49,6 @@ func (d *SingleCharArray) AppendEncodeBatch(a *bitops.Appender, keys [][]byte, o
 		}
 		return
 	}
-	if d.useAsm {
-		d.appendEncodeBatchAsm(a, keys, offs)
-		return
-	}
 	for i, key := range keys {
 		d.encodeWords(a, key)
 		offs[i+1] = a.Pad()
@@ -109,9 +105,9 @@ func stagePair(a *bitops.Appender, acc uint64, n uint, bits uint64, l uint) (uin
 	return acc, n
 }
 
-// encodeWords is the word-parallel body shared by the pure-Go batch
-// path and the non-amd64 builds. It produces exactly the bit stream of
-// AppendEncode.
+// encodeWords is the word-parallel body for codes longer than 32 bits,
+// where two codes no longer fit a pair-table entry. It produces exactly
+// the bit stream of AppendEncode.
 func (d *SingleCharArray) encodeWords(a *bitops.Appender, key []byte) {
 	codes := &d.codes
 	var acc uint64
@@ -184,19 +180,10 @@ func stage4(a *bitops.Appender, acc uint64, n uint, c0, c1, c2, c3 hutucker.Code
 // keys goes through the terminator entry exactly as in AppendEncode.
 func (d *DoubleCharArray) AppendEncodeBatch(a *bitops.Appender, keys [][]byte, offs []int) {
 	if d.maxLen <= 32 {
-		// The fused Go path beats the assembly kernel here: the assembly
-		// emits a word stream that has to be replayed into the appender,
-		// and for two-byte symbols that round-trip costs more than the
-		// lookup it saves. The assembly stays in use for Single-Char and
-		// as the >32-bit-code fallback below.
 		for i, key := range keys {
 			d.encodeFused(a, key)
 			offs[i+1] = a.Pad()
 		}
-		return
-	}
-	if d.useAsm {
-		d.appendEncodeBatchAsm(a, keys, offs)
 		return
 	}
 	for i, key := range keys {

@@ -216,9 +216,9 @@ func TestBatchKernelMatchesPerKey(t *testing.T) {
 	}
 }
 
-// TestBatchKernelGoPathMatches drives the pure-Go word-parallel loops
-// directly, so asm-enabled builds still differentially cover the
-// mandatory fallback they would otherwise bypass.
+// TestBatchKernelGoPathMatches drives the word-parallel encodeWords loops
+// directly: the batch kernels reach them only for codes longer than 32
+// bits, so short-code dictionaries would otherwise leave them uncovered.
 func TestBatchKernelGoPathMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	single := singleFixture(t, orderedCodes(rng, 256, 1, 20))
@@ -243,62 +243,6 @@ func TestBatchKernelGoPathMatches(t *testing.T) {
 			gb, gn = got.Finish()
 			if wn != gn || !bytes.Equal(wb, gb) {
 				t.Fatalf("Double-Char case %d: encodeWords diverges for key %x", ci, key)
-			}
-		}
-	}
-}
-
-// TestBatchKernelAsmLeg reports whether the assembly kernels are active
-// and, when they are, cross-checks them against the pure-Go batch loops
-// on top of the per-key pinning already done above.
-func TestBatchKernelAsmLeg(t *testing.T) {
-	if !asmKernels {
-		t.Skip("assembly kernels disabled in this build/CPU")
-	}
-	rng := rand.New(rand.NewSource(44))
-	single := singleFixture(t, orderedCodes(rng, 256, 1, 18))
-	double := doubleFixture(t, 256, orderedCodes(rng, DoubleCharEntries(256), 1, 18))
-	if !single.useAsm || !double.useAsm {
-		t.Fatalf("asmKernels set but dictionaries did not enable the asm path")
-	}
-	for _, keys := range batchCases(rng, 256) {
-		var asmA, goA bitops.Appender
-		offsAsm := make([]int, len(keys)+1)
-		offsGo := make([]int, len(keys)+1)
-
-		asmA.Reset(nil)
-		single.appendEncodeBatchAsm(&asmA, keys, offsAsm)
-		goA.Reset(nil)
-		for i, key := range keys {
-			single.encodeWords(&goA, key)
-			offsGo[i+1] = goA.Pad()
-		}
-		ab, _ := asmA.Finish()
-		gb, _ := goA.Finish()
-		if !bytes.Equal(ab, gb) {
-			t.Fatalf("Single-Char asm kernel diverges from Go batch loop")
-		}
-		for i := range offsGo {
-			if offsAsm[i] != offsGo[i] {
-				t.Fatalf("Single-Char asm offs[%d] = %d, want %d", i, offsAsm[i], offsGo[i])
-			}
-		}
-
-		asmA.Reset(nil)
-		double.appendEncodeBatchAsm(&asmA, keys, offsAsm)
-		goA.Reset(nil)
-		for i, key := range keys {
-			double.encodeWords(&goA, key)
-			offsGo[i+1] = goA.Pad()
-		}
-		ab, _ = asmA.Finish()
-		gb, _ = goA.Finish()
-		if !bytes.Equal(ab, gb) {
-			t.Fatalf("Double-Char asm kernel diverges from Go batch loop")
-		}
-		for i := range offsGo {
-			if offsAsm[i] != offsGo[i] {
-				t.Fatalf("Double-Char asm offs[%d] = %d, want %d", i, offsAsm[i], offsGo[i])
 			}
 		}
 	}

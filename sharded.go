@@ -452,8 +452,9 @@ func (s *ShardedIndex) encodeBatch(keys [][]byte) [][]byte {
 // partitioner, then every shard loads its partition in parallel, each
 // running the parallel bulk-encode pipeline over its own slice of the
 // shared dictionary. A nil vals assigns each key its position. For the
-// SuRF backend this is the only way to populate the index (each shard
-// builds its own filter over its partition).
+// SuRF backend this is the only way to populate the index, and it replaces
+// the contents: each shard rebuilds its filter over its partition, empty
+// or not.
 //
 // An unseeded range partitioner is seeded here: when the index is still
 // empty, split points are sampled from the corpus (RangeSplits) before
@@ -495,7 +496,9 @@ func (s *ShardedIndex) Bulk(keys [][]byte, vals []uint64) error {
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for w := 0; w < n; w++ {
-		if len(parts[w]) == 0 {
+		// SuRF's Bulk replaces the contents, so a shard that receives no
+		// keys must still be emptied.
+		if len(parts[w]) == 0 && s.backend != SuRF {
 			continue
 		}
 		wg.Add(1)

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/ycsb"
 )
 
 // loadRangeSharded builds a range-partitioned index over the corpus (split
@@ -547,5 +549,68 @@ func TestScanSpanPruning(t *testing.T) {
 	})
 	if i != len(keys) {
 		t.Fatalf("full scan visited %d of %d keys", i, len(keys))
+	}
+}
+
+// TestRangeShardedScanBeatsHash runs YCSB-E (95% short scans, 5% inserts)
+// from one goroutine against hash- and range-partitioned indexes of 2 and
+// 4 shards, Uncompressed and Double-Char, on ART and the B+tree. At 4
+// shards the range partition must split the load with no shard above 75%
+// of the keys, and must not be slower than hash: a hash scan opens a
+// cursor on every shard and merges them, a range scan touches only the
+// shards its bounds overlap.
+func TestRangeShardedScanBeatsHash(t *testing.T) {
+	all := datagen.Generate(datagen.Email, 4000, 42)
+	const numOps = 1200
+	loaded := all[:len(all)-numOps/10-64]
+	samples := loaded[:max(64, len(loaded)/50)]
+	dc, err := core.Build(core.DoubleChar, samples, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []Backend{ART, BTree} {
+		for _, enc := range []*core.Encoder{nil, dc} {
+			for _, shards := range []int{2, 4} {
+				w := ycsb.Generate(ycsb.E, numOps, len(loaded), 42+int64(shards)*31)
+				if mk := w.MaxKey(); mk >= len(all) {
+					t.Fatalf("insert pool exhausted: need key %d, have %d", mk, len(all))
+				}
+				opsPerSec := map[string]float64{}
+				for _, partition := range []string{"hash", "range"} {
+					opts := []Option{WithEncoder(encCloneOrNil(enc)), WithShards(shards)}
+					if partition == "range" {
+						opts = append(opts, WithRangePartitioner(loaded))
+					}
+					s := mustOpen(t, backend, opts...).(*ShardedIndex)
+					if err := s.Bulk(loaded, nil); err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("%s/%s/%s/s%d", backend, schemeName(enc), partition, shards)
+					if frac := s.MaxShardFrac(); partition == "range" && shards >= 4 && frac > 0.75 {
+						t.Fatalf("%s: range splits badly skewed: %f of keys in one shard", name, frac)
+					}
+					t0 := time.Now()
+					for _, op := range w.Ops {
+						switch op.Kind {
+						case ycsb.Scan:
+							n := 0
+							s.Scan(all[op.Key], nil, func([]byte, uint64) bool {
+								n++
+								return n < op.ScanLen
+							})
+						case ycsb.Insert:
+							if err := s.Put(all[op.Key], uint64(op.Key)); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					opsPerSec[partition] = float64(len(w.Ops)) / time.Since(t0).Seconds()
+				}
+				if shards >= 4 && opsPerSec["range"] < opsPerSec["hash"] {
+					t.Fatalf("%s/%s/s%d: range (%.0f ops/s) slower than hash (%.0f ops/s)",
+						backend, schemeName(enc), shards, opsPerSec["range"], opsPerSec["hash"])
+				}
+			}
+		}
 	}
 }

@@ -219,6 +219,33 @@ func FuzzSortRun(f *testing.F) {
 	})
 }
 
+// bulkShape is one store shape Open builds: plain, sharded by hash and by
+// range, adaptive by hash and by range.
+type bulkShape struct {
+	name string
+	opts []Option
+}
+
+// bulkShapes returns the five store shapes over clones of e (nil for an
+// uncompressed store).
+func bulkShapes(e *core.Encoder) []bulkShape {
+	clone := func() *core.Encoder {
+		if e == nil {
+			return nil
+		}
+		return e.Clone()
+	}
+	return []bulkShape{
+		{"Index", []Option{WithEncoder(clone())}},
+		{"Sharded/hash", []Option{WithEncoder(clone()), WithShards(4)}},
+		{"Sharded/range", []Option{WithEncoder(clone()), WithShards(4), WithRangePartitioner(nil)}},
+		{"Adaptive/hash", []Option{WithAdaptive(AdaptiveOptions{Encoder: clone(), Shards: 4, Manual: true})}},
+		{"Adaptive/range", []Option{WithAdaptive(AdaptiveOptions{
+			Encoder: clone(), Shards: 4, Manual: true, Partition: RangePartitioned,
+		})}},
+	}
+}
+
 // TestBulkDuplicatesLastWins: on every backend and store shape (plain,
 // sharded by hash and by range, adaptive by hash and by range), with and
 // without an encoder, Bulk of a run with duplicate keys stores each key's
@@ -261,25 +288,7 @@ func TestBulkDuplicatesLastWins(t *testing.T) {
 	for _, backend := range Backends {
 		for _, e := range []*core.Encoder{nil, enc} {
 			t.Run(fmt.Sprintf("%s/encoded=%v", backend, e != nil), func(t *testing.T) {
-				clone := func() *core.Encoder {
-					if e == nil {
-						return nil
-					}
-					return e.Clone()
-				}
-				shapes := []struct {
-					name string
-					opts []Option
-				}{
-					{"Index", []Option{WithEncoder(clone())}},
-					{"Sharded/hash", []Option{WithEncoder(clone()), WithShards(4)}},
-					{"Sharded/range", []Option{WithEncoder(clone()), WithShards(4), WithRangePartitioner(nil)}},
-					{"Adaptive/hash", []Option{WithAdaptive(AdaptiveOptions{Encoder: clone(), Shards: 4, Manual: true})}},
-					{"Adaptive/range", []Option{WithAdaptive(AdaptiveOptions{
-						Encoder: clone(), Shards: 4, Manual: true, Partition: RangePartitioned,
-					})}},
-				}
-				for _, shape := range shapes {
+				for _, shape := range bulkShapes(e) {
 					t.Run(shape.name, func(t *testing.T) {
 						s := mustOpen(t, backend, shape.opts...)
 						if err := s.Bulk(keys, vals); err != nil {
@@ -299,10 +308,12 @@ func TestBulkDuplicatesLastWins(t *testing.T) {
 	}
 }
 
-// TestBulkIntoNonEmptyUpserts: a second Bulk into a populated mutable
-// index takes the insert path, so it overwrites the keys it repeats and
-// keeps the ones it does not. SuRF, which cannot insert, replaces its
-// contents instead.
+// TestBulkIntoNonEmptyUpserts: on every backend and store shape, a second
+// Bulk into a populated mutable store takes the insert path, so it
+// overwrites the keys it repeats and keeps the ones it does not. SuRF,
+// which cannot insert, replaces its contents instead — in a sharded store
+// that includes the shards the second run sends no keys to. The second
+// run is a single key, so most shards receive none.
 func TestBulkIntoNonEmptyUpserts(t *testing.T) {
 	all := datagen.Generate(datagen.URL, 4000, 8)
 	first, second := all[:2500], all[1500:]
@@ -310,40 +321,43 @@ func TestBulkIntoNonEmptyUpserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	firstVals := make([]uint64, len(first))
+	for i := range firstVals {
+		firstVals[i] = 1_000_000 + uint64(i)
+	}
 	for _, backend := range Backends {
 		for _, e := range []*core.Encoder{nil, enc} {
 			t.Run(fmt.Sprintf("%s/encoded=%v", backend, e != nil), func(t *testing.T) {
-				x, err := NewIndex(backend, e)
-				if err != nil {
-					t.Fatal(err)
-				}
-				firstVals := make([]uint64, len(first))
-				for i := range firstVals {
-					firstVals[i] = 1_000_000 + uint64(i)
-				}
-				if err := x.Bulk(first, firstVals); err != nil {
-					t.Fatal(err)
-				}
-				if err := x.Bulk(second, nil); err != nil {
-					t.Fatal(err)
-				}
-				want := map[string]uint64{}
-				if backend != SuRF {
-					for i, k := range first {
-						want[string(k)] = firstVals[i]
-					}
-				}
-				for i, k := range second {
-					want[string(k)] = uint64(i)
-				}
-				if x.Len() != len(want) {
-					t.Fatalf("Len = %d, want %d", x.Len(), len(want))
-				}
-				for _, k := range all {
-					v, ok := x.Get(k)
-					w, present := want[string(k)]
-					if ok != present || v != w {
-						t.Fatalf("Get(%q) = %d,%v, want %d,%v", k, v, ok, w, present)
+				for _, shape := range bulkShapes(e) {
+					for _, run := range [][][]byte{second, second[:1]} {
+						t.Run(fmt.Sprintf("%s/second=%d", shape.name, len(run)), func(t *testing.T) {
+							s := mustOpen(t, backend, shape.opts...)
+							if err := s.Bulk(first, firstVals); err != nil {
+								t.Fatal(err)
+							}
+							if err := s.Bulk(run, nil); err != nil {
+								t.Fatal(err)
+							}
+							want := map[string]uint64{}
+							if backend != SuRF {
+								for i, k := range first {
+									want[string(k)] = firstVals[i]
+								}
+							}
+							for i, k := range run {
+								want[string(k)] = uint64(i)
+							}
+							if s.Len() != len(want) {
+								t.Fatalf("Len = %d, want %d", s.Len(), len(want))
+							}
+							for _, k := range all {
+								v, ok := s.Get(k)
+								w, present := want[string(k)]
+								if ok != present || v != w {
+									t.Fatalf("Get(%q) = %d,%v, want %d,%v", k, v, ok, w, present)
+								}
+							}
+						})
 					}
 				}
 			})
