@@ -1,6 +1,8 @@
 package btree
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -40,5 +42,21 @@ func BenchmarkScan100(b *testing.B) {
 			n++
 			return n < 100
 		})
+	}
+}
+
+// BenchmarkGetBulkURL probes a bulk-loaded tree of 250k sorted URL keys
+// in a random order, so most probes miss the caches as they do at scale.
+func BenchmarkGetBulkURL(b *testing.B) {
+	keys := datagen.Generate(datagen.URL, 250_000, 1)
+	sorted := slices.Clone(keys)
+	slices.SortFunc(sorted, bytes.Compare)
+	sorted = slices.CompactFunc(sorted, bytes.Equal)
+	tr := BulkLoad(sorted, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tr.Get(keys[i%len(keys)]); !ok {
+			b.Fatal("miss")
+		}
 	}
 }

@@ -27,13 +27,12 @@ func (t *Tree) del(n node, key []byte) bool {
 	switch v := n.(type) {
 	case *leafNode:
 		i := v.lowerBound(key)
-		if i >= Fanout || !bytes.Equal(v.keys[i], key) {
+		if i >= Fanout || !bytes.Equal(v.key(i), key) {
 			return false
 		}
 		v.occ &^= 1 << i
-		// Rebuilding the gap padding releases every duplicate of the
-		// deleted pointer, so the key bytes become collectable.
 		v.fillGaps()
+		v.shed()
 		return true
 	case *innerNode:
 		idx := v.upperBound(key)
@@ -56,34 +55,39 @@ func fill(n node) int {
 	return 0
 }
 
-// gather copies the occupied entries in key order into ks/vs (each at
-// least count() long) and returns how many there were.
+// gather returns the occupied entries' keys and values in key order in
+// ks/vs (each at least count() long) and how many there were. The keys
+// alias the arena, which stays valid after the leaf moves to a new one.
 func (l *leafNode) gather(ks [][]byte, vs []uint64) int {
 	n := 0
 	for mm := l.occ; mm != 0; mm &= mm - 1 {
 		s := bits.TrailingZeros16(mm)
-		ks[n] = l.keys[s]
+		ks[n] = l.key(s)
 		vs[n] = l.vals[s]
 		n++
 	}
 	return n
 }
 
-// scatter redistributes entries evenly across the slots (len(ks) <=
-// Fanout) and rebuilds the gap padding, giving every entry local
+// scatter rebuilds the leaf from 1..Fanout sorted entries in a new
+// arena, spreading them evenly over the slots so every entry has local
 // headroom again.
 func (l *leafNode) scatter(ks [][]byte, vs []uint64) {
-	l.occ = 0
-	for i := range l.keys {
-		l.keys[i] = nil
-		l.vals[i] = 0
+	need := 0
+	for _, k := range ks {
+		need += len(k)
 	}
+	a := roomy(need)
+	l.occ = 0
+	l.vals = [Fanout]uint64{}
 	for j, k := range ks {
 		s := j * Fanout / len(ks)
-		l.keys[s] = k
+		l.off[s], l.klen[s] = uint32(len(a)), uint32(len(k))
+		a = append(a, k...)
 		l.vals[s] = vs[j]
 		l.occ |= 1 << s
 	}
+	l.arena = a
 	l.fillGaps()
 }
 
@@ -110,11 +114,12 @@ func (t *Tree) rebalance(p *innerNode, idx int) {
 			l := p.child[left].(*leafNode)
 			n := c.gather(ks[1:], vs[1:])
 			ls := l.lastSlot()
-			ks[0], vs[0] = l.keys[ls], l.vals[ls]
+			ks[0], vs[0] = l.key(ls), l.vals[ls]
 			l.occ &^= 1 << ls
 			l.fillGaps()
+			l.shed()
 			c.scatter(ks[:n+1], vs[:n+1])
-			p.keys[left] = ks[0]
+			p.keys[left] = separator(l.key(l.lastSlot()), ks[0])
 			p.pad()
 			return
 		}
@@ -123,11 +128,12 @@ func (t *Tree) rebalance(p *innerNode, idx int) {
 			r := p.child[right].(*leafNode)
 			n := c.gather(ks[:], vs[:])
 			rs := r.firstSlot()
-			ks[n], vs[n] = r.keys[rs], r.vals[rs]
+			ks[n], vs[n] = r.key(rs), r.vals[rs]
 			r.occ &^= 1 << rs
 			r.fillGaps()
+			r.shed()
 			c.scatter(ks[:n+1], vs[:n+1])
-			p.keys[idx] = r.keys[r.firstSlot()]
+			p.keys[idx] = separator(ks[n], r.key(r.firstSlot()))
 			p.pad()
 			return
 		}

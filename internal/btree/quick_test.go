@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // Property: any insert sequence leaves the tree observationally equal to a
@@ -86,16 +87,19 @@ func checkStructure(t *testing.T, tr *Tree) {
 			prevSlot := -1
 			for mm := v.occ; mm != 0; mm &= mm - 1 {
 				i := bits.TrailingZeros16(mm)
-				if lo != nil && bytes.Compare(v.keys[i], lo) < 0 {
-					t.Fatalf("leaf key %q below separator %q", v.keys[i], lo)
+				if lo != nil && bytes.Compare(v.key(i), lo) < 0 {
+					t.Fatalf("leaf key %q below separator %q", v.key(i), lo)
 				}
-				if hi != nil && bytes.Compare(v.keys[i], hi) >= 0 {
-					t.Fatalf("leaf key %q not below separator %q", v.keys[i], hi)
+				if hi != nil && bytes.Compare(v.key(i), hi) >= 0 {
+					t.Fatalf("leaf key %q not below separator %q", v.key(i), hi)
 				}
-				if prevSlot >= 0 && bytes.Compare(v.keys[prevSlot], v.keys[i]) >= 0 {
+				if prevSlot >= 0 && bytes.Compare(v.key(prevSlot), v.key(i)) >= 0 {
 					t.Fatal("leaf keys unsorted")
 				}
 				prevSlot = i
+			}
+			if aliases(lo, v.arena) || aliases(hi, v.arena) {
+				t.Fatal("separator points into a leaf arena")
 			}
 			checkLeafPadding(t, v)
 			return 1
@@ -142,34 +146,52 @@ func checkStructure(t *testing.T, tr *Tree) {
 }
 
 // checkLeafPadding asserts the gapped-leaf invariants lowerBound's fixed
-// probes rely on: when occupied, every key slot non-nil and the padded
-// 16-entry array non-decreasing; when empty, every slot nil.
+// probes rely on: when occupied, every slot inside the arena's written
+// bytes, each gap a copy of its neighbour's slot, the padded 16-entry
+// array non-decreasing, and pfx and the probe words current; when empty,
+// every slot zero and no arena.
 func checkLeafPadding(t *testing.T, v *leafNode) {
 	t.Helper()
 	if v.occ == 0 {
-		for i := range v.keys {
-			if v.keys[i] != nil {
-				t.Fatalf("empty leaf holds key pointer at slot %d", i)
-			}
+		if v.arena != nil || v.off != [Fanout]uint32{} || v.klen != [Fanout]uint32{} {
+			t.Fatal("empty leaf still addresses key bytes")
 		}
 		return
 	}
 	for i := 0; i < Fanout; i++ {
-		if v.keys[i] == nil {
-			t.Fatalf("occupied leaf has nil padding at slot %d (occ=%04x)", i, v.occ)
+		if uint64(v.off[i])+uint64(v.klen[i]) > uint64(len(v.arena)) {
+			t.Fatalf("slot %d (%d+%d) past arena length %d", i, v.off[i], v.klen[i], len(v.arena))
 		}
-		if i > 0 && bytes.Compare(v.keys[i-1], v.keys[i]) > 0 {
+		if v.occ&(1<<i) == 0 {
+			// A gap copies its nearest occupied neighbour on either side.
+			same := func(j int) bool { return j >= 0 && j < Fanout && v.off[i] == v.off[j] && v.klen[i] == v.klen[j] }
+			left := bits.Len16(v.occ&(1<<i-1)) - 1
+			right := i + bits.TrailingZeros16(v.occ>>i)
+			if !same(left) && !same(right) {
+				t.Fatalf("gap slot %d copies neither slot %d nor %d (occ=%04x)", i, left, right, v.occ)
+			}
+		}
+		if i > 0 && bytes.Compare(v.key(i-1), v.key(i)) > 0 {
 			t.Fatalf("leaf padding decreasing at slot %d (occ=%04x)", i, v.occ)
 		}
 	}
-	if want := lcpLen(v.keys[v.firstSlot()], v.keys[v.lastSlot()]); v.pfx != want {
+	if want := lcpLen(v.key(v.firstSlot()), v.key(v.lastSlot())); v.pfx != want {
 		t.Fatalf("leaf pfx %d, want %d (occ=%04x)", v.pfx, want, v.occ)
 	}
 	for i := 0; i < Fanout; i++ {
-		if want := be64(v.keys[i][v.pfx:]); v.pw[i] != want {
+		if want := be64(v.key(i)[v.pfx:]); v.pw[i] != want {
 			t.Fatalf("leaf pw[%d] = %#x, want %#x (occ=%04x)", i, v.pw[i], want, v.occ)
 		}
 	}
+}
+
+// aliases reports whether a's bytes lie inside b's allocation.
+func aliases(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa >= pb && pa < pb+uintptr(cap(b))
 }
 
 // walkLeaves applies fn to every leaf in the tree.
