@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"slices"
 	"sync"
@@ -22,12 +23,12 @@ import (
 // compressed index and (1) reservoir-samples live write traffic while
 // tracking a rolling compression rate, (2) builds a new-generation
 // dictionary in the background when the rate drifts below the build-time
-// baseline (or on an explicit Rebuild), and (3) migrates the stored
-// entries into the new generation incrementally — per-shard, per-batch —
-// while reads and writes keep flowing. The lifecycle state machine
-// (Sampling → Building → Migrating → Steady, with drift rebuilds looping
-// back through Building) lives in internal/lifecycle; this type is the
-// data plane.
+// baseline (or on an explicit Rebuild), and (3) rebuilds the index under
+// the new dictionary by reconstruction — one compressed-key sort and a
+// bottom-up build off every lock — while reads and writes keep flowing.
+// The lifecycle state machine (Sampling → Building → Migrating → Steady,
+// with drift rebuilds looping back through Building) lives in
+// internal/lifecycle; this type is the data plane.
 //
 // # Record store
 //
@@ -37,10 +38,9 @@ import (
 // record store: trees map encoded keys to record ids, records hold the
 // original key bytes and the caller's value. This mirrors how a DBMS
 // integrates HOPE — the index entry points at a record that contains the
-// full key — and it is what makes background re-encode and
-// cross-generation scan merging possible at all. The memory cost (the
-// original key bytes, retained) is the price of adaptivity; a DBMS would
-// source them from its base table instead.
+// full key — and it is what makes background re-encode possible at all.
+// The memory cost (the original key bytes, retained) is the price of
+// adaptivity; a DBMS would source them from its base table instead.
 //
 // Because the index owns original keys, scan callbacks receive the
 // *original* key — unlike Index and ShardedIndex, which hand out stored
@@ -51,43 +51,39 @@ import (
 // The adaptive layer's unit of bookkeeping is the *stripe*: a fixed,
 // generation-independent hash of the original key bytes (see shardHash)
 // selects one adaptiveShard, whose lock guards that stripe's record slots
-// in every generation and whose read/write pointers are the generation
-// map. Each generation's ShardedIndex routes the same key to its *tree
-// shards* by its own Partitioner — hash by default, or range with split
-// points re-sampled from the lifecycle reservoir at every rebuild
-// (AdaptiveOptions.Partition). Decoupling the two is what lets a rebuild
-// change the key partition: records keep stable stripe-addressed ids
-// while the trees re-balance underneath, so a drift migration doubles as
-// shard re-balancing.
+// in every generation. Each generation's ShardedIndex routes the same key
+// to its *tree shards* by its own Partitioner — hash by default, or range
+// with split points re-sampled from the lifecycle reservoir at every
+// rebuild (AdaptiveOptions.Partition). Decoupling the two is what lets a
+// rebuild change the key partition: records keep stable stripe-addressed
+// ids while the trees re-balance underneath, so a drift migration doubles
+// as shard re-balancing.
 //
 // # Migration protocol
 //
-// Stripe routing is identical in every generation (it never consults a
-// dictionary or a partitioner), so one generation map per stripe
-// suffices:
+// Exactly one generation serves at every instant; a rebuild builds the
+// next one beside it and flips once. Every backend runs the same steps:
 //
-//   - Rebuild builds the new dictionary from a reservoir snapshot with no
-//     locks held, then enters migration: every shard starts dual-writing
-//     (writes apply to the old and new generations; reads stay on the
-//     old).
-//   - A background pass copies each shard's live records into the new
-//     generation in bounded batches under the shard lock (writers to that
-//     shard wait for at most one batch; all other shards flow). Records
-//     appended after migration start need no copy — dual-writing already
-//     landed them in both generations.
-//   - As each shard finishes, its reads flip to the new generation; both
-//     generations keep receiving writes, so a mid-migration index serves
-//     some shards from each generation and scans merge old- and
-//     new-generation cursors (the record store supplies original keys, the
-//     only order the two dictionaries share).
-//   - When every shard has flipped, the cutover drops the old generation.
-//     Until that instant the old generation has seen every write, so an
-//     abort — a failed build, a fault injected by tests — simply points
-//     every shard back at it, intact.
+//   - Build the dictionary from a reservoir snapshot with no locks held.
+//   - Gather: per stripe, under its lock, copy the live records into the
+//     next generation's compacted record store (an old→new slot remap
+//     remembers where each went) and start the stripe's change list,
+//     which from then on logs every copied slot Put overwrites or Delete
+//     kills.
+//   - Build the next generation's trees off every lock with one Bulk:
+//     EncodeAll, one sort of the compressed keys, a bottom-up BulkLoad.
+//   - Replay, pass one: per stripe, under its own lock, apply the logged
+//     changes to the copies and copy the slots appended since the gather;
+//     the matching deletes and inserts into next's trees run after the
+//     unlock. Pass one repeats while each round replays less than the
+//     last.
+//   - Replay, pass two, and flip: with every stripe lock held, replay only
+//     what arrived since pass one, then make next the serving generation.
 //
-// The bulk-only SuRF backend cannot dual-write; its rebuild takes the
-// stop-the-world path: all shards lock, live records bulk-load into the
-// new generation, and the swap is atomic.
+// Until the flip only the old generation takes writes, so an abort — a
+// failed build, a fault injected by tests, a watchdog timeout — simply
+// drops next. The bulk-only SuRF backend takes no writes, so its replay
+// is empty.
 //
 // All methods are safe for concurrent use.
 type AdaptiveIndex struct {
@@ -105,13 +101,10 @@ type AdaptiveIndex struct {
 	rebuildMu  sync.Mutex
 	rebuilding atomic.Bool
 
-	// genMu guards the generation pointers (ops never touch them — they
-	// go through the per-shard generation map).
-	genMu sync.Mutex
-	cur   *generation
-	next  *generation
-
-	migrated atomic.Int32 // shards flipped in the current migration
+	// cur is the serving generation. It changes only at a flip, with every
+	// stripe lock held, so an op holding one stripe lock sees it stable.
+	// next is the generation a migration is building (nil otherwise).
+	cur, next atomic.Pointer[generation]
 
 	// injector, when set (tests and chaos harnesses), fires at every
 	// rebuild checkpoint; an error it returns aborts the rebuild at that
@@ -173,16 +166,11 @@ type AdaptiveOptions struct {
 	// alone serves from a single tree shard until the first rebuild
 	// spreads it.
 	Partition PartitionMode
-	// MigrationBatch bounds how many records one migration step copies
-	// while holding a shard's lock (default 512) — the writer-visible
-	// pause ceiling.
-	MigrationBatch int
 	// MigrationTimeout is the watchdog's progress bound: a rebuild that
-	// makes no checkpoint progress (build start, migration batch, shard
-	// flip, cutover) for this long is cancelled and aborts with
-	// ErrMigrationTimeout, restoring the old generation. It should
-	// comfortably exceed the dictionary build time and one migration
-	// batch. 0 disables the watchdog's progress check.
+	// makes no checkpoint progress for this long is cancelled and aborts
+	// with ErrMigrationTimeout, restoring the old generation. It should
+	// comfortably exceed the dictionary build time and the next
+	// generation's bulk build. 0 disables the watchdog's progress check.
 	MigrationTimeout time.Duration
 	// RebuildDeadline caps one whole rebuild — build plus migration — the
 	// same way. 0 disables the deadline.
@@ -214,14 +202,12 @@ const (
 	StateMigrating = lifecycle.Migrating
 )
 
-// AdaptiveStats is a point-in-time snapshot of the lifecycle and
-// migration progress.
+// AdaptiveStats is a point-in-time snapshot of the lifecycle.
 type AdaptiveStats struct {
 	lifecycle.Stats
-	Backend        Backend
-	Shards         int
-	Partition      PartitionMode
-	MigratedShards int // shards flipped in the in-flight migration (0 when steady)
+	Backend   Backend
+	Shards    int
+	Partition PartitionMode
 }
 
 // generation is one dictionary era: a sharded tree whose values are
@@ -248,14 +234,32 @@ type record struct {
 	dead bool
 }
 
-// adaptiveShard is one stripe of the generation map: which generation
-// serves this shard's reads, and which generation(s) — old first — its
-// writes apply to. The lock also guards both generations' record stores
-// for this shard. Lock order: adaptiveShard.mu before any tree lock.
+// adaptiveShard is one stripe. Its lock guards the stripe's record
+// stores in every generation and, while a migration is in flight, the
+// stripe's change list. Lock order: adaptiveShard.mu before any tree lock.
 type adaptiveShard struct {
-	mu    sync.RWMutex
-	read  *generation
-	write []*generation
+	mu  sync.RWMutex
+	mig *stripeMigration // nil unless a migration is in flight
+}
+
+// stripeMigration is one stripe's share of an in-flight migration. The
+// old generation's slots below horizon have been copied into the next
+// generation: remap[s] is slot s's next-generation slot, -1 for a record
+// that was already dead. changed lists the copied slots that Put
+// overwrote or Delete killed since; the slots at and above horizon are
+// the tail still to copy.
+type stripeMigration struct {
+	horizon int
+	remap   []int32
+	changed []int32
+}
+
+// logChange records that old slot's record changed, when the migration in
+// flight has already copied it.
+func (sh *adaptiveShard) logChange(slot int) {
+	if m := sh.mig; m != nil && slot < m.horizon {
+		m.changed = append(m.changed, int32(slot))
+	}
 }
 
 // recordSize is what one record slot costs beside its key bytes: the
@@ -265,28 +269,18 @@ const recordSize = int(unsafe.Sizeof(record{}))
 func recordID(shard, slot int) uint64 { return uint64(shard)<<32 | uint64(uint32(slot)) }
 func slotOf(id uint64) int            { return int(uint32(id)) }
 
-// NewAdaptiveIndex builds an adaptive index over the named backend. With
+// newAdaptiveIndexWithSplits builds an adaptive index over the named
+// backend (Open with WithAdaptive is the public constructor). With
 // opts.Encoder nil the index starts in the Sampling state, serving
 // uncompressed until enough keys arrived for the first dictionary.
-//
-// Deprecated: use Open(backend, WithAdaptive(opts)), which returns the
-// same index behind the unified Store interface.
-func NewAdaptiveIndex(backend Backend, opts AdaptiveOptions) (*AdaptiveIndex, error) {
-	return newAdaptiveIndexWithSplits(backend, opts, nil)
-}
-
-// newAdaptiveIndexWithSplits is the constructor proper. splits, when
-// non-nil, seed generation 0's range partitioner — the restore path hands
-// back the persisted split points so the restored trees keep the dumped
-// partition instead of starting unseeded.
+// splits, when non-nil, seed generation 0's range partitioner — the
+// restore path hands back the persisted split points so the restored
+// trees keep the dumped partition instead of starting unseeded.
 func newAdaptiveIndexWithSplits(backend Backend, opts AdaptiveOptions, splits [][]byte) (*AdaptiveIndex, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards()
 	}
 	opts.Shards = ceilPow2(opts.Shards)
-	if opts.MigrationBatch <= 0 {
-		opts.MigrationBatch = 512
-	}
 	a := &AdaptiveIndex{
 		backend: backend,
 		opts:    opts,
@@ -304,9 +298,9 @@ func newAdaptiveIndexWithSplits(backend Backend, opts AdaptiveOptions, splits []
 	if err != nil {
 		return nil, err
 	}
-	a.cur = gen
+	a.cur.Store(gen)
 	for i := range a.shards {
-		a.shards[i] = &adaptiveShard{read: gen, write: []*generation{gen}}
+		a.shards[i] = &adaptiveShard{}
 	}
 	return a, nil
 }
@@ -339,20 +333,10 @@ func (a *AdaptiveIndex) newGeneration(enc *core.Encoder, splits [][]byte) (*gene
 	return g, nil
 }
 
-// genShard routes a key to one generation's tree shard, reusing the
-// stripe hash the caller already computed when the generation is
-// hash-partitioned (the common case pays no second hash).
-func genShard(g *generation, key []byte, h uint64) int {
-	if hp, ok := g.idx.part.(*HashPartitioner); ok {
-		return hp.shardOfHash(h)
-	}
-	return g.idx.part.Shard(key)
-}
-
-// routeRecord routes a record whose stripe is already known: for a
-// hash-partitioned generation the tree shard IS the stripe (same FNV,
-// same power-of-two count), so no hash at all is recomputed; range
-// partitioners binary-search the key.
+// routeRecord routes a key whose stripe is already known to one
+// generation's tree shard: for a hash-partitioned generation the tree
+// shard IS the stripe (same FNV, same power-of-two count), so no hash is
+// recomputed; range partitioners binary-search the key.
 func routeRecord(g *generation, stripe int, key []byte) int {
 	if _, ok := g.idx.part.(*HashPartitioner); ok {
 		return stripe
@@ -376,33 +360,23 @@ func (a *AdaptiveIndex) Generation() int { return a.ctl.Generation() }
 
 // Encoder returns the serving generation's build template (nil while
 // uncompressed). During a migration this is still the old generation's
-// encoder — the one every shard's authoritative writes run through.
-func (a *AdaptiveIndex) Encoder() *core.Encoder {
-	a.genMu.Lock()
-	defer a.genMu.Unlock()
-	return a.cur.enc
-}
+// encoder, until the flip.
+func (a *AdaptiveIndex) Encoder() *core.Encoder { return a.cur.Load().enc }
 
-// Stats snapshots the lifecycle counters and migration progress.
+// Stats snapshots the lifecycle counters.
 func (a *AdaptiveIndex) Stats() AdaptiveStats {
 	return AdaptiveStats{
-		Stats:          a.ctl.Stats(),
-		Backend:        a.backend,
-		Shards:         len(a.shards),
-		Partition:      a.opts.Partition,
-		MigratedShards: int(a.migrated.Load()),
+		Stats:     a.ctl.Stats(),
+		Backend:   a.backend,
+		Shards:    len(a.shards),
+		Partition: a.opts.Partition,
 	}
 }
 
 // ShardLens returns the serving generation's per-tree-shard key counts —
 // the partition's skew profile (see ShardedIndex.ShardLens). After a
 // range-mode rebuild this reflects the re-sampled split points.
-func (a *AdaptiveIndex) ShardLens() []int {
-	a.genMu.Lock()
-	idx := a.cur.idx
-	a.genMu.Unlock()
-	return idx.ShardLens()
-}
+func (a *AdaptiveIndex) ShardLens() []int { return a.cur.Load().idx.ShardLens() }
 
 func (a *AdaptiveIndex) shardIdx(key []byte) int { return int(shardHash(key) & a.mask) }
 
@@ -416,12 +390,10 @@ func (a *AdaptiveIndex) trackLen(n int) {
 }
 
 // Put inserts or overwrites one key. An overwrite only updates the record
-// (both generations' trees already point at it); an insert appends a
-// record and inserts into every write generation, so a migration in
-// flight never loses it. Each generation is resolved in a single pass —
-// one encode, one tree-lock hold — through ShardedIndex.upsertShard: the
-// presence probe and the insert-if-absent share the work the old
-// probe-then-put sequence paid twice.
+// the tree already points at; an insert appends a record. Either way the
+// serving generation is resolved in a single pass — one encode, one
+// tree-lock hold — through ShardedIndex.upsertShard. A migration in
+// flight picks the change up from the stripe's change list or its tail.
 func (a *AdaptiveIndex) Put(key []byte, val uint64) error {
 	if a.closed.Load() {
 		return ErrClosed
@@ -430,33 +402,28 @@ func (a *AdaptiveIndex) Put(key []byte, val uint64) error {
 		return ErrImmutableBackend
 	}
 	a.trackLen(len(key))
-	h := shardHash(key)
-	i := int(h & a.mask)
+	i := a.shardIdx(key)
 	t := a.met.put.Begin(uint64(i))
 	sh := a.shards[i]
-	storedLen, inserted := 0, false
 	sh.mu.Lock()
-	for gi, g := range sh.write {
-		slot := len(g.recs[i].recs)
-		existing, existed, n, err := g.idx.upsertShard(genShard(g, key, h), key, recordID(i, slot))
-		if err != nil {
-			sh.mu.Unlock()
-			a.met.put.End(t)
-			return err
-		}
-		if existed {
-			g.recs[i].recs[slotOf(existing)].val = val
-			continue
-		}
-		g.recs[i].recs = append(g.recs[i].recs, record{key: append([]byte(nil), key...), val: val})
-		g.recs[i].live++
-		if gi == 0 {
-			storedLen, inserted = n, true
-		}
+	g := a.cur.Load()
+	gr := &g.recs[i]
+	existing, existed, storedLen, err := g.idx.upsertShard(routeRecord(g, i, key), key, recordID(i, len(gr.recs)))
+	switch {
+	case err != nil:
+	case existed:
+		gr.recs[slotOf(existing)].val = val
+		sh.logChange(slotOf(existing))
+	default:
+		gr.recs = append(gr.recs, record{key: append([]byte(nil), key...), val: val})
+		gr.live++
 	}
 	sh.mu.Unlock()
 	a.met.put.End(t)
-	if inserted {
+	if err != nil {
+		return err
+	}
+	if !existed {
 		sig := a.ctl.Observe(key, storedLen)
 		if !a.opts.Manual {
 			if sig != lifecycle.None {
@@ -473,18 +440,16 @@ func (a *AdaptiveIndex) Put(key []byte, val uint64) error {
 	return nil
 }
 
-// Get returns the value stored under key, consulting the shard's read
-// generation.
+// Get returns the value stored under key in the serving generation.
 func (a *AdaptiveIndex) Get(key []byte) (uint64, bool) {
-	h := shardHash(key)
-	i := int(h & a.mask)
+	i := a.shardIdx(key)
 	t := a.met.get.Begin(uint64(i))
 	defer a.met.get.End(t)
 	sh := a.shards[i]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	g := sh.read
-	id, ok := g.idx.getShard(genShard(g, key, h), key)
+	g := a.cur.Load()
+	id, ok := g.idx.getShard(routeRecord(g, i, key), key)
 	if !ok {
 		return 0, false
 	}
@@ -495,8 +460,7 @@ func (a *AdaptiveIndex) Get(key []byte) (uint64, bool) {
 	return r.val, true
 }
 
-// Delete removes key from every write generation, reporting whether it
-// was present.
+// Delete removes key, reporting whether it was present.
 func (a *AdaptiveIndex) Delete(key []byte) (bool, error) {
 	if a.closed.Load() {
 		return false, ErrClosed
@@ -504,55 +468,48 @@ func (a *AdaptiveIndex) Delete(key []byte) (bool, error) {
 	if a.backend == SuRF {
 		return false, ErrImmutableBackend
 	}
-	h := shardHash(key)
-	i := int(h & a.mask)
+	i := a.shardIdx(key)
 	mt := a.met.del.Begin(uint64(i))
 	sh := a.shards[i]
-	found := false
+	var err error
 	sh.mu.Lock()
-	for gi, g := range sh.write {
-		t := genShard(g, key, h)
-		id, ok := g.idx.getShard(t, key)
-		if ok {
-			g.recs[i].recs[slotOf(id)].dead = true
-			g.recs[i].live--
-			if _, err := g.idx.deleteShard(t, key); err != nil {
-				sh.mu.Unlock()
-				a.met.del.End(mt)
-				return false, err
-			}
-		}
-		if gi == 0 {
-			found = ok
-		}
+	g := a.cur.Load()
+	t := routeRecord(g, i, key)
+	id, found := g.idx.getShard(t, key)
+	if found {
+		g.recs[i].recs[slotOf(id)].dead = true
+		g.recs[i].live--
+		sh.logChange(slotOf(id))
+		_, err = g.idx.deleteShard(t, key)
 	}
 	sh.mu.Unlock()
 	a.met.del.End(mt)
+	if err != nil {
+		return false, err
+	}
 	return found, nil
 }
 
-// Len returns the number of live keys (authoritative generation).
+// Len returns the number of live keys.
 func (a *AdaptiveIndex) Len() int {
 	n := 0
 	for i, sh := range a.shards {
 		sh.mu.RLock()
-		n += sh.write[0].recs[i].live
+		n += a.cur.Load().recs[i].live
 		sh.mu.RUnlock()
 	}
 	return n
 }
 
-// MemoryUsage returns the modeled footprint in bytes: every serving
-// generation's trees and dictionary, plus the record store (original keys
-// and per-record overhead) — the honest total, since the record store is
-// what buys background re-encode.
+// MemoryUsage returns the modeled footprint in bytes: the serving
+// generation's trees and dictionary — and a migrating next generation's —
+// plus the record store (original keys and per-record overhead): the
+// honest total, since the record store is what buys background re-encode.
 func (a *AdaptiveIndex) MemoryUsage() int {
-	a.genMu.Lock()
-	gens := []*generation{a.cur}
-	if a.next != nil {
-		gens = append(gens, a.next)
+	gens := []*generation{a.cur.Load()}
+	if next := a.next.Load(); next != nil {
+		gens = append(gens, next)
 	}
-	a.genMu.Unlock()
 	m := 0
 	for _, g := range gens {
 		m += g.idx.MemoryUsage()
@@ -629,7 +586,7 @@ func (a *AdaptiveIndex) bulkLoad(keys [][]byte, vals []uint64) (viaPuts bool, er
 			sh.mu.Unlock()
 		}
 	}()
-	g := a.shards[0].write[0]
+	g := a.cur.Load()
 	if a.backend == SuRF {
 		for i := range g.recs {
 			g.recs[i] = generationShardRecords{}
@@ -702,9 +659,10 @@ func (a *AdaptiveIndex) bulkLoad(keys [][]byte, vals []uint64) (viaPuts bool, er
 // ---------------------------------------------------------------------------
 
 // Rebuild forces a full dictionary rebuild and migration now, blocking
-// until the cutover (or the abort) completes. Traffic keeps flowing on
-// mutable backends; the SuRF backend rebuilds stop-the-world. The drift
-// detector triggers this same path automatically unless opts.Manual.
+// until the cutover (or the abort) completes. Traffic keeps flowing except
+// during the flip, which holds every stripe lock while it replays the
+// writes that arrived since the last replay pass. The drift detector
+// triggers this same path automatically unless opts.Manual.
 //
 // Failures are typed: errors.Is(err, ErrMigrationTimeout) for a
 // watchdog abort, errors.As(err, new(*ErrRebuildPanic)) for a recovered
@@ -829,22 +787,14 @@ func (a *AdaptiveIndex) skewCheck() bool {
 // CheckEvery window never counts as skewed — a handful of keys on one
 // shard is noise, not skew.
 func (a *AdaptiveIndex) skewExceeded() bool {
-	a.genMu.Lock()
-	idx := a.cur.idx
-	a.genMu.Unlock()
-	frac, total := idx.maxShardFrac()
+	frac, total := a.cur.Load().idx.maxShardFrac()
 	return total >= a.ctl.Config().CheckEvery && frac > a.opts.ResplitAbove
 }
 
 // MaxShardFrac returns the serving generation's largest tree-shard
 // fraction (see ShardedIndex.MaxShardFrac) — the skew measure the
 // ResplitAbove trigger acts on.
-func (a *AdaptiveIndex) MaxShardFrac() float64 {
-	a.genMu.Lock()
-	idx := a.cur.idx
-	a.genMu.Unlock()
-	return idx.MaxShardFrac()
-}
+func (a *AdaptiveIndex) MaxShardFrac() float64 { return a.cur.Load().idx.MaxShardFrac() }
 
 // sampleRecords draws up to capacity live original keys from the
 // authoritative generation's record store, striding evenly so one shard's
@@ -859,7 +809,7 @@ func (a *AdaptiveIndex) sampleRecords(capacity int) [][]byte {
 	seen := 0
 	for i, sh := range a.shards {
 		sh.mu.RLock()
-		for _, r := range sh.write[0].recs[i].recs {
+		for _, r := range a.cur.Load().recs[i].recs {
 			if r.dead {
 				continue
 			}
@@ -1004,12 +954,14 @@ func (a *AdaptiveIndex) rebuildLocked() (err error) {
 	stopWatchdog := a.startWatchdog(w)
 	start := time.Now()
 	var buildCPR float64
+	var replayed int
+	var pause time.Duration
 	// Any failure from here on rolls the lifecycle back and feeds the
-	// retry/breaker policy; any panic is isolated here (the shard maps
-	// were already restored by migrateConcurrent's own recovery before
-	// the panic converts to an error). The trace records the terminal
-	// event — cutover on success; abort plus the resulting backoff or
-	// breaker state on failure — so /debug/events tells the whole story.
+	// retry/breaker policy; any panic is isolated here (migrate's own
+	// recovery has already cleared the change lists before the panic
+	// converts to an error). The trace records the terminal event —
+	// cutover on success; abort plus the resulting backoff or breaker
+	// state on failure — so /debug/events tells the whole story.
 	defer func() {
 		if r := recover(); r != nil {
 			err = a.recoveredErr(r)
@@ -1018,7 +970,7 @@ func (a *AdaptiveIndex) rebuildLocked() (err error) {
 		a.watch.Store(nil)
 		if err == nil {
 			a.trace.Emit("cutover", -1, time.Since(start).Nanoseconds(),
-				fmt.Sprintf("gen=%d cpr=%.3f", a.ctl.Generation(), buildCPR))
+				fmt.Sprintf("gen=%d cpr=%.3f replayed=%d pause_ns=%d", a.ctl.Generation(), buildCPR, replayed, pause.Nanoseconds()))
 			return
 		}
 		a.trace.Emit("abort", a.lastShard, time.Since(start).Nanoseconds(), err.Error())
@@ -1068,225 +1020,216 @@ func (a *AdaptiveIndex) rebuildLocked() (err error) {
 	if err := a.ctl.BeginMigration(); err != nil {
 		return err
 	}
-	if a.backend == SuRF {
-		a.trace.Emit("migrate-start", -1, 0, "stop-the-world")
-		err = a.migrateStopTheWorld(next)
-	} else {
-		a.trace.Emit("migrate-start", -1, 0, "concurrent")
-		err = a.migrateConcurrent(next)
-	}
-	if err != nil {
+	a.trace.Emit("migrate-start", -1, 0, "")
+	if replayed, pause, err = a.migrate(next); err != nil {
 		return err
 	}
 	return a.ctl.Cutover(buildCPR)
 }
 
-// migrateConcurrent runs the incremental protocol described on the type:
-// dual-write everywhere, copy per shard in batches, flip reads per shard,
-// cut over when all shards flipped. Any error — or any panic, recovered
-// here so the restore runs before the error propagates — aborts by
-// pointing every shard back at the old generation, which saw every write
-// throughout.
-func (a *AdaptiveIndex) migrateConcurrent(next *generation) (err error) {
-	a.genMu.Lock()
-	old := a.cur
-	a.next = next
-	a.genMu.Unlock()
-	a.migrated.Store(0)
-
+// migrate runs the protocol described on the type: gather, build, replay
+// twice, flip. It reports how many slots the replays applied and how long
+// the flip held every stripe lock. Any error — or any panic, recovered
+// here so the change lists are cleared before the error propagates —
+// drops next; the old generation was the only one written, so nothing
+// is lost.
+func (a *AdaptiveIndex) migrate(next *generation) (replayed int, pause time.Duration, err error) {
+	old := a.cur.Load()
+	a.next.Store(next)
 	defer func() {
 		if r := recover(); r != nil {
 			err = a.recoveredErr(r)
 		}
-		if err == nil {
-			return
-		}
-		for _, sh := range a.shards {
-			sh.mu.Lock()
-			sh.read = old
-			sh.write = []*generation{old}
-			sh.mu.Unlock()
-		}
-		a.genMu.Lock()
-		a.next = nil
-		a.genMu.Unlock()
-		a.migrated.Store(0)
-	}()
-
-	for _, sh := range a.shards {
-		sh.mu.Lock()
-		sh.write = []*generation{old, next}
-		sh.mu.Unlock()
-	}
-	for i := range a.shards {
-		copyStart := time.Now()
-		if err := a.migrateShard(i, old, next); err != nil {
-			return err
-		}
-		a.trace.Emit("shard-copied", i, time.Since(copyStart).Nanoseconds(), "")
-		sh := a.shards[i]
-		sh.mu.Lock()
-		sh.read = next
-		sh.mu.Unlock()
-		a.migrated.Add(1)
-		a.trace.Emit("shard-flipped", i, 0, "")
-		if err := a.checkpoint("shard-flipped", i); err != nil {
-			return err
-		}
-	}
-	if err := a.checkpoint("cutover", -1); err != nil {
-		return err
-	}
-	for _, sh := range a.shards {
-		sh.mu.Lock()
-		sh.read = next
-		sh.write = []*generation{next}
-		sh.mu.Unlock()
-	}
-	a.genMu.Lock()
-	a.cur = next
-	a.next = nil
-	a.genMu.Unlock()
-	a.migrated.Store(0)
-	return nil
-}
-
-// migrateShard copies one stripe's live records into the next generation
-// in MigrationBatch-bounded steps. Slots at or above the horizon snapshot
-// were appended after dual-writing began and are already in both
-// generations; slots below it that the dual-writer races in are caught by
-// upsertShard's presence probe (a single encode-probe-insert pass per
-// record). The next generation routes each key through its own
-// partitioner, so a re-sampled range partition redistributes the records
-// as a side effect of the copy.
-func (a *AdaptiveIndex) migrateShard(stripe int, old, next *generation) error {
-	sh := a.shards[stripe]
-	sh.mu.Lock()
-	horizon := len(old.recs[stripe].recs)
-	sh.mu.Unlock()
-	for start := 0; start < horizon; start += a.opts.MigrationBatch {
-		end := start + a.opts.MigrationBatch
-		if end > horizon {
-			end = horizon
-		}
-		if err := a.copyBatch(sh, stripe, old, next, start, end); err != nil {
-			return err
-		}
-		if err := a.checkpoint("batch", stripe); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// copyBatch copies slots [start, end) of one stripe under its lock. The
-// unlock is deferred so an injected panic cannot leak the lock on its way
-// to migrateConcurrent's recovery. The "mid-batch" checkpoint fires per
-// record but only when an injector is armed — it exists to let fault
-// plans abort with the stripe lock held and the batch half-copied, the
-// worst possible instant.
-func (a *AdaptiveIndex) copyBatch(sh *adaptiveShard, stripe int, old, next *generation, start, end int) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	// Gather the batch's live keys, re-encode them in ONE bulk call (the
-	// word-parallel batch kernels), then probe-and-insert each stored form
-	// under its shard lock. The per-record scratch encode the old loop
-	// paid is the dominant migration cost for compressed generations.
-	slots := make([]int, 0, end-start)
-	keys := make([][]byte, 0, end-start)
-	for slot := start; slot < end; slot++ {
-		r := &old.recs[stripe].recs[slot]
-		if r.dead {
-			continue
-		}
-		slots = append(slots, slot)
-		keys = append(keys, r.key)
-	}
-	encs := next.idx.encodeBatch(keys) // nil when next stores keys raw
-	for bi, slot := range slots {
-		r := &old.recs[stripe].recs[slot]
-		enc := keys[bi]
-		if encs != nil {
-			enc = encs[bi]
-		}
-		nslot := len(next.recs[stripe].recs)
-		_, existed, err := next.idx.upsertShardEncoded(
-			routeRecord(next, stripe, r.key), r.key, enc, recordID(stripe, nslot))
 		if err != nil {
-			return err
-		}
-		if existed {
-			continue // dual-written (or re-inserted) since the snapshot
-		}
-		next.recs[stripe].recs = append(next.recs[stripe].recs, record{key: r.key, val: r.val})
-		next.recs[stripe].live++
-		if a.injector != nil {
-			if err := a.checkpoint("mid-batch", stripe); err != nil {
-				return err
+			for _, sh := range a.shards {
+				sh.mu.Lock()
+				sh.mig = nil
+				sh.mu.Unlock()
 			}
 		}
-	}
-	return nil
-}
-
-// migrateStopTheWorld is the bulk-only fallback (SuRF): with every shard
-// locked, live records bulk-load into the next generation through the
-// parallel encode pipeline and the swap is atomic. Reads and writes wait
-// for the duration; nothing can race, so an error simply discards next.
-func (a *AdaptiveIndex) migrateStopTheWorld(next *generation) error {
-	for _, sh := range a.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range a.shards {
-			sh.mu.Unlock()
-		}
+		a.next.Store(nil)
 	}()
-	old := a.shards[0].write[0]
-	var keys [][]byte
-	var ids []uint64
+
+	start := time.Now()
+	total := 0
+	for i, sh := range a.shards {
+		// Size the copies under the read lock and allocate them before
+		// taking the write lock, which then covers the copy alone.
+		sh.mu.RLock()
+		slots, live := len(old.recs[i].recs), old.recs[i].live
+		sh.mu.RUnlock()
+		m := &stripeMigration{remap: make([]int32, 0, slots)}
+		recs := make([]record, 0, live)
+		withLock(sh, func() {
+			sh.mig, next.recs[i].recs = m, recs
+			copyTail(i, old, next, m)
+		})
+		total += len(next.recs[i].recs)
+		if err := a.checkpoint("gathered", i); err != nil {
+			return 0, 0, err
+		}
+	}
+	keys, ids := make([][]byte, 0, total), make([]uint64, 0, total)
 	for i := range a.shards {
-		for _, r := range old.recs[i].recs {
-			if r.dead {
-				continue
-			}
-			slot := len(next.recs[i].recs)
-			next.recs[i].recs = append(next.recs[i].recs, record{key: r.key, val: r.val})
-			next.recs[i].live++
+		for slot, r := range next.recs[i].recs {
 			keys = append(keys, r.key)
 			ids = append(ids, recordID(i, slot))
 		}
 	}
 	if err := next.idx.Bulk(keys, ids); err != nil {
-		return err
+		return 0, 0, err
 	}
-	// Same cutover checkpoint as the concurrent path, so fault plans and
-	// the watchdog cover the stop-the-world rebuild too; the deferred
-	// unlocks make an injected panic here safe.
-	if err := a.checkpoint("cutover", -1); err != nil {
-		return err
+	a.trace.Emit("built", -1, time.Since(start).Nanoseconds(), fmt.Sprintf("keys=%d", len(keys)))
+	if err := a.checkpoint("built", -1); err != nil {
+		return 0, 0, err
 	}
+
+	// Pass one repeats while it keeps shrinking, so the all-locks flip is
+	// left only what arrived during the last round.
+	for prev := math.MaxInt; ; {
+		n, err := a.replayPass(old, next)
+		if err != nil {
+			return 0, 0, err
+		}
+		replayed += n
+		if n == 0 || n >= prev {
+			break
+		}
+		prev = n
+	}
+	n, pause, err := a.flip(old, next)
+	return replayed + n, pause, err
+}
+
+// replayPass is one round of replay pass one. It holds each stripe lock
+// only to bring that stripe's record store up to date and does the tree
+// work after the unlock, so writers keep flowing: only this goroutine
+// touches next's trees, and it applies every round in order.
+func (a *AdaptiveIndex) replayPass(old, next *generation) (replayed int, err error) {
+	for i, sh := range a.shards {
+		var rp stripeReplay
+		withLock(sh, func() { rp = replay(i, old, next, sh.mig) })
+		if err := rp.apply(i, next); err != nil {
+			return 0, err
+		}
+		replayed += rp.n
+	}
+	return replayed, nil
+}
+
+// flip is the migration's one stop-the-world step: with every stripe lock
+// held it replays what arrived since the last round of pass one and makes
+// next the serving generation. The unlocks are deferred so an injected panic
+// cannot leak a lock on its way to migrate's recovery.
+func (a *AdaptiveIndex) flip(old, next *generation) (replayed int, pause time.Duration, err error) {
+	start := time.Now()
 	for _, sh := range a.shards {
-		sh.read = next
-		sh.write = []*generation{next}
+		sh.mu.Lock()
 	}
-	a.genMu.Lock()
-	a.cur = next
-	a.genMu.Unlock()
+	defer func() {
+		for _, sh := range a.shards {
+			sh.mu.Unlock()
+		}
+	}()
+	for i, sh := range a.shards {
+		rp := replay(i, old, next, sh.mig)
+		if err := rp.apply(i, next); err != nil {
+			return 0, 0, err
+		}
+		replayed += rp.n
+		if err := a.checkpoint("mid-replay", i); err != nil {
+			return 0, 0, err
+		}
+	}
+	if err := a.checkpoint("cutover", -1); err != nil {
+		return 0, 0, err
+	}
+	a.cur.Store(next)
+	for _, sh := range a.shards {
+		sh.mig = nil
+	}
+	return replayed, time.Since(start), nil
+}
+
+// withLock runs fn under sh's write lock, releasing it even if fn panics.
+func withLock(sh *adaptiveShard, fn func()) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	fn()
+}
+
+// stripeReplay is one replay pass over one stripe: how many slots it
+// replayed, the keys whose copies it killed, and the slots [from, to) it
+// appended to the next generation's record store.
+type stripeReplay struct {
+	n        int
+	dead     [][]byte
+	from, to int
+}
+
+// replay brings stripe i of next's record store up to date with old:
+// logged changes first, then the tail. The matching tree work is left to
+// stripeReplay.apply.
+func replay(i int, old, next *generation, m *stripeMigration) stripeReplay {
+	rp := stripeReplay{n: len(m.changed) + len(old.recs[i].recs) - m.horizon}
+	dst := &next.recs[i]
+	for _, s := range m.changed {
+		r, nr := &old.recs[i].recs[s], &dst.recs[m.remap[s]]
+		if !r.dead {
+			nr.val = r.val
+		} else if !nr.dead {
+			nr.dead = true
+			dst.live--
+			rp.dead = append(rp.dead, nr.key)
+		}
+	}
+	m.changed = m.changed[:0]
+	rp.from = copyTail(i, old, next, m)
+	rp.to = len(dst.recs)
+	return rp
+}
+
+// apply makes rp's changes to next's trees: deletes first, so a key
+// deleted and put again since the last pass loses its stale entry before
+// its new record is inserted.
+func (rp stripeReplay) apply(i int, next *generation) error {
+	for _, k := range rp.dead {
+		if _, err := next.idx.deleteShard(routeRecord(next, i, k), k); err != nil {
+			return err
+		}
+	}
+	for slot := rp.from; slot < rp.to; slot++ {
+		key := next.recs[i].recs[slot].key
+		if _, err := next.idx.putShard(routeRecord(next, i, key), key, recordID(i, slot)); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Scans: per-shard cursors over each shard's read generation, merged in
-// original-key order (the only order two dictionaries share).
-// ---------------------------------------------------------------------------
-
-// genBounds caches one generation's encoded translation of a scan's
-// bounds; mid-migration a scan needs one per generation in play.
-type genBounds struct {
-	lo, hi []byte
-	hiIncl bool
+// copyTail copies stripe i's old slots from the horizon on into next's
+// record store — live records only, compacted — advances the horizon, and
+// returns the first slot it filled in next.
+func copyTail(i int, old, next *generation, m *stripeMigration) int {
+	src, dst := old.recs[i].recs, &next.recs[i]
+	first := len(dst.recs)
+	for _, r := range src[m.horizon:] {
+		if r.dead {
+			m.remap = append(m.remap, -1)
+			continue
+		}
+		m.remap = append(m.remap, int32(len(dst.recs)))
+		dst.recs = append(dst.recs, record{key: r.key, val: r.val})
+	}
+	dst.live += len(dst.recs) - first
+	m.horizon = len(src)
+	return first
 }
+
+// ---------------------------------------------------------------------------
+// Scans: per-tree-shard cursors over the serving generation, merged in
+// original-key order.
+// ---------------------------------------------------------------------------
 
 // Scan visits, in ascending original-key order, every stored key k with
 // lo <= k < hi (bounds in original key space; nil hi is unbounded) and
@@ -1294,104 +1237,64 @@ type genBounds struct {
 // only during the callback — and may stop the scan by returning false.
 // Like ShardedIndex, a scan is per-shard consistent (chunk snapshots)
 // rather than a global snapshot. A scan overlapping a cutover keeps its
-// per-generation cursors but re-validates every later chunk against the
-// new serving generation — deletes and overwrites issued after the
-// cutover are honored (TestAdaptiveScanSurvivesCutover); only keys
-// *inserted* after the cutover may be missed for shards not yet reached,
-// matching the insert semantics of any chunked concurrent scan.
+// cursors on the generation it started on but re-validates every later
+// chunk against the new serving generation — deletes and overwrites
+// made after the cutover are honored (TestAdaptiveScanSurvivesCutover);
+// only keys *inserted* after the cutover may be missed for shards not yet
+// reached, matching the insert semantics of any chunked concurrent scan.
 func (a *AdaptiveIndex) Scan(lo, hi []byte, fn func(key []byte, val uint64) bool) int {
-	bounds := func(g *generation) genBounds {
-		if g.cenc == nil {
-			return genBounds{lo: lo, hi: hi}
-		}
+	t := a.met.scan.Begin(0)
+	g := a.cur.Load()
+	if g.cenc != nil {
 		loEnc := g.cenc.EncodeBound(lo)
 		if loEnc == nil {
 			loEnc = []byte{}
 		}
-		return genBounds{lo: loEnc, hi: g.cenc.EncodeBound(hi)}
+		lo, hi = loEnc, g.cenc.EncodeBound(hi)
 	}
-	t := a.met.scan.Begin(0)
-	n := a.mergeScan(bounds, fn)
+	n := a.mergeScan(g, lo, hi, false, fn)
 	a.met.scan.End(t)
 	return n
 }
 
 // ScanPrefix visits every stored key that starts with prefix, in
 // ascending original-key order (see Scan for the callback contract).
-// Bound translation follows Index.ScanPrefix per generation: exact lower
-// bound, interval-ceiling upper bound.
+// Bound translation follows Index.ScanPrefix: exact lower bound,
+// interval-ceiling upper bound.
 func (a *AdaptiveIndex) ScanPrefix(prefix []byte, fn func(key []byte, val uint64) bool) int {
-	maxLen := int(a.maxKeyLen.Load())
-	if len(prefix) > maxLen {
-		maxLen = len(prefix)
-	}
-	bounds := func(g *generation) genBounds {
-		if g.cenc == nil {
-			return genBounds{lo: prefix, hi: prefixSuccessor(prefix)}
-		}
-		lo, hi := g.cenc.EncodePrefix(prefix, maxLen)
-		return genBounds{lo: lo, hi: hi, hiIncl: true}
-	}
 	t := a.met.scan.Begin(0)
-	n := a.mergeScan(bounds, fn)
+	g := a.cur.Load()
+	var n int
+	if g.cenc == nil {
+		n = a.mergeScan(g, prefix, prefixSuccessor(prefix), false, fn)
+	} else {
+		lo, hi := g.cenc.EncodePrefix(prefix, max(int(a.maxKeyLen.Load()), len(prefix)))
+		n = a.mergeScan(g, lo, hi, true, fn)
+	}
 	a.met.scan.End(t)
 	return n
 }
 
-// scanSnap pins one scan's view of the generation map: which generation
-// serves each stripe's reads, captured once at scan start. Cursors filter
-// every record through it, so a key dual-written into two generations is
-// emitted by exactly one cursor, and a stripe flip mid-scan cannot
-// duplicate or drop keys the snapshot covered.
-type scanSnap struct {
-	gens      []*generation // distinct read generations, discovery order
-	stripeGen []*generation // per-stripe read generation at scan start
-	multi     bool          // len(gens) > 1: stripe filter required
-}
-
-func (a *AdaptiveIndex) mergeScan(bounds func(*generation) genBounds, fn func(key []byte, val uint64) bool) int {
-	snap := &scanSnap{stripeGen: make([]*generation, len(a.shards))}
-	for i, sh := range a.shards {
-		sh.mu.RLock()
-		g := sh.read
-		sh.mu.RUnlock()
-		snap.stripeGen[i] = g
-		seen := false
-		for _, e := range snap.gens {
-			if e == g {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			snap.gens = append(snap.gens, g)
-		}
+// mergeScan drains generation g's tree shards over encoded bounds [lo, hi)
+// (or [lo, hi] when hiIncl), one cursor per shard g's partitioner says can
+// overlap them (range partitions prune; hash partitions span everything).
+func (a *AdaptiveIndex) mergeScan(g *generation, lo, hi []byte, hiIncl bool, fn func(key []byte, val uint64) bool) int {
+	first, last, ok := g.idx.scanSpan(lo, hi)
+	if !ok {
+		first, last = 0, len(g.idx.shards)-1
 	}
-	snap.multi = len(snap.gens) > 1
-
-	// One cursor per tree shard of each generation in play, pruned to the
-	// shards that generation's partitioner says can overlap the bounds
-	// (range partitions prune; hash partitions span everything).
-	var cursors []*adaptiveCursor
-	for _, g := range snap.gens {
-		b := bounds(g)
-		first, last, ok := g.idx.scanSpan(b.lo, b.hi)
-		if !ok {
-			first, last = 0, len(g.idx.shards)-1
-		}
-		for w := first; w <= last; w++ {
-			cursors = append(cursors, &adaptiveCursor{
-				a: a, g: g, snap: snap, order: len(cursors), tshard: w,
-				from: append([]byte(nil), b.lo...), hi: b.hi, hiIncl: b.hiIncl,
-			})
-		}
+	cursors := make([]*adaptiveCursor, 0, last-first+1)
+	for w := first; w <= last; w++ {
+		cursors = append(cursors, &adaptiveCursor{
+			a: a, g: g, tshard: w,
+			from: append([]byte(nil), lo...), hi: hi, hiIncl: hiIncl,
+		})
 	}
 
-	// Steady state over an ordered (range) partition: the cursors cover
-	// disjoint ascending intervals of one generation — stream them in
-	// shard order with no merge and no heap, the same fast path as
-	// ShardedIndex.orderedScan.
-	if !snap.multi && snap.gens[0].idx.part.Ordered() {
+	// An ordered (range) partition's cursors cover disjoint ascending
+	// intervals — stream them in shard order with no merge and no heap,
+	// the same fast path as ShardedIndex.orderedScan.
+	if g.idx.part.Ordered() {
 		count := 0
 		for _, c := range cursors {
 			for {
@@ -1443,17 +1346,14 @@ func (a *AdaptiveIndex) mergeScan(bounds func(*generation) genBounds, fn func(ke
 // of record ids from the tree under the tree-shard lock (record stores
 // are guarded by stripe locks, which rank above tree locks — resolving
 // inside the tree callback would invert the order); phase two resolves
-// each id to (original key, live value) under its stripe's read lock,
-// filtering through the scan snapshot. Emitted keys alias record storage
-// — record key bytes are immutable for the record's lifetime — and are
-// only valid during the scan callback. The encoded resume key
-// (lastKey+0x00) tracks tree positions, including ones whose records died
-// or were filtered mid-scan.
+// each id to (original key, live value) under its stripe's read lock.
+// Emitted keys alias record storage — record key bytes are immutable for
+// the record's lifetime — and are only valid during the scan callback.
+// The encoded resume key (lastKey+0x00) tracks tree positions, including
+// ones whose records died mid-scan.
 type adaptiveCursor struct {
 	a      *AdaptiveIndex
 	g      *generation
-	snap   *scanSnap
-	order  int // creation index; deterministic heap tie-break
 	tshard int // tree shard within g's index
 	from   []byte
 	hi     []byte // shared, read-only
@@ -1502,7 +1402,8 @@ func (c *adaptiveCursor) fill() {
 	// single lock hold; range-partitioned generations interleave stripes
 	// and pay a lock transition per run.
 	var sh *adaptiveShard
-	curStripe, live := -1, false
+	var cur *generation
+	curStripe := -1
 	for _, id := range c.ids {
 		stripe, slot := int(id>>32), slotOf(id)
 		if stripe != curStripe {
@@ -1512,21 +1413,9 @@ func (c *adaptiveCursor) fill() {
 			curStripe = stripe
 			sh = c.a.shards[stripe]
 			sh.mu.RLock()
-			live = false
-			for _, g := range sh.write {
-				if g == c.g {
-					live = true
-					break
-				}
-			}
+			cur = c.a.cur.Load()
 		}
-		if c.snap.multi && c.snap.stripeGen[stripe] != c.g {
-			// Another generation owns this stripe's reads for the scan;
-			// its cursor will emit the key (dual-writes guarantee it holds
-			// every live key of the stripe).
-			continue
-		}
-		if live {
+		if cur == c.g {
 			r := &c.g.recs[stripe].recs[slot]
 			if !r.dead {
 				c.keys = append(c.keys, r.key)
@@ -1534,17 +1423,14 @@ func (c *adaptiveCursor) fill() {
 			}
 			continue
 		}
-		// The cursor's generation no longer receives writes — a cutover
-		// (or an abort of the generation the snapshot pinned) completed
-		// mid-scan — so its trees and records are frozen, and deletes and
-		// overwrites land only in the serving generation. Re-validate
-		// against the stripe's current read generation: drop keys it no
-		// longer holds and take its values, so the scan never resurrects
-		// a deleted key or emits a stale value. (Entries buffered in a
-		// previous chunk are a snapshot, the same per-chunk semantics as
-		// ShardedIndex.)
+		// A cutover completed mid-scan: the cursor's generation no longer
+		// receives writes, so its trees and records are frozen, and
+		// deletes and overwrites land only in the serving generation.
+		// Re-validate against it: drop keys it no longer holds and take
+		// its values, so the scan never resurrects a deleted key or emits
+		// a stale value. (Entries buffered in a previous chunk are a
+		// snapshot, the same per-chunk semantics as ShardedIndex.)
 		k := c.g.recs[stripe].recs[slot].key
-		cur := sh.read
 		id2, ok := cur.idx.getShard(routeRecord(cur, stripe, k), k)
 		if ok {
 			if r2 := &cur.recs[stripe].recs[slotOf(id2)]; !r2.dead {
@@ -1577,15 +1463,8 @@ func (c *adaptiveCursor) pop() ([]byte, uint64) {
 	return k, v
 }
 
-// adaptiveCursorLess orders cursors by current original key — valid
-// across generations, unlike encoded keys — breaking ties by creation
-// order for determinism (ties cannot occur between emitting cursors: one
-// generation's tree shards partition the keyspace, and across generations
-// the snapshot filter gives every stripe exactly one emitting
-// generation).
+// adaptiveCursorLess orders cursors by current original key. Ties cannot
+// occur: one generation's tree shards partition the keyspace.
 func adaptiveCursorLess(a, b *adaptiveCursor) bool {
-	if c := bytes.Compare(a.keys[a.i], b.keys[b.i]); c != 0 {
-		return c < 0
-	}
-	return a.order < b.order
+	return bytes.Compare(a.keys[a.i], b.keys[b.i]) < 0
 }

@@ -3,11 +3,11 @@ package hope
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/lifecycle"
 )
 
@@ -27,10 +27,7 @@ func TestAdaptiveRangePartitionLifecycle(t *testing.T) {
 	keys := adversarialCorpus()
 	encs := testEncoders(t)
 	for _, backend := range []Backend{ART, BTree} {
-		a, err := NewAdaptiveIndex(backend, rangeManualOpts(core.DoubleChar, encs[core.DoubleChar].Clone()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := openAdaptive(t, backend, rangeManualOpts(core.DoubleChar, encs[core.DoubleChar].Clone()))
 		if a.Stats().Partition != RangePartitioned {
 			t.Fatal("stats do not report the partition mode")
 		}
@@ -83,100 +80,30 @@ func TestAdaptiveRangePartitionLifecycle(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRangeMidMigrationDifferential pauses a range-mode migration
-// half-flipped — generation 0's single unseeded shard merging against
-// generation 1's freshly split partition — and requires byte-identical
-// results, through churn, until after the cutover. This is the stripe
-// filter's acceptance test: every key is served by exactly one
-// generation's cursors while the two partitions disagree about where it
-// lives.
+// TestAdaptiveRangeMidMigrationDifferential runs the mid-migration
+// differential (see rebuildPausedAtBuilt) on range-partitioned
+// generations: the next generation's freshly sampled partition disagrees
+// with the serving one about where every key lives, and the replay must
+// route each change by the next generation's own split points. The
+// bulk-loaded SuRF index also pins that its bulk corpus seeds generation
+// 0's split points.
 func TestAdaptiveRangeMidMigrationDifferential(t *testing.T) {
 	keys := adversarialCorpus()
 	encs := testEncoders(t)
-	for _, scheme := range []core.Scheme{core.SingleChar, core.DoubleChar} {
-		a, err := NewAdaptiveIndex(BTree, rangeManualOpts(scheme, encs[scheme].Clone()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		model := seedAdaptive(t, a, keys)
-
-		pause := make(chan struct{})
-		resume := make(chan struct{})
-		half := a.NumShards() / 2
-		a.injector = fault.Func(func(stage string, shard int) error {
-			if stage == "shard-flipped" && shard == half {
-				close(pause)
-				<-resume
+	for _, backend := range []Backend{BTree, SuRF} {
+		t.Run(string(backend), func(t *testing.T) {
+			for _, scheme := range []core.Scheme{core.SingleChar, core.DoubleChar} {
+				a := openAdaptive(t, backend, rangeManualOpts(scheme, encs[scheme].Clone()))
+				model := seedAdaptive(t, a, keys)
+				if lens := a.ShardLens(); backend == SuRF && slices.Max(lens) == len(model) {
+					t.Fatalf("bulk did not seed gen0 splits: shard lens %v", lens)
+				}
+				label := fmt.Sprintf("%s/%v range", backend, scheme)
+				rebuildPausedAtBuilt(t, a, keys, model, label+" aborted", 1, true)
+				rebuildPausedAtBuilt(t, a, keys, model, label, 2, false)
 			}
-			return nil
 		})
-		done := make(chan error, 1)
-		go func() { done <- a.Rebuild() }()
-		<-pause
-
-		label := fmt.Sprintf("BTree/%v range mid-migration", scheme)
-		if a.State() != StateMigrating {
-			t.Fatalf("%s: state %v", label, a.State())
-		}
-		checkDifferential(t, label, a, model)
-
-		for i, k := range keys {
-			switch i % 5 {
-			case 0:
-				a.Put(k, uint64(i)+7000)
-				model[string(k)] = uint64(i) + 7000
-			case 1:
-				a.Delete(k)
-				delete(model, string(k))
-			}
-		}
-		for i := 0; i < 30; i++ {
-			k := []byte(fmt.Sprintf("mid-mig-range-%v-%03d", scheme, i))
-			a.Put(k, uint64(8000+i))
-			model[string(k)] = uint64(8000 + i)
-		}
-		checkDifferential(t, label+" after churn", a, model)
-
-		close(resume)
-		if err := <-done; err != nil {
-			t.Fatalf("%s: rebuild: %v", label, err)
-		}
-		checkDifferential(t, label+" post-cutover", a, model)
 	}
-}
-
-// TestAdaptiveRangeSuRFStopTheWorld: the bulk-only backend under range
-// partitioning — the stop-the-world rebuild re-partitions too.
-func TestAdaptiveRangeSuRFStopTheWorld(t *testing.T) {
-	keys := adversarialCorpus()
-	encs := testEncoders(t)
-	a, err := NewAdaptiveIndex(SuRF, rangeManualOpts(core.DoubleChar, encs[core.DoubleChar].Clone()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Bulk(keys, nil); err != nil {
-		t.Fatal(err)
-	}
-	model := map[string]uint64{}
-	for i, k := range keys {
-		model[string(k)] = uint64(i)
-	}
-	// The bulk corpus seeds generation 0's split points.
-	lens := a.ShardLens()
-	maxLen := 0
-	for _, n := range lens {
-		if n > maxLen {
-			maxLen = n
-		}
-	}
-	if maxLen == len(model) && len(lens) > 1 {
-		t.Fatalf("bulk did not seed gen0 splits: shard lens %v", lens)
-	}
-	checkDifferential(t, "SuRF/range gen0", a, model)
-	if err := a.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	checkDifferential(t, "SuRF/range gen1", a, model)
 }
 
 // TestAdaptiveRangeRebuildRaceStress is the -race leg for the
@@ -191,14 +118,11 @@ func TestAdaptiveRangeRebuildRaceStress(t *testing.T) {
 		keySpace = 500
 		rebuilds = 3
 	)
-	a, err := NewAdaptiveIndex(ART, AdaptiveOptions{
-		Scheme: core.DoubleChar, Shards: 8, MigrationBatch: 32, Manual: true,
+	a := openAdaptive(t, ART, AdaptiveOptions{
+		Scheme: core.DoubleChar, Shards: 8, Manual: true,
 		Partition: RangePartitioned,
 		Lifecycle: lifecycle.Config{ReservoirSize: 2048, Seed: 9},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for g := 0; g < writers; g++ {
 		for i := 0; i < 50; i++ {
 			a.Put([]byte(fmt.Sprintf("stress-%d-%04d", g, i)), uint64(i))
@@ -283,13 +207,10 @@ func TestAdaptivePutOverwriteZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race; zero-alloc steady state not reachable")
 	}
-	a, err := NewAdaptiveIndex(ART, AdaptiveOptions{
+	a := openAdaptive(t, ART, AdaptiveOptions{
 		Scheme: core.DoubleChar, Shards: 8, Manual: true,
 		Lifecycle: lifecycle.Config{ReservoirSize: 256, Seed: 3},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	keys := make([][]byte, 512)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("com.user@%06d", i))

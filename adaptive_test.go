@@ -140,15 +140,30 @@ func checkDifferential(t *testing.T, label string, a *AdaptiveIndex, model map[s
 	}
 }
 
-// seedAdaptive puts the corpus with val i for key i and returns the model.
+// openAdaptive opens an AdaptiveIndex through Open.
+func openAdaptive(t *testing.T, backend Backend, opts AdaptiveOptions) *AdaptiveIndex {
+	t.Helper()
+	return mustOpen(t, backend, WithAdaptive(opts)).(*AdaptiveIndex)
+}
+
+// seedAdaptive stores the corpus with val i for key i — by Put, or by
+// Bulk for the bulk-only SuRF backend — and returns the model.
 func seedAdaptive(t *testing.T, a *AdaptiveIndex, keys [][]byte) map[string]uint64 {
 	t.Helper()
 	model := map[string]uint64{}
+	if a.backend == SuRF {
+		if err := a.Bulk(keys, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i, k := range keys {
+		model[string(k)] = uint64(i)
+		if a.backend == SuRF {
+			continue
+		}
 		if err := a.Put(k, uint64(i)); err != nil {
 			t.Fatalf("Put(%q): %v", k, err)
 		}
-		model[string(k)] = uint64(i)
 	}
 	return model
 }
@@ -162,13 +177,12 @@ func manualOpts(scheme core.Scheme, enc *core.Encoder) AdaptiveOptions {
 		opt = core.Options{}
 	}
 	return AdaptiveOptions{
-		Scheme:         scheme,
-		Build:          opt,
-		Encoder:        enc,
-		Shards:         8,
-		MigrationBatch: 16, // small batches: many checkpoints per shard
-		Manual:         true,
-		Lifecycle:      lifecycle.Config{ReservoirSize: 4096, Seed: 7},
+		Scheme:    scheme,
+		Build:     opt,
+		Encoder:   enc,
+		Shards:    8,
+		Manual:    true,
+		Lifecycle: lifecycle.Config{ReservoirSize: 4096, Seed: 7},
 	}
 }
 
@@ -180,13 +194,10 @@ func manualOpts(scheme core.Scheme, enc *core.Encoder) AdaptiveOptions {
 // rebuild moves to generation 1 and compresses; everything stays correct.
 func TestAdaptiveSamplingToSteady(t *testing.T) {
 	keys := adversarialCorpus()
-	a, err := NewAdaptiveIndex(BTree, AdaptiveOptions{
+	a := openAdaptive(t, BTree, AdaptiveOptions{
 		Scheme: core.DoubleChar, Shards: 4, Manual: true,
 		Lifecycle: lifecycle.Config{ReservoirSize: 4096, Seed: 3},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if a.State() != StateSampling || a.Generation() != 0 || a.Encoder() != nil {
 		t.Fatalf("fresh index not Sampling/gen0: %v gen %d", a.State(), a.Generation())
 	}
@@ -227,10 +238,7 @@ func TestAdaptiveSamplingToSteady(t *testing.T) {
 func TestAdaptivePrebuiltEncoderStart(t *testing.T) {
 	keys := adversarialCorpus()
 	encs := testEncoders(t)
-	a, err := NewAdaptiveIndex(ART, manualOpts(core.ThreeGrams, encs[core.ThreeGrams].Clone()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := openAdaptive(t, ART, manualOpts(core.ThreeGrams, encs[core.ThreeGrams].Clone()))
 	if a.State() != StateSteady || a.Encoder() == nil {
 		t.Fatalf("prebuilt start: %v", a.State())
 	}
@@ -247,10 +255,7 @@ func TestAdaptivePrebuiltEncoderStart(t *testing.T) {
 
 func TestAdaptiveBulkAndLen(t *testing.T) {
 	keys := adversarialCorpus()
-	a, err := NewAdaptiveIndex(BTree, AdaptiveOptions{Scheme: core.SingleChar, Shards: 4, Manual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := openAdaptive(t, BTree, AdaptiveOptions{Scheme: core.SingleChar, Shards: 4, Manual: true})
 	if err := a.Bulk(keys, make([]uint64, 1)); err == nil {
 		t.Fatal("mismatched vals length accepted")
 	}
@@ -272,111 +277,124 @@ func TestAdaptiveBulkAndLen(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Mid-migration differential: the acceptance test. Migration pauses at a
-// checkpoint with half the shards flipped to the new generation; Gets,
-// Scans and prefix scans must be byte-identical to a plain rebuilt index,
-// including for writes issued *during* the pause (dual-write protocol).
+// Mid-migration differential: the acceptance test. Migration pauses at the
+// "built" checkpoint — records gathered and the next generation's trees
+// bulk-built, nothing replayed or flipped; Gets, Scans and prefix scans
+// must be byte-identical to a plain rebuilt index, and every write made
+// during the pause (between the horizon and the flip) must be visible
+// after the cutover — or, when the replay is aborted, in the old
+// generation that keeps serving.
 // ---------------------------------------------------------------------------
+
+// mutateMidMigration performs overwrites, deletes, fresh inserts and a
+// delete-then-re-put of one key, mirroring each into the model; tag keeps
+// the fresh keys and values of separate rounds apart. The bulk-only SuRF
+// backend must refuse every write.
+func mutateMidMigration(t *testing.T, a *AdaptiveIndex, keys [][]byte, model map[string]uint64, tag int) {
+	t.Helper()
+	if a.backend == SuRF {
+		if err := a.Put(keys[0], 1); err != ErrImmutableBackend {
+			t.Fatalf("SuRF Put: %v", err)
+		}
+		if _, err := a.Delete(keys[0]); err != ErrImmutableBackend {
+			t.Fatalf("SuRF Delete: %v", err)
+		}
+		return
+	}
+	put := func(k []byte, v uint64) {
+		if err := a.Put(k, v); err != nil {
+			t.Fatalf("Put(%q): %v", k, err)
+		}
+		model[string(k)] = v
+	}
+	base := uint64(10000 * tag)
+	for i, k := range keys {
+		switch i % 5 {
+		case 0:
+			put(k, base+uint64(i)+7000)
+		case 1:
+			if _, err := a.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+			delete(model, string(k))
+		}
+	}
+	for i := 0; i < 30; i++ {
+		put([]byte(fmt.Sprintf("mid-mig-%d-%03d", tag, i)), base+uint64(8000+i))
+	}
+	again := keys[2] // untouched above: delete it, then put it back
+	if _, err := a.Delete(again); err != nil {
+		t.Fatal(err)
+	}
+	put(again, base+9999)
+}
+
+// rebuildPausedAtBuilt runs one rebuild that pauses at the "built"
+// checkpoint, checks the differential there, mutates, and checks it again.
+// With abort set the replay then fails at its first "mid-replay"
+// checkpoint and the old generation must still match the model; otherwise
+// the rebuild must cut over and the new generation must match it.
+func rebuildPausedAtBuilt(t *testing.T, a *AdaptiveIndex, keys [][]byte, model map[string]uint64, label string, tag int, abort bool) {
+	t.Helper()
+	pause, resume := make(chan struct{}), make(chan struct{})
+	boom := fmt.Errorf("injected at mid-replay")
+	a.injector = fault.Func(func(stage string, shard int) error {
+		switch {
+		case stage == "built":
+			close(pause)
+			<-resume
+		case stage == "mid-replay" && abort:
+			return boom
+		}
+		return nil
+	})
+	defer func() { a.injector = nil }()
+	gen := a.Generation()
+	done := make(chan error, 1)
+	go func() { done <- a.Rebuild() }()
+	<-pause
+	if a.State() != StateMigrating {
+		t.Fatalf("%s: state %v", label, a.State())
+	}
+	checkDifferential(t, label+" at built", a, model)
+	mutateMidMigration(t, a, keys, model, tag)
+	checkDifferential(t, label+" after churn", a, model)
+	close(resume)
+	err := <-done
+	switch {
+	case abort && err != boom:
+		t.Fatalf("%s: rebuild returned %v, want the injected error", label, err)
+	case abort && a.Generation() != gen:
+		t.Fatalf("%s: generation %d after aborted replay, want %d", label, a.Generation(), gen)
+	case !abort && err != nil:
+		t.Fatalf("%s: rebuild: %v", label, err)
+	case !abort && a.Generation() != gen+1:
+		t.Fatalf("%s: generation %d after cutover, want %d", label, a.Generation(), gen+1)
+	}
+	if a.State() != StateSteady {
+		t.Fatalf("%s: state %v after the rebuild", label, a.State())
+	}
+	if abort {
+		checkDifferential(t, label+" after aborted replay", a, model)
+	} else {
+		checkDifferential(t, label+" post-cutover", a, model)
+	}
+}
 
 func TestAdaptiveMidMigrationDifferential(t *testing.T) {
 	keys := adversarialCorpus()
 	encs := testEncoders(t)
 	for _, backend := range Backends {
-		if backend == SuRF {
-			continue // bulk-only: covered by TestAdaptiveSuRFStopTheWorld
-		}
-		for _, scheme := range testSchemes {
-			a, err := NewAdaptiveIndex(backend, manualOpts(scheme, encs[scheme].Clone()))
-			if err != nil {
-				t.Fatal(err)
+		t.Run(string(backend), func(t *testing.T) {
+			for _, scheme := range testSchemes {
+				a := openAdaptive(t, backend, manualOpts(scheme, encs[scheme].Clone()))
+				model := seedAdaptive(t, a, keys)
+				label := fmt.Sprintf("%s/%v", backend, scheme)
+				rebuildPausedAtBuilt(t, a, keys, model, label+" aborted", 1, true)
+				rebuildPausedAtBuilt(t, a, keys, model, label, 2, false)
 			}
-			model := seedAdaptive(t, a, keys)
-
-			pause := make(chan struct{})
-			resume := make(chan struct{})
-			half := a.NumShards() / 2
-			a.injector = fault.Func(func(stage string, shard int) error {
-				if stage == "shard-flipped" && shard == half {
-					close(pause)
-					<-resume
-				}
-				return nil
-			})
-			done := make(chan error, 1)
-			go func() { done <- a.Rebuild() }()
-			<-pause
-
-			label := fmt.Sprintf("%s/%v mid-migration", backend, scheme)
-			if a.State() != StateMigrating {
-				t.Fatalf("%s: state %v", label, a.State())
-			}
-			if got := a.Stats().MigratedShards; got != half+1 {
-				t.Fatalf("%s: %d shards flipped, want %d", label, got, half+1)
-			}
-			checkDifferential(t, label, a, model)
-
-			// Mutations while paused must land in both generations.
-			for i, k := range keys {
-				switch i % 5 {
-				case 0:
-					a.Put(k, uint64(i)+7000)
-					model[string(k)] = uint64(i) + 7000
-				case 1:
-					a.Delete(k)
-					delete(model, string(k))
-				}
-			}
-			for i := 0; i < 30; i++ {
-				k := []byte(fmt.Sprintf("mid-mig-%s-%03d", scheme, i))
-				a.Put(k, uint64(8000+i))
-				model[string(k)] = uint64(8000 + i)
-			}
-			checkDifferential(t, label+" after churn", a, model)
-
-			close(resume)
-			if err := <-done; err != nil {
-				t.Fatalf("%s: rebuild: %v", label, err)
-			}
-			if a.Generation() != 1 || a.State() != StateSteady {
-				t.Fatalf("%s: post-rebuild gen %d state %v", label, a.Generation(), a.State())
-			}
-			checkDifferential(t, label+" post-cutover", a, model)
-		}
+		})
 	}
-}
-
-// SuRF cannot dual-write; its rebuild is stop-the-world and must still be
-// exact before and after.
-func TestAdaptiveSuRFStopTheWorld(t *testing.T) {
-	keys := adversarialCorpus()
-	a, err := NewAdaptiveIndex(SuRF, AdaptiveOptions{
-		Scheme: core.DoubleChar, Shards: 4, Manual: true,
-		Lifecycle: lifecycle.Config{ReservoirSize: 4096, Seed: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Put([]byte("k"), 1); err != ErrImmutableBackend {
-		t.Fatalf("SuRF Put: %v", err)
-	}
-	if _, err := a.Delete([]byte("k")); err != ErrImmutableBackend {
-		t.Fatalf("SuRF Delete: %v", err)
-	}
-	if err := a.Bulk(keys, nil); err != nil {
-		t.Fatal(err)
-	}
-	model := map[string]uint64{}
-	for i, k := range keys {
-		model[string(k)] = uint64(i)
-	}
-	checkDifferential(t, "surf gen0", a, model)
-	if err := a.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	if a.Generation() != 1 {
-		t.Fatalf("generation %d", a.Generation())
-	}
-	checkDifferential(t, "surf gen1", a, model)
 }
 
 // ---------------------------------------------------------------------------
@@ -392,73 +410,73 @@ func TestAdaptiveAbortRestoresOldGeneration(t *testing.T) {
 		shard int
 	}{
 		{"build-start", -1},
-		{"batch", 0},
-		{"batch", 3},
-		{"mid-batch", -1}, // first record copied, stripe lock held
-		{"mid-batch", 5},  // deep into the copy of a later stripe
-		{"shard-flipped", 2},
-		{"shard-flipped", 7},
+		{"gathered", 0},
+		{"gathered", 3},
+		{"built", -1},
+		{"mid-replay", -1}, // every stripe lock held
+		{"mid-replay", 5},  // later stripes not yet replayed
 		{"cutover", -1},
 	}
-	for _, st := range stages {
-		a, err := NewAdaptiveIndex(ART, manualOpts(core.DoubleChar, encs[core.DoubleChar].Clone()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		model := seedAdaptive(t, a, keys)
-		encBefore := a.Encoder()
-		memBefore := a.MemoryUsage()
-		boom := fmt.Errorf("injected at %s/%d", st.stage, st.shard)
-		a.injector = fault.Func(func(stage string, shard int) error {
-			if stage == st.stage && (st.shard < 0 || shard == st.shard) {
-				return boom
-			}
-			return nil
-		})
-		if err := a.Rebuild(); err != boom {
-			t.Fatalf("%s/%d: Rebuild returned %v, want injected error", st.stage, st.shard, err)
-		}
-		if a.State() != StateSteady || a.Generation() != 0 {
-			t.Fatalf("%s/%d: state %v gen %d after abort", st.stage, st.shard, a.State(), a.Generation())
-		}
-		if a.Encoder() != encBefore {
-			t.Fatalf("%s/%d: serving encoder changed across abort", st.stage, st.shard)
-		}
-		if s := a.Stats(); s.Aborts != 1 || s.Rebuilds != 0 || s.MigratedShards != 0 {
-			t.Fatalf("%s/%d: stats %+v", st.stage, st.shard, s)
-		}
-		// The aborted next generation must be fully dropped: no trees, no
-		// record copies, nothing still charged to the modeled footprint.
-		if got := a.MemoryUsage(); got != memBefore {
-			t.Fatalf("%s/%d: MemoryUsage %d after abort, want %d (next-generation leak)",
-				st.stage, st.shard, got, memBefore)
-		}
-		checkDifferential(t, fmt.Sprintf("aborted at %s/%d", st.stage, st.shard), a, model)
+	for _, backend := range []Backend{ART, SuRF} {
+		t.Run(string(backend), func(t *testing.T) {
+			for _, st := range stages {
+				a := openAdaptive(t, backend, manualOpts(core.DoubleChar, encs[core.DoubleChar].Clone()))
+				model := seedAdaptive(t, a, keys)
+				encBefore := a.Encoder()
+				memBefore := a.MemoryUsage()
+				boom := fmt.Errorf("injected at %s/%d", st.stage, st.shard)
+				a.injector = fault.Func(func(stage string, shard int) error {
+					if stage == st.stage && (st.shard < 0 || shard == st.shard) {
+						return boom
+					}
+					return nil
+				})
+				if err := a.Rebuild(); err != boom {
+					t.Fatalf("%s/%d: Rebuild returned %v, want injected error", st.stage, st.shard, err)
+				}
+				if a.State() != StateSteady || a.Generation() != 0 {
+					t.Fatalf("%s/%d: state %v gen %d after abort", st.stage, st.shard, a.State(), a.Generation())
+				}
+				if a.Encoder() != encBefore {
+					t.Fatalf("%s/%d: serving encoder changed across abort", st.stage, st.shard)
+				}
+				if s := a.Stats(); s.Aborts != 1 || s.Rebuilds != 0 {
+					t.Fatalf("%s/%d: stats %+v", st.stage, st.shard, s)
+				}
+				// The aborted next generation must be fully dropped: no trees,
+				// no record copies, nothing still charged to the modeled
+				// footprint.
+				if got := a.MemoryUsage(); got != memBefore {
+					t.Fatalf("%s/%d: MemoryUsage %d after abort, want %d (next-generation leak)",
+						st.stage, st.shard, got, memBefore)
+				}
+				checkDifferential(t, fmt.Sprintf("aborted at %s/%d", st.stage, st.shard), a, model)
 
-		// Writes after the abort, then a clean rebuild.
-		for i := 0; i < 20; i++ {
-			k := []byte(fmt.Sprintf("post-abort-%02d", i))
-			a.Put(k, uint64(i))
-			model[string(k)] = uint64(i)
-		}
-		a.injector = nil
-		if err := a.Rebuild(); err != nil {
-			t.Fatalf("%s/%d: clean rebuild after abort: %v", st.stage, st.shard, err)
-		}
-		if a.Generation() != 1 {
-			t.Fatalf("%s/%d: generation %d after clean rebuild", st.stage, st.shard, a.Generation())
-		}
-		checkDifferential(t, fmt.Sprintf("recovered from %s/%d", st.stage, st.shard), a, model)
+				// Writes after the abort, then a clean rebuild.
+				if backend != SuRF {
+					for i := 0; i < 20; i++ {
+						k := []byte(fmt.Sprintf("post-abort-%02d", i))
+						a.Put(k, uint64(i))
+						model[string(k)] = uint64(i)
+					}
+				}
+				a.injector = nil
+				if err := a.Rebuild(); err != nil {
+					t.Fatalf("%s/%d: clean rebuild after abort: %v", st.stage, st.shard, err)
+				}
+				if a.Generation() != 1 {
+					t.Fatalf("%s/%d: generation %d after clean rebuild", st.stage, st.shard, a.Generation())
+				}
+				checkDifferential(t, fmt.Sprintf("recovered from %s/%d", st.stage, st.shard), a, model)
+			}
+		})
 	}
 }
 
 // An abort before the first dictionary returns to Sampling, and an
 // empty-reservoir rebuild fails cleanly.
 func TestAdaptiveAbortBeforeFirstBuild(t *testing.T) {
-	a, err := NewAdaptiveIndex(BTree, AdaptiveOptions{Scheme: core.SingleChar, Shards: 2, Manual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := openAdaptive(t, BTree, AdaptiveOptions{Scheme: core.SingleChar, Shards: 2, Manual: true})
 	if err := a.Rebuild(); err == nil {
 		t.Fatal("rebuild with empty reservoir succeeded")
 	}
@@ -487,13 +505,10 @@ func TestAdaptiveRebuildRaceStress(t *testing.T) {
 		rebuilds  = 3
 		keyFormat = "stress-%d-%04d"
 	)
-	a, err := NewAdaptiveIndex(ART, AdaptiveOptions{
-		Scheme: core.DoubleChar, Shards: 8, MigrationBatch: 32, Manual: true,
+	a := openAdaptive(t, ART, AdaptiveOptions{
+		Scheme: core.DoubleChar, Shards: 8, Manual: true,
 		Lifecycle: lifecycle.Config{ReservoirSize: 2048, Seed: 9},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Warm up so the first rebuild has a reservoir.
 	for g := 0; g < writers; g++ {
 		for i := 0; i < 50; i++ {
@@ -582,7 +597,7 @@ func TestAdaptiveRebuildRaceStress(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 func TestAdaptiveAutoDriftRebuild(t *testing.T) {
-	a, err := NewAdaptiveIndex(BTree, AdaptiveOptions{
+	a := openAdaptive(t, BTree, AdaptiveOptions{
 		Scheme: core.ThreeGrams,
 		Build:  core.Options{DictLimit: 1 << 10},
 		Shards: 4,
@@ -591,9 +606,6 @@ func TestAdaptiveAutoDriftRebuild(t *testing.T) {
 			WindowSize: 256, CheckEvery: 64, Cooldown: 512, DriftThreshold: 0.15,
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	baseKey := func(i int) []byte {
 		return []byte(fmt.Sprintf("com.gmail@user.%04d.mailbox", i%800))
 	}
@@ -733,13 +745,10 @@ func TestAdaptiveDriftRecovery(t *testing.T) {
 // serving generation. The mutation happens inside the scan callback, so
 // the interleaving is deterministic.
 func TestAdaptiveScanSurvivesCutover(t *testing.T) {
-	a, err := NewAdaptiveIndex(BTree, AdaptiveOptions{
-		Scheme: core.DoubleChar, Shards: 8, MigrationBatch: 16, Manual: true,
+	a := openAdaptive(t, BTree, AdaptiveOptions{
+		Scheme: core.DoubleChar, Shards: 8, Manual: true,
 		Lifecycle: lifecycle.Config{ReservoirSize: 4096, Seed: 21},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// 200 low keys ("a-...") and 200 high keys ("z-..."): every shard's
 	// prefetched first chunk (scanChunkInit entries) is all low keys, so
 	// mutating only high keys after the first emission is deterministic.

@@ -393,12 +393,13 @@ func BenchmarkAdaptivePut(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		a, err := hope.NewAdaptiveIndex(hope.ART, hope.AdaptiveOptions{
+		st, err := hope.Open(hope.ART, hope.WithAdaptive(hope.AdaptiveOptions{
 			Scheme: hope.DoubleChar, Encoder: enc, Shards: 16, Manual: true,
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
+		a := st.(*hope.AdaptiveIndex)
 		for i, k := range keys {
 			if err := a.Put(k, uint64(i)); err != nil {
 				b.Fatal(err)

@@ -27,7 +27,7 @@ import (
 // (run under -race to also catch the unsynchronized window).
 func TestAdaptiveQuiesceWaitsForTriggeredRebuild(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
-		a, err := NewAdaptiveIndex(BTree, AdaptiveOptions{
+		a := openAdaptive(t, BTree, AdaptiveOptions{
 			Scheme: core.SingleChar,
 			Build:  core.Options{DictLimit: 1 << 10, MaxPatternLen: 16},
 			Shards: 4,
@@ -35,9 +35,6 @@ func TestAdaptiveQuiesceWaitsForTriggeredRebuild(t *testing.T) {
 				ReservoirSize: 256, BuildAfter: 64, CheckEvery: 16, Seed: int64(iter + 1),
 			},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Crossing BuildAfter signals the first build; the trigger fires
 		// inside one of these Puts.
 		for i := 0; i < 96; i++ {
@@ -61,13 +58,10 @@ func TestAdaptiveQuiesceWaitsForTriggeredRebuild(t *testing.T) {
 // keep serving the frozen generation.
 func TestAdaptiveCloseCancelsInFlightRebuild(t *testing.T) {
 	encs := testEncoders(t)
-	a, err := NewAdaptiveIndex(ART, manualOpts(core.SingleChar, encs[core.SingleChar].Clone()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := openAdaptive(t, ART, manualOpts(core.SingleChar, encs[core.SingleChar].Clone()))
 	model := seedAdaptive(t, a, adversarialCorpus())
 
-	plan := fault.NewPlan(1, fault.Rule{Point: "batch", Shard: -1, Kind: fault.Stall, Stall: -1, Once: true})
+	plan := fault.NewPlan(1, fault.Rule{Point: "gathered", Shard: -1, Kind: fault.Stall, Stall: -1, Once: true})
 	a.injector = plan
 	done := make(chan error, 1)
 	go func() { done <- a.Rebuild() }()
@@ -90,7 +84,7 @@ func TestAdaptiveCloseCancelsInFlightRebuild(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not cancel the wedged rebuild")
 	}
-	if s := a.Stats(); s.Aborts != 1 || s.MigratedShards != 0 {
+	if s := a.Stats(); s.Aborts != 1 {
 		t.Fatalf("stats after cancelled rebuild: %+v", s)
 	}
 	if g, s := a.Generation(), a.State(); g != 0 || s != StateSteady {
@@ -121,26 +115,23 @@ func TestAdaptiveWatchdogTimesOutWedgedMigration(t *testing.T) {
 		progress time.Duration
 		deadline time.Duration
 	}{
-		// mid-batch wedges with the stripe lock held — the worst spot; the
-		// watchdog must wake the stall so the deferred unlock runs.
-		{"progress-timeout-mid-batch", "mid-batch", 75 * time.Millisecond, 0},
-		{"rebuild-deadline-batch", "batch", 0, 75 * time.Millisecond},
+		// mid-replay wedges with every stripe lock held — the worst spot;
+		// the watchdog must wake the stall so the deferred unlocks run.
+		{"progress-timeout-mid-replay", "mid-replay", 75 * time.Millisecond, 0},
+		{"rebuild-deadline-gathered", "gathered", 0, 75 * time.Millisecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := manualOpts(core.SingleChar, encs[core.SingleChar].Clone())
 			opts.MigrationTimeout = tc.progress
 			opts.RebuildDeadline = tc.deadline
-			a, err := NewAdaptiveIndex(BTree, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := openAdaptive(t, BTree, opts)
 			model := seedAdaptive(t, a, adversarialCorpus())
 
 			plan := fault.NewPlan(1, fault.Rule{Point: tc.point, Shard: -1, Kind: fault.Stall, Stall: -1, Once: true})
 			a.injector = plan
 			start := time.Now()
-			err = a.Rebuild()
+			err := a.Rebuild()
 			if !errors.Is(err, ErrMigrationTimeout) {
 				t.Fatalf("Rebuild returned %v, want ErrMigrationTimeout", err)
 			}
@@ -184,57 +175,60 @@ func TestAdaptivePanicIsolationAtEveryCheckpoint(t *testing.T) {
 		shard int
 	}{
 		{"build-start", -1},
-		{"batch", 2},
-		{"mid-batch", -1}, // stripe lock held when the panic fires
-		{"shard-flipped", 4},
+		{"gathered", 2},
+		{"built", -1},
+		{"mid-replay", 4}, // every stripe lock held when the panic fires
 		{"cutover", -1},
 	}
-	for _, st := range stages {
-		a, err := NewAdaptiveIndex(ART, manualOpts(core.SingleChar, encs[core.SingleChar].Clone()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		model := seedAdaptive(t, a, adversarialCorpus())
-		memBefore := a.MemoryUsage()
-		plan := fault.NewPlan(1, fault.Rule{Point: st.stage, Shard: st.shard, Kind: fault.Panic, Once: true})
-		a.injector = plan
+	for _, backend := range []Backend{ART, SuRF} {
+		t.Run(string(backend), func(t *testing.T) {
+			for _, st := range stages {
+				a := openAdaptive(t, backend, manualOpts(core.SingleChar, encs[core.SingleChar].Clone()))
+				model := seedAdaptive(t, a, adversarialCorpus())
+				memBefore := a.MemoryUsage()
+				plan := fault.NewPlan(1, fault.Rule{Point: st.stage, Shard: st.shard, Kind: fault.Panic, Once: true})
+				a.injector = plan
 
-		err = a.Rebuild()
-		var rp *ErrRebuildPanic
-		if !errors.As(err, &rp) {
-			t.Fatalf("%s/%d: Rebuild returned %v, want *ErrRebuildPanic", st.stage, st.shard, err)
-		}
-		if rp.Stage != st.stage {
-			t.Fatalf("%s/%d: panic attributed to checkpoint %s/%d", st.stage, st.shard, rp.Stage, rp.Shard)
-		}
-		if len(rp.Stack) == 0 || !bytes.Contains(rp.Stack, []byte("goroutine")) {
-			t.Fatalf("%s/%d: no stack captured", st.stage, st.shard)
-		}
-		if _, ok := rp.Value.(*fault.Injected); !ok {
-			t.Fatalf("%s/%d: panic value %v, want *fault.Injected", st.stage, st.shard, rp.Value)
-		}
-		if s := a.Stats(); s.Aborts != 1 || s.ConsecutiveFailures != 1 || s.MigratedShards != 0 {
-			t.Fatalf("%s/%d: stats %+v", st.stage, st.shard, s)
-		}
-		if got := a.MemoryUsage(); got != memBefore {
-			t.Fatalf("%s/%d: MemoryUsage %d after panic abort, want %d", st.stage, st.shard, got, memBefore)
-		}
-		// No leaked locks: writes, reads, and scans all acquire shard locks.
-		k := []byte(fmt.Sprintf("post-panic-%s", st.stage))
-		if err := a.Put(k, 42); err != nil {
-			t.Fatal(err)
-		}
-		model[string(k)] = 42
-		checkDifferential(t, fmt.Sprintf("panic at %s/%d", st.stage, st.shard), a, model)
+				err := a.Rebuild()
+				var rp *ErrRebuildPanic
+				if !errors.As(err, &rp) {
+					t.Fatalf("%s/%d: Rebuild returned %v, want *ErrRebuildPanic", st.stage, st.shard, err)
+				}
+				if rp.Stage != st.stage {
+					t.Fatalf("%s/%d: panic attributed to checkpoint %s/%d", st.stage, st.shard, rp.Stage, rp.Shard)
+				}
+				if len(rp.Stack) == 0 || !bytes.Contains(rp.Stack, []byte("goroutine")) {
+					t.Fatalf("%s/%d: no stack captured", st.stage, st.shard)
+				}
+				if _, ok := rp.Value.(*fault.Injected); !ok {
+					t.Fatalf("%s/%d: panic value %v, want *fault.Injected", st.stage, st.shard, rp.Value)
+				}
+				if s := a.Stats(); s.Aborts != 1 || s.ConsecutiveFailures != 1 {
+					t.Fatalf("%s/%d: stats %+v", st.stage, st.shard, s)
+				}
+				if got := a.MemoryUsage(); got != memBefore {
+					t.Fatalf("%s/%d: MemoryUsage %d after panic abort, want %d", st.stage, st.shard, got, memBefore)
+				}
+				// No leaked locks: writes, reads, and scans all acquire shard locks.
+				if backend != SuRF {
+					k := []byte(fmt.Sprintf("post-panic-%s", st.stage))
+					if err := a.Put(k, 42); err != nil {
+						t.Fatal(err)
+					}
+					model[string(k)] = 42
+				}
+				checkDifferential(t, fmt.Sprintf("panic at %s/%d", st.stage, st.shard), a, model)
 
-		plan.Disarm()
-		if err := a.Rebuild(); err != nil {
-			t.Fatalf("%s/%d: clean rebuild after panic: %v", st.stage, st.shard, err)
-		}
-		if a.Generation() != 1 {
-			t.Fatalf("%s/%d: generation %d after recovery", st.stage, st.shard, a.Generation())
-		}
-		checkDifferential(t, fmt.Sprintf("recovered from panic at %s/%d", st.stage, st.shard), a, model)
+				plan.Disarm()
+				if err := a.Rebuild(); err != nil {
+					t.Fatalf("%s/%d: clean rebuild after panic: %v", st.stage, st.shard, err)
+				}
+				if a.Generation() != 1 {
+					t.Fatalf("%s/%d: generation %d after recovery", st.stage, st.shard, a.Generation())
+				}
+				checkDifferential(t, fmt.Sprintf("recovered from panic at %s/%d", st.stage, st.shard), a, model)
+			}
+		})
 	}
 }
 
@@ -247,10 +241,7 @@ func TestAdaptiveBreakerOpensAndExplicitRebuildCloses(t *testing.T) {
 	opts := manualOpts(core.SingleChar, encs[core.SingleChar].Clone())
 	opts.Lifecycle.BreakerAfter = 3
 	opts.Lifecycle.RetryJitter = -1
-	a, err := NewAdaptiveIndex(BTree, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := openAdaptive(t, BTree, opts)
 	model := seedAdaptive(t, a, adversarialCorpus())
 
 	boom := errors.New("boom")
@@ -303,7 +294,7 @@ func TestAdaptiveBreakerOpensAndExplicitRebuildCloses(t *testing.T) {
 // until it expires), then the half-open probe fires and a fault-free
 // attempt recovers.
 func TestAdaptiveAutoBackoffAndHalfOpenProbe(t *testing.T) {
-	a, err := NewAdaptiveIndex(BTree, AdaptiveOptions{
+	a := openAdaptive(t, BTree, AdaptiveOptions{
 		Scheme: core.SingleChar,
 		Build:  core.Options{DictLimit: 1 << 10, MaxPatternLen: 16},
 		Shards: 4,
@@ -312,9 +303,6 @@ func TestAdaptiveAutoBackoffAndHalfOpenProbe(t *testing.T) {
 			RetryBackoff: 250 * time.Millisecond, RetryJitter: -1,
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	plan := fault.NewPlan(1, fault.Rule{Point: "build-start", Shard: -1, Kind: fault.Error, Once: true})
 	a.injector = plan
 
@@ -356,23 +344,19 @@ func TestAdaptiveAutoBackoffAndHalfOpenProbe(t *testing.T) {
 func TestAdaptiveSkewResplitRebalancesRangePartition(t *testing.T) {
 	encs := testEncoders(t)
 	opts := AdaptiveOptions{
-		Scheme:         core.SingleChar,
-		Build:          core.Options{DictLimit: 1 << 10, MaxPatternLen: 16},
-		Encoder:        encs[core.SingleChar].Clone(),
-		Shards:         8,
-		Partition:      RangePartitioned,
-		MigrationBatch: 64,
-		ResplitAbove:   0.6,
+		Scheme:       core.SingleChar,
+		Build:        core.Options{DictLimit: 1 << 10, MaxPatternLen: 16},
+		Encoder:      encs[core.SingleChar].Clone(),
+		Shards:       8,
+		Partition:    RangePartitioned,
+		ResplitAbove: 0.6,
 		Lifecycle: lifecycle.Config{
 			ReservoirSize: 2048, CheckEvery: 32, Cooldown: 32,
 			WindowSize: 128, DriftThreshold: 0.99, // CPR drift effectively disabled
 			Seed: 11, RetryJitter: -1,
 		},
 	}
-	a, err := NewAdaptiveIndex(BTree, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := openAdaptive(t, BTree, opts)
 	// A balanced bulk corpus seeds the range partition.
 	var keys [][]byte
 	for i := 0; i < 512; i++ {
@@ -441,25 +425,22 @@ func TestShardedMaxShardFrac(t *testing.T) {
 func chaosSoak(t *testing.T, backend Backend, partition PartitionMode, seed int64, writers, ops int) {
 	plan := fault.NewPlan(seed,
 		fault.Rule{Point: "build-start", Shard: -1, Kind: fault.Error, Prob: 0.05},
-		fault.Rule{Point: "batch", Shard: -1, Kind: fault.Error, Prob: 0.01},
-		fault.Rule{Point: "batch", Shard: -1, Kind: fault.Stall, Prob: 0.02, Stall: time.Millisecond},
-		fault.Rule{Point: "mid-batch", Shard: -1, Kind: fault.Panic, Prob: 0.0002},
-		fault.Rule{Point: "shard-flipped", Shard: -1, Kind: fault.Panic, Prob: 0.05},
+		fault.Rule{Point: "gathered", Shard: -1, Kind: fault.Error, Prob: 0.01},
+		fault.Rule{Point: "gathered", Shard: -1, Kind: fault.Stall, Prob: 0.02, Stall: time.Millisecond},
+		fault.Rule{Point: "built", Shard: -1, Kind: fault.Error, Prob: 0.05},
+		fault.Rule{Point: "mid-replay", Shard: -1, Kind: fault.Stall, Prob: 0.02, Stall: time.Millisecond},
+		fault.Rule{Point: "mid-replay", Shard: -1, Kind: fault.Panic, Prob: 0.02},
 		fault.Rule{Point: "cutover", Shard: -1, Kind: fault.Error, Prob: 0.3},
 	)
-	a, err := NewAdaptiveIndex(backend, AdaptiveOptions{
+	a := openAdaptive(t, backend, AdaptiveOptions{
 		Scheme:           core.SingleChar,
 		Build:            core.Options{DictLimit: 1 << 10, MaxPatternLen: 16},
 		Shards:           8,
 		Partition:        partition,
-		MigrationBatch:   16,
 		Manual:           true,
 		MigrationTimeout: 30 * time.Second, // watchdog armed; must not fire on 1ms stalls
 		Lifecycle:        lifecycle.Config{ReservoirSize: 2048, Seed: seed},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	a.injector = plan
 
 	// Seed before arming concurrency so the first rebuild has a reservoir.
@@ -649,62 +630,4 @@ func TestAdaptiveChaosSoak(t *testing.T) {
 			chaosSoak(t, c.backend, c.partition, seed, writers, ops)
 		})
 	}
-}
-
-// TestAdaptiveChaosSuRFStopTheWorld covers the stop-the-world rebuild's
-// fault surface (build-start and the cutover checkpoint added for
-// symmetry): errors and panics abort with every shard lock correctly
-// released and the old run still serving.
-func TestAdaptiveChaosSuRFStopTheWorld(t *testing.T) {
-	a, err := NewAdaptiveIndex(SuRF, AdaptiveOptions{
-		Scheme:    core.SingleChar,
-		Build:     core.Options{DictLimit: 1 << 10, MaxPatternLen: 16},
-		Shards:    4,
-		Manual:    true,
-		Lifecycle: lifecycle.Config{ReservoirSize: 1024, Seed: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys [][]byte
-	model := map[string]uint64{}
-	for i := 0; i < 300; i++ {
-		k := fmt.Sprintf("com.surf.%c%04d", 'a'+byte(i%13), i)
-		keys = append(keys, []byte(k))
-		model[k] = uint64(i)
-	}
-	if err := a.Bulk(keys, nil); err != nil {
-		t.Fatal(err)
-	}
-	memBefore := a.MemoryUsage()
-
-	plan := fault.NewPlan(9,
-		fault.Rule{Point: "build-start", Shard: -1, Kind: fault.Error, Nth: 1},
-		fault.Rule{Point: "cutover", Shard: -1, Kind: fault.Panic, Nth: 1},
-	)
-	a.injector = plan
-
-	var inj *fault.Injected
-	if err := a.Rebuild(); !errors.As(err, &inj) || inj.Point != "build-start" {
-		t.Fatalf("first faulted rebuild: %v", err)
-	}
-	checkDifferential(t, "surf after build-start abort", a, model)
-
-	var rp *ErrRebuildPanic
-	if err := a.Rebuild(); !errors.As(err, &rp) || rp.Stage != "cutover" {
-		t.Fatalf("second faulted rebuild: %v", err)
-	}
-	if got := a.MemoryUsage(); got != memBefore {
-		t.Fatalf("MemoryUsage %d after STW aborts, want %d", got, memBefore)
-	}
-	checkDifferential(t, "surf after cutover panic", a, model)
-
-	plan.Disarm()
-	if err := a.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	if a.Generation() != 1 || a.Stats().Aborts != 2 {
-		t.Fatalf("gen %d stats %+v", a.Generation(), a.Stats())
-	}
-	checkDifferential(t, "surf recovered", a, model)
 }

@@ -18,8 +18,10 @@
 // subsystem without enumerating (or colliding with) another subsystem's
 // points. Two namespaces exist today:
 //
-//   - "" (no prefix): the adaptive rebuild/migration checkpoints — "build",
-//     "batch", "mid-batch", "flip", "cutover", ...
+//   - "" (no prefix): the adaptive rebuild/migration checkpoints —
+//     "build-start", "gathered" (per stripe, no lock held), "built" (the
+//     next generation's trees bulk-built), "mid-replay" (per stripe, every
+//     stripe lock held) and "cutover".
 //   - "snap": the snapshot VFS checkpoints — "snap:create", "snap:write",
 //     "snap:sync", "snap:close", "snap:rename", "snap:remove",
 //     "snap:open", "snap:read", "snap:dirsync".

@@ -12,7 +12,7 @@ func drive(p *Plan, n int) []Event {
 	for i := 0; i < n; i++ {
 		func() {
 			defer func() { recover() }() // swallow injected panics
-			_ = p.Fire("batch", i%4)
+			_ = p.Fire("gathered", i%4)
 		}()
 	}
 	return p.Events()
@@ -21,8 +21,8 @@ func drive(p *Plan, n int) []Event {
 func TestPlanDeterminism(t *testing.T) {
 	mk := func() *Plan {
 		return NewPlan(42,
-			Rule{Point: "batch", Shard: -1, Kind: Error, Prob: 0.3},
-			Rule{Point: "batch", Shard: -1, Kind: Panic, Prob: 0.1},
+			Rule{Point: "gathered", Shard: -1, Kind: Error, Prob: 0.3},
+			Rule{Point: "gathered", Shard: -1, Kind: Panic, Prob: 0.1},
 		)
 	}
 	a := drive(mk(), 200)
@@ -39,8 +39,8 @@ func TestPlanDeterminism(t *testing.T) {
 		}
 	}
 	c := drive(NewPlan(43,
-		Rule{Point: "batch", Shard: -1, Kind: Error, Prob: 0.3},
-		Rule{Point: "batch", Shard: -1, Kind: Panic, Prob: 0.1},
+		Rule{Point: "gathered", Shard: -1, Kind: Error, Prob: 0.3},
+		Rule{Point: "gathered", Shard: -1, Kind: Panic, Prob: 0.1},
 	), 200)
 	same := len(a) == len(c)
 	if same {
@@ -59,17 +59,17 @@ func TestPlanDeterminism(t *testing.T) {
 func TestRuleMatching(t *testing.T) {
 	p := NewPlan(1,
 		Rule{Point: "cutover", Shard: -1, Kind: Error},
-		Rule{Point: "batch", Shard: 2, Kind: Error},
+		Rule{Point: "gathered", Shard: 2, Kind: Error},
 	)
 	if err := p.Fire("build-start", -1); err != nil {
 		t.Fatalf("unmatched point fired: %v", err)
 	}
-	if err := p.Fire("batch", 1); err != nil {
+	if err := p.Fire("gathered", 1); err != nil {
 		t.Fatalf("unmatched shard fired: %v", err)
 	}
-	err := p.Fire("batch", 2)
+	err := p.Fire("gathered", 2)
 	var inj *Injected
-	if !errors.As(err, &inj) || inj.Point != "batch" || inj.Shard != 2 {
+	if !errors.As(err, &inj) || inj.Point != "gathered" || inj.Shard != 2 {
 		t.Fatalf("shard-scoped rule: %v", err)
 	}
 	if err := p.Fire("cutover", -1); err == nil {
@@ -84,7 +84,7 @@ func TestOpNamespaceMatching(t *testing.T) {
 	if got := Namespace("snap:write"); got != "snap" {
 		t.Fatalf("Namespace(snap:write) = %q, want snap", got)
 	}
-	if got := Namespace("batch"); got != "" {
+	if got := Namespace("gathered"); got != "" {
 		t.Fatalf("Namespace(batch) = %q, want \"\"", got)
 	}
 
@@ -92,7 +92,7 @@ func TestOpNamespaceMatching(t *testing.T) {
 	// none of another namespace's — one plan can soak the snapshot VFS
 	// without ever perturbing a concurrent rebuild.
 	p := NewPlan(1, Rule{Op: "snap", Shard: -1, Kind: Error})
-	if err := p.Fire("batch", 0); err != nil {
+	if err := p.Fire("gathered", 0); err != nil {
 		t.Fatalf("snap-scoped rule fired at a rebuild checkpoint: %v", err)
 	}
 	if err := p.Fire("cutover", -1); err != nil {
@@ -124,40 +124,40 @@ func TestOpNamespaceMatching(t *testing.T) {
 
 func TestNthAndOnce(t *testing.T) {
 	p := NewPlan(1,
-		Rule{Point: "batch", Shard: -1, Kind: Error, Nth: 3},
+		Rule{Point: "gathered", Shard: -1, Kind: Error, Nth: 3},
 	)
 	for i := 1; i <= 5; i++ {
-		err := p.Fire("batch", 0)
+		err := p.Fire("gathered", 0)
 		if (i == 3) != (err != nil) {
 			t.Fatalf("hit %d: err=%v, want fire only on hit 3", i, err)
 		}
 	}
-	p = NewPlan(1, Rule{Point: "batch", Shard: -1, Kind: Error, Once: true})
-	if err := p.Fire("batch", 0); err == nil {
+	p = NewPlan(1, Rule{Point: "gathered", Shard: -1, Kind: Error, Once: true})
+	if err := p.Fire("gathered", 0); err == nil {
 		t.Fatal("Once rule did not fire on first hit")
 	}
-	if err := p.Fire("batch", 0); err != nil {
+	if err := p.Fire("gathered", 0); err != nil {
 		t.Fatalf("Once rule fired twice: %v", err)
 	}
 }
 
 func TestPanicKindPanicsWithInjected(t *testing.T) {
-	p := NewPlan(1, Rule{Point: "mid-batch", Shard: -1, Kind: Panic})
+	p := NewPlan(1, Rule{Point: "mid-replay", Shard: -1, Kind: Panic})
 	defer func() {
 		r := recover()
 		inj, ok := r.(*Injected)
-		if !ok || inj.Kind != Panic || inj.Point != "mid-batch" {
+		if !ok || inj.Kind != Panic || inj.Point != "mid-replay" {
 			t.Fatalf("recovered %v, want *Injected panic fault", r)
 		}
 	}()
-	_ = p.Fire("mid-batch", 3)
+	_ = p.Fire("mid-replay", 3)
 	t.Fatal("panic fault did not panic")
 }
 
 func TestStallBoundedAndCancel(t *testing.T) {
-	p := NewPlan(1, Rule{Point: "batch", Shard: -1, Kind: Stall, Stall: 10 * time.Millisecond})
+	p := NewPlan(1, Rule{Point: "gathered", Shard: -1, Kind: Stall, Stall: 10 * time.Millisecond})
 	start := time.Now()
-	if err := p.Fire("batch", 0); err != nil {
+	if err := p.Fire("gathered", 0); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 5*time.Millisecond {
@@ -165,7 +165,7 @@ func TestStallBoundedAndCancel(t *testing.T) {
 	}
 
 	// Unbounded stall wakes when the cancel channel closes.
-	p = NewPlan(1, Rule{Point: "batch", Shard: -1, Kind: Stall, Stall: -1})
+	p = NewPlan(1, Rule{Point: "gathered", Shard: -1, Kind: Stall, Stall: -1})
 	cancel := make(chan struct{})
 	p.SetCancel(cancel)
 	var wg sync.WaitGroup
@@ -173,7 +173,7 @@ func TestStallBoundedAndCancel(t *testing.T) {
 	returned := make(chan struct{})
 	go func() {
 		defer wg.Done()
-		_ = p.Fire("batch", 0)
+		_ = p.Fire("gathered", 0)
 		close(returned)
 	}()
 	select {
@@ -191,8 +191,8 @@ func TestStallBoundedAndCancel(t *testing.T) {
 
 	// Unbounded stall with no cancel channel is a configuration error,
 	// not a hang.
-	p = NewPlan(1, Rule{Point: "batch", Shard: -1, Kind: Stall, Stall: -1})
-	if err := p.Fire("batch", 0); err == nil {
+	p = NewPlan(1, Rule{Point: "gathered", Shard: -1, Kind: Stall, Stall: -1})
+	if err := p.Fire("gathered", 0); err == nil {
 		t.Fatal("unbounded stall without cancel channel returned nil")
 	}
 }
@@ -219,7 +219,7 @@ func TestFuncAdapter(t *testing.T) {
 		}
 		return nil
 	})
-	if err := inj.Fire("batch", 0); err != nil {
+	if err := inj.Fire("gathered", 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := inj.Fire("cutover", -1); err != want {

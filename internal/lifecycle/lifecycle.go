@@ -9,9 +9,9 @@
 // The package is deliberately index-agnostic: it never touches trees or
 // encoders beyond reading lengths and handing out sample snapshots, so the
 // same controller could drive any order-preserving-encoded store. The
-// mechanism — generation maps, dual-writes, per-shard copy batches — lives
-// with the data plane in the hope package (adaptive.go); the policy lives
-// here.
+// mechanism — gathering records into the next generation, its bulk build,
+// the change-list replay and the flip — lives with the data plane in the
+// hope package (adaptive.go); the policy lives here.
 package lifecycle
 
 import (
@@ -37,9 +37,9 @@ const (
 	// Building: a background goroutine is running HOPE's build phase over
 	// a reservoir snapshot; traffic is unaffected.
 	Building
-	// Migrating: a new-generation index exists and entries are being
-	// re-encoded into it; writes land in both generations and reads
-	// consult the per-shard generation map.
+	// Migrating: a new-generation index is being built from the live
+	// records and brought up to date with the writes since; the old
+	// generation serves every read and write until the flip.
 	Migrating
 )
 

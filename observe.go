@@ -14,8 +14,7 @@ type Instrumented interface {
 }
 
 // Traced is implemented by stores that keep a structured lifecycle event
-// trace (AdaptiveIndex rebuilds: triggers, per-shard copies, flips,
-// cutovers, aborts).
+// trace (AdaptiveIndex rebuilds: triggers, builds, cutovers, aborts).
 type Traced interface {
 	Trace() *telemetry.EventTrace
 }
@@ -93,7 +92,7 @@ func (s *ShardedIndex) RegisterMetrics(reg *telemetry.Registry) error {
 // RegisterMetrics exposes the adaptive index's op instruments plus the
 // full lifecycle health surface: state, generation, rolling vs build CPR
 // (the drift baseline), rebuild/abort counters, breaker and backoff
-// state, migration progress, and partition skew.
+// state, and partition skew.
 func (a *AdaptiveIndex) RegisterMetrics(reg *telemetry.Registry) error {
 	if err := a.met.register(reg); err != nil {
 		return err
@@ -113,7 +112,6 @@ func (a *AdaptiveIndex) RegisterMetrics(reg *telemetry.Registry) error {
 		{"hope_lifecycle_aborts_total", func() float64 { return float64(a.ctl.Stats().Aborts) }},
 		{"hope_lifecycle_degraded", func() float64 { return boolGauge(a.ctl.Degraded()) }},
 		{"hope_lifecycle_consecutive_failures", func() float64 { return float64(a.ctl.Stats().ConsecutiveFailures) }},
-		{"hope_lifecycle_migrated_shards", func() float64 { return float64(a.migrated.Load()) }},
 	})
 }
 
@@ -125,8 +123,8 @@ func boolGauge(b bool) float64 {
 }
 
 // Trace returns the index's lifecycle event trace: a bounded ring of
-// typed rebuild events (trigger, build, per-shard copy and flip, cutover,
-// abort, backoff) that replaces log-free debugging of migrations.
+// typed rebuild events (trigger, build, migration, cutover, abort,
+// backoff) that replaces log-free debugging of migrations.
 func (a *AdaptiveIndex) Trace() *telemetry.EventTrace { return a.trace }
 
 // driftReason names a lifecycle signal for the event trace.

@@ -86,13 +86,10 @@ func TestInstrumentedGetZeroAlloc(t *testing.T) {
 		t.Fatalf("instrumented ShardedIndex.Get allocates %.2f/op, want 0", allocs)
 	}
 
-	a, err := NewAdaptiveIndex(ART, AdaptiveOptions{
+	a := openAdaptive(t, ART, AdaptiveOptions{
 		Scheme: core.SingleChar, Shards: 8, Manual: true,
 		Lifecycle: lifecycle.Config{ReservoirSize: 256, Seed: 7},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for j, k := range keys {
 		if err := a.Put(k, uint64(j)); err != nil {
 			t.Fatal(err)
@@ -127,18 +124,15 @@ func eventTypes(evs []telemetry.Event) []string {
 
 // TestAdaptiveEventTraceFaultedRebuild asserts the exact event sequence a
 // faulted-then-recovered rebuild leaves behind: the first Rebuild is
-// killed at the cutover checkpoint (every shard already copied and
-// flipped) and must trace through abort into backoff; after disarming the
-// plan, the second completes and ends in cutover. The same trace must be
-// retrievable over the HTTP debug surface.
+// killed at the cutover checkpoint (the next generation built and every
+// stripe replayed) and must trace through abort into backoff; after
+// disarming the plan, the second completes and ends in cutover. The same
+// trace must be retrievable over the HTTP debug surface.
 func TestAdaptiveEventTraceFaultedRebuild(t *testing.T) {
-	a, err := NewAdaptiveIndex(BTree, AdaptiveOptions{
+	a := openAdaptive(t, BTree, AdaptiveOptions{
 		Scheme: core.SingleChar, Shards: 2, Manual: true,
 		Lifecycle: lifecycle.Config{ReservoirSize: 256, Seed: 11},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	plan := fault.NewPlan(1, fault.Rule{Point: "cutover", Shard: -1, Kind: fault.Error, Once: true})
 	a.injector = plan
 	for i := 0; i < 400; i++ {
@@ -153,11 +147,7 @@ func TestAdaptiveEventTraceFaultedRebuild(t *testing.T) {
 	if err := a.Rebuild(); err == nil {
 		t.Fatal("faulted rebuild succeeded, want injected error")
 	}
-	want := []string{
-		"trigger", "build-start", "build-done", "migrate-start",
-		"shard-copied@0", "shard-flipped@0", "shard-copied@1", "shard-flipped@1",
-		"abort", "backoff",
-	}
+	want := []string{"trigger", "build-start", "build-done", "migrate-start", "built", "abort", "backoff"}
 	got := eventTypes(a.Trace().Snapshot())
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("faulted rebuild trace = %v, want %v", got, want)
@@ -166,29 +156,25 @@ func TestAdaptiveEventTraceFaultedRebuild(t *testing.T) {
 	if evs[0].Detail != "explicit" {
 		t.Fatalf("trigger detail = %q, want \"explicit\"", evs[0].Detail)
 	}
-	if !strings.Contains(evs[8].Detail, "injected") {
-		t.Fatalf("abort detail = %q, want the injected error", evs[8].Detail)
+	if !strings.Contains(evs[5].Detail, "injected") {
+		t.Fatalf("abort detail = %q, want the injected error", evs[5].Detail)
 	}
-	if !strings.Contains(evs[9].Detail, "failures=1") {
-		t.Fatalf("backoff detail = %q, want failures=1", evs[9].Detail)
+	if !strings.Contains(evs[6].Detail, "failures=1") {
+		t.Fatalf("backoff detail = %q, want failures=1", evs[6].Detail)
 	}
 
 	plan.Disarm()
 	if err := a.Rebuild(); err != nil {
 		t.Fatalf("recovered rebuild: %v", err)
 	}
-	want = append(want,
-		"trigger", "build-start", "build-done", "migrate-start",
-		"shard-copied@0", "shard-flipped@0", "shard-copied@1", "shard-flipped@1",
-		"cutover",
-	)
+	want = append(want, "trigger", "build-start", "build-done", "migrate-start", "built", "cutover")
 	got = eventTypes(a.Trace().Snapshot())
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("recovered rebuild trace = %v, want %v", got, want)
 	}
 	all := a.Trace().Snapshot()
-	if cut := all[len(all)-1]; !strings.Contains(cut.Detail, "gen=1") || cut.DurNs <= 0 {
-		t.Fatalf("cutover event = %+v, want gen=1 detail and positive duration", cut)
+	if cut := all[len(all)-1]; !strings.Contains(cut.Detail, "gen=1") || !strings.Contains(cut.Detail, "replayed=0 pause_ns=") || cut.DurNs <= 0 {
+		t.Fatalf("cutover event = %+v, want gen=1, replayed=0 and pause_ns detail and positive duration", cut)
 	}
 	for i, e := range all {
 		if e.Seq != uint64(i) {
@@ -233,13 +219,10 @@ func TestAdaptiveEventTraceFaultedRebuild(t *testing.T) {
 // TestAdaptiveTraceDriftReason checks that an automatic first-build
 // trigger records its lifecycle reason rather than "explicit".
 func TestAdaptiveTraceDriftReason(t *testing.T) {
-	a, err := NewAdaptiveIndex(ART, AdaptiveOptions{
+	a := openAdaptive(t, ART, AdaptiveOptions{
 		Scheme: core.SingleChar, Shards: 2,
 		Lifecycle: lifecycle.Config{ReservoirSize: 128, BuildAfter: 200, CheckEvery: 64, Seed: 3},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 2000 && a.Generation() == 0; i++ {
 		if err := a.Put([]byte(fmt.Sprintf("drift-key-%05d", i)), uint64(i)); err != nil {
 			t.Fatal(err)

@@ -106,9 +106,10 @@ func WithSnapshotFS(fs snapshot.VFS) Option {
 //	Open(ART, WithAdaptive(AdaptiveOptions{      // lifecycle-managed AdaptiveIndex
 //	     Scheme: DoubleChar, Shards: 16}))
 //
-// Open is the one constructor new code should use; the per-type
-// constructors it consolidates (NewIndex, NewShardedIndex,
-// NewRangeShardedIndex, NewAdaptiveIndex) remain as deprecated wrappers.
+// Open is the one constructor new code should use, and the only one for
+// an AdaptiveIndex; the other per-type constructors it consolidates
+// (NewIndex, NewShardedIndex, NewRangeShardedIndex) remain as deprecated
+// wrappers.
 // Callers needing implementation-specific surface (MemoryUsage, Stats,
 // Rebuild, ...) type-assert the returned Store to the concrete type the
 // options imply.
@@ -139,7 +140,7 @@ func buildStore(backend Backend, c *openConfig) (Store, error) {
 		if c.rangePart {
 			ao.Partition = RangePartitioned
 		}
-		return NewAdaptiveIndex(backend, ao)
+		return newAdaptiveIndexWithSplits(backend, ao, nil)
 	}
 	if c.rangePart {
 		return NewRangeShardedIndex(backend, c.enc, c.shards, c.corpus)

@@ -96,10 +96,6 @@ func (p *HashPartitioner) NumShards() int { return p.n }
 // Shard routes by FNV hash of the original key bytes.
 func (p *HashPartitioner) Shard(key []byte) int { return int(shardHash(key) & p.mask) }
 
-// shardOfHash routes a pre-computed shardHash — the adaptive layer hashes
-// once per operation and reuses it for every generation.
-func (p *HashPartitioner) shardOfHash(h uint64) int { return int(h & p.mask) }
-
 // Ordered reports false: hashed shards interleave the keyspace.
 func (p *HashPartitioner) Ordered() bool { return false }
 

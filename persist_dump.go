@@ -155,22 +155,20 @@ func dumpSharded(s *ShardedIndex, w *snapshot.Writer, trace *telemetry.EventTrac
 }
 
 // dumpAdaptive serializes an AdaptiveIndex without quiescing it: the
-// serving generation (and its dictionary) is pinned once under genMu, then
-// each stripe's live records are collected under that stripe's read lock
-// from its authoritative write generation — the generation that has seen
-// every write, even mid-migration — sorted by original key, and batch
-// re-encoded through the pinned dictionary outside all locks. The snapshot
-// is per-stripe consistent (the Len contract); it never blocks a rebuild
-// and a rebuild never blocks it.
+// serving generation (and its dictionary) is pinned once, then each
+// stripe's live records are collected under that stripe's read lock from
+// the generation serving at that moment — the one every write lands in —
+// sorted by original key, and batch re-encoded through the pinned
+// dictionary outside all locks. The snapshot is per-stripe consistent
+// (the Len contract); it never blocks a rebuild and a rebuild never
+// blocks it.
 //
 // Lifecycle state (reservoir contents, drift baselines, rebuild counters)
 // is deliberately not persisted: a restored index starts its lifecycle
 // fresh on the restored dictionary and re-learns the traffic distribution
 // from live writes.
 func dumpAdaptive(a *AdaptiveIndex, w *snapshot.Writer, trace *telemetry.EventTrace) (keys, size int, err error) {
-	a.genMu.Lock()
-	gen := a.cur
-	a.genMu.Unlock()
+	gen := a.cur.Load()
 	enc := gen.enc
 
 	m := snapMeta{
@@ -185,11 +183,11 @@ func dumpAdaptive(a *AdaptiveIndex, w *snapshot.Writer, trace *telemetry.EventTr
 	}
 	encoderMeta(&m, enc)
 
-	// Collect each stripe's live records. The stripe's write[0] generation
-	// is authoritative (every insert and delete lands there first), so a
-	// record collected here is live at collection time regardless of any
-	// concurrent migration. Record-store append order is arrival order, not
-	// key order — sort each stripe so the run loads back in encoded order.
+	// Collect each stripe's live records. A record collected here is live
+	// at collection time, whether or not a cutover happened since gen was
+	// pinned (original keys encode under any dictionary). Record-store
+	// append order is arrival order, not key order — sort each stripe so
+	// the run loads back in encoded order.
 	type stripeRun struct {
 		origs [][]byte
 		vals  []uint64
@@ -198,7 +196,7 @@ func dumpAdaptive(a *AdaptiveIndex, w *snapshot.Writer, trace *telemetry.EventTr
 	total := 0
 	for i, sh := range a.shards {
 		sh.mu.RLock()
-		srecs := sh.write[0].recs[i]
+		srecs := a.cur.Load().recs[i]
 		run := stripeRun{
 			origs: make([][]byte, 0, srecs.live),
 			vals:  make([]uint64, 0, srecs.live),

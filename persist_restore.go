@@ -190,7 +190,7 @@ func restoreAdaptive(backend Backend, meta snapMeta, enc *core.Encoder, sections
 		return nil, err
 	}
 	a.maxKeyLen.Store(int64(meta.maxKeyLen))
-	gen := a.cur
+	gen := a.cur.Load()
 	gen.idx.maxKeyLen.Store(int64(meta.maxKeyLen))
 
 	// Decode every stripe, rebuild its record store in file order (slot i

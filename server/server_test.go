@@ -342,10 +342,9 @@ func TestServerDrainFlushesBufferedRequests(t *testing.T) {
 func TestServerDrainDuringRebuild(t *testing.T) {
 	keys := datagen.Generate(datagen.Email, 8000, 7)
 	st, err := hope.Open(hope.BTree, hope.WithAdaptive(hope.AdaptiveOptions{
-		Scheme:         hope.DoubleChar,
-		Shards:         4,
-		Manual:         true, // rebuild fires when the test says so
-		MigrationBatch: 4,    // tiny batches: migration spans the whole drain
+		Scheme: hope.DoubleChar,
+		Shards: 4,
+		Manual: true, // rebuild fires when the test says so
 	}))
 	if err != nil {
 		t.Fatal(err)

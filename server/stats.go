@@ -98,7 +98,6 @@ type LifecycleHealth struct {
 	Aborts              uint64
 	Degraded            bool
 	ConsecutiveFailures int
-	MigratedShards      int
 }
 
 // Lifecycle extracts the adaptive store's lifecycle health. Check
@@ -115,6 +114,5 @@ func (s *ServerStats) Lifecycle() LifecycleHealth {
 		Aborts:              s.Uint("hope_lifecycle_aborts_total"),
 		Degraded:            s.Bool("hope_lifecycle_degraded"),
 		ConsecutiveFailures: int(s.Float("hope_lifecycle_consecutive_failures")),
-		MigratedShards:      int(s.Float("hope_lifecycle_migrated_shards")),
 	}
 }

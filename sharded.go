@@ -296,11 +296,9 @@ func (s *ShardedIndex) Put(key []byte, val uint64) error {
 }
 
 // putShard is Put routed to a known shard, reporting the stored (encoded)
-// key length — the per-shard migration hook AdaptiveIndex drives: the
-// caller has already routed the original key (routing is
-// dictionary-independent, so every generation agrees on the shard), and
-// the returned length feeds the lifecycle tracker's rolling
-// compression-rate estimate without a second encode.
+// key length — the hook AdaptiveIndex's migration replay inserts through,
+// having already routed the original key by the next generation's
+// partitioner.
 func (s *ShardedIndex) putShard(shard int, key []byte, val uint64) (storedLen int, err error) {
 	s.trackLen(len(key))
 	sh := s.shards[shard]
@@ -415,37 +413,6 @@ func (s *ShardedIndex) upsertShard(shard int, key []byte, val uint64) (existing 
 	sc.buf = ek[:0]
 	s.scratch.Put(sc)
 	return 0, false, storedLen, err
-}
-
-// upsertShardEncoded is upsertShard for a key whose stored form enc was
-// already produced by a bulk encode: the adaptive migration re-encodes
-// whole batches through EncodeAll (the word-parallel batch kernels)
-// instead of paying a scratch point-encode per record. enc must be the
-// key's stored form — an EncodeAll/EncodeBits result, or the key itself
-// when the index is uncompressed (see encodeBatch). The insert copies
-// enc, so callers may hand out slices of a transient shared backing.
-func (s *ShardedIndex) upsertShardEncoded(shard int, key, enc []byte, val uint64) (existing uint64, existed bool, err error) {
-	s.trackLen(len(key))
-	sh := s.shards[shard]
-	sh.mu.Lock()
-	if v, ok := sh.be.get(enc); ok {
-		sh.mu.Unlock()
-		return v, true, nil
-	}
-	err = sh.be.insert(append([]byte(nil), enc...), val)
-	sh.mu.Unlock()
-	return 0, false, err
-}
-
-// encodeBatch bulk-encodes keys into their stored forms through the
-// parallel encode pipeline (and its batch kernels). It returns nil when
-// the index stores keys uncompressed — callers then use the keys as the
-// stored forms directly.
-func (s *ShardedIndex) encodeBatch(keys [][]byte) [][]byte {
-	if s.cenc == nil {
-		return nil
-	}
-	return s.cenc.EncodeAll(keys)
 }
 
 // Bulk loads keys[i] -> vals[i]: the keys are partitioned once by the
@@ -752,11 +719,10 @@ type shardCursor struct {
 
 // scanShard drains one shard's stored keys in [from, hi) (or [from, hi]
 // when hiIncl; nil hi unbounded) in encoded order under the shard's read
-// lock, until fn returns false. It is the per-shard migration hook behind
-// AdaptiveIndex's cross-generation merge: the adaptive layer owns the
-// chunking and resume bookkeeping (its cursors resolve stored values
-// against the record store mid-drain), so this hook stays a single locked
-// pass. Keys passed to fn alias tree memory and are only valid during the
+// lock, until fn returns false. It is the per-shard hook behind
+// AdaptiveIndex's scan merge: the adaptive layer owns the chunking and
+// resume bookkeeping (its cursors resolve stored values against the
+// record store mid-drain), so this hook stays a single locked pass. Keys passed to fn alias tree memory and are only valid during the
 // callback, which must not call back into the index.
 func (s *ShardedIndex) scanShard(shard int, from, hi []byte, hiIncl bool, fn func(k []byte, v uint64) bool) {
 	sh := s.shards[shard]
@@ -892,7 +858,7 @@ func cursorLess(a, b *shardCursor) bool {
 
 // siftDown restores the min-heap property at index i for any cursor type;
 // the ShardedIndex merge (cursorLess, encoded keys) and the AdaptiveIndex
-// cross-generation merge (adaptiveCursorLess, original keys) share it.
+// merge (adaptiveCursorLess, original keys) share it.
 func siftDown[C any](h []C, i int, less func(a, b C) bool) {
 	for {
 		l, r := 2*i+1, 2*i+2
