@@ -73,8 +73,11 @@ bench-tree:
 # tree figures run on both sides and must hold their median within 15%,
 # then scripts/perf_gate.sh runs perfbench on both and applies the
 # BENCHMARK.json bounds (about 7 min on 2 cores). No committed record is
-# compared against.
+# compared against. The tree figure is noisier than the bound on a small
+# machine, so it runs in three base/head pairs, base first in the odd
+# ones, and benchdiff gates each cell's median over the three runs.
 BASE_REV ?= HEAD
+TREE_FIG = -fig tree -dataset email -keys 50000 -ops 50000
 bench-check:
 	rm -rf .bench_build/base && mkdir -p .bench_build/base
 	git archive $(BASE_REV) | tar -x -C .bench_build/base
@@ -82,10 +85,19 @@ bench-check:
 		-json ../encode.base.json
 	$(GO) run ./cmd/hopebench -fig encode -dataset email -keys 200000 -json .bench_build/encode.head.json
 	$(GO) run ./cmd/benchdiff .bench_build/encode.base.json .bench_build/encode.head.json
-	cd .bench_build/base && $(GO) run ./cmd/hopebench -fig tree -dataset email -keys 50000 -ops 50000 \
-		-json ../tree.base.json
-	$(GO) run ./cmd/hopebench -fig tree -dataset email -keys 50000 -ops 50000 -json .bench_build/tree.head.json
-	$(GO) run ./cmd/benchdiff -mode tree .bench_build/tree.base.json .bench_build/tree.head.json
+	cd .bench_build/base && $(GO) build -buildvcs=false -o ../hopebench.base ./cmd/hopebench
+	$(GO) build -buildvcs=false -o .bench_build/hopebench.head ./cmd/hopebench
+	for pair in 1 2 3; do \
+		if [ $$((pair % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			dir=.; [ $$side = base ] && dir=.bench_build/base; \
+			(cd $$dir && $(CURDIR)/.bench_build/hopebench.$$side $(TREE_FIG) \
+				-json $(CURDIR)/.bench_build/tree.$$side.$$pair.json) || exit 1; \
+		done; \
+	done
+	$(GO) run ./cmd/benchdiff -mode tree \
+		.bench_build/tree.base.1.json,.bench_build/tree.base.2.json,.bench_build/tree.base.3.json \
+		.bench_build/tree.head.1.json,.bench_build/tree.head.2.json,.bench_build/tree.head.3.json
 	./scripts/perf_gate.sh .bench_build/base
 
 # figures regenerates the paper's evaluation artifacts at laptop scale.

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	benchdiff [-threshold 0.15] [-mode encode|tree] baseline.json current.json
+//	benchdiff [-threshold 0.15] [-mode encode|tree] base.json[,base2.json...] current.json[,current2.json...]
 //	benchdiff -mode perfbench BENCHMARK.json base.out head.out
 //
 // Mode encode compares BENCH_encode.json records (the encode-path latency
@@ -12,12 +12,15 @@
 // (the end-to-end search-tree record `make bench-tree` writes, gating load
 // throughput plus point, scan and insert latencies). Rows are matched by
 // identity key — (dataset, scheme) for encode, (dataset, backend, config)
-// for tree. For every gated metric the tool collects the per-row
-// current/baseline ratios and compares the metric's median ratio against
-// the threshold: latencies fail above 1+threshold, throughputs fail below
-// 1-threshold. The median — not the max — gates the job so a single noisy
-// row on shared CI hardware cannot fail the build, while a real regression
-// (which moves every row) reliably does.
+// for tree. Each side may name several records of repeated runs, comma
+// separated; a cell (row and metric) then takes the median of that side's
+// runs, so one slow run cannot fail the gate. For every gated metric the
+// tool collects the per-row current/baseline ratios and compares the
+// metric's median ratio against the threshold: latencies fail above
+// 1+threshold, throughputs fail below 1-threshold. The median — not the
+// max — gates the job so a single noisy row on shared CI hardware cannot
+// fail the build, while a real regression (which moves every row)
+// reliably does.
 //
 // Mode perfbench compares the output of perfbench runs on two revisions
 // (see scripts/perf_gate.sh and perfbench.go) against the end-to-end
@@ -32,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/bench"
 )
@@ -72,7 +76,7 @@ func main() {
 	threshold := flag.Float64("threshold", 0.15, "maximum tolerated median regression (0.15 = ±15%)")
 	mode := flag.String("mode", "encode", "what to compare: encode (BENCH_encode.json), tree (BENCH_tree.json) or perfbench (perfbench output against BENCHMARK.json bounds)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: benchdiff [-threshold 0.15] [-mode encode|tree] baseline.json current.json\n"+
+		fmt.Fprintf(os.Stderr, "usage: benchdiff [-threshold 0.15] [-mode encode|tree] base.json[,base2.json...] current.json[,current2.json...]\n"+
 			"       benchdiff -mode perfbench BENCHMARK.json base.out head.out\n")
 		flag.PrintDefaults()
 	}
@@ -88,25 +92,21 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var base, cur []row
+	var read func(string) ([]row, error)
 	var metrics []metric
-	var err error
 	switch *mode {
 	case "encode":
-		metrics = encodeMetrics
-		base, err = readEncodeRows(flag.Arg(0))
-		if err == nil {
-			cur, err = readEncodeRows(flag.Arg(1))
-		}
+		read, metrics = readEncodeRows, encodeMetrics
 	case "tree":
-		metrics = treeMetrics
-		base, err = readTreeRows(flag.Arg(0))
-		if err == nil {
-			cur, err = readTreeRows(flag.Arg(1))
-		}
+		read, metrics = readTreeRows, treeMetrics
 	default:
-		err = fmt.Errorf("unknown -mode %q (want encode, tree or perfbench)", *mode)
+		fatal(fmt.Errorf("unknown -mode %q (want encode, tree or perfbench)", *mode))
 	}
+	base, err := readRuns(flag.Arg(0), read)
+	if err != nil {
+		fatal(err)
+	}
+	cur, err := readRuns(flag.Arg(1), read)
 	if err != nil {
 		fatal(err)
 	}
@@ -125,6 +125,48 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "benchdiff:", err)
 	os.Exit(2)
+}
+
+// readRuns reads one side's records, a comma-separated list of paths, and
+// merges repeated runs into one row per identity key whose metrics are the
+// medians over the runs.
+func readRuns(paths string, read func(string) ([]row, error)) ([]row, error) {
+	var runs [][]row
+	for _, p := range strings.Split(paths, ",") {
+		rs, err := read(p)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, rs)
+	}
+	return medianRows(runs), nil
+}
+
+// medianRows merges runs of the same record: a row appears once, in first
+// appearance order, and each metric is the median over the runs that hold
+// the row.
+func medianRows(runs [][]row) []row {
+	var keys []string
+	samples := map[string]map[string][]float64{}
+	for _, rs := range runs {
+		for _, r := range rs {
+			if samples[r.key] == nil {
+				samples[r.key] = map[string][]float64{}
+				keys = append(keys, r.key)
+			}
+			for m, v := range r.vals {
+				samples[r.key][m] = append(samples[r.key][m], v)
+			}
+		}
+	}
+	out := make([]row, len(keys))
+	for i, k := range keys {
+		out[i] = row{key: k, vals: map[string]float64{}}
+		for m, vs := range samples[k] {
+			out[i].vals[m] = median(vs)
+		}
+	}
+	return out
 }
 
 func readEncodeRows(path string) ([]row, error) {

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -133,5 +137,82 @@ func TestZeroBaselineSkipped(t *testing.T) {
 	}
 	if failed {
 		t.Fatal("zero baseline produced a failure")
+	}
+}
+
+// treeRun is one tree record: every backend × config cell on email, with
+// latencies scaled by slow and load throughput divided by it.
+func treeRun(slow float64) []bench.TreeBenchRow {
+	var out []bench.TreeBenchRow
+	for _, backend := range []string{"ART", "B+tree", "HOT", "SuRF"} {
+		for i, config := range []string{"Uncompressed", "Single-Char", "Double-Char", "3-Grams"} {
+			out = append(out, bench.TreeBenchRow{
+				Dataset: "email", Backend: backend, Config: config,
+				LoadKeysSec: 1e6 / slow,
+				PointNs:     float64(300+10*i) * slow,
+				ScanNs:      float64(900+10*i) * slow,
+				InsertNs:    float64(500+10*i) * slow,
+			})
+		}
+	}
+	return out
+}
+
+// gateTreeRuns writes each run to its own record file and gates the two
+// sides as `benchdiff -mode tree` does, comma-separated lists included.
+func gateTreeRuns(t *testing.T, base, head [][]bench.TreeBenchRow) (string, bool) {
+	t.Helper()
+	write := func(side string, runs [][]bench.TreeBenchRow) string {
+		var paths []string
+		for i, r := range runs {
+			p := filepath.Join(t.TempDir(), fmt.Sprintf("tree.%s.%d.json", side, i))
+			b, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, p)
+		}
+		return strings.Join(paths, ",")
+	}
+	b, err := readRuns(write("base", base), readTreeRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := readRuns(write("head", head), readTreeRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, failed, err := diffRows(b, h, treeMetrics, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return report, failed
+}
+
+// TestTreeOutlierRunTolerated: of three runs per side, the first head run
+// twice as slow and the last base run twice as fast in every cell are
+// outliers the per-cell median discards.
+func TestTreeOutlierRunTolerated(t *testing.T) {
+	base := [][]bench.TreeBenchRow{treeRun(1), treeRun(1.05), treeRun(0.5)}
+	head := [][]bench.TreeBenchRow{treeRun(2), treeRun(1.02), treeRun(0.99)}
+	if report, failed := gateTreeRuns(t, base, head); failed {
+		t.Fatalf("one outlier run out of three failed the gate:\n%s", report)
+	}
+}
+
+// TestTreeRegressionInEveryRunFails: a 30% slowdown in every head run
+// fails the 15% gate on every metric, load throughput included.
+func TestTreeRegressionInEveryRunFails(t *testing.T) {
+	base := [][]bench.TreeBenchRow{treeRun(1), treeRun(1.05), treeRun(0.97)}
+	head := [][]bench.TreeBenchRow{treeRun(1.3), treeRun(1.3 * 1.05), treeRun(1.3 * 0.97)}
+	report, failed := gateTreeRuns(t, base, head)
+	if !failed {
+		t.Fatalf("a 30%% regression in every run passed the 15%% gate:\n%s", report)
+	}
+	if n := strings.Count(report, "REGRESSION"); n != len(treeMetrics) {
+		t.Fatalf("%d of %d metrics flagged:\n%s", n, len(treeMetrics), report)
 	}
 }

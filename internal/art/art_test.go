@@ -329,24 +329,43 @@ func TestStatsAndMemory(t *testing.T) {
 	}
 }
 
-func TestDictModeStoresFullPrefixes(t *testing.T) {
+// TestDictModeFloorThroughLongPaths: Floor compares exact paths even
+// where a compressed path is longer than the bytes a node keeps inline,
+// including keys that diverge just past and far past the inline bytes.
+func TestDictModeFloorThroughLongPaths(t *testing.T) {
+	q := func(n int, tail string) []byte { return append(bytes.Repeat([]byte{'q'}, n), tail...) }
 	tr := New(DictMode)
-	longA := append(bytes.Repeat([]byte{'q'}, 40), 'a')
-	longB := append(bytes.Repeat([]byte{'q'}, 40), 'b')
+	longA, longB := q(40, "a"), q(40, "b")
 	tr.Insert(longA, 1)
 	tr.Insert(longB, 2)
-	s := tr.ComputeStats()
-	if s.PrefixBytes < 39 {
-		t.Fatalf("DictMode must store the full compressed path, stored %d bytes", s.PrefixBytes)
-	}
 	// Floor through the long prefix.
-	q := append(bytes.Repeat([]byte{'q'}, 40), 'a', 'z')
-	if k, _, ok := tr.Floor(q); !ok || !bytes.Equal(k, longA) {
+	if k, _, ok := tr.Floor(q(40, "az")); !ok || !bytes.Equal(k, longA) {
 		t.Fatalf("Floor through long prefix: %q %v", k, ok)
 	}
 	if _, _, ok := tr.Floor(bytes.Repeat([]byte{'q'}, 10)); ok {
 		t.Fatal("floor below all keys must miss")
 	}
+
+	// Keys that share 9 to 20 bytes and diverge past the inline bytes.
+	keys := map[string]uint64{string(longA): 1, string(longB): 2}
+	for i, k := range [][]byte{q(9, "m"), q(9, "x"), q(12, "c"), q(12, "cc"), q(20, "")} {
+		tr.Insert(k, uint64(10+i))
+		keys[string(k)] = uint64(10 + i)
+	}
+	ref := &refMap{m: keys}
+	for _, query := range [][]byte{
+		q(8, ""), q(9, ""), q(9, "a"), q(9, "m"), q(9, "n"), q(9, "z"),
+		q(10, ""), q(10, "a"), q(12, "b"), q(12, "c"), q(12, "ca"), q(12, "cd"),
+		q(19, "r"), q(20, ""), q(20, "a"), q(30, ""), q(40, ""), q(40, "a"),
+		q(40, "aa"), q(40, "c"), q(41, ""), q(50, ""), []byte("r"), []byte("p"),
+	} {
+		wantK, wantV, wantOK := ref.floor(query)
+		k, v, ok := tr.Floor(query)
+		if ok != wantOK || (ok && (string(k) != wantK || v != wantV)) {
+			t.Fatalf("Floor(%q) = %q,%d,%v, want %q,%d,%v", query, k, v, ok, wantK, wantV, wantOK)
+		}
+	}
+	checkNodes(t, tr)
 }
 
 func TestIndexModeCapsPrefixes(t *testing.T) {

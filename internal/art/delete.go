@@ -1,6 +1,9 @@
 package art
 
-import "bytes"
+import (
+	"bytes"
+	"unsafe"
+)
 
 // Delete removes a key, reports whether it was present, and shrinks or
 // collapses nodes on the way out: node layouts downgrade when sparse, and
@@ -19,8 +22,8 @@ func (t *Tree) delete(ref *node, key []byte, depth int) bool {
 	if n == nil {
 		return false
 	}
-	if l, ok := n.(*leaf); ok {
-		if !bytes.Equal(l.key, key) {
+	if l := asLeaf(n); l != nil {
+		if !bytes.Equal(l.key(), key) {
 			return false
 		}
 		*ref = nil
@@ -28,18 +31,17 @@ func (t *Tree) delete(ref *node, key []byte, depth int) bool {
 	}
 	h := hdr(n)
 	if h.prefixLen > 0 {
-		mp := t.prefixMismatch(n, key, depth)
-		if mp < h.prefixLen {
+		if prefixMismatch(n, key, depth) < int(h.prefixLen) {
 			return false
 		}
-		depth += h.prefixLen
+		depth += int(h.prefixLen)
 	}
 	if depth == len(key) {
-		if h.valueLeaf == nil || !bytes.Equal(h.valueLeaf.key, key) {
+		if h.valueLeaf == nil || !bytes.Equal(h.valueLeaf.key(), key) {
 			return false
 		}
 		h.valueLeaf = nil
-		t.collapse(ref, n, depth)
+		collapse(ref, n)
 		return true
 	}
 	cr := childRef(n, key[depth])
@@ -50,8 +52,8 @@ func (t *Tree) delete(ref *node, key []byte, depth int) bool {
 		return false
 	}
 	if *cr == nil {
-		t.removeChild(ref, n, key[depth])
-		t.collapse(ref, n, depth)
+		removeChild(ref, n, key[depth])
+		collapse(ref, *ref)
 	}
 	return true
 }
@@ -59,16 +61,14 @@ func (t *Tree) delete(ref *node, key []byte, depth int) bool {
 // collapse merges an inner node into its surroundings when it no longer
 // justifies existing: zero children with a prefix key becomes that leaf;
 // one child and no prefix key is folded into the child's path.
-func (t *Tree) collapse(ref *node, n node, depth int) {
+func collapse(ref *node, n node) {
 	h := hdr(n)
 	if h.numChildren == 0 {
+		// A node with neither children nor a value leaf only occurs
+		// transiently (the caller removes it from its parent).
+		*ref = nil
 		if h.valueLeaf != nil {
-			*ref = h.valueLeaf
-		}
-		// A node with no children and no value leaf only occurs
-		// transiently (caller removes it from its parent).
-		if h.valueLeaf == nil {
-			*ref = nil
+			*ref = unsafe.Pointer(h.valueLeaf)
 		}
 		return
 	}
@@ -79,57 +79,48 @@ func (t *Tree) collapse(ref *node, n node, depth int) {
 			edge, only = b, ch
 			return false
 		})
-		if ch, ok := only.(*leaf); ok {
-			*ref = ch
+		if kindOf(only) == kindLeaf {
+			*ref = only
 			return
 		}
-		// Fold this node's prefix + edge byte into the child's prefix.
+		// The child's path becomes this node's path + edge byte + its own.
+		// Its first maxStoredPrefix bytes come from the inline bytes alone:
+		// a path longer than that is cut off before the edge byte.
 		chh := hdr(only)
-		merged := make([]byte, 0, h.prefixLen+1+chh.prefixLen)
-		merged = append(merged, actualPrefix(n, depth-h.prefixLen)...)
-		merged = append(merged, edge)
-		merged = append(merged, actualPrefix(only, depth+1)...)
-		t.setPrefix(chh, merged)
+		var p [2*maxStoredPrefix + 1]byte
+		m := copy(p[:], h.stored())
+		p[m] = edge
+		copy(p[m+1:], chh.stored())
+		plen := h.prefixLen + 1 + chh.prefixLen
+		chh.setPrefix(p[:maxStoredPrefix])
+		chh.prefixLen = plen
 		*ref = only
 	}
 }
 
 // removeChild deletes the edge for byte c, downgrading the node layout
 // when it becomes sparse.
-func (t *Tree) removeChild(ref *node, n node, c byte) {
-	switch v := n.(type) {
-	case *node4:
-		for i := 0; i < v.numChildren; i++ {
-			if v.keys[i] == c {
-				copy(v.keys[i:], v.keys[i+1:v.numChildren])
-				copy(v.child[i:], v.child[i+1:v.numChildren])
-				v.child[v.numChildren-1] = nil
-				v.numChildren--
-				return
-			}
-		}
-	case *node16:
-		for i := 0; i < v.numChildren; i++ {
-			if v.keys[i] == c {
-				copy(v.keys[i:], v.keys[i+1:v.numChildren])
-				copy(v.child[i:], v.child[i+1:v.numChildren])
-				v.child[v.numChildren-1] = nil
-				v.numChildren--
-				break
-			}
-		}
+func removeChild(ref *node, n node, c byte) {
+	switch kindOf(n) {
+	case kindNode4:
+		v := (*node4)(n)
+		removeSorted(v.keys[:], v.child[:], &v.numChildren, c)
+	case kindNode16:
+		v := (*node16)(n)
+		removeSorted(v.keys[:], v.child[:], &v.numChildren, c)
 		if v.numChildren <= 3 {
-			g := &node4{header: v.header}
+			g := newNode4(v.header)
 			copy(g.keys[:], v.keys[:v.numChildren])
 			copy(g.child[:], v.child[:v.numChildren])
-			*ref = g
+			*ref = unsafe.Pointer(g)
 		}
-	case *node48:
+	case kindNode48:
+		v := (*node48)(n)
 		if s := v.index[c]; s != 0 {
 			slot := int(s - 1)
 			v.index[c] = 0
 			// Move the last slot into the vacated one.
-			last := v.numChildren - 1
+			last := int(v.numChildren) - 1
 			if slot != last {
 				v.child[slot] = v.child[last]
 				for b := 0; b < 256; b++ {
@@ -143,7 +134,7 @@ func (t *Tree) removeChild(ref *node, n node, c byte) {
 			v.numChildren--
 		}
 		if v.numChildren <= 12 {
-			g := &node16{header: v.header}
+			g := newNode16(v.header)
 			i := 0
 			for b := 0; b < 256; b++ {
 				if s := v.index[b]; s != 0 {
@@ -152,15 +143,16 @@ func (t *Tree) removeChild(ref *node, n node, c byte) {
 					i++
 				}
 			}
-			*ref = g
+			*ref = unsafe.Pointer(g)
 		}
-	case *node256:
+	case kindNode256:
+		v := (*node256)(n)
 		// The caller already cleared the slot via the child reference;
 		// just account for the departed edge.
 		v.child[c] = nil
 		v.numChildren--
 		if v.numChildren <= 36 {
-			g := &node48{header: v.header}
+			g := newNode48(v.header)
 			i := 0
 			for b := 0; b < 256; b++ {
 				if v.child[b] != nil {
@@ -169,7 +161,21 @@ func (t *Tree) removeChild(ref *node, n node, c byte) {
 					i++
 				}
 			}
-			*ref = g
+			*ref = unsafe.Pointer(g)
+		}
+	}
+}
+
+// removeSorted deletes the edge for byte c from parallel sorted arrays.
+func removeSorted(keys []byte, children []node, num *uint16, c byte) {
+	n := int(*num)
+	for i := 0; i < n; i++ {
+		if keys[i] == c {
+			copy(keys[i:], keys[i+1:n])
+			copy(children[i:], children[i+1:n])
+			children[n-1] = nil
+			*num--
+			return
 		}
 	}
 }

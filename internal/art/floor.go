@@ -5,8 +5,9 @@ import "bytes"
 // Floor returns the greatest key <= query and its value. This is the
 // dictionary lookup of the ALM schemes: interval boundaries are the keys
 // and the floor identifies the interval containing the query. It requires
-// DictMode, where compressed paths are stored in full — with no tuple to
-// verify against, optimistic skipping would be unsound.
+// DictMode: with no tuple to verify against, optimistic skipping would be
+// unsound, so every compressed path is compared exactly, its bytes past
+// the inline ones read from the subtree's smallest leaf.
 func (t *Tree) Floor(query []byte) (key []byte, val uint64, ok bool) {
 	if t.mode != DictMode {
 		panic("art: Floor requires DictMode")
@@ -18,21 +19,21 @@ func (t *Tree) Floor(query []byte) (key []byte, val uint64, ok bool) {
 	if l == nil {
 		return nil, 0, false
 	}
-	return l.key, l.val, true
+	return l.key(), l.val, true
 }
 
 // floorRec returns the greatest leaf <= query within the subtree, or nil
 // when every leaf exceeds query.
 func floorRec(n node, query []byte, depth int) *leaf {
-	if l, ok := n.(*leaf); ok {
-		if bytes.Compare(l.key, query) <= 0 {
+	if l := asLeaf(n); l != nil {
+		if bytes.Compare(l.key(), query) <= 0 {
 			return l
 		}
 		return nil
 	}
 	h := hdr(n)
 	if h.prefixLen > 0 {
-		p := h.prefix // full bytes in DictMode
+		p := actualPrefix(n, depth)
 		rem := query[depth:]
 		m := len(p)
 		if len(rem) < m {
@@ -51,7 +52,7 @@ func floorRec(n node, query []byte, depth int) *leaf {
 			// subtree extends the query, hence exceeds it.
 			return nil
 		}
-		depth += h.prefixLen
+		depth += len(p)
 	}
 	if depth == len(query) {
 		// Children all extend the query; only an exact prefix key matches.

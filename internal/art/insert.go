@@ -1,6 +1,9 @@
 package art
 
-import "bytes"
+import (
+	"bytes"
+	"unsafe"
+)
 
 // Insert adds or updates a key. The key bytes are copied.
 func (t *Tree) Insert(key []byte, val uint64) {
@@ -10,37 +13,42 @@ func (t *Tree) Insert(key []byte, val uint64) {
 func (t *Tree) insert(ref *node, key []byte, depth int, val uint64) {
 	n := *ref
 	if n == nil {
-		*ref = t.newLeaf(key, val)
+		*ref = unsafe.Pointer(t.newLeaf(key, val))
 		return
 	}
-	if l, ok := n.(*leaf); ok {
-		if bytes.Equal(l.key, key) {
+	if l := asLeaf(n); l != nil {
+		lk := l.key()
+		if bytes.Equal(lk, key) {
 			l.val = val
 			return
 		}
 		// Split the leaf: a new node4 holding the common path.
-		lcp := commonPrefixLen(l.key[depth:], key[depth:])
-		nn := t.newNode4(key[depth : depth+lcp])
-		t.attach(nn, l.key, depth+lcp, l)
-		t.attach(nn, key, depth+lcp, t.newLeaf(key, val))
-		*ref = nn
+		lcp := commonPrefixLen(lk[depth:], key[depth:])
+		var h header
+		h.setPrefix(key[depth : depth+lcp])
+		nn := newNode4(h)
+		attach(nn, lk, depth+lcp, l)
+		attach(nn, key, depth+lcp, t.newLeaf(key, val))
+		*ref = unsafe.Pointer(nn)
 		return
 	}
 	h := hdr(n)
 	if h.prefixLen > 0 {
-		mp := t.prefixMismatch(n, key, depth)
-		if mp < h.prefixLen {
+		mp := prefixMismatch(n, key, depth)
+		if mp < int(h.prefixLen) {
 			// Split the compressed path at the mismatch.
 			actual := actualPrefix(n, depth)
-			nn := t.newNode4(actual[:mp])
+			var nh header
+			nh.setPrefix(actual[:mp])
+			nn := newNode4(nh)
 			edge := actual[mp]
-			t.setPrefix(h, actual[mp+1:])
+			h.setPrefix(actual[mp+1:])
 			insertSorted(nn.keys[:], nn.child[:], &nn.numChildren, edge, n)
-			t.attach(nn, key, depth+mp, t.newLeaf(key, val))
-			*ref = nn
+			attach(nn, key, depth+mp, t.newLeaf(key, val))
+			*ref = unsafe.Pointer(nn)
 			return
 		}
-		depth += h.prefixLen
+		depth += int(h.prefixLen)
 	}
 	if depth == len(key) {
 		if h.valueLeaf != nil {
@@ -55,68 +63,47 @@ func (t *Tree) insert(ref *node, key []byte, depth int, val uint64) {
 		t.insert(cr, key, depth+1, val)
 		return
 	}
-	t.addChildGrow(ref, n, c, t.newLeaf(key, val))
+	addChildGrow(ref, n, c, unsafe.Pointer(t.newLeaf(key, val)))
 }
 
 // attach places a leaf under nn: as the node's value leaf when the key is
 // exhausted at d, otherwise as a child keyed by key[d].
-func (t *Tree) attach(nn *node4, key []byte, d int, l *leaf) {
+func attach(nn *node4, key []byte, d int, l *leaf) {
 	if len(key) == d {
 		nn.valueLeaf = l
 		return
 	}
-	var ref node = nn
-	t.addChildGrow(&ref, nn, key[d], l)
+	insertSorted(nn.keys[:], nn.child[:], &nn.numChildren, key[d], unsafe.Pointer(l))
 }
 
+// newLeaf allocates a leaf and a copy of its key.
 func (t *Tree) newLeaf(key []byte, val uint64) *leaf {
 	t.size++
-	k := make([]byte, len(key))
-	copy(k, key)
-	return &leaf{key: k, val: val}
-}
-
-func (t *Tree) newNode4(prefix []byte) *node4 {
-	nn := &node4{}
-	t.setPrefix(&nn.header, prefix)
-	return nn
-}
-
-// setPrefix records a compressed path, storing all bytes in DictMode and
-// at most maxStoredPrefix bytes in IndexMode (OCPS).
-func (t *Tree) setPrefix(h *header, prefix []byte) {
-	h.prefixLen = len(prefix)
-	keep := len(prefix)
-	if t.mode == IndexMode && keep > maxStoredPrefix {
-		keep = maxStoredPrefix
-	}
-	h.prefix = make([]byte, keep)
-	copy(h.prefix, prefix[:keep])
+	l := &leaf{val: val}
+	l.setKey(bytes.Clone(key))
+	return l
 }
 
 // prefixMismatch returns how many bytes of the node's compressed path
-// match key[depth:], up to min(prefixLen, len(key)-depth). When the stored
-// (capped) bytes are exhausted the actual bytes are loaded from a leaf, as
-// in standard ART inserts.
-func (t *Tree) prefixMismatch(n node, key []byte, depth int) int {
+// match key[depth:], up to min(prefixLen, len(key)-depth). When the inline
+// bytes are exhausted the actual bytes are loaded from a leaf, as in
+// standard ART inserts.
+func prefixMismatch(n node, key []byte, depth int) int {
 	h := hdr(n)
 	rem := key[depth:]
-	limit := h.prefixLen
-	if len(rem) < limit {
-		limit = len(rem)
-	}
-	stored := h.prefix
+	limit := min(int(h.prefixLen), len(rem))
+	stored := h.stored()
 	i := 0
 	for i < limit && i < len(stored) && stored[i] == rem[i] {
 		i++
 	}
 	if i < limit && i < len(stored) {
-		return i // genuine mismatch within stored bytes
+		return i // genuine mismatch within the inline bytes
 	}
 	if i == limit {
 		return i
 	}
-	actual := minLeaf(n).key[depth : depth+h.prefixLen]
+	actual := minLeaf(n).key()[depth : depth+int(h.prefixLen)]
 	for i < limit && actual[i] == rem[i] {
 		i++
 	}
@@ -125,24 +112,26 @@ func (t *Tree) prefixMismatch(n node, key []byte, depth int) int {
 
 // addChildGrow inserts a child under byte c, upgrading the node layout
 // when full and updating *ref with the replacement node.
-func (t *Tree) addChildGrow(ref *node, n node, c byte, child node) {
-	switch v := n.(type) {
-	case *node4:
+func addChildGrow(ref *node, n node, c byte, child node) {
+	switch kindOf(n) {
+	case kindNode4:
+		v := (*node4)(n)
 		if v.numChildren < 4 {
 			insertSorted(v.keys[:], v.child[:], &v.numChildren, c, child)
 			return
 		}
-		g := &node16{header: v.header}
+		g := newNode16(v.header)
 		copy(g.keys[:], v.keys[:])
 		copy(g.child[:], v.child[:])
 		insertSorted(g.keys[:], g.child[:], &g.numChildren, c, child)
-		*ref = g
-	case *node16:
+		*ref = unsafe.Pointer(g)
+	case kindNode16:
+		v := (*node16)(n)
 		if v.numChildren < 16 {
 			insertSorted(v.keys[:], v.child[:], &v.numChildren, c, child)
 			return
 		}
-		g := &node48{header: v.header}
+		g := newNode48(v.header)
 		for i := 0; i < 16; i++ {
 			g.index[v.keys[i]] = byte(i + 1)
 			g.child[i] = v.child[i]
@@ -150,33 +139,34 @@ func (t *Tree) addChildGrow(ref *node, n node, c byte, child node) {
 		g.index[c] = byte(g.numChildren + 1)
 		g.child[g.numChildren] = child
 		g.numChildren++
-		*ref = g
-	case *node48:
+		*ref = unsafe.Pointer(g)
+	case kindNode48:
+		v := (*node48)(n)
 		if v.numChildren < 48 {
 			v.index[c] = byte(v.numChildren + 1)
 			v.child[v.numChildren] = child
 			v.numChildren++
 			return
 		}
-		g := &node256{header: v.header}
+		g := newNode256(v.header)
 		for b := 0; b < 256; b++ {
 			if s := v.index[b]; s != 0 {
 				g.child[b] = v.child[s-1]
 			}
 		}
-		g.numChildren = v.numChildren
 		g.child[c] = child
 		g.numChildren++
-		*ref = g
-	case *node256:
+		*ref = unsafe.Pointer(g)
+	case kindNode256:
+		v := (*node256)(n)
 		v.child[c] = child
 		v.numChildren++
 	}
 }
 
 // insertSorted places (c, child) into parallel sorted arrays.
-func insertSorted(keys []byte, children []node, num *int, c byte, child node) {
-	i := *num
+func insertSorted(keys []byte, children []node, num *uint16, c byte, child node) {
+	i := int(*num)
 	for i > 0 && keys[i-1] > c {
 		keys[i] = keys[i-1]
 		children[i] = children[i-1]
@@ -188,10 +178,7 @@ func insertSorted(keys []byte, children []node, num *int, c byte, child node) {
 }
 
 func commonPrefixLen(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	i := 0
 	for i < n && a[i] == b[i] {
 		i++
@@ -205,27 +192,60 @@ func commonPrefixLen(a, b []byte) int {
 // path is the common prefix of its first and last key, a key ending there
 // becomes its value leaf, and the rest are grouped by their next byte into
 // the smallest layout that holds the groups. Keys are copied, as Insert
-// copies them.
+// copies them, but into one arena, and the leaves are carved from one
+// slab: a leaf deleted later keeps its slab slot and key bytes until the
+// whole tree is dropped.
 func BulkLoad(mode Mode, keys [][]byte, vals []uint64) *Tree {
 	t := New(mode)
-	if len(keys) > 0 {
-		t.root = t.build(keys, vals, 0)
-	}
+	t.bulkLoad(keys, vals)
 	return t
+}
+
+// bulkLoad builds the tree's nodes over keys; the tree must be empty.
+// Besides one allocation per inner node it allocates twice: the leaf slab
+// and the key arena.
+func (t *Tree) bulkLoad(keys [][]byte, vals []uint64) {
+	if len(keys) == 0 {
+		return
+	}
+	total := 0
+	for _, k := range keys {
+		total += len(k)
+	}
+	b := bulkBuilder{leaves: make([]leaf, len(keys)), arena: make([]byte, 0, total)}
+	t.root = b.build(keys, vals, 0)
+	t.size = len(keys)
+}
+
+// bulkBuilder hands out BulkLoad's leaves and key bytes in key order.
+type bulkBuilder struct {
+	leaves []leaf
+	arena  []byte
+}
+
+// leaf carves the next leaf from the slab and its key from the arena.
+func (b *bulkBuilder) leaf(key []byte, val uint64) *leaf {
+	l := &b.leaves[0]
+	b.leaves = b.leaves[1:]
+	off := len(b.arena)
+	b.arena = append(b.arena, key...)
+	l.val = val
+	l.setKey(b.arena[off:len(b.arena):len(b.arena)])
+	return l
 }
 
 // build returns the subtree over keys, which all share their first depth
 // bytes.
-func (t *Tree) build(keys [][]byte, vals []uint64, depth int) node {
+func (b *bulkBuilder) build(keys [][]byte, vals []uint64, depth int) node {
 	if len(keys) == 1 {
-		return t.newLeaf(keys[0], vals[0])
+		return unsafe.Pointer(b.leaf(keys[0], vals[0]))
 	}
 	first := keys[0]
 	d := depth + commonPrefixLen(first[depth:], keys[len(keys)-1][depth:])
 	var h header
-	t.setPrefix(&h, first[depth:d])
+	h.setPrefix(first[depth:d])
 	if len(first) == d {
-		h.valueLeaf = t.newLeaf(first, vals[0])
+		h.valueLeaf = b.leaf(first, vals[0])
 		keys, vals = keys[1:], vals[1:]
 	}
 	groups := 1
@@ -237,13 +257,13 @@ func (t *Tree) build(keys [][]byte, vals []uint64, depth int) node {
 	var n node
 	switch {
 	case groups <= 4:
-		n = &node4{header: h}
+		n = unsafe.Pointer(newNode4(h))
 	case groups <= 16:
-		n = &node16{header: h}
+		n = unsafe.Pointer(newNode16(h))
 	case groups <= 48:
-		n = &node48{header: h}
+		n = unsafe.Pointer(newNode48(h))
 	default:
-		n = &node256{header: h}
+		n = unsafe.Pointer(newNode256(h))
 	}
 	for lo := 0; lo < len(keys); {
 		c := keys[lo][d]
@@ -253,7 +273,7 @@ func (t *Tree) build(keys [][]byte, vals []uint64, depth int) node {
 		}
 		// Children arrive in ascending byte order into a node sized for
 		// all of them, so this appends and never grows.
-		t.addChildGrow(&n, n, c, t.build(keys[lo:hi], vals[lo:hi], d+1))
+		addChildGrow(&n, n, c, b.build(keys[lo:hi], vals[lo:hi], d+1))
 		lo = hi
 	}
 	return n

@@ -4,10 +4,9 @@ import "bytes"
 
 // Scan visits keys >= start in ascending order until fn returns false or
 // the tree is exhausted. It is the range-query entry point used by the
-// YCSB workload E experiments. In IndexMode, descent decisions on capped
-// prefixes load actual bytes from a leaf so the scan never misses keys;
-// emitted leaves are still compared against start so OCPS cannot surface
-// keys below the range.
+// YCSB workload E experiments. Descent decisions on paths longer than
+// their inline bytes load the actual bytes from a leaf, so the scan never
+// misses keys; emitted leaves are still compared against start.
 func (t *Tree) Scan(start []byte, fn func(key []byte, val uint64) bool) {
 	if t.root == nil {
 		return
@@ -17,9 +16,9 @@ func (t *Tree) Scan(start []byte, fn func(key []byte, val uint64) bool) {
 
 // scanRec returns false when iteration should stop.
 func scanRec(n node, start []byte, depth int, fn func([]byte, uint64) bool) bool {
-	if l, ok := n.(*leaf); ok {
-		if bytes.Compare(l.key, start) >= 0 {
-			return fn(l.key, l.val)
+	if l := asLeaf(n); l != nil {
+		if k := l.key(); bytes.Compare(k, start) >= 0 {
+			return fn(k, l.val)
 		}
 		return true
 	}
@@ -45,7 +44,7 @@ func scanRec(n node, start []byte, depth int, fn func([]byte, uint64) bool) bool
 			// node's prefix key, which equals the path.
 			return emitAll(n, fn)
 		}
-		depth += h.prefixLen
+		depth += len(p)
 	}
 	if depth >= len(start) {
 		return emitAll(n, fn)
@@ -69,12 +68,12 @@ func scanRec(n node, start []byte, depth int, fn func([]byte, uint64) bool) bool
 
 // emitAll visits every leaf of the subtree in ascending order.
 func emitAll(n node, fn func([]byte, uint64) bool) bool {
-	if l, ok := n.(*leaf); ok {
-		return fn(l.key, l.val)
+	if l := asLeaf(n); l != nil {
+		return fn(l.key(), l.val)
 	}
 	h := hdr(n)
 	if h.valueLeaf != nil {
-		if !fn(h.valueLeaf.key, h.valueLeaf.val) {
+		if !fn(h.valueLeaf.key(), h.valueLeaf.val) {
 			return false
 		}
 	}
@@ -89,20 +88,23 @@ func emitAll(n node, fn func([]byte, uint64) bool) bool {
 // eachChild visits children in ascending key-byte order until fn returns
 // false.
 func eachChild(n node, fn func(byte, node) bool) {
-	switch v := n.(type) {
-	case *node4:
-		for i := 0; i < v.numChildren; i++ {
+	switch kindOf(n) {
+	case kindNode4:
+		v := (*node4)(n)
+		for i := 0; i < int(v.numChildren); i++ {
 			if !fn(v.keys[i], v.child[i]) {
 				return
 			}
 		}
-	case *node16:
-		for i := 0; i < v.numChildren; i++ {
+	case kindNode16:
+		v := (*node16)(n)
+		for i := 0; i < int(v.numChildren); i++ {
 			if !fn(v.keys[i], v.child[i]) {
 				return
 			}
 		}
-	case *node48:
+	case kindNode48:
+		v := (*node48)(n)
 		for b := 0; b < 256; b++ {
 			if s := v.index[b]; s != 0 {
 				if !fn(byte(b), v.child[s-1]) {
@@ -110,7 +112,8 @@ func eachChild(n node, fn func(byte, node) bool) {
 				}
 			}
 		}
-	case *node256:
+	case kindNode256:
+		v := (*node256)(n)
 		for b := 0; b < 256; b++ {
 			if v.child[b] != nil {
 				if !fn(byte(b), v.child[b]) {

@@ -8,7 +8,7 @@ import (
 // ARTDict is the dictionary structure for the ALM and ALM-Improved
 // schemes, whose interval boundaries have arbitrary lengths. It is an
 // adaptive radix tree in dictionary mode (paper Section 4.2): prefix keys
-// are supported, compressed paths are stored in full because there is no
+// are supported, compressed paths are compared exactly because there is no
 // tuple to verify an optimistic skip against, and the interval search is a
 // floor lookup over the stored boundaries.
 type ARTDict struct {
