@@ -1,16 +1,13 @@
 package hope
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -30,19 +27,14 @@ import (
 // with drift rebuilds looping back through Building) lives in
 // internal/lifecycle; this type is the data plane.
 //
-// # Record store
+// # Decoded keys
 //
-// Search trees store only the padded encodings, and paddings make decoding
-// ambiguous, so re-encoding under a new dictionary needs the original
-// keys. The AdaptiveIndex therefore owns a per-shard, per-generation
-// record store: trees map encoded keys to record ids, records hold the
-// original key bytes and the caller's value. This mirrors how a DBMS
-// integrates HOPE — the index entry points at a record that contains the
-// full key — and it is what makes background re-encode possible at all.
-// The memory cost (the original key bytes, retained) is the price of
-// adaptivity; a DBMS would source them from its base table instead.
-//
-// Because the index owns original keys, scan callbacks receive the
+// Each generation is a ShardedIndex mapping encoded keys to the caller's
+// values; no other copy of a key is kept. HOPE's codes are lossless, and
+// core.Build widens an all-zero entry-0 code to 8 bits, so a stored
+// (zero-padded) encoding decodes to exactly one original key. A rebuild
+// decodes the old generation's keys to re-encode them, and scans decode
+// what they emit (core.TableDecoder): scan callbacks receive the
 // *original* key — unlike Index and ShardedIndex, which hand out stored
 // encodings. Keys passed to callbacks are only valid during the callback.
 //
@@ -50,14 +42,15 @@ import (
 //
 // The adaptive layer's unit of bookkeeping is the *stripe*: a fixed,
 // generation-independent hash of the original key bytes (see shardHash)
-// selects one adaptiveShard, whose lock guards that stripe's record slots
-// in every generation. Each generation's ShardedIndex routes the same key
-// to its *tree shards* by its own Partitioner — hash by default, or range
-// with split points re-sampled from the lifecycle reservoir at every
-// rebuild (AdaptiveOptions.Partition). Decoupling the two is what lets a
-// rebuild change the key partition: records keep stable stripe-addressed
-// ids while the trees re-balance underneath, so a drift migration doubles
-// as shard re-balancing.
+// selects one adaptiveShard, whose lock serializes that stripe's writes
+// and, during a migration, guards its change list. Each generation's
+// ShardedIndex routes the same key to its *tree shards* by its own
+// Partitioner — hash by default, or range with split points re-sampled
+// from the lifecycle reservoir at every rebuild
+// (AdaptiveOptions.Partition). Decoupling the two is what lets a rebuild
+// change the key partition: the change lists stay stripe-addressed while
+// the trees re-balance underneath, so a drift migration doubles as shard
+// re-balancing.
 //
 // # Migration protocol
 //
@@ -65,18 +58,16 @@ import (
 // next one beside it and flips once. Every backend runs the same steps:
 //
 //   - Build the dictionary from a reservoir snapshot with no locks held.
-//   - Gather: per stripe, under its lock, copy the live records into the
-//     next generation's compacted record store (an old→new slot remap
-//     remembers where each went) and start the stripe's change list,
-//     which from then on logs every copied slot Put overwrites or Delete
-//     kills.
+//   - Start every stripe's change list: from then on each Put and Delete
+//     also logs (op, key, value) there.
+//   - Walk: every old tree shard in parallel, decoding its stored keys
+//     in chunks, one read-lock hold per chunk.
 //   - Build the next generation's trees off every lock with one Bulk:
 //     EncodeAll, one sort of the compressed keys, a bottom-up BulkLoad.
-//   - Replay, pass one: per stripe, under its own lock, apply the logged
-//     changes to the copies and copy the slots appended since the gather;
-//     the matching deletes and inserts into next's trees run after the
-//     unlock. Pass one repeats while each round replays less than the
-//     last.
+//   - Replay, pass one: per stripe, under its own lock, take the change
+//     list; apply it to next's trees after the unlock — each key's last
+//     logged write, which is exact whatever the walk saw of a concurrent
+//     write. Pass one repeats while each round replays less than the last.
 //   - Replay, pass two, and flip: with every stripe lock held, replay only
 //     what arrived since pass one, then make next the serving generation.
 //
@@ -92,8 +83,6 @@ type AdaptiveIndex struct {
 	ctl     *lifecycle.Controller
 	mask    uint64
 	shards  []*adaptiveShard
-
-	maxKeyLen atomic.Int64
 
 	// rebuildMu serializes rebuilds and excludes Bulk's stop-the-world
 	// load from overlapping a migration; rebuilding dedupes async
@@ -210,64 +199,149 @@ type AdaptiveStats struct {
 	Partition PartitionMode
 }
 
-// generation is one dictionary era: a sharded tree whose values are
-// record ids, plus the per-shard record stores those ids resolve through.
+// generation is one dictionary era: a sharded tree mapping encoded keys
+// to the caller's values, and the decoder of its stored keys.
 type generation struct {
-	idx  *ShardedIndex
-	enc  *core.Encoder            // build template (nil = uncompressed)
-	cenc *core.ConcurrentEncoder  // bound translation for scans (nil = uncompressed)
-	recs []generationShardRecords // one per shard, guarded by the adaptiveShard lock
+	idx *ShardedIndex
+	enc *core.Encoder      // build template (nil = uncompressed)
+	dec *core.TableDecoder // nil = uncompressed
 }
 
-type generationShardRecords struct {
-	recs []record
-	live int
+// decode appends the original key of one of g's stored keys to dst.
+func (g *generation) decode(dst, stored []byte) ([]byte, error) {
+	if g.dec == nil {
+		return append(dst, stored...), nil
+	}
+	return g.dec.AppendDecode(dst, stored)
 }
 
-// record holds one original key and the caller's value. Slots are
-// append-only within a generation (ids stored in trees stay valid); dead
-// slots are reclaimed when their generation is dropped at cutover — a
-// rebuild doubles as compaction.
-type record struct {
-	key  []byte
-	val  uint64
-	dead bool
+// memory is g's modeled footprint: trees, dictionary and decoder.
+func (g *generation) memory() int {
+	m := g.idx.MemoryUsage()
+	if g.dec != nil {
+		m += g.dec.MemoryUsage()
+	}
+	return m
 }
 
-// adaptiveShard is one stripe. Its lock guards the stripe's record
-// stores in every generation and, while a migration is in flight, the
-// stripe's change list. Lock order: adaptiveShard.mu before any tree lock.
-type adaptiveShard struct {
-	mu  sync.RWMutex
-	mig *stripeMigration // nil unless a migration is in flight
-}
+// walkChunk bounds how many keys one tree-lock hold of a walk visits.
+const walkChunk = 64
 
-// stripeMigration is one stripe's share of an in-flight migration. The
-// old generation's slots below horizon have been copied into the next
-// generation: remap[s] is slot s's next-generation slot, -1 for a record
-// that was already dead. changed lists the copied slots that Put
-// overwrote or Delete killed since; the slots at and above horizon are
-// the tail still to copy.
-type stripeMigration struct {
-	horizon int
-	remap   []int32
-	changed []int32
-}
-
-// logChange records that old slot's record changed, when the migration in
-// flight has already copied it.
-func (sh *adaptiveShard) logChange(slot int) {
-	if m := sh.mig; m != nil && slot < m.horizon {
-		m.changed = append(m.changed, int32(slot))
+// walk visits every stored key of g's tree shard w in order, with its
+// value, in chunks of walkChunk keys, one hold of the shard's read lock
+// each. fn runs under that lock, so it must not call back into the
+// index; its key aliases tree memory and is only valid during the call.
+// An error from fn ends the walk.
+func (g *generation) walk(w int, fn func(stored []byte, val uint64) error) error {
+	from := []byte{}
+	var last []byte
+	var err error
+	for {
+		n := 0
+		g.idx.scanShard(w, from, nil, false, func(k []byte, v uint64) bool {
+			if err = fn(k, v); err != nil {
+				return false
+			}
+			if n++; n < walkChunk {
+				return true
+			}
+			last = append(last[:0], k...)
+			return false
+		})
+		if err != nil || n < walkChunk {
+			return err
+		}
+		// Resume just above the last stored key: lastKey+0x00.
+		from = append(append(from[:0], last...), 0)
 	}
 }
 
-// recordSize is what one record slot costs beside its key bytes: the
-// slice header, value and dead flag, padded (40 bytes on 64-bit).
-const recordSize = int(unsafe.Sizeof(record{}))
+// walkRun is one old tree shard's decoded keys, back to back in arena,
+// each ending at its ends entry, and their values.
+type walkRun struct {
+	arena []byte
+	ends  []int
+	vals  []uint64
+}
 
-func recordID(shard, slot int) uint64 { return uint64(shard)<<32 | uint64(uint32(slot)) }
-func slotOf(id uint64) int            { return int(uint32(id)) }
+// decodeShard walks g's tree shard w into a walkRun.
+func (g *generation) decodeShard(w int) (walkRun, error) {
+	n := g.idx.ShardLens()[w]
+	r := walkRun{ends: make([]int, 0, n), vals: make([]uint64, 0, n)}
+	err := g.walk(w, func(stored []byte, v uint64) error {
+		var err error
+		if r.arena, err = g.decode(r.arena, stored); err != nil {
+			return fmt.Errorf("hope: decode stored key of shard %d: %w", w, err)
+		}
+		r.ends = append(r.ends, len(r.arena))
+		r.vals = append(r.vals, v)
+		return nil
+	})
+	return r, err
+}
+
+// adaptiveShard is one stripe. Its lock serializes the stripe's writes
+// and guards its change list. Lock order: adaptiveShard.mu before any
+// tree lock.
+type adaptiveShard struct {
+	mu  sync.Mutex
+	mig *changeList // nil unless a migration is in flight
+}
+
+// changeList is one stripe's writes since a migration started, in order,
+// their keys back to back in keys.
+type changeList struct {
+	keys []byte
+	ops  []change
+}
+
+// change is a put of val, or a delete, of the key that ends at keys[end].
+type change struct {
+	end int
+	val uint64
+	del bool
+}
+
+// log appends one write to the stripe's change list, when a migration is
+// in flight.
+func (sh *adaptiveShard) log(key []byte, val uint64, del bool) {
+	if c := sh.mig; c != nil {
+		c.keys = append(c.keys, key...)
+		c.ops = append(c.ops, change{end: len(c.keys), val: val, del: del})
+	}
+}
+
+// apply replays c on stripe i of next's trees. Only a key's last logged
+// write decides its state, so the writes are encoded in one batch, sorted
+// with each key's duplicates collapsed to its last write (sortRun), and
+// applied in key order, where neighbouring inserts share cache-warm
+// paths; a round then costs less than the puts that filled it, so rounds
+// shrink even under a closed-loop writer.
+func (c *changeList) apply(i int, next *generation) error {
+	if len(c.ops) == 0 {
+		return nil
+	}
+	keys := make([][]byte, len(c.ops))
+	order := make([]uint64, len(c.ops))
+	start := 0
+	for j, op := range c.ops {
+		keys[j] = c.keys[start:op.end:op.end]
+		order[j] = uint64(j)
+		start = op.end
+	}
+	stored := keys
+	if next.enc != nil {
+		stored = next.enc.EncodeAll(keys)
+	}
+	stored, order = sortRun(stored, order)
+	for j, ek := range stored {
+		op, key := c.ops[order[j]], keys[order[j]]
+		if err := next.idx.writeStored(route(next, i, key), len(key), ek, op.val, op.del); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // newAdaptiveIndexWithSplits builds an adaptive index over the named
 // backend (Open with WithAdaptive is the public constructor). With
@@ -309,9 +383,9 @@ func newAdaptiveIndexWithSplits(backend Backend, opts AdaptiveOptions, splits []
 // the index is range-partitioned, are the generation's split points
 // (re-sampled from the reservoir at every rebuild); nil leaves a
 // range partitioner unseeded (generation 0 before any bulk corpus
-// exists — Bulk seeds it, or the first rebuild replaces it). The record
-// stores are always stripe-indexed (opts.Shards stripes), regardless of
-// how the partitioner lays out the trees.
+// exists — Bulk seeds it, or the first rebuild replaces it). A
+// dictionary whose stored keys cannot be decoded exactly is refused
+// (core.ErrAmbiguousPadding; core.Build never makes one).
 func (a *AdaptiveIndex) newGeneration(enc *core.Encoder, splits [][]byte) (*generation, error) {
 	var p Partitioner
 	switch {
@@ -326,18 +400,20 @@ func (a *AdaptiveIndex) newGeneration(enc *core.Encoder, splits [][]byte) (*gene
 	if err != nil {
 		return nil, err
 	}
-	g := &generation{idx: idx, enc: enc, recs: make([]generationShardRecords, a.opts.Shards)}
+	g := &generation{idx: idx, enc: enc}
 	if enc != nil {
-		g.cenc = core.NewConcurrentEncoder(enc.Clone())
+		if g.dec, err = core.NewTableDecoder(enc); err != nil {
+			return nil, err
+		}
 	}
 	return g, nil
 }
 
-// routeRecord routes a key whose stripe is already known to one
+// route routes a key whose stripe is already known to one
 // generation's tree shard: for a hash-partitioned generation the tree
 // shard IS the stripe (same FNV, same power-of-two count), so no hash is
 // recomputed; range partitioners binary-search the key.
-func routeRecord(g *generation, stripe int, key []byte) int {
+func route(g *generation, stripe int, key []byte) int {
 	if _, ok := g.idx.part.(*HashPartitioner); ok {
 		return stripe
 	}
@@ -380,20 +456,9 @@ func (a *AdaptiveIndex) ShardLens() []int { return a.cur.Load().idx.ShardLens() 
 
 func (a *AdaptiveIndex) shardIdx(key []byte) int { return int(shardHash(key) & a.mask) }
 
-func (a *AdaptiveIndex) trackLen(n int) {
-	for {
-		cur := a.maxKeyLen.Load()
-		if int64(n) <= cur || a.maxKeyLen.CompareAndSwap(cur, int64(n)) {
-			return
-		}
-	}
-}
-
-// Put inserts or overwrites one key. An overwrite only updates the record
-// the tree already points at; an insert appends a record. Either way the
-// serving generation is resolved in a single pass — one encode, one
-// tree-lock hold — through ShardedIndex.upsertShard. A migration in
-// flight picks the change up from the stripe's change list or its tail.
+// Put inserts or overwrites one key in the serving generation: one
+// encode and one tree-lock hold through ShardedIndex.putShard, under the
+// stripe lock, which also logs the write when a migration is in flight.
 func (a *AdaptiveIndex) Put(key []byte, val uint64) error {
 	if a.closed.Load() {
 		return ErrClosed
@@ -401,22 +466,14 @@ func (a *AdaptiveIndex) Put(key []byte, val uint64) error {
 	if a.backend == SuRF {
 		return ErrImmutableBackend
 	}
-	a.trackLen(len(key))
 	i := a.shardIdx(key)
 	t := a.met.put.Begin(uint64(i))
 	sh := a.shards[i]
 	sh.mu.Lock()
 	g := a.cur.Load()
-	gr := &g.recs[i]
-	existing, existed, storedLen, err := g.idx.upsertShard(routeRecord(g, i, key), key, recordID(i, len(gr.recs)))
-	switch {
-	case err != nil:
-	case existed:
-		gr.recs[slotOf(existing)].val = val
-		sh.logChange(slotOf(existing))
-	default:
-		gr.recs = append(gr.recs, record{key: append([]byte(nil), key...), val: val})
-		gr.live++
+	existed, storedLen, err := g.idx.putShard(route(g, i, key), key, val)
+	if err == nil {
+		sh.log(key, val, false)
 	}
 	sh.mu.Unlock()
 	a.met.put.End(t)
@@ -440,24 +497,17 @@ func (a *AdaptiveIndex) Put(key []byte, val uint64) error {
 	return nil
 }
 
-// Get returns the value stored under key in the serving generation.
+// Get returns the value stored under key in the serving generation. It
+// takes no stripe lock: a generation retired by a concurrent flip holds
+// exactly the writes made before the flip, so reading it is a read at
+// the flip.
 func (a *AdaptiveIndex) Get(key []byte) (uint64, bool) {
 	i := a.shardIdx(key)
 	t := a.met.get.Begin(uint64(i))
-	defer a.met.get.End(t)
-	sh := a.shards[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	g := a.cur.Load()
-	id, ok := g.idx.getShard(routeRecord(g, i, key), key)
-	if !ok {
-		return 0, false
-	}
-	r := &g.recs[i].recs[slotOf(id)]
-	if r.dead {
-		return 0, false
-	}
-	return r.val, true
+	v, ok := g.idx.getShard(route(g, i, key), key)
+	a.met.get.End(t)
+	return v, ok
 }
 
 // Delete removes key, reporting whether it was present.
@@ -471,16 +521,11 @@ func (a *AdaptiveIndex) Delete(key []byte) (bool, error) {
 	i := a.shardIdx(key)
 	mt := a.met.del.Begin(uint64(i))
 	sh := a.shards[i]
-	var err error
 	sh.mu.Lock()
 	g := a.cur.Load()
-	t := routeRecord(g, i, key)
-	id, found := g.idx.getShard(t, key)
+	found, err := g.idx.deleteShard(route(g, i, key), key)
 	if found {
-		g.recs[i].recs[slotOf(id)].dead = true
-		g.recs[i].live--
-		sh.logChange(slotOf(id))
-		_, err = g.idx.deleteShard(t, key)
+		sh.log(key, 0, true)
 	}
 	sh.mu.Unlock()
 	a.met.del.End(mt)
@@ -490,47 +535,26 @@ func (a *AdaptiveIndex) Delete(key []byte) (bool, error) {
 	return found, nil
 }
 
-// Len returns the number of live keys.
-func (a *AdaptiveIndex) Len() int {
-	n := 0
-	for i, sh := range a.shards {
-		sh.mu.RLock()
-		n += a.cur.Load().recs[i].live
-		sh.mu.RUnlock()
-	}
-	return n
-}
+// Len returns the number of keys the serving generation holds.
+func (a *AdaptiveIndex) Len() int { return a.cur.Load().idx.Len() }
 
 // MemoryUsage returns the modeled footprint in bytes: the serving
-// generation's trees and dictionary — and a migrating next generation's —
-// plus the record store (original keys and per-record overhead): the
-// honest total, since the record store is what buys background re-encode.
+// generation's trees, dictionary and decoder, and a migrating next
+// generation's.
 func (a *AdaptiveIndex) MemoryUsage() int {
-	gens := []*generation{a.cur.Load()}
+	m := a.cur.Load().memory()
 	if next := a.next.Load(); next != nil {
-		gens = append(gens, next)
-	}
-	m := 0
-	for _, g := range gens {
-		m += g.idx.MemoryUsage()
-	}
-	for i, sh := range a.shards {
-		sh.mu.RLock()
-		for _, g := range gens {
-			for _, r := range g.recs[i].recs {
-				m += len(r.key) + recordSize
-			}
-		}
-		sh.mu.RUnlock()
+		m += next.memory()
 	}
 	return m
 }
 
-// Bulk loads keys[i] -> vals[i] (nil vals assigns positions). It is the
-// only way to populate a SuRF-backed index, and the fast path for an
-// initial load elsewhere; on a non-empty mutable index it degrades to a
-// Put loop (overwrite semantics). Bulk excludes rebuilds for its
-// duration and must not run concurrently with other writers.
+// Bulk loads keys[i] -> vals[i] (nil vals assigns positions; a key given
+// more than once keeps its last value). It is the only way to populate a
+// SuRF-backed index, and the fast path for an initial load elsewhere; on
+// a non-empty mutable index it degrades to a Put loop (overwrite
+// semantics). Bulk excludes rebuilds for its duration and must not run
+// concurrently with other writers.
 func (a *AdaptiveIndex) Bulk(keys [][]byte, vals []uint64) error {
 	if a.closed.Load() {
 		return ErrClosed
@@ -574,10 +598,9 @@ func (a *AdaptiveIndex) bulkLoad(keys [][]byte, vals []uint64) (viaPuts bool, er
 		}
 		return true, nil
 	}
-	// Stop-the-world load: lock every shard, append records, bulk-load the
-	// trees through the parallel encode pipeline, release. For SuRF this
-	// replaces the whole contents (the backend rebuilds its filter over
-	// exactly the new run).
+	// Stop-the-world load: lock every stripe and bulk-load the serving
+	// generation's trees through the parallel encode pipeline. For SuRF
+	// this replaces the whole contents.
 	for _, sh := range a.shards {
 		sh.mu.Lock()
 	}
@@ -586,72 +609,7 @@ func (a *AdaptiveIndex) bulkLoad(keys [][]byte, vals []uint64) (viaPuts bool, er
 			sh.mu.Unlock()
 		}
 	}()
-	g := a.cur.Load()
-	if a.backend == SuRF {
-		for i := range g.recs {
-			g.recs[i] = generationShardRecords{}
-		}
-	}
-	// One record per input position: each stripe appends its keys' records
-	// in input order, their key bytes copied into one arena per stripe.
-	stripeOf := make([][]int, len(a.shards))
-	maxLen := 0
-	for i, k := range keys {
-		w := a.shardIdx(k)
-		stripeOf[w] = append(stripeOf[w], i)
-		maxLen = max(maxLen, len(k))
-	}
-	a.trackLen(maxLen)
-	ids := make([]uint64, len(keys))
-	base := make([]int, len(a.shards))
-	var wg sync.WaitGroup
-	for w, pos := range stripeOf {
-		base[w] = len(g.recs[w].recs)
-		if len(pos) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w int, pos []int) {
-			defer wg.Done()
-			sk := make([][]byte, len(pos))
-			for j, i := range pos {
-				sk[j] = keys[i]
-			}
-			owned := copyAll(sk)
-			gr := &g.recs[w]
-			gr.recs = slices.Grow(gr.recs, len(pos))
-			for j, i := range pos {
-				v := uint64(i)
-				if vals != nil {
-					v = vals[i]
-				}
-				ids[i] = recordID(w, len(gr.recs))
-				gr.recs = append(gr.recs, record{key: owned[j], val: v})
-			}
-			gr.live += len(pos)
-		}(w, pos)
-	}
-	wg.Wait()
-	if err := g.idx.Bulk(keys, ids); err != nil {
-		return false, err
-	}
-	// A record is live iff its tree maps its key to its id. The tree kept
-	// the last position of a duplicated key (last write wins, as a Put
-	// loop would), so only inputs with duplicates leave records to retire.
-	if g.idx.Len() == len(keys) {
-		return false, nil
-	}
-	for w, pos := range stripeOf {
-		gr := &g.recs[w]
-		for slot := base[w]; slot < base[w]+len(pos); slot++ {
-			r := &gr.recs[slot]
-			if id, ok := g.idx.getShard(routeRecord(g, w, r.key), r.key); !ok || id != recordID(w, slot) {
-				r.dead = true
-				gr.live--
-			}
-		}
-	}
-	return false, nil
+	return false, a.cur.Load().idx.Bulk(keys, vals)
 }
 
 // ---------------------------------------------------------------------------
@@ -674,7 +632,7 @@ func (a *AdaptiveIndex) bulkLoad(keys [][]byte, vals []uint64) (viaPuts bool, er
 func (a *AdaptiveIndex) Rebuild() error {
 	a.rebuildMu.Lock()
 	defer a.rebuildMu.Unlock()
-	a.trace.Emit("trigger", -1, 0, "explicit")
+	a.trace.Emit("trigger", -1, 0, a.triggerEvidence("explicit"))
 	err := a.rebuildLocked()
 	if err != nil && !errors.Is(err, ErrClosed) && a.ctl.Degraded() {
 		err = fmt.Errorf("%w: %w", ErrDegraded, err)
@@ -750,12 +708,21 @@ func (a *AdaptiveIndex) triggerAsync(reason string, revalidate func() bool) {
 		if a.closed.Load() || !revalidate() {
 			return
 		}
-		a.trace.Emit("trigger", -1, 0, reason)
+		a.trace.Emit("trigger", -1, 0, a.triggerEvidence(reason))
 		// Failures are recorded in the lifecycle health stats (LastError,
 		// ConsecutiveFailures, NextRetryAt); background rebuilds have no
 		// caller to return an error to.
 		_ = a.rebuildLocked()
 	}()
+}
+
+// triggerEvidence is a trigger event's detail: the reason, then what the
+// decision saw — the baseline and recent CPR against the drift threshold,
+// the reservoir's samples and the largest tree shard's key fraction.
+func (a *AdaptiveIndex) triggerEvidence(reason string) string {
+	st := a.ctl.Stats()
+	return fmt.Sprintf("%s baseline_cpr=%.3f recent_cpr=%.3f threshold=%.2f samples=%d max_shard_frac=%.3f",
+		reason, st.BuildCPR, st.RecentCPR, a.ctl.Config().DriftThreshold, st.Reservoir, a.MaxShardFrac())
 }
 
 // revalidateDrift re-checks the lifecycle's own signals (first build,
@@ -796,31 +763,34 @@ func (a *AdaptiveIndex) skewExceeded() bool {
 // ResplitAbove trigger acts on.
 func (a *AdaptiveIndex) MaxShardFrac() float64 { return a.cur.Load().idx.MaxShardFrac() }
 
-// sampleRecords draws up to capacity live original keys from the
-// authoritative generation's record store, striding evenly so one shard's
-// keys cannot dominate the sample.
-func (a *AdaptiveIndex) sampleRecords(capacity int) [][]byte {
-	live := a.Len()
+// sampleKeys draws up to capacity original keys from the serving
+// generation by a walk that decodes only the keys it keeps, striding
+// evenly so one shard's keys cannot dominate the sample.
+func (a *AdaptiveIndex) sampleKeys(capacity int) ([][]byte, error) {
+	g := a.cur.Load()
+	live := g.idx.Len()
 	if live == 0 || capacity <= 0 {
-		return nil
+		return nil, nil
 	}
 	stride := (live + capacity - 1) / capacity
 	var out [][]byte
 	seen := 0
-	for i, sh := range a.shards {
-		sh.mu.RLock()
-		for _, r := range a.cur.Load().recs[i].recs {
-			if r.dead {
-				continue
-			}
-			if seen%stride == 0 && len(out) < capacity {
-				out = append(out, append([]byte(nil), r.key...))
-			}
+	for w := range g.idx.shards {
+		err := g.walk(w, func(stored []byte, _ uint64) error {
+			i := seen
 			seen++
+			if i%stride != 0 || len(out) == capacity {
+				return nil
+			}
+			key, err := g.decode(nil, stored)
+			out = append(out, key)
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
-		sh.mu.RUnlock()
 	}
-	return out
+	return out, nil
 }
 
 // rebuildWatch is one rebuild's cancellation scoreboard. fire is
@@ -993,8 +963,10 @@ func (a *AdaptiveIndex) rebuildLocked() (err error) {
 	if len(samples) == 0 {
 		// A cutover resets the reservoir, so an explicit Rebuild issued
 		// before new traffic arrives would have nothing to build from;
-		// fall back to sampling the live records themselves.
-		samples = a.sampleRecords(a.ctl.Config().ReservoirSize)
+		// fall back to sampling the stored keys themselves.
+		if samples, err = a.sampleKeys(a.ctl.Config().ReservoirSize); err != nil {
+			return err
+		}
 	}
 	if len(samples) == 0 {
 		return fmt.Errorf("hope: rebuild of an empty index with an empty reservoir")
@@ -1008,7 +980,7 @@ func (a *AdaptiveIndex) rebuildLocked() (err error) {
 		fmt.Sprintf("cpr=%.3f samples=%d", buildCPR, len(samples)))
 	// Range mode re-samples split points from the same reservoir snapshot
 	// the dictionary is built from: the migration that re-encodes every
-	// record also re-balances the partition to current traffic.
+	// key also re-balances the partition to current traffic.
 	var splits [][]byte
 	if a.opts.Partition == RangePartitioned {
 		splits = RangeSplits(samples, a.opts.Shards, splitSeed)
@@ -1027,12 +999,12 @@ func (a *AdaptiveIndex) rebuildLocked() (err error) {
 	return a.ctl.Cutover(buildCPR)
 }
 
-// migrate runs the protocol described on the type: gather, build, replay
-// twice, flip. It reports how many slots the replays applied and how long
-// the flip held every stripe lock. Any error — or any panic, recovered
-// here so the change lists are cleared before the error propagates —
-// drops next; the old generation was the only one written, so nothing
-// is lost.
+// migrate runs the protocol described on the type: change lists, walk,
+// build, replay twice, flip. It reports how many logged writes the
+// replays applied and how long the flip held every stripe lock. Any error
+// — or any panic, recovered here so the change lists are cleared before
+// the error propagates — drops next; the old generation was the only one
+// written, so nothing is lost.
 func (a *AdaptiveIndex) migrate(next *generation) (replayed int, pause time.Duration, err error) {
 	old := a.cur.Load()
 	a.next.Store(next)
@@ -1042,41 +1014,48 @@ func (a *AdaptiveIndex) migrate(next *generation) (replayed int, pause time.Dura
 		}
 		if err != nil {
 			for _, sh := range a.shards {
-				sh.mu.Lock()
-				sh.mig = nil
-				sh.mu.Unlock()
+				withLock(sh, func() { sh.mig = nil })
 			}
 		}
 		a.next.Store(nil)
 	}()
 
 	start := time.Now()
+	for _, sh := range a.shards {
+		withLock(sh, func() { sh.mig = &changeList{} })
+	}
+	// Walk the old tree shards in parallel, one decoded run each.
+	runs := make([]walkRun, len(old.idx.shards))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for w := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[w], errs[w] = old.decodeShard(w)
+		}()
+	}
+	wg.Wait()
 	total := 0
-	for i, sh := range a.shards {
-		// Size the copies under the read lock and allocate them before
-		// taking the write lock, which then covers the copy alone.
-		sh.mu.RLock()
-		slots, live := len(old.recs[i].recs), old.recs[i].live
-		sh.mu.RUnlock()
-		m := &stripeMigration{remap: make([]int32, 0, slots)}
-		recs := make([]record, 0, live)
-		withLock(sh, func() {
-			sh.mig, next.recs[i].recs = m, recs
-			copyTail(i, old, next, m)
-		})
-		total += len(next.recs[i].recs)
-		if err := a.checkpoint("gathered", i); err != nil {
+	for _, r := range runs {
+		total += len(r.ends)
+	}
+	keys, vals := make([][]byte, 0, total), make([]uint64, 0, total)
+	for w := range runs {
+		if errs[w] != nil {
+			return 0, 0, errs[w]
+		}
+		if err := a.checkpoint("gathered", w); err != nil {
 			return 0, 0, err
 		}
-	}
-	keys, ids := make([][]byte, 0, total), make([]uint64, 0, total)
-	for i := range a.shards {
-		for slot, r := range next.recs[i].recs {
-			keys = append(keys, r.key)
-			ids = append(ids, recordID(i, slot))
+		from := 0
+		for _, end := range runs[w].ends {
+			keys = append(keys, runs[w].arena[from:end:end])
+			from = end
 		}
+		vals = append(vals, runs[w].vals...)
 	}
-	if err := next.idx.Bulk(keys, ids); err != nil {
+	if err := next.idx.Bulk(keys, vals); err != nil {
 		return 0, 0, err
 	}
 	a.trace.Emit("built", -1, time.Since(start).Nanoseconds(), fmt.Sprintf("keys=%d", len(keys)))
@@ -1087,7 +1066,7 @@ func (a *AdaptiveIndex) migrate(next *generation) (replayed int, pause time.Dura
 	// Pass one repeats while it keeps shrinking, so the all-locks flip is
 	// left only what arrived during the last round.
 	for prev := math.MaxInt; ; {
-		n, err := a.replayPass(old, next)
+		n, err := a.replayPass(next)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -1097,22 +1076,22 @@ func (a *AdaptiveIndex) migrate(next *generation) (replayed int, pause time.Dura
 		}
 		prev = n
 	}
-	n, pause, err := a.flip(old, next)
+	n, pause, err := a.flip(next)
 	return replayed + n, pause, err
 }
 
 // replayPass is one round of replay pass one. It holds each stripe lock
-// only to bring that stripe's record store up to date and does the tree
-// work after the unlock, so writers keep flowing: only this goroutine
-// touches next's trees, and it applies every round in order.
-func (a *AdaptiveIndex) replayPass(old, next *generation) (replayed int, err error) {
+// only to take the stripe's change list and replays it after the unlock,
+// so writers keep flowing: only this goroutine touches next's trees, and
+// it applies every round in order.
+func (a *AdaptiveIndex) replayPass(next *generation) (replayed int, err error) {
 	for i, sh := range a.shards {
-		var rp stripeReplay
-		withLock(sh, func() { rp = replay(i, old, next, sh.mig) })
-		if err := rp.apply(i, next); err != nil {
+		var c *changeList
+		withLock(sh, func() { c, sh.mig = sh.mig, &changeList{} })
+		if err := c.apply(i, next); err != nil {
 			return 0, err
 		}
-		replayed += rp.n
+		replayed += len(c.ops)
 	}
 	return replayed, nil
 }
@@ -1121,7 +1100,7 @@ func (a *AdaptiveIndex) replayPass(old, next *generation) (replayed int, err err
 // held it replays what arrived since the last round of pass one and makes
 // next the serving generation. The unlocks are deferred so an injected panic
 // cannot leak a lock on its way to migrate's recovery.
-func (a *AdaptiveIndex) flip(old, next *generation) (replayed int, pause time.Duration, err error) {
+func (a *AdaptiveIndex) flip(next *generation) (replayed int, pause time.Duration, err error) {
 	start := time.Now()
 	for _, sh := range a.shards {
 		sh.mu.Lock()
@@ -1132,11 +1111,10 @@ func (a *AdaptiveIndex) flip(old, next *generation) (replayed int, pause time.Du
 		}
 	}()
 	for i, sh := range a.shards {
-		rp := replay(i, old, next, sh.mig)
-		if err := rp.apply(i, next); err != nil {
+		if err := sh.mig.apply(i, next); err != nil {
 			return 0, 0, err
 		}
-		replayed += rp.n
+		replayed += len(sh.mig.ops)
 		if err := a.checkpoint("mid-replay", i); err != nil {
 			return 0, 0, err
 		}
@@ -1158,77 +1136,8 @@ func withLock(sh *adaptiveShard, fn func()) {
 	fn()
 }
 
-// stripeReplay is one replay pass over one stripe: how many slots it
-// replayed, the keys whose copies it killed, and the slots [from, to) it
-// appended to the next generation's record store.
-type stripeReplay struct {
-	n        int
-	dead     [][]byte
-	from, to int
-}
-
-// replay brings stripe i of next's record store up to date with old:
-// logged changes first, then the tail. The matching tree work is left to
-// stripeReplay.apply.
-func replay(i int, old, next *generation, m *stripeMigration) stripeReplay {
-	rp := stripeReplay{n: len(m.changed) + len(old.recs[i].recs) - m.horizon}
-	dst := &next.recs[i]
-	for _, s := range m.changed {
-		r, nr := &old.recs[i].recs[s], &dst.recs[m.remap[s]]
-		if !r.dead {
-			nr.val = r.val
-		} else if !nr.dead {
-			nr.dead = true
-			dst.live--
-			rp.dead = append(rp.dead, nr.key)
-		}
-	}
-	m.changed = m.changed[:0]
-	rp.from = copyTail(i, old, next, m)
-	rp.to = len(dst.recs)
-	return rp
-}
-
-// apply makes rp's changes to next's trees: deletes first, so a key
-// deleted and put again since the last pass loses its stale entry before
-// its new record is inserted.
-func (rp stripeReplay) apply(i int, next *generation) error {
-	for _, k := range rp.dead {
-		if _, err := next.idx.deleteShard(routeRecord(next, i, k), k); err != nil {
-			return err
-		}
-	}
-	for slot := rp.from; slot < rp.to; slot++ {
-		key := next.recs[i].recs[slot].key
-		if _, err := next.idx.putShard(routeRecord(next, i, key), key, recordID(i, slot)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// copyTail copies stripe i's old slots from the horizon on into next's
-// record store — live records only, compacted — advances the horizon, and
-// returns the first slot it filled in next.
-func copyTail(i int, old, next *generation, m *stripeMigration) int {
-	src, dst := old.recs[i].recs, &next.recs[i]
-	first := len(dst.recs)
-	for _, r := range src[m.horizon:] {
-		if r.dead {
-			m.remap = append(m.remap, -1)
-			continue
-		}
-		m.remap = append(m.remap, int32(len(dst.recs)))
-		dst.recs = append(dst.recs, record{key: r.key, val: r.val})
-	}
-	dst.live += len(dst.recs) - first
-	m.horizon = len(src)
-	return first
-}
-
 // ---------------------------------------------------------------------------
-// Scans: per-tree-shard cursors over the serving generation, merged in
-// original-key order.
+// Scans: the serving generation's sharded scan, decoding what it emits.
 // ---------------------------------------------------------------------------
 
 // Scan visits, in ascending original-key order, every stored key k with
@@ -1236,23 +1145,19 @@ func copyTail(i int, old, next *generation, m *stripeMigration) int {
 // returns how many keys it visited. fn receives the original key — valid
 // only during the callback — and may stop the scan by returning false.
 // Like ShardedIndex, a scan is per-shard consistent (chunk snapshots)
-// rather than a global snapshot. A scan overlapping a cutover keeps its
-// cursors on the generation it started on but re-validates every later
-// chunk against the new serving generation — deletes and overwrites
-// made after the cutover are honored (TestAdaptiveScanSurvivesCutover);
-// only keys *inserted* after the cutover may be missed for shards not yet
-// reached, matching the insert semantics of any chunked concurrent scan.
+// rather than a global snapshot. A scan overlapping a cutover keeps
+// reading the generation it started on, but re-validates every key it
+// emits afterwards against the new serving generation — deletes and
+// overwrites made after the cutover are honored
+// (TestAdaptiveScanSurvivesCutover); only keys *inserted* after the
+// cutover may be missed, matching the insert semantics of any chunked
+// concurrent scan.
 func (a *AdaptiveIndex) Scan(lo, hi []byte, fn func(key []byte, val uint64) bool) int {
 	t := a.met.scan.Begin(0)
 	g := a.cur.Load()
-	if g.cenc != nil {
-		loEnc := g.cenc.EncodeBound(lo)
-		if loEnc == nil {
-			loEnc = []byte{}
-		}
-		lo, hi = loEnc, g.cenc.EncodeBound(hi)
-	}
-	n := a.mergeScan(g, lo, hi, false, fn)
+	s := a.newScan(g, fn)
+	g.idx.scan(lo, hi, s.visit)
+	n := s.release()
 	a.met.scan.End(t)
 	return n
 }
@@ -1264,207 +1169,62 @@ func (a *AdaptiveIndex) Scan(lo, hi []byte, fn func(key []byte, val uint64) bool
 func (a *AdaptiveIndex) ScanPrefix(prefix []byte, fn func(key []byte, val uint64) bool) int {
 	t := a.met.scan.Begin(0)
 	g := a.cur.Load()
-	var n int
-	if g.cenc == nil {
-		n = a.mergeScan(g, prefix, prefixSuccessor(prefix), false, fn)
-	} else {
-		lo, hi := g.cenc.EncodePrefix(prefix, max(int(a.maxKeyLen.Load()), len(prefix)))
-		n = a.mergeScan(g, lo, hi, true, fn)
-	}
+	s := a.newScan(g, fn)
+	g.idx.scanPrefix(prefix, s.visit)
+	n := s.release()
 	a.met.scan.End(t)
 	return n
 }
 
-// mergeScan drains generation g's tree shards over encoded bounds [lo, hi)
-// (or [lo, hi] when hiIncl), one cursor per shard g's partitioner says can
-// overlap them (range partitions prune; hash partitions span everything).
-func (a *AdaptiveIndex) mergeScan(g *generation, lo, hi []byte, hiIncl bool, fn func(key []byte, val uint64) bool) int {
-	first, last, ok := g.idx.scanSpan(lo, hi)
-	if !ok {
-		first, last = 0, len(g.idx.shards)-1
-	}
-	cursors := make([]*adaptiveCursor, 0, last-first+1)
-	for w := first; w <= last; w++ {
-		cursors = append(cursors, &adaptiveCursor{
-			a: a, g: g, tshard: w,
-			from: append([]byte(nil), lo...), hi: hi, hiIncl: hiIncl,
-		})
-	}
-
-	// An ordered (range) partition's cursors cover disjoint ascending
-	// intervals — stream them in shard order with no merge and no heap,
-	// the same fast path as ShardedIndex.orderedScan.
-	if g.idx.part.Ordered() {
-		count := 0
-		for _, c := range cursors {
-			for {
-				k, ok := c.peek()
-				if !ok {
-					break
-				}
-				_, v := c.pop()
-				count++
-				if !fn(k, v) {
-					return count
-				}
-			}
-		}
-		return count
-	}
-
-	heap := make([]*adaptiveCursor, 0, len(cursors))
-	for _, c := range cursors {
-		if _, ok := c.peek(); ok {
-			heap = append(heap, c)
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(heap, i, adaptiveCursorLess)
-	}
-	count := 0
-	for len(heap) > 0 {
-		k, v := heap[0].pop()
-		count++
-		if !fn(k, v) {
-			return count
-		}
-		if _, ok := heap[0].peek(); ok {
-			siftDown(heap, 0, adaptiveCursorLess)
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-			if len(heap) > 0 {
-				siftDown(heap, 0, adaptiveCursorLess)
-			}
-		}
-	}
-	return count
+// adaptiveScan decodes the stored keys one scan of generation g emits
+// into a reused buffer before handing them to the caller's callback.
+// Scans are pooled, so a steady-state scan allocates nothing of its own.
+type adaptiveScan struct {
+	a     *AdaptiveIndex
+	g     *generation
+	fn    func(key []byte, val uint64) bool
+	buf   []byte
+	n     int
+	visit func(stored []byte, val uint64) bool // bound once per pooled scan
 }
 
-// adaptiveCursor drains one tree shard of one generation in chunks. A
-// fill is two phases with distinct lock domains: phase one drains a chunk
-// of record ids from the tree under the tree-shard lock (record stores
-// are guarded by stripe locks, which rank above tree locks — resolving
-// inside the tree callback would invert the order); phase two resolves
-// each id to (original key, live value) under its stripe's read lock.
-// Emitted keys alias record storage — record key bytes are immutable for
-// the record's lifetime — and are only valid during the scan callback.
-// The encoded resume key (lastKey+0x00) tracks tree positions, including
-// ones whose records died mid-scan.
-type adaptiveCursor struct {
-	a      *AdaptiveIndex
-	g      *generation
-	tshard int // tree shard within g's index
-	from   []byte
-	hi     []byte // shared, read-only
-	hiIncl bool
+var adaptiveScanPool = sync.Pool{New: func() any {
+	s := new(adaptiveScan)
+	s.visit = s.emit
+	return s
+}}
 
-	ids     []uint64
-	keys    [][]byte // resolved original keys (alias record memory)
-	vals    []uint64
-	i       int
-	chunk   int
-	done    bool
-	lastEnc []byte // reused resume scratch
+func (a *AdaptiveIndex) newScan(g *generation, fn func(key []byte, val uint64) bool) *adaptiveScan {
+	s := adaptiveScanPool.Get().(*adaptiveScan)
+	s.a, s.g, s.fn, s.n = a, g, fn, 0
+	return s
 }
 
-func (c *adaptiveCursor) fill() {
-	c.keys, c.vals, c.i = c.keys[:0], c.vals[:0], 0
-	if c.done {
-		return
-	}
-	if c.chunk == 0 {
-		c.chunk = scanChunkInit
-	}
-	// Phase 1: one locked pass over the tree shard, ids only.
-	n := 0
-	c.ids = c.ids[:0]
-	last := c.lastEnc[:0]
-	c.g.idx.scanShard(c.tshard, c.from, c.hi, c.hiIncl, func(ek []byte, id uint64) bool {
-		n++
-		last = append(last[:0], ek...)
-		c.ids = append(c.ids, id)
-		return n < c.chunk
-	})
-	c.lastEnc = last
-	if n < c.chunk {
-		c.done = true
-	} else {
-		c.from = append(append(c.from[:0], last...), 0x00)
-		if c.chunk < scanChunk {
-			c.chunk *= 2
-		}
-	}
-	// Phase 2: resolve ids against the record stores. The stripe lock is
-	// held across runs of same-stripe ids — for a hash-partitioned
-	// generation every id in this tree shard shares one stripe (tree
-	// routing IS the stripe hash), so the whole chunk resolves under a
-	// single lock hold; range-partitioned generations interleave stripes
-	// and pay a lock transition per run.
-	var sh *adaptiveShard
-	var cur *generation
-	curStripe := -1
-	for _, id := range c.ids {
-		stripe, slot := int(id>>32), slotOf(id)
-		if stripe != curStripe {
-			if sh != nil {
-				sh.mu.RUnlock()
-			}
-			curStripe = stripe
-			sh = c.a.shards[stripe]
-			sh.mu.RLock()
-			cur = c.a.cur.Load()
-		}
-		if cur == c.g {
-			r := &c.g.recs[stripe].recs[slot]
-			if !r.dead {
-				c.keys = append(c.keys, r.key)
-				c.vals = append(c.vals, r.val)
-			}
-			continue
-		}
-		// A cutover completed mid-scan: the cursor's generation no longer
-		// receives writes, so its trees and records are frozen, and
-		// deletes and overwrites land only in the serving generation.
-		// Re-validate against it: drop keys it no longer holds and take
-		// its values, so the scan never resurrects a deleted key or emits
-		// a stale value. (Entries buffered in a previous chunk are a
-		// snapshot, the same per-chunk semantics as ShardedIndex.)
-		k := c.g.recs[stripe].recs[slot].key
-		id2, ok := cur.idx.getShard(routeRecord(cur, stripe, k), k)
-		if ok {
-			if r2 := &cur.recs[stripe].recs[slotOf(id2)]; !r2.dead {
-				c.keys = append(c.keys, r2.key)
-				c.vals = append(c.vals, r2.val)
-			}
-		}
-	}
-	if sh != nil {
-		sh.mu.RUnlock()
-	}
+// release returns the scan to the pool and reports how many keys it
+// emitted.
+func (s *adaptiveScan) release() int {
+	n := s.n
+	s.a, s.g, s.fn = nil, nil, nil
+	adaptiveScanPool.Put(s)
+	return n
 }
 
-// peek returns the cursor's current original key, refilling (and skipping
-// all-dead or all-filtered chunks) as needed; ok is false when the shard
-// is exhausted.
-func (c *adaptiveCursor) peek() ([]byte, bool) {
-	for c.i >= len(c.keys) {
-		if c.done {
-			return nil, false
-		}
-		c.fill()
+func (s *adaptiveScan) emit(stored []byte, val uint64) bool {
+	key, err := s.g.decode(s.buf[:0], stored)
+	if err != nil {
+		return false // the decode guard makes every stored key decodable
 	}
-	return c.keys[c.i], true
-}
-
-func (c *adaptiveCursor) pop() ([]byte, uint64) {
-	k, v := c.keys[c.i], c.vals[c.i]
-	c.i++
-	return k, v
-}
-
-// adaptiveCursorLess orders cursors by current original key. Ties cannot
-// occur: one generation's tree shards partition the keyspace.
-func adaptiveCursorLess(a, b *adaptiveCursor) bool {
-	return bytes.Compare(a.keys[a.i], b.keys[b.i]) < 0
+	s.buf = key
+	if cur := s.a.cur.Load(); cur != s.g {
+		// A cutover retired g mid-scan: it no longer receives writes,
+		// so take the key's value from the serving generation and drop
+		// keys deleted there — a scan never resurrects a deleted key or
+		// emits a stale value.
+		var ok bool
+		if val, ok = cur.idx.getShard(cur.idx.shardIdx(key), key); !ok {
+			return true
+		}
+	}
+	s.n++
+	return s.fn(key, val)
 }

@@ -198,11 +198,11 @@ func TestAdaptiveRangeRebuildRaceStress(t *testing.T) {
 	}
 }
 
-// TestAdaptivePutOverwriteZeroAlloc pins the folded Put path's allocation
-// profile: an overwrite resolves through upsertShard's pooled scratch
-// encode and updates the record in place — no owned encode, no record
-// append, no tracker allocation in steady state (the striped reservoir is
-// full and replacements recycle fixed-size buffers).
+// TestAdaptivePutOverwriteZeroAlloc pins the Put path's allocation
+// profile: an overwrite encodes through putShard's pooled scratch and
+// updates the tree's value in place — no owned encode, no key copy, no
+// tracker allocation in steady state (the striped reservoir is full and
+// replacements recycle fixed-size buffers).
 func TestAdaptivePutOverwriteZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race; zero-alloc steady state not reachable")

@@ -276,6 +276,30 @@ func TestAdaptiveBulkAndLen(t *testing.T) {
 	checkDifferential(t, "bulk-overwrite", a, model)
 }
 
+// A rebuild walks each old tree shard in chunks of walkChunk keys,
+// resuming above the last key of each chunk; with several chunks per
+// shard the rebuilt index must still hold exactly the model.
+func TestAdaptiveRebuildWalksInChunks(t *testing.T) {
+	keys := datagen.Generate(datagen.Email, 8*walkChunk, 5)
+	a := openAdaptive(t, BTree, AdaptiveOptions{
+		Scheme: core.ThreeGrams, Build: core.Options{DictLimit: 1 << 10}, Shards: 2, Manual: true,
+		Lifecycle: lifecycle.Config{ReservoirSize: 512, Seed: 5},
+	})
+	if err := a.Bulk(keys, nil); err != nil {
+		t.Fatal(err)
+	}
+	model := map[string]uint64{}
+	for i, k := range keys {
+		model[string(k)] = uint64(i)
+	}
+	for r := 0; r < 2; r++ {
+		if err := a.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+		checkDifferential(t, fmt.Sprintf("rebuild %d", r+1), a, model)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Mid-migration differential: the acceptance test. Migration pauses at the
 // "built" checkpoint — records gathered and the next generation's trees

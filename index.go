@@ -145,14 +145,6 @@ func (x *Index) encodePoint(key []byte) []byte {
 	return b
 }
 
-// encodeOwned returns an encoded copy the backend may retain.
-func (x *Index) encodeOwned(key []byte) []byte {
-	if x.enc == nil {
-		return append([]byte(nil), key...)
-	}
-	return x.enc.Encode(key)
-}
-
 func (x *Index) trackLen(key []byte) {
 	if len(key) > x.maxKeyLen {
 		x.maxKeyLen = len(key)
@@ -167,7 +159,7 @@ func (x *Index) Put(key []byte, val uint64) error {
 		return ErrClosed
 	}
 	x.trackLen(key)
-	return x.be.insert(x.encodeOwned(key), val)
+	return x.be.insert(x.encodePoint(key), val)
 }
 
 // Get returns the value stored under key.
@@ -309,7 +301,9 @@ func prefixSuccessor(p []byte) []byte {
 }
 
 // indexBackend adapts one search tree to the facade. Keys at this layer
-// are already in stored (encoded) form.
+// are already in stored (encoded) form. insert copies the key bytes it
+// keeps (every tree does), so point ops may pass scratch buffers; bulk
+// may keep the keys it is handed.
 type indexBackend interface {
 	insert(k []byte, v uint64) error
 	bulk(keys [][]byte, vals []uint64) error

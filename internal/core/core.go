@@ -216,6 +216,7 @@ func Build(scheme Scheme, samples [][]byte, opt Options) (*Encoder, error) {
 			codes = hutucker.BuildWith(weights, opt.CodeAlgorithm)
 		}
 	}
+	widenZeroCode(codes)
 	e.stats.CodeAssign = time.Since(t1)
 
 	t2 := time.Now()
@@ -248,6 +249,20 @@ func Build(scheme Scheme, samples [][]byte, opt Options) (*Encoder, error) {
 	e.stats.DictBuild = time.Since(t2)
 	e.stats.Entries = len(e.entries)
 	return e, nil
+}
+
+// widenZeroCode is the exactness guard of stored encodings. Trees store
+// code bits padded with up to 7 zero bits, so an all-zero code shorter
+// than 8 bits could hide inside the padding, and two keys would share
+// padded bytes. Only entry 0 can have an all-zero code: it would be the
+// smallest left-aligned string, and the codes sort in entry order. Widening
+// it to 8 zero bits keeps the set prefix-free and ordered, because no other
+// code starts with entry 0's bits, and it makes every padded encoding
+// decode to exactly one key (see TableDecoder).
+func widenZeroCode(codes []hutucker.Code) {
+	if len(codes) > 0 && codes[0].Bits == 0 && codes[0].Len < 8 {
+		codes[0] = hutucker.Code{Len: 8}
+	}
 }
 
 func buildDictionary(scheme Scheme, opt Options, entries []dict.Entry) (dict.Dictionary, error) {

@@ -202,3 +202,96 @@ func FuzzBatchEncode(f *testing.F) {
 		}
 	})
 }
+
+// decodeFuzzFixture holds one encoder per scheme with both decoders.
+var decodeFuzzFixture struct {
+	sync.Once
+	encs []*Encoder
+	tds  []*TableDecoder
+	bds  []*Decoder
+	err  error
+}
+
+// FuzzDecodePadded: under every scheme the table decoder agrees with the
+// bit-serial Decoder and inverts Encode on arbitrary keys; read as a
+// stored encoding, the fuzz input itself must decode to what the
+// bit-serial decoder reads before its zero padding, or fail with a nil
+// buffer — never panic and never return a partial key.
+func FuzzDecodePadded(f *testing.F) {
+	decodeFuzzFixture.Do(func() {
+		samples := sampleKeys(rand.New(rand.NewSource(1)), 800)
+		for _, s := range Schemes {
+			e, err := Build(s, samples, Options{DictLimit: 1024, MaxPatternLen: 16})
+			if err == nil {
+				decodeFuzzFixture.encs = append(decodeFuzzFixture.encs, e)
+				var td *TableDecoder
+				if td, err = NewTableDecoder(e); err == nil {
+					decodeFuzzFixture.tds = append(decodeFuzzFixture.tds, td)
+					var bd *Decoder
+					bd, err = NewDecoder(e)
+					decodeFuzzFixture.bds = append(decodeFuzzFixture.bds, bd)
+				}
+			}
+			if err != nil {
+				decodeFuzzFixture.err = err
+				return
+			}
+		}
+	})
+	if decodeFuzzFixture.err != nil {
+		f.Fatal(decodeFuzzFixture.err)
+	}
+	fx := &decodeFuzzFixture
+	f.Add([]byte("com.gmail@alice"))
+	f.Add([]byte{})
+	f.Add([]byte{0x00})
+	f.Add([]byte{0x00, 0x00, 0x00})
+	f.Add([]byte("a\x00"))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x80})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) > 256 {
+			in = in[:256]
+		}
+		for i, e := range fx.encs {
+			out, bits := e.EncodeBits(nil, in)
+			got, err := fx.tds[i].AppendDecode(nil, out)
+			if err != nil || !bytes.Equal(got, in) {
+				t.Fatalf("scheme %v: decode(encode(%q)) = %q, %v", e.Scheme(), in, got, err)
+			}
+			if oracle, err := fx.bds[i].Decode(out, bits); err != nil || !bytes.Equal(oracle, got) {
+				t.Fatalf("scheme %v: bit-serial decode %q, %v; table decode %q", e.Scheme(), oracle, err, got)
+			}
+
+			got, err = fx.tds[i].AppendDecode(nil, in)
+			if err != nil {
+				if got != nil {
+					t.Fatalf("scheme %v: failed decode of %x returned %q", e.Scheme(), in, got)
+				}
+				got = nil
+			}
+			// The oracle reads every bit length that leaves only zero
+			// padding (fewer than 8 bits); at most one may succeed.
+			var want []byte
+			wantOK := 0
+			for pad := 0; pad < 8 && pad <= 8*len(in); pad++ {
+				n := 8*len(in) - pad
+				if pad > 0 && in[len(in)-1]&(1<<pad-1) != 0 {
+					break
+				}
+				if o, oerr := fx.bds[i].Decode(in, n); oerr == nil {
+					want = o
+					wantOK++
+				}
+				if len(in) == 0 {
+					break
+				}
+			}
+			if wantOK > 1 {
+				t.Fatalf("scheme %v: %x decodes at %d padding lengths", e.Scheme(), in, wantOK)
+			}
+			if (err == nil) != (wantOK == 1) || !bytes.Equal(got, want) {
+				t.Fatalf("scheme %v: table decode of %x = %q, %v; bit-serial %q (%d)", e.Scheme(), in, got, err, want, wantOK)
+			}
+		}
+	})
+}

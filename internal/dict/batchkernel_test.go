@@ -27,9 +27,11 @@ func orderedCodes(rng *rand.Rand, n, minLen, maxLen int) []hutucker.Code {
 			codes = append(codes, hutucker.Code{Bits: bits, Len: uint8(l)})
 			return
 		}
-		half := 1 << (maxLen - d - 1) // leaves each subtree can hold
-		lo, hi := max(1, n-half), min(n-1, half)
-		left := lo + rng.Intn(hi-lo+1)
+		// Leaves each subtree can hold; int64 so deep trees do not
+		// overflow a 32-bit int.
+		half := int64(1) << (maxLen - d - 1)
+		lo, hi := max(1, int64(n)-half), min(int64(n)-1, half)
+		left := int(lo + rng.Int63n(hi-lo+1))
 		grow(left, hutucker.Code{Bits: c.Bits << 1, Len: c.Len + 1})
 		grow(n-left, hutucker.Code{Bits: c.Bits<<1 | 1, Len: c.Len + 1})
 	}

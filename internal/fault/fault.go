@@ -19,9 +19,9 @@
 // points. Two namespaces exist today:
 //
 //   - "" (no prefix): the adaptive rebuild/migration checkpoints —
-//     "build-start", "gathered" (per stripe, no lock held), "built" (the
-//     next generation's trees bulk-built), "mid-replay" (per stripe, every
-//     stripe lock held) and "cutover".
+//     "build-start", "gathered" (per old tree shard walked, no lock
+//     held), "built" (the next generation's trees bulk-built),
+//     "mid-replay" (per stripe, every stripe lock held) and "cutover".
 //   - "snap": the snapshot VFS checkpoints — "snap:create", "snap:write",
 //     "snap:sync", "snap:close", "snap:rename", "snap:remove",
 //     "snap:open", "snap:read", "snap:dirsync".

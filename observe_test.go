@@ -153,8 +153,9 @@ func TestAdaptiveEventTraceFaultedRebuild(t *testing.T) {
 		t.Fatalf("faulted rebuild trace = %v, want %v", got, want)
 	}
 	evs := a.Trace().Snapshot()
-	if evs[0].Detail != "explicit" {
-		t.Fatalf("trigger detail = %q, want \"explicit\"", evs[0].Detail)
+	checkTriggerDetail(t, evs[0].Detail, "explicit")
+	if !strings.Contains(evs[0].Detail, " samples=256 ") {
+		t.Fatalf("trigger detail = %q, want the full reservoir's 256 samples", evs[0].Detail)
 	}
 	if !strings.Contains(evs[5].Detail, "injected") {
 		t.Fatalf("abort detail = %q, want the injected error", evs[5].Detail)
@@ -216,6 +217,20 @@ func TestAdaptiveEventTraceFaultedRebuild(t *testing.T) {
 	}
 }
 
+// checkTriggerDetail asserts that a trigger event names its reason and
+// carries the evidence the decision saw.
+func checkTriggerDetail(t *testing.T, detail, reason string) {
+	t.Helper()
+	if !strings.HasPrefix(detail, reason+" ") {
+		t.Fatalf("trigger detail = %q, want reason %q first", detail, reason)
+	}
+	for _, field := range []string{"baseline_cpr=", "recent_cpr=", "threshold=", "samples=", "max_shard_frac="} {
+		if !strings.Contains(detail, " "+field) {
+			t.Fatalf("trigger detail = %q, missing %s", detail, field)
+		}
+	}
+}
+
 // TestAdaptiveTraceDriftReason checks that an automatic first-build
 // trigger records its lifecycle reason rather than "explicit".
 func TestAdaptiveTraceDriftReason(t *testing.T) {
@@ -233,9 +248,10 @@ func TestAdaptiveTraceDriftReason(t *testing.T) {
 	if len(evs) == 0 {
 		t.Fatal("no events after automatic first build")
 	}
-	if evs[0].Type != "trigger" || evs[0].Detail != "first-build" {
-		t.Fatalf("first event = %+v, want trigger/first-build", evs[0])
+	if evs[0].Type != "trigger" {
+		t.Fatalf("first event = %+v, want trigger", evs[0])
 	}
+	checkTriggerDetail(t, evs[0].Detail, "first-build")
 	if last := evs[len(evs)-1]; last.Type != "cutover" {
 		t.Fatalf("last event = %+v, want cutover", last)
 	}

@@ -119,7 +119,13 @@ func Open(backend Backend, opts ...Option) (Store, error) {
 		o(&c)
 	}
 	if c.snapDir != "" {
-		return openPersistent(backend, &c)
+		// A failed restore must return a nil Store, not a nil *Persistent
+		// inside a non-nil interface.
+		p, err := openPersistent(backend, &c)
+		if err != nil {
+			return nil, err
+		}
+		return p, nil
 	}
 	return buildStore(backend, &c)
 }

@@ -16,18 +16,18 @@ import (
 //	           structural encoder options, partition, shards, splits).
 //	secDict  — at most one: the serialized dictionary entries; present
 //	           exactly when the meta scheme is >= 0 (compressed).
-//	secRun   — Index/ShardedIndex: one per tree shard, the shard's stored
-//	           (encoded) keys and values in encoded sort order.
-//	secARun  — AdaptiveIndex: one per stripe, the stripe's live records in
-//	           original-key order — original bytes, the stored encoding
-//	           (when compressed), and the value. Storing both forms is what
-//	           makes restore re-encode-free: the dictionary is reassembled
-//	           from secDict and the stored forms load back verbatim.
+//	secRun   — one per tree shard (an AdaptiveIndex's serving generation
+//	           included), the shard's stored (encoded) keys and values in
+//	           encoded sort order. Restore is re-encode-free: the dictionary
+//	           is reassembled from secDict and the runs load back verbatim.
+//
+// Kind 4 held an older AdaptiveIndex format (per-stripe records with
+// original keys); restore refuses it.
 const (
-	secMeta uint8 = 1
-	secDict uint8 = 2
-	secRun  uint8 = 3
-	secARun uint8 = 4
+	secMeta        uint8 = 1
+	secDict        uint8 = 2
+	secRun         uint8 = 3
+	secRetiredARun uint8 = 4
 )
 
 // Store kinds recorded in the meta section.
@@ -270,55 +270,6 @@ func decodeRun(payload []byte) (keys [][]byte, vals []uint64, err error) {
 		return nil, nil, err
 	}
 	return keys, vals, nil
-}
-
-// encodeARun serializes one adaptive stripe (secARun): u64 count, then per
-// live record the original key, the stored encoding (compressed snapshots
-// only), and the value, in original-key order.
-func encodeARun(origs, encs [][]byte, vals []uint64) []byte {
-	n := 8
-	for i, k := range origs {
-		n += 4 + len(k) + 8
-		if encs != nil {
-			n += 4 + len(encs[i])
-		}
-	}
-	b := make([]byte, 0, n)
-	b = appendU64(b, uint64(len(origs)))
-	for i, k := range origs {
-		b = appendBytes(b, k)
-		if encs != nil {
-			b = appendBytes(b, encs[i])
-		}
-		b = appendU64(b, vals[i])
-	}
-	return b
-}
-
-// decodeARun parses a secARun payload; compressed selects whether stored
-// encodings are present. Returned slices alias payload.
-func decodeARun(payload []byte, compressed bool) (origs, encs [][]byte, vals []uint64, err error) {
-	r := &payloadReader{b: payload}
-	count := int(r.u64())
-	if r.err != nil {
-		return nil, nil, nil, r.err
-	}
-	origs = make([][]byte, 0, count)
-	vals = make([]uint64, 0, count)
-	if compressed {
-		encs = make([][]byte, 0, count)
-	}
-	for i := 0; i < count; i++ {
-		origs = append(origs, r.bytes())
-		if compressed {
-			encs = append(encs, r.bytes())
-		}
-		vals = append(vals, r.u64())
-	}
-	if err := r.done(); err != nil {
-		return nil, nil, nil, err
-	}
-	return origs, encs, vals, nil
 }
 
 // ownedCopies deep-copies key slices (typically aliasing a snapshot file

@@ -1,9 +1,7 @@
 package hope
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/snapshot"
@@ -106,8 +104,29 @@ func dumpIndex(x *Index, w *snapshot.Writer, trace *telemetry.EventTrace) (keys,
 // is per-shard — the same moment-in-time contract Len and Scan give under
 // concurrent writers.
 func dumpSharded(s *ShardedIndex, w *snapshot.Writer, trace *telemetry.EventTrace) (keys, size int, err error) {
+	return dumpRuns(s, kindSharded, w, trace)
+}
+
+// dumpAdaptive serializes an AdaptiveIndex without quiescing it: the
+// serving generation is pinned once and dumped like a ShardedIndex — its
+// dictionary and one secRun of stored keys per tree shard. A cutover
+// during the dump retires the pinned generation, which then holds the
+// writes made before the cutover, so the snapshot stays per-shard
+// consistent (the Len contract); it never blocks a rebuild and a rebuild
+// never blocks it.
+//
+// Lifecycle state (reservoir contents, drift baselines, rebuild counters)
+// is deliberately not persisted: a restored index starts its lifecycle
+// fresh on the restored dictionary and re-learns the traffic distribution
+// from live writes.
+func dumpAdaptive(a *AdaptiveIndex, w *snapshot.Writer, trace *telemetry.EventTrace) (keys, size int, err error) {
+	return dumpRuns(a.cur.Load().idx, kindAdaptive, w, trace)
+}
+
+// dumpRuns writes s as a store of the given kind.
+func dumpRuns(s *ShardedIndex, kind uint8, w *snapshot.Writer, trace *telemetry.EventTrace) (keys, size int, err error) {
 	m := snapMeta{
-		storeKind: kindSharded,
+		storeKind: kind,
 		backend:   s.backend,
 		shards:    uint32(len(s.shards)),
 		maxKeyLen: uint64(s.maxKeyLen.Load()),
@@ -152,105 +171,4 @@ func dumpSharded(s *ShardedIndex, w *snapshot.Writer, trace *telemetry.EventTrac
 		size += n
 	}
 	return total, size, nil
-}
-
-// dumpAdaptive serializes an AdaptiveIndex without quiescing it: the
-// serving generation (and its dictionary) is pinned once, then each
-// stripe's live records are collected under that stripe's read lock from
-// the generation serving at that moment — the one every write lands in —
-// sorted by original key, and batch re-encoded through the pinned
-// dictionary outside all locks. The snapshot is per-stripe consistent
-// (the Len contract); it never blocks a rebuild and a rebuild never
-// blocks it.
-//
-// Lifecycle state (reservoir contents, drift baselines, rebuild counters)
-// is deliberately not persisted: a restored index starts its lifecycle
-// fresh on the restored dictionary and re-learns the traffic distribution
-// from live writes.
-func dumpAdaptive(a *AdaptiveIndex, w *snapshot.Writer, trace *telemetry.EventTrace) (keys, size int, err error) {
-	gen := a.cur.Load()
-	enc := gen.enc
-
-	m := snapMeta{
-		storeKind: kindAdaptive,
-		backend:   a.backend,
-		shards:    uint32(len(a.shards)),
-		maxKeyLen: uint64(a.maxKeyLen.Load()),
-		splits:    gen.idx.part.Splits(),
-	}
-	if a.opts.Partition == RangePartitioned {
-		m.partition = 1
-	}
-	encoderMeta(&m, enc)
-
-	// Collect each stripe's live records. A record collected here is live
-	// at collection time, whether or not a cutover happened since gen was
-	// pinned (original keys encode under any dictionary). Record-store
-	// append order is arrival order, not key order — sort each stripe so
-	// the run loads back in encoded order.
-	type stripeRun struct {
-		origs [][]byte
-		vals  []uint64
-	}
-	stripes := make([]stripeRun, len(a.shards))
-	total := 0
-	for i, sh := range a.shards {
-		sh.mu.RLock()
-		srecs := a.cur.Load().recs[i]
-		run := stripeRun{
-			origs: make([][]byte, 0, srecs.live),
-			vals:  make([]uint64, 0, srecs.live),
-		}
-		for _, r := range srecs.recs {
-			if r.dead {
-				continue
-			}
-			run.origs = append(run.origs, append([]byte(nil), r.key...))
-			run.vals = append(run.vals, r.val)
-		}
-		sh.mu.RUnlock()
-		sort.Sort(&stripeSorter{run.origs, run.vals})
-		stripes[i] = run
-		total += len(run.origs)
-	}
-	m.keyCount = uint64(total)
-
-	n, err := emitSection(w, trace, secMeta, -1, encodeMeta(m))
-	if err != nil {
-		return 0, 0, err
-	}
-	size += n
-	if n, err = writeDict(w, trace, enc); err != nil {
-		return 0, 0, err
-	}
-	size += n
-	for i := range stripes {
-		var encs [][]byte
-		if enc != nil {
-			// EncodeAll is safe for concurrent use (read-only dictionary,
-			// private appenders), so the serving template encodes the batch
-			// while traffic keeps flowing.
-			encs = enc.EncodeAll(stripes[i].origs)
-		}
-		if n, err = emitSection(w, trace, secARun, i, encodeARun(stripes[i].origs, encs, stripes[i].vals)); err != nil {
-			return 0, 0, err
-		}
-		size += n
-	}
-	return total, size, nil
-}
-
-// stripeSorter sorts one stripe's (original key, value) pairs by key.
-// Original-key order is encoded order under any HOPE dictionary (the
-// order-preservation invariant), so the dump needs no encode to sort.
-type stripeSorter struct {
-	keys [][]byte
-	vals []uint64
-}
-
-func (s *stripeSorter) Len() int           { return len(s.keys) }
-func (s *stripeSorter) Less(i, j int) bool { return bytes.Compare(s.keys[i], s.keys[j]) < 0 }
-func (s *stripeSorter) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
 }

@@ -136,9 +136,17 @@ func restoreSharded(backend Backend, meta snapMeta, enc *core.Encoder, sections 
 	if err != nil {
 		return nil, err
 	}
+	if err := loadRuns(s, meta, payloads); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// loadRuns loads one decoded secRun payload into each of s's shards.
+// Shard loads are independent: decode, copy, and bulk-insert each shard's
+// run in parallel, the restore-side mirror of Bulk's layout.
+func loadRuns(s *ShardedIndex, meta snapMeta, payloads [][]byte) error {
 	s.maxKeyLen.Store(int64(meta.maxKeyLen))
-	// Shard loads are independent: decode, copy, and bulk-insert each
-	// shard's run in parallel, the restore-side mirror of Bulk's layout.
 	var wg sync.WaitGroup
 	errs := make([]error, len(payloads))
 	for i := range payloads {
@@ -156,14 +164,23 @@ func restoreSharded(backend Backend, meta snapMeta, enc *core.Encoder, sections 
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return s, nil
+	return nil
 }
 
+// restoreAdaptive rebuilds an AdaptiveIndex whose serving generation is
+// the dumped sharded store. Snapshots of the retired format, whose
+// sections held per-stripe records (section kind 4), are refused with
+// ErrSnapshotCorrupt.
 func restoreAdaptive(backend Backend, meta snapMeta, enc *core.Encoder, sections []snapshot.Section, c *openConfig) (*AdaptiveIndex, error) {
-	payloads, err := runSections(sections, secARun, int(meta.shards))
+	for _, sec := range sections {
+		if sec.Kind == secRetiredARun {
+			return nil, fmt.Errorf("%w: adaptive snapshot in the retired record-run format", ErrSnapshotCorrupt)
+		}
+	}
+	payloads, err := runSections(sections, secRun, int(meta.shards))
 	if err != nil {
 		return nil, err
 	}
@@ -189,59 +206,8 @@ func restoreAdaptive(backend Backend, meta snapMeta, enc *core.Encoder, sections
 	if err != nil {
 		return nil, err
 	}
-	a.maxKeyLen.Store(int64(meta.maxKeyLen))
-	gen := a.cur.Load()
-	gen.idx.maxKeyLen.Store(int64(meta.maxKeyLen))
-
-	// Decode every stripe, rebuild its record store in file order (slot i
-	// of stripe s is record id s<<32|i), and group the stored encodings by
-	// the tree shard the generation's partitioner routes each key to. For
-	// hash partitions the tree shard IS the stripe and the grouped run is
-	// already in encoded order; range partitions interleave stripes per
-	// tree shard. The bulk path takes either (backends do not require
-	// sorted input), but only sorted input skips the sort.
-	nShards := int(meta.shards)
-	treeKeys := make([][][]byte, nShards)
-	treeIDs := make([][]uint64, nShards)
-	for stripe := range payloads {
-		origs, encs, vals, err := decodeARun(payloads[stripe], enc != nil)
-		if err != nil {
-			return nil, err
-		}
-		recs := make([]record, 0, len(origs))
-		owned := ownedCopies(origs)
-		var stored [][]byte
-		if enc != nil {
-			stored = ownedCopies(encs)
-		} else {
-			stored = owned
-		}
-		for slot := range owned {
-			recs = append(recs, record{key: owned[slot], val: vals[slot]})
-			w := routeRecord(gen, stripe, owned[slot])
-			treeKeys[w] = append(treeKeys[w], stored[slot])
-			treeIDs[w] = append(treeIDs[w], recordID(stripe, slot))
-		}
-		gen.recs[stripe] = generationShardRecords{recs: recs, live: len(recs)}
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, nShards)
-	for w := 0; w < nShards; w++ {
-		if len(treeKeys[w]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = gen.idx.shards[w].be.bulk(treeKeys[w], treeIDs[w])
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := loadRuns(a.cur.Load().idx, meta, payloads); err != nil {
+		return nil, err
 	}
 	return a, nil
 }

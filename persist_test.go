@@ -318,6 +318,37 @@ func TestPersistBackendMismatch(t *testing.T) {
 	}
 }
 
+// TestPersistRefusesRetiredAdaptiveFormat: an adaptive snapshot of the
+// retired format — per-stripe record runs (section kind 4) of original
+// keys — is refused with ErrSnapshotCorrupt, never a panic or a partial
+// store.
+func TestPersistRefusesRetiredAdaptiveFormat(t *testing.T) {
+	dir := t.TempDir()
+	d := snapshot.Dir{FS: snapshot.OS(), Path: dir}
+	err := d.Commit(1, func(w *snapshot.Writer) error {
+		meta := snapMeta{storeKind: kindAdaptive, backend: ART, scheme: -1, shards: 2, keyCount: 2}
+		if err := w.Section(secMeta, -1, encodeMeta(meta)); err != nil {
+			return err
+		}
+		for stripe := 0; stripe < 2; stripe++ {
+			run := appendU64(nil, 1)
+			run = appendBytes(run, []byte(fmt.Sprintf("key-%d", stripe)))
+			run = appendU64(run, uint64(stripe))
+			if err := w.Section(secRetiredARun, stripe, run); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(ART, WithSnapshotDir(dir), WithAdaptive(AdaptiveOptions{Shards: 2, Manual: true}))
+	if !errors.Is(err, ErrSnapshotCorrupt) || st != nil {
+		t.Fatalf("Open over a retired adaptive snapshot = %v, %v; want no store and ErrSnapshotCorrupt", st, err)
+	}
+}
+
 // TestPersistSnapshotAfterClose: a closed Persistent refuses Snapshot
 // with the store-wide ErrClosed.
 func TestPersistSnapshotAfterClose(t *testing.T) {

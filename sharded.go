@@ -16,19 +16,18 @@ import (
 // (indexBackend) behind its own RWMutex, partitioned on the original key
 // bytes by a pluggable Partitioner (hash by default; range with sampled
 // split points via NewRangeShardedIndex). The expensive build artifact —
-// the HOPE dictionary — is built once and shared read-only by every shard;
-// what is duplicated per shard is only the mutable point-encode state (an
-// O(1) Encoder clone, see core.Encoder.Clone), so memory overhead versus a
-// single Index is a few hundred bytes per shard, not a dictionary per
-// shard.
+// the HOPE dictionary — is built once and shared read-only by every shard
+// and by the pooled point-encode state, so memory overhead versus a single
+// Index is a lock and a tree header per shard, not a dictionary per shard.
 //
 // Concurrency model:
 //
-//   - Put/Get/Delete route the original key to one shard. Writers take
-//     that shard's exclusive lock; Get encodes outside any lock through a
-//     pooled scratch buffer (core.ConcurrentEncoder) and holds only the
-//     shard's read lock for the tree probe, so read-mostly workloads scale
-//     with the shard count and Get is allocation-free in steady state.
+//   - Put/Get/Delete route the original key to one shard and encode it
+//     outside any lock through a pooled scratch buffer
+//     (core.ConcurrentEncoder); the trees copy what they keep. Writers
+//     then take that shard's exclusive lock, Get only its read lock for
+//     the tree probe, so read-mostly workloads scale with the shard count
+//     and point ops are allocation-free in steady state.
 //   - Scan/ScanPrefix translate bounds once (through the concurrent
 //     encoder) and plan by partition shape. Hash shards interleave the
 //     keyspace, so every shard is drained in chunks under its read lock
@@ -86,14 +85,10 @@ type ShardedIndex struct {
 	met opMetrics
 }
 
-// indexShard is one lock stripe: a search tree plus the shard-owned
-// point-encode state. enc is guarded by mu (write lock) — it is the
-// single-writer encoder used for Put's owned encodes, cloned from the
-// shared template so all shards read one dictionary.
+// indexShard is one lock stripe: a search tree behind its lock.
 type indexShard struct {
-	mu  sync.RWMutex
-	be  indexBackend
-	enc *core.Encoder // nil when uncompressed
+	mu sync.RWMutex
+	be indexBackend
 }
 
 // pointScratch is a pooled encode destination for the lock-free read path.
@@ -183,11 +178,7 @@ func NewShardedIndexWithPartitioner(backend Backend, enc *core.Encoder, p Partit
 		if err != nil {
 			return nil, err
 		}
-		sh := &indexShard{be: be}
-		if enc != nil {
-			sh.enc = enc.Clone()
-		}
-		s.shards[i] = sh
+		s.shards[i] = &indexShard{be: be}
 	}
 	s.scratch.New = func() any { return new(pointScratch) }
 	s.refreshEncSplits()
@@ -280,38 +271,58 @@ func (s *ShardedIndex) trackLen(n int) {
 	}
 }
 
-// Put inserts or overwrites one key. The owned encode (backends retain the
-// stored key) runs on the shard's private encoder under the shard's write
-// lock, so concurrent writers to different shards never share bit-buffer
-// state.
+// Put inserts or overwrites one key.
 func (s *ShardedIndex) Put(key []byte, val uint64) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
 	shard := s.shardIdx(key)
 	t := s.met.put.Begin(uint64(shard))
-	_, err := s.putShard(shard, key, val)
+	_, _, err := s.putShard(shard, key, val)
 	s.met.put.End(t)
 	return err
 }
 
-// putShard is Put routed to a known shard, reporting the stored (encoded)
-// key length — the hook AdaptiveIndex's migration replay inserts through,
-// having already routed the original key by the next generation's
-// partitioner.
-func (s *ShardedIndex) putShard(shard int, key []byte, val uint64) (storedLen int, err error) {
+// putShard is Put routed to a known shard — the hook AdaptiveIndex writes
+// and replays through, having routed the original key itself. It reports
+// whether the key was already stored (the tree's length did not grow) and
+// the stored (encoded) key length, in one encode and one lock hold.
+func (s *ShardedIndex) putShard(shard int, key []byte, val uint64) (existed bool, storedLen int, err error) {
 	s.trackLen(len(key))
 	sh := s.shards[shard]
-	sh.mu.Lock()
-	var ek []byte
-	if sh.enc != nil {
-		ek = sh.enc.Encode(key)
-	} else {
-		ek = append([]byte(nil), key...)
+	if s.cenc == nil {
+		sh.mu.Lock()
+		n := sh.be.length()
+		err = sh.be.insert(key, val)
+		existed = sh.be.length() == n
+		sh.mu.Unlock()
+		return existed, len(key), err
 	}
+	sc := s.scratch.Get().(*pointScratch)
+	ek, _ := s.cenc.EncodeBits(sc.buf, key)
+	sh.mu.Lock()
+	n := sh.be.length()
 	err = sh.be.insert(ek, val)
+	existed = sh.be.length() == n
 	sh.mu.Unlock()
-	return len(ek), err
+	sc.buf = ek[:0]
+	s.scratch.Put(sc)
+	return existed, len(ek), err
+}
+
+// writeStored puts (or, with del, deletes) an already encoded key of an
+// original keyLen bytes in one shard — the hook AdaptiveIndex replays
+// batch-encoded change lists through.
+func (s *ShardedIndex) writeStored(shard, keyLen int, stored []byte, val uint64, del bool) error {
+	sh := s.shards[shard]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if del {
+		_, err := sh.be.remove(stored)
+		return err
+	}
+	s.trackLen(keyLen)
+	return sh.be.insert(stored, val)
 }
 
 // Get returns the value stored under key. Zero allocations in steady
@@ -376,43 +387,6 @@ func (s *ShardedIndex) deleteShard(shard int, key []byte) (bool, error) {
 	sc.buf = ek[:0]
 	s.scratch.Put(sc)
 	return ok, err
-}
-
-// upsertShard resolves key against a known shard in ONE pass: a single
-// scratch encode and a single lock hold cover both the presence probe and
-// the insert-if-absent, where a getShard-then-putShard sequence pays two
-// encodes and two lock acquisitions. When the key exists its stored value
-// is returned untouched (the caller decides what an overwrite means — the
-// adaptive layer updates the record the value points at); when absent, val
-// is inserted. The existing path is allocation-free in steady state.
-func (s *ShardedIndex) upsertShard(shard int, key []byte, val uint64) (existing uint64, existed bool, storedLen int, err error) {
-	s.trackLen(len(key))
-	sh := s.shards[shard]
-	if s.cenc == nil {
-		sh.mu.Lock()
-		if v, ok := sh.be.get(key); ok {
-			sh.mu.Unlock()
-			return v, true, len(key), nil
-		}
-		err = sh.be.insert(append([]byte(nil), key...), val)
-		sh.mu.Unlock()
-		return 0, false, len(key), err
-	}
-	sc := s.scratch.Get().(*pointScratch)
-	ek, _ := s.cenc.EncodeBits(sc.buf, key)
-	storedLen = len(ek)
-	sh.mu.Lock()
-	if v, ok := sh.be.get(ek); ok {
-		sh.mu.Unlock()
-		sc.buf = ek[:0]
-		s.scratch.Put(sc)
-		return v, true, storedLen, nil
-	}
-	err = sh.be.insert(append([]byte(nil), ek...), val)
-	sh.mu.Unlock()
-	sc.buf = ek[:0]
-	s.scratch.Put(sc)
-	return 0, false, storedLen, err
 }
 
 // Bulk loads keys[i] -> vals[i]: the keys are partitioned once by the
@@ -557,19 +531,22 @@ func (s *ShardedIndex) TreeMemoryUsage() int {
 // false. See the type comment for the cross-shard consistency contract.
 func (s *ShardedIndex) Scan(lo, hi []byte, fn func(key []byte, val uint64) bool) int {
 	t := s.met.scan.Begin(0)
-	var loEnc, hiEnc []byte
-	if s.cenc != nil {
-		loEnc = s.cenc.EncodeBound(lo)
-		if loEnc == nil {
-			loEnc = []byte{}
-		}
-		hiEnc = s.cenc.EncodeBound(hi)
-	} else {
-		loEnc, hiEnc = lo, hi
-	}
-	n := s.planScan(loEnc, hiEnc, false, fn)
+	n := s.scan(lo, hi, fn)
 	s.met.scan.End(t)
 	return n
+}
+
+// scan is Scan without the instrument — the entry point AdaptiveIndex
+// scans a generation through.
+func (s *ShardedIndex) scan(lo, hi []byte, fn func(key []byte, val uint64) bool) int {
+	if s.cenc == nil {
+		return s.planScan(lo, hi, false, fn)
+	}
+	loEnc := s.cenc.EncodeBound(lo)
+	if loEnc == nil {
+		loEnc = []byte{}
+	}
+	return s.planScan(loEnc, s.cenc.EncodeBound(hi), false, fn)
 }
 
 // ScanPrefix visits every stored key that starts with prefix, in ascending
@@ -577,20 +554,18 @@ func (s *ShardedIndex) Scan(lo, hi []byte, fn func(key []byte, val uint64) bool)
 // Index.ScanPrefix (exact lower bound, interval-ceiling upper bound).
 func (s *ShardedIndex) ScanPrefix(prefix []byte, fn func(key []byte, val uint64) bool) int {
 	t := s.met.scan.Begin(0)
-	var n int
-	if s.cenc != nil {
-		maxLen := int(s.maxKeyLen.Load())
-		if len(prefix) > maxLen {
-			maxLen = len(prefix)
-		}
-		lo, hi := s.cenc.EncodePrefix(prefix, maxLen)
-		n = s.planScan(lo, hi, true, fn)
-	} else {
-		hi := prefixSuccessor(prefix)
-		n = s.planScan(prefix, hi, false, fn)
-	}
+	n := s.scanPrefix(prefix, fn)
 	s.met.scan.End(t)
 	return n
+}
+
+// scanPrefix is ScanPrefix without the instrument (see scan).
+func (s *ShardedIndex) scanPrefix(prefix []byte, fn func(key []byte, val uint64) bool) int {
+	if s.cenc == nil {
+		return s.planScan(prefix, prefixSuccessor(prefix), false, fn)
+	}
+	lo, hi := s.cenc.EncodePrefix(prefix, max(int(s.maxKeyLen.Load()), len(prefix)))
+	return s.planScan(lo, hi, true, fn)
 }
 
 // planScan routes a translated (encoded-space) scan to the cheapest
@@ -719,11 +694,10 @@ type shardCursor struct {
 
 // scanShard drains one shard's stored keys in [from, hi) (or [from, hi]
 // when hiIncl; nil hi unbounded) in encoded order under the shard's read
-// lock, until fn returns false. It is the per-shard hook behind
-// AdaptiveIndex's scan merge: the adaptive layer owns the chunking and
-// resume bookkeeping (its cursors resolve stored values against the
-// record store mid-drain), so this hook stays a single locked pass. Keys passed to fn alias tree memory and are only valid during the
-// callback, which must not call back into the index.
+// lock, until fn returns false: one locked pass, the hook behind the
+// snapshot dump and AdaptiveIndex's chunked walks. Keys passed to fn alias
+// tree memory and are only valid during the callback, which must not call
+// back into the index.
 func (s *ShardedIndex) scanShard(shard int, from, hi []byte, hiIncl bool, fn func(k []byte, v uint64) bool) {
 	sh := s.shards[shard]
 	sh.mu.RLock()
@@ -823,7 +797,7 @@ func (s *ShardedIndex) mergeScan(lo, hi []byte, hiIncl bool, fn func(key []byte,
 		}
 	}
 	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(heap, i, cursorLess)
+		siftDown(heap, i)
 	}
 	count := 0
 	for len(heap) > 0 {
@@ -833,12 +807,12 @@ func (s *ShardedIndex) mergeScan(lo, hi []byte, hiIncl bool, fn func(key []byte,
 			return count
 		}
 		if _, ok := heap[0].peek(); ok {
-			siftDown(heap, 0, cursorLess)
+			siftDown(heap, 0)
 		} else {
 			heap[0] = heap[len(heap)-1]
 			heap = heap[:len(heap)-1]
 			if len(heap) > 0 {
-				siftDown(heap, 0, cursorLess)
+				siftDown(heap, 0)
 			}
 		}
 	}
@@ -856,17 +830,15 @@ func cursorLess(a, b *shardCursor) bool {
 	return a.order < b.order
 }
 
-// siftDown restores the min-heap property at index i for any cursor type;
-// the ShardedIndex merge (cursorLess, encoded keys) and the AdaptiveIndex
-// merge (adaptiveCursorLess, original keys) share it.
-func siftDown[C any](h []C, i int, less func(a, b C) bool) {
+// siftDown restores the merge heap's min-heap property at index i.
+func siftDown(h []*shardCursor, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < len(h) && less(h[l], h[min]) {
+		if l < len(h) && cursorLess(h[l], h[min]) {
 			min = l
 		}
-		if r < len(h) && less(h[r], h[min]) {
+		if r < len(h) && cursorLess(h[r], h[min]) {
 			min = r
 		}
 		if min == i {

@@ -15,8 +15,8 @@ package hope
 //     return how many keys they visited; fn may stop the traversal by
 //     returning false. The key handed to fn is in the implementation's
 //     stored form — the HOPE encoding for a compressed Index/ShardedIndex,
-//     the original bytes for an AdaptiveIndex (whose record store keeps
-//     them) — and is only valid for the duration of the callback.
+//     the original bytes for an AdaptiveIndex (which decodes its stored
+//     keys) — and is only valid for the duration of the callback.
 //   - Bulk with nil vals assigns each key its position. On the bulk-only
 //     SuRF backend it is the only way to load keys.
 //   - Close makes the store final: it releases background machinery,
