@@ -343,37 +343,67 @@ func BenchmarkAblationCoder(b *testing.B) {
 
 var _ = core.Schemes // the façade aliases core's scheme type; keep the link explicit
 
-// BenchmarkShardedScan measures one short scan (50 results from a point
-// lower bound) against hash- and range-partitioned indexes at 8 shards.
-// The hash row pays ~shards cursors plus the merge heap per op; the range
-// row is the single-shard fast path — a pooled cursor, no heap, and (for
-// the uncompressed case benchmarked here) zero allocations, which
-// TestSingleShardScanZeroAlloc pins as an invariant.
+// BenchmarkShardedScan measures one short scan (50 results from a stored
+// key) per op. The uncompressed B+tree legs compare hash and range
+// partitions at 8 shards; the drift-email legs (Email keys, 3-Grams 4K,
+// ART, 2 hash shards, as a ShardedIndex and as an AdaptiveIndex) and the
+// point-url leg (Double-Char URLs on a B+tree, 2 hash shards) take the
+// shapes of the perfbench workloads that scan, all through the hash
+// k-way merge. Every leg is allocation-free in steady state, which
+// TestHashScanZeroAlloc and TestSingleShardScanZeroAlloc pin.
 func BenchmarkShardedScan(b *testing.B) {
-	keys := datagen.Generate(datagen.Email, 20000, 1)
-	for _, mode := range []string{"hash", "range"} {
-		b.Run(mode+"/8", func(b *testing.B) {
-			var s *hope.ShardedIndex
-			var err error
-			if mode == "range" {
-				s, err = hope.NewRangeShardedIndex(hope.BTree, nil, 8, keys)
-			} else {
-				s, err = hope.NewShardedIndex(hope.BTree, nil, 8)
-			}
+	emails := datagen.Generate(datagen.Email, 20000, 1)
+	urls := datagen.Generate(datagen.URL, 20000, 1)
+	encoder := func(b *testing.B, scheme hope.Scheme, keys [][]byte, opt hope.Options) *hope.Encoder {
+		enc, err := hope.Build(scheme, hope.SampleKeys(keys, 0.01, 1), opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return enc
+	}
+	email4K := hope.Options{DictLimit: 1 << 12}
+	for _, leg := range []struct {
+		name string
+		keys [][]byte
+		open func(b *testing.B) (hope.Store, error)
+	}{
+		{"hash/8", emails, func(*testing.B) (hope.Store, error) {
+			return hope.Open(hope.BTree, hope.WithShards(8))
+		}},
+		{"range/8", emails, func(*testing.B) (hope.Store, error) {
+			return hope.Open(hope.BTree, hope.WithShards(8), hope.WithRangePartitioner(emails))
+		}},
+		{"drift-email/ShardedIndex", emails, func(b *testing.B) (hope.Store, error) {
+			enc := encoder(b, hope.ThreeGrams, emails, email4K)
+			return hope.Open(hope.ART, hope.WithEncoder(enc), hope.WithShards(2))
+		}},
+		{"drift-email/AdaptiveIndex", emails, func(b *testing.B) (hope.Store, error) {
+			enc := encoder(b, hope.ThreeGrams, emails, email4K)
+			return hope.Open(hope.ART, hope.WithAdaptive(hope.AdaptiveOptions{
+				Scheme: hope.ThreeGrams, Build: email4K, Encoder: enc, Shards: 2, Manual: true,
+			}))
+		}},
+		{"point-url", urls, func(b *testing.B) (hope.Store, error) {
+			enc := encoder(b, hope.DoubleChar, urls, hope.Options{})
+			return hope.Open(hope.BTree, hope.WithEncoder(enc), hope.WithShards(2))
+		}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			st, err := leg.open(b)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := s.Bulk(keys, nil); err != nil {
+			defer st.Close()
+			if err := st.Bulk(leg.keys, nil); err != nil {
 				b.Fatal(err)
 			}
+			n := 0
+			fn := func([]byte, uint64) bool { n++; return n < 50 }
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n := 0
-				s.Scan(keys[i%len(keys)], nil, func([]byte, uint64) bool {
-					n++
-					return n < 50
-				})
+				n = 0
+				st.Scan(leg.keys[i%len(leg.keys)], nil, fn)
 			}
 		})
 	}

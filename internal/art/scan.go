@@ -50,15 +50,13 @@ func scanRec(n node, start []byte, depth int, fn func([]byte, uint64) bool) bool
 		return emitAll(n, fn)
 	}
 	c := start[depth]
-	// The node's prefix key (path itself) is shorter than start: skip it.
+	// The node's prefix key (path itself) is shorter than start: skip it,
+	// and every child below byte c, by seeking straight to c.
 	cont := true
-	eachChild(n, func(b byte, ch node) bool {
-		switch {
-		case b < c:
-			return true // below start, skip
-		case b == c:
+	eachChildFrom(n, c, func(b byte, ch node) bool {
+		if b == c {
 			cont = scanRec(ch, start, depth+1, fn)
-		default:
+		} else {
 			cont = emitAll(ch, fn)
 		}
 		return cont
@@ -87,25 +85,30 @@ func emitAll(n node, fn func([]byte, uint64) bool) bool {
 
 // eachChild visits children in ascending key-byte order until fn returns
 // false.
-func eachChild(n node, fn func(byte, node) bool) {
+func eachChild(n node, fn func(byte, node) bool) { eachChildFrom(n, 0, fn) }
+
+// eachChildFrom is eachChild starting at the first child whose key byte is
+// >= from: Node48 and Node256 index their slots from that byte directly
+// instead of stepping over every lower one.
+func eachChildFrom(n node, from byte, fn func(byte, node) bool) {
 	switch kindOf(n) {
 	case kindNode4:
 		v := (*node4)(n)
 		for i := 0; i < int(v.numChildren); i++ {
-			if !fn(v.keys[i], v.child[i]) {
+			if v.keys[i] >= from && !fn(v.keys[i], v.child[i]) {
 				return
 			}
 		}
 	case kindNode16:
 		v := (*node16)(n)
 		for i := 0; i < int(v.numChildren); i++ {
-			if !fn(v.keys[i], v.child[i]) {
+			if v.keys[i] >= from && !fn(v.keys[i], v.child[i]) {
 				return
 			}
 		}
 	case kindNode48:
 		v := (*node48)(n)
-		for b := 0; b < 256; b++ {
+		for b := int(from); b < 256; b++ {
 			if s := v.index[b]; s != 0 {
 				if !fn(byte(b), v.child[s-1]) {
 					return
@@ -114,7 +117,7 @@ func eachChild(n node, fn func(byte, node) bool) {
 		}
 	case kindNode256:
 		v := (*node256)(n)
-		for b := 0; b < 256; b++ {
+		for b := int(from); b < 256; b++ {
 			if v.child[b] != nil {
 				if !fn(byte(b), v.child[b]) {
 					return

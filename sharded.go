@@ -537,16 +537,32 @@ func (s *ShardedIndex) Scan(lo, hi []byte, fn func(key []byte, val uint64) bool)
 }
 
 // scan is Scan without the instrument — the entry point AdaptiveIndex
-// scans a generation through.
+// scans a generation through. The bounds are encoded into the pooled scan
+// state's buffers, so a steady-state scan allocates nothing.
 func (s *ShardedIndex) scan(lo, hi []byte, fn func(key []byte, val uint64) bool) int {
-	if s.cenc == nil {
-		return s.planScan(lo, hi, false, fn)
+	m := scanStatePool.Get().(*scanState)
+	defer m.release()
+	if s.cenc != nil {
+		// A nil lo still becomes a present (empty) bound; a nil hi stays
+		// unbounded.
+		m.lo = s.encodeBound(m.lo, lo)
+		lo = m.lo
+		if hi != nil {
+			m.hi = s.encodeBound(m.hi, hi)
+			hi = m.hi
+		}
 	}
-	loEnc := s.cenc.EncodeBound(lo)
-	if loEnc == nil {
-		loEnc = []byte{}
+	return s.planScan(m, lo, hi, false, fn)
+}
+
+// encodeBound encodes one complete-key bound into dst's storage. The
+// result is never nil: the empty key is an empty but present bound.
+func (s *ShardedIndex) encodeBound(dst, key []byte) []byte {
+	b, _ := s.cenc.EncodeBits(dst[:0], key)
+	if b == nil {
+		b = []byte{}
 	}
-	return s.planScan(loEnc, s.cenc.EncodeBound(hi), false, fn)
+	return b
 }
 
 // ScanPrefix visits every stored key that starts with prefix, in ascending
@@ -561,22 +577,24 @@ func (s *ShardedIndex) ScanPrefix(prefix []byte, fn func(key []byte, val uint64)
 
 // scanPrefix is ScanPrefix without the instrument (see scan).
 func (s *ShardedIndex) scanPrefix(prefix []byte, fn func(key []byte, val uint64) bool) int {
+	m := scanStatePool.Get().(*scanState)
+	defer m.release()
 	if s.cenc == nil {
-		return s.planScan(prefix, prefixSuccessor(prefix), false, fn)
+		return s.planScan(m, prefix, prefixSuccessor(prefix), false, fn)
 	}
 	lo, hi := s.cenc.EncodePrefix(prefix, max(int(s.maxKeyLen.Load()), len(prefix)))
-	return s.planScan(lo, hi, true, fn)
+	return s.planScan(m, lo, hi, true, fn)
 }
 
 // planScan routes a translated (encoded-space) scan to the cheapest
 // strategy the partition shape allows: a pruned sequential walk for
 // ordered partitions — single-shard scans skip the merge machinery
 // entirely — or the k-way merge for hash partitions.
-func (s *ShardedIndex) planScan(lo, hi []byte, hiIncl bool, fn func(key []byte, val uint64) bool) int {
+func (s *ShardedIndex) planScan(m *scanState, lo, hi []byte, hiIncl bool, fn func(key []byte, val uint64) bool) int {
 	if first, last, ok := s.scanSpan(lo, hi); ok {
 		return s.orderedScan(first, last, lo, hi, hiIncl, fn)
 	}
-	return s.mergeScan(lo, hi, hiIncl, fn)
+	return s.mergeScan(m, lo, hi, hiIncl, fn)
 }
 
 // scanSpan prunes an ordered partition to the inclusive shard span whose
@@ -623,9 +641,31 @@ func (s *ShardedIndex) scanSpan(lo, hi []byte) (first, last int, ok bool) {
 }
 
 // scanCursorPool recycles shardCursor shells (chunk arenas, resume
-// buffers) across ordered scans, so the single-shard fast path performs
-// zero allocations in steady state — no merge heap, no per-scan cursor.
+// buffers, fill callbacks) across scans of either plan, so neither the
+// single-shard fast path nor the k-way merge allocates a cursor per scan.
 var scanCursorPool = sync.Pool{New: func() any { return new(shardCursor) }}
+
+// scanState is one scan's pooled scratch: the encoded lo/hi bound buffers
+// and, for a hash-merged scan, the merge heap of per-shard cursors taken
+// from scanCursorPool. With it a steady-state scan allocates nothing.
+type scanState struct {
+	lo, hi []byte
+	heap   []*shardCursor
+}
+
+var scanStatePool = sync.Pool{New: func() any { return new(scanState) }}
+
+// release returns the cursors still in the heap to scanCursorPool and the
+// state to its pool. Scans defer it, so a panicking callback returns them
+// too.
+func (m *scanState) release() {
+	for i, c := range m.heap {
+		c.release()
+		m.heap[i] = nil
+	}
+	m.heap = m.heap[:0]
+	scanStatePool.Put(m)
+}
 
 // orderedScan drains shards first..last sequentially. Ordered disjoint
 // shard intervals make interleaving impossible: everything in shard w
@@ -785,35 +825,37 @@ func (c *shardCursor) pop() (key []byte, val uint64) {
 // binary min-heap keyed by their current encoded key, so each emission
 // costs O(log shards) comparisons rather than a linear sweep (at the
 // 4×GOMAXPROCS default shard count of a large machine the difference is
-// ~30× on the scan hot path).
-func (s *ShardedIndex) mergeScan(lo, hi []byte, hiIncl bool, fn func(key []byte, val uint64) bool) int {
-	heap := make([]*shardCursor, 0, len(s.shards))
+// ~30× on the scan hot path). The heap lives in m and its cursors come
+// from scanCursorPool; a cursor goes back as soon as its shard is
+// exhausted, the rest when the caller releases m.
+func (s *ShardedIndex) mergeScan(m *scanState, lo, hi []byte, hiIncl bool, fn func(key []byte, val uint64) bool) int {
 	for order, sh := range s.shards {
-		// Each cursor owns its resume buffer; lo's backing is shared and
-		// must not be appended to.
-		c := &shardCursor{sh: sh, order: order, next: append([]byte(nil), lo...), hi: hi, hiIncl: hiIncl}
+		c := scanCursorPool.Get().(*shardCursor)
+		c.reset(sh, order, lo, hi, hiIncl)
 		if _, ok := c.peek(); ok {
-			heap = append(heap, c)
+			m.heap = append(m.heap, c)
+		} else {
+			c.release()
 		}
 	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(heap, i)
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		siftDown(m.heap, i)
 	}
 	count := 0
-	for len(heap) > 0 {
-		k, v := heap[0].pop()
+	for len(m.heap) > 0 {
+		k, v := m.heap[0].pop()
 		count++
 		if !fn(k, v) {
 			return count
 		}
-		if _, ok := heap[0].peek(); ok {
-			siftDown(heap, 0)
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-			if len(heap) > 0 {
-				siftDown(heap, 0)
-			}
+		if _, ok := m.heap[0].peek(); !ok {
+			last := len(m.heap) - 1
+			m.heap[0].release()
+			m.heap[0], m.heap[last] = m.heap[last], nil
+			m.heap = m.heap[:last]
+		}
+		if len(m.heap) > 0 {
+			siftDown(m.heap, 0)
 		}
 	}
 	return count

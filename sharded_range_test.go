@@ -356,12 +356,10 @@ func TestRangeShardedEarlyStop(t *testing.T) {
 }
 
 // TestSingleShardScanZeroAlloc is the acceptance criterion's allocation
-// bar for the fast path: a short scan confined to one shard of a
-// range-partitioned index builds no merge heap and allocates nothing —
-// the cursor, its chunk arena, and its resume buffer all come from the
-// scan cursor pool. (Uncompressed, so bound translation — which
-// necessarily allocates its encoded bounds — is out of the picture; the
-// compressed path differs only by that translation.)
+// bar for the fast path: a short compressed scan confined to one shard of
+// a range-partitioned index builds no merge heap and allocates nothing —
+// the cursor, its chunk arena, and its resume buffer come from the scan
+// cursor pool, the encoded bounds from the pooled scan state.
 func TestSingleShardScanZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race; zero-alloc steady state not reachable")
@@ -370,10 +368,8 @@ func TestSingleShardScanZeroAlloc(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		keys = append(keys, []byte(fmt.Sprintf("com.user@%05d", i)))
 	}
-	s, err := NewRangeShardedIndex(BTree, nil, 16, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := testEncoders(t)[core.DoubleChar]
+	s := mustOpen(t, BTree, WithEncoder(enc), WithShards(16), WithRangePartitioner(keys)).(*ShardedIndex)
 	if err := s.Bulk(keys, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -558,10 +554,13 @@ func TestScanSpanPruning(t *testing.T) {
 // shards the range partition must split the load with no shard above 75%
 // of the keys, and must not be slower than hash: a hash scan opens a
 // cursor on every shard and merges them, a range scan touches only the
-// shards its bounds overlap.
+// shards its bounds overlap. Each partition's rate is the best of
+// timedPasses passes, each on a freshly loaded index, with the two
+// partitions alternating: one pass takes ~10 ms, so a single preemption
+// by a concurrently running test package can halve a single-pass rate.
 func TestRangeShardedScanBeatsHash(t *testing.T) {
 	all := datagen.Generate(datagen.Email, 4000, 42)
-	const numOps = 1200
+	const numOps, timedPasses = 1200, 3
 	loaded := all[:len(all)-numOps/10-64]
 	samples := loaded[:max(64, len(loaded)/50)]
 	dc, err := core.Build(core.DoubleChar, samples, core.Options{})
@@ -576,35 +575,41 @@ func TestRangeShardedScanBeatsHash(t *testing.T) {
 					t.Fatalf("insert pool exhausted: need key %d, have %d", mk, len(all))
 				}
 				opsPerSec := map[string]float64{}
-				for _, partition := range []string{"hash", "range"} {
-					opts := []Option{WithEncoder(encCloneOrNil(enc)), WithShards(shards)}
-					if partition == "range" {
-						opts = append(opts, WithRangePartitioner(loaded))
+				for pass := 0; pass < timedPasses; pass++ {
+					order := []string{"hash", "range"}
+					if pass%2 == 1 {
+						order = []string{"range", "hash"}
 					}
-					s := mustOpen(t, backend, opts...).(*ShardedIndex)
-					if err := s.Bulk(loaded, nil); err != nil {
-						t.Fatal(err)
-					}
-					name := fmt.Sprintf("%s/%s/%s/s%d", backend, schemeName(enc), partition, shards)
-					if frac := s.MaxShardFrac(); partition == "range" && shards >= 4 && frac > 0.75 {
-						t.Fatalf("%s: range splits badly skewed: %f of keys in one shard", name, frac)
-					}
-					t0 := time.Now()
-					for _, op := range w.Ops {
-						switch op.Kind {
-						case ycsb.Scan:
-							n := 0
-							s.Scan(all[op.Key], nil, func([]byte, uint64) bool {
-								n++
-								return n < op.ScanLen
-							})
-						case ycsb.Insert:
-							if err := s.Put(all[op.Key], uint64(op.Key)); err != nil {
-								t.Fatal(err)
+					for _, partition := range order {
+						opts := []Option{WithEncoder(encCloneOrNil(enc)), WithShards(shards)}
+						if partition == "range" {
+							opts = append(opts, WithRangePartitioner(loaded))
+						}
+						s := mustOpen(t, backend, opts...).(*ShardedIndex)
+						if err := s.Bulk(loaded, nil); err != nil {
+							t.Fatal(err)
+						}
+						name := fmt.Sprintf("%s/%s/%s/s%d", backend, schemeName(enc), partition, shards)
+						if frac := s.MaxShardFrac(); partition == "range" && shards >= 4 && frac > 0.75 {
+							t.Fatalf("%s: range splits badly skewed: %f of keys in one shard", name, frac)
+						}
+						t0 := time.Now()
+						for _, op := range w.Ops {
+							switch op.Kind {
+							case ycsb.Scan:
+								n := 0
+								s.Scan(all[op.Key], nil, func([]byte, uint64) bool {
+									n++
+									return n < op.ScanLen
+								})
+							case ycsb.Insert:
+								if err := s.Put(all[op.Key], uint64(op.Key)); err != nil {
+									t.Fatal(err)
+								}
 							}
 						}
+						opsPerSec[partition] = max(opsPerSec[partition], float64(len(w.Ops))/time.Since(t0).Seconds())
 					}
-					opsPerSec[partition] = float64(len(w.Ops)) / time.Since(t0).Seconds()
 				}
 				if shards >= 4 && opsPerSec["range"] < opsPerSec["hash"] {
 					t.Fatalf("%s/%s/s%d: range (%.0f ops/s) slower than hash (%.0f ops/s)",
