@@ -139,7 +139,7 @@ type AdaptiveOptions struct {
 	// Encoder, when non-nil, is the generation-0 dictionary: the index
 	// starts Steady and compressed instead of Sampling (generations count
 	// completed rebuilds). The encoder is
-	// captured as the build template (like NewShardedIndex) and must not
+	// captured as the build template (like WithEncoder) and must not
 	// be used directly afterwards. Its drift baseline self-calibrates
 	// from the first full window of live traffic.
 	Encoder *core.Encoder
@@ -238,7 +238,7 @@ func (g *generation) walk(w int, fn func(stored []byte, val uint64) error) error
 	var err error
 	for {
 		n := 0
-		g.idx.scanShard(w, from, nil, false, func(k []byte, v uint64) bool {
+		g.idx.scanShard(w, from, nil, func(k []byte, v uint64) bool {
 			if err = fn(k, v); err != nil {
 				return false
 			}
@@ -336,7 +336,7 @@ func (c *changeList) apply(i int, next *generation) error {
 	stored, order = sortRun(stored, order)
 	for j, ek := range stored {
 		op, key := c.ops[order[j]], keys[order[j]]
-		if err := next.idx.writeStored(route(next, i, key), len(key), ek, op.val, op.del); err != nil {
+		if err := next.idx.writeStored(route(next, i, key), ek, op.val, op.del); err != nil {
 			return err
 		}
 	}
@@ -383,9 +383,7 @@ func newAdaptiveIndexWithSplits(backend Backend, opts AdaptiveOptions, splits []
 // the index is range-partitioned, are the generation's split points
 // (re-sampled from the reservoir at every rebuild); nil leaves a
 // range partitioner unseeded (generation 0 before any bulk corpus
-// exists — Bulk seeds it, or the first rebuild replaces it). A
-// dictionary whose stored keys cannot be decoded exactly is refused
-// (core.ErrAmbiguousPadding; core.Build never makes one).
+// exists — Bulk seeds it, or the first rebuild replaces it).
 func (a *AdaptiveIndex) newGeneration(enc *core.Encoder, splits [][]byte) (*generation, error) {
 	var p Partitioner
 	switch {
@@ -1163,9 +1161,8 @@ func (a *AdaptiveIndex) Scan(lo, hi []byte, fn func(key []byte, val uint64) bool
 }
 
 // ScanPrefix visits every stored key that starts with prefix, in
-// ascending original-key order (see Scan for the callback contract).
-// Bound translation follows Index.ScanPrefix: exact lower bound,
-// interval-ceiling upper bound.
+// ascending original-key order (see Scan for the callback contract): the
+// scan of [prefix, prefixSuccessor(prefix)), as in Index.ScanPrefix.
 func (a *AdaptiveIndex) ScanPrefix(prefix []byte, fn func(key []byte, val uint64) bool) int {
 	t := a.met.scan.Begin(0)
 	g := a.cur.Load()

@@ -27,10 +27,7 @@ type kv struct {
 
 func referenceIndex(t *testing.T, backend Backend, model map[string]uint64) *Index {
 	t.Helper()
-	ref, err := NewIndex(backend, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := openIndex(t, backend, nil)
 	if backend == SuRF {
 		keys := make([][]byte, 0, len(model))
 		vals := make([]uint64, 0, len(model))

@@ -252,10 +252,11 @@ func BenchmarkShardedIndexGet(b *testing.B) {
 		return hope.Build(hope.SingleChar, samples, hope.Options{DictLimit: 1 << 12})
 	})
 	b.Run("Index", func(b *testing.B) {
-		x, err := hope.NewIndex(hope.ART, enc.Clone())
+		st, err := hope.Open(hope.ART, hope.WithEncoder(enc.Clone()))
 		if err != nil {
 			b.Fatal(err)
 		}
+		x := st.(*hope.Index)
 		if err := x.Bulk(keys, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -266,7 +267,7 @@ func BenchmarkShardedIndexGet(b *testing.B) {
 		}
 	})
 	b.Run("ShardedIndex", func(b *testing.B) {
-		s, err := hope.NewShardedIndex(hope.ART, enc.Clone(), 0)
+		s, err := hope.Open(hope.ART, hope.WithEncoder(enc.Clone()), hope.WithShards(0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -280,7 +281,7 @@ func BenchmarkShardedIndexGet(b *testing.B) {
 		}
 	})
 	b.Run("ShardedIndexParallel", func(b *testing.B) {
-		s, err := hope.NewShardedIndex(hope.ART, enc.Clone(), 0)
+		s, err := hope.Open(hope.ART, hope.WithEncoder(enc.Clone()), hope.WithShards(0))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -65,27 +65,17 @@ type Index struct {
 	be      indexBackend
 	enc     *core.Encoder
 
-	// maxKeyLen tracks the longest original key ever stored; ScanPrefix
-	// feeds it to the encoder's interval-ceiling bound so the encoded
-	// upper bound dominates every stored continuation of the prefix.
-	maxKeyLen int
-
 	closed bool // set by Close; mutations refused afterwards
 
 	buf []byte // scratch for point-operation encodes
 }
 
-// NewIndex wraps the named backend. enc may be nil for an uncompressed
+// newIndex wraps the named backend. enc may be nil for an uncompressed
 // index; otherwise every key is encoded with it transparently. The
 // encoder is captured by reference and its point-encode state is
 // mutable, so an encoder may be shared between Index instances only as
-// long as all of them are driven from one goroutine; concurrent shards
-// need one encoder each (dictionaries are read-only, so rebuilding is
-// cheap — or encode externally via a ConcurrentEncoder and use nil).
-//
-// Deprecated: use Open(backend, WithEncoder(enc)), which returns the same
-// index behind the unified Store interface.
-func NewIndex(backend Backend, enc *core.Encoder) (*Index, error) {
+// long as all of them are driven from one goroutine.
+func newIndex(backend Backend, enc *core.Encoder) (*Index, error) {
 	be, err := newIndexBackend(backend)
 	if err != nil {
 		return nil, err
@@ -145,12 +135,6 @@ func (x *Index) encodePoint(key []byte) []byte {
 	return b
 }
 
-func (x *Index) trackLen(key []byte) {
-	if len(key) > x.maxKeyLen {
-		x.maxKeyLen = len(key)
-	}
-}
-
 // Put inserts or overwrites one key. Bulk is the fast path for loading
 // many keys at once (it runs the parallel encoder and, for SuRF, is the
 // only way to populate the index).
@@ -158,7 +142,6 @@ func (x *Index) Put(key []byte, val uint64) error {
 	if x.closed {
 		return ErrClosed
 	}
-	x.trackLen(key)
 	return x.be.insert(x.encodePoint(key), val)
 }
 
@@ -196,9 +179,6 @@ func (x *Index) Bulk(keys [][]byte, vals []uint64) error {
 			vals[i] = uint64(i)
 		}
 	}
-	for _, k := range keys {
-		x.trackLen(k)
-	}
 	var encoded [][]byte
 	if x.enc != nil {
 		encoded = x.enc.EncodeAll(keys)
@@ -235,11 +215,9 @@ func totalLen(keys [][]byte) int {
 // and returns how many keys it visited. fn receives the stored (encoded)
 // key and may stop the scan by returning false.
 //
-// Both bounds are complete keys, so they translate exactly: encoding is
-// order-preserving, hence enc(lo) <= enc(k) < enc(hi) holds for stored
-// keys precisely when lo <= k < hi holds for the originals (the
-// zero-padding weak-order edge documented in DESIGN.md is the only
-// exception).
+// Both bounds are complete keys, so they translate exactly: the encoded
+// order is strict, hence enc(lo) <= enc(k) < enc(hi) holds for stored
+// keys precisely when lo <= k < hi holds for the originals.
 func (x *Index) Scan(lo, hi []byte, fn func(key []byte, val uint64) bool) int {
 	var loEnc, hiEnc []byte
 	if x.enc != nil {
@@ -251,53 +229,41 @@ func (x *Index) Scan(lo, hi []byte, fn func(key []byte, val uint64) bool) int {
 	} else {
 		loEnc, hiEnc = lo, hi
 	}
-	return x.scanEncoded(loEnc, hiEnc, false, fn)
-}
-
-// ScanPrefix visits every stored key that starts with prefix, in
-// ascending order, and returns how many keys it visited. In encoded space
-// a prefix is generally not dictionary-complete, so the upper bound runs
-// through the encoder's interval-ceiling construction (EncodePrefix): the
-// lower bound is the exact encoding of the prefix and the upper bound is
-// the smallest encoded string the facade can prove to dominate every
-// stored key carrying the prefix.
-func (x *Index) ScanPrefix(prefix []byte, fn func(key []byte, val uint64) bool) int {
-	if x.enc != nil {
-		maxLen := x.maxKeyLen
-		if len(prefix) > maxLen {
-			maxLen = len(prefix)
-		}
-		lo, hi := x.enc.EncodePrefix(prefix, maxLen)
-		return x.scanEncoded(lo, hi, true, fn)
-	}
-	// Uncompressed: the successor prefix (last non-0xff byte bumped, 0xff
-	// run stripped) is the exclusive upper bound; an all-0xff prefix has
-	// no successor and the range is unbounded above.
-	hi := prefixSuccessor(prefix)
-	return x.scanEncoded(prefix, hi, false, fn)
-}
-
-func (x *Index) scanEncoded(lo, hi []byte, hiIncl bool, fn func(key []byte, val uint64) bool) int {
 	n := 0
-	x.be.scan(lo, hi, hiIncl, func(k []byte, v uint64) bool {
+	x.be.scan(loEnc, hiEnc, func(k []byte, v uint64) bool {
 		n++
 		return fn(k, v)
 	})
 	return n
 }
 
+// ScanPrefix visits every stored key that starts with prefix, in
+// ascending order, and returns how many keys it visited: the keys
+// carrying prefix are exactly those in [prefix, prefixSuccessor(prefix)),
+// and both bounds are complete keys.
+func (x *Index) ScanPrefix(prefix []byte, fn func(key []byte, val uint64) bool) int {
+	return x.Scan(prefix, prefixSuccessor(prefix), fn)
+}
+
 // prefixSuccessor returns the smallest byte string greater than every
 // string with the given prefix, or nil if none exists (all-0xff prefixes).
 func prefixSuccessor(p []byte) []byte {
+	return appendSuccessor(nil, p)
+}
+
+// appendSuccessor writes p's successor into dst's storage (p with its
+// trailing 0xff run dropped and its last remaining byte incremented) and
+// returns it, or nil when p is all 0xff.
+func appendSuccessor(dst, p []byte) []byte {
 	i := len(p) - 1
 	for ; i >= 0 && p[i] == 0xff; i-- {
 	}
 	if i < 0 {
 		return nil
 	}
-	s := append([]byte(nil), p[:i+1]...)
-	s[i]++
-	return s
+	dst = append(dst[:0], p[:i+1]...)
+	dst[i]++
+	return dst
 }
 
 // indexBackend adapts one search tree to the facade. Keys at this layer
@@ -309,9 +275,9 @@ type indexBackend interface {
 	bulk(keys [][]byte, vals []uint64) error
 	get(k []byte) (uint64, bool)
 	remove(k []byte) (bool, error)
-	// scan visits stored keys in [lo, hi) byte order ([lo, hi] when
-	// hiIncl; nil hi unbounded) until fn returns false.
-	scan(lo, hi []byte, hiIncl bool, fn func(k []byte, v uint64) bool)
+	// scan visits stored keys in [lo, hi) byte order (nil hi unbounded)
+	// until fn returns false.
+	scan(lo, hi []byte, fn func(k []byte, v uint64) bool)
 	memory() int
 	length() int
 }
@@ -339,13 +305,11 @@ func (b *artBackend) bulk(ks [][]byte, vs []uint64) error {
 	b.t = art.BulkLoad(art.IndexMode, keys, vals)
 	return nil
 }
-func (b *artBackend) get(k []byte) (uint64, bool)   { return b.t.Get(k) }
-func (b *artBackend) remove(k []byte) (bool, error) { return b.t.Delete(k), nil }
-func (b *artBackend) memory() int                   { return b.t.MemoryUsage() }
-func (b *artBackend) length() int                   { return b.t.Len() }
-func (b *artBackend) scan(lo, hi []byte, incl bool, fn func([]byte, uint64) bool) {
-	b.t.Range(lo, hi, incl, fn)
-}
+func (b *artBackend) get(k []byte) (uint64, bool)                      { return b.t.Get(k) }
+func (b *artBackend) remove(k []byte) (bool, error)                    { return b.t.Delete(k), nil }
+func (b *artBackend) memory() int                                      { return b.t.MemoryUsage() }
+func (b *artBackend) length() int                                      { return b.t.Len() }
+func (b *artBackend) scan(lo, hi []byte, fn func([]byte, uint64) bool) { b.t.Range(lo, hi, fn) }
 
 type hotBackend struct{ t *hot.Tree }
 
@@ -357,13 +321,11 @@ func (b *hotBackend) bulk(ks [][]byte, vs []uint64) error {
 	b.t = hot.BulkLoad(sortRun(ks, vs))
 	return nil
 }
-func (b *hotBackend) get(k []byte) (uint64, bool)   { return b.t.Get(k) }
-func (b *hotBackend) remove(k []byte) (bool, error) { return b.t.Delete(k), nil }
-func (b *hotBackend) memory() int                   { return b.t.MemoryUsage() }
-func (b *hotBackend) length() int                   { return b.t.Len() }
-func (b *hotBackend) scan(lo, hi []byte, incl bool, fn func([]byte, uint64) bool) {
-	b.t.Range(lo, hi, incl, fn)
-}
+func (b *hotBackend) get(k []byte) (uint64, bool)                      { return b.t.Get(k) }
+func (b *hotBackend) remove(k []byte) (bool, error)                    { return b.t.Delete(k), nil }
+func (b *hotBackend) memory() int                                      { return b.t.MemoryUsage() }
+func (b *hotBackend) length() int                                      { return b.t.Len() }
+func (b *hotBackend) scan(lo, hi []byte, fn func([]byte, uint64) bool) { b.t.Range(lo, hi, fn) }
 
 type btreeBackend struct{ t *btree.Tree }
 
@@ -375,13 +337,11 @@ func (b *btreeBackend) bulk(ks [][]byte, vs []uint64) error {
 	b.t = btree.BulkLoad(sortRun(ks, vs))
 	return nil
 }
-func (b *btreeBackend) get(k []byte) (uint64, bool)   { return b.t.Get(k) }
-func (b *btreeBackend) remove(k []byte) (bool, error) { return b.t.Delete(k), nil }
-func (b *btreeBackend) memory() int                   { return b.t.MemoryUsage() }
-func (b *btreeBackend) length() int                   { return b.t.Len() }
-func (b *btreeBackend) scan(lo, hi []byte, incl bool, fn func([]byte, uint64) bool) {
-	b.t.Range(lo, hi, incl, fn)
-}
+func (b *btreeBackend) get(k []byte) (uint64, bool)                      { return b.t.Get(k) }
+func (b *btreeBackend) remove(k []byte) (bool, error)                    { return b.t.Delete(k), nil }
+func (b *btreeBackend) memory() int                                      { return b.t.MemoryUsage() }
+func (b *btreeBackend) length() int                                      { return b.t.Len() }
+func (b *btreeBackend) scan(lo, hi []byte, fn func([]byte, uint64) bool) { b.t.Range(lo, hi, fn) }
 
 type prefixBackend struct{ t *prefixbtree.Tree }
 
@@ -393,13 +353,11 @@ func (b *prefixBackend) bulk(ks [][]byte, vs []uint64) error {
 	b.t = prefixbtree.BulkLoad(sortRun(ks, vs))
 	return nil
 }
-func (b *prefixBackend) get(k []byte) (uint64, bool)   { return b.t.Get(k) }
-func (b *prefixBackend) remove(k []byte) (bool, error) { return b.t.Delete(k), nil }
-func (b *prefixBackend) memory() int                   { return b.t.MemoryUsage() }
-func (b *prefixBackend) length() int                   { return b.t.Len() }
-func (b *prefixBackend) scan(lo, hi []byte, incl bool, fn func([]byte, uint64) bool) {
-	b.t.Range(lo, hi, incl, fn)
-}
+func (b *prefixBackend) get(k []byte) (uint64, bool)                      { return b.t.Get(k) }
+func (b *prefixBackend) remove(k []byte) (bool, error)                    { return b.t.Delete(k), nil }
+func (b *prefixBackend) memory() int                                      { return b.t.MemoryUsage() }
+func (b *prefixBackend) length() int                                      { return b.t.Len() }
+func (b *prefixBackend) scan(lo, hi []byte, fn func([]byte, uint64) bool) { b.t.Range(lo, hi, fn) }
 
 // surfBackend is SuRF in its production role: a succinct filter in front
 // of a sorted run (as in an LSM level). Bulk sorts the encoded keys
@@ -436,16 +394,14 @@ func (b *surfBackend) get(k []byte) (uint64, bool) {
 	return 0, false
 }
 
-func (b *surfBackend) scan(lo, hi []byte, incl bool, fn func([]byte, uint64) bool) {
-	if b.filter == nil || !b.filter.MayIntersect(lo, hi, incl) {
+func (b *surfBackend) scan(lo, hi []byte, fn func([]byte, uint64) bool) {
+	if b.filter == nil || !b.filter.MayIntersect(lo, hi) {
 		return
 	}
 	i := sort.Search(len(b.keys), func(i int) bool { return bytes.Compare(b.keys[i], lo) >= 0 })
 	for ; i < len(b.keys); i++ {
-		if hi != nil {
-			if c := bytes.Compare(b.keys[i], hi); c > 0 || (c == 0 && !incl) {
-				return
-			}
+		if hi != nil && bytes.Compare(b.keys[i], hi) >= 0 {
+			return
 		}
 		if !fn(b.keys[i], b.vals[i]) {
 			return

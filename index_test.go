@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 )
 
 // ---------------------------------------------------------------------------
@@ -16,10 +18,8 @@ import (
 
 // adversarialCorpus builds the key set the differential scans run over:
 // dense shared prefixes, keys that are proper prefixes of other keys, the
-// empty key, 0xff runs, plus deterministic email-ish and binary filler.
-// Keys that differ from another corpus key only by a trailing 0x00 run are
-// excluded: they exercise the documented zero-padding weak-order edge
-// rather than range-query correctness (DESIGN.md).
+// empty key, 0xff runs, keys that extend other keys by 0x00 runs, plus
+// deterministic email-ish and binary filler.
 func adversarialCorpus() [][]byte {
 	keys := [][]byte{
 		{},
@@ -33,6 +33,9 @@ func adversarialCorpus() [][]byte {
 		[]byte("a\xff"), []byte("a\xff\xff"), []byte("a\xffz"), []byte("a\xff\xffz"),
 		{0x00}, {0x00, 0x01}, {0x00, 0xff}, {0x01},
 		[]byte("z"), []byte("zz"), []byte("zzz"),
+		{0x00, 0x00}, {0x00, 0x00, 0x00}, []byte("a\x00"), []byte("a\x00\x00"),
+		[]byte("app\x00"), []byte("apple\x00\x00\x00\x00\x00\x00\x00\x00\x00"),
+		[]byte("com\x00"), []byte("com.gmail@bob\x00"), []byte("z\x00"), []byte("\xff\x00"),
 	}
 	rng := rand.New(rand.NewSource(99))
 	names := []string{"grace", "heidi", "ivan", "judy", "mallory", "nick"}
@@ -51,7 +54,7 @@ func adversarialCorpus() [][]byte {
 		}
 		keys = append(keys, k)
 	}
-	return dropZeroRunExtensions(dedupe(keys))
+	return dedupe(keys)
 }
 
 func dedupe(keys [][]byte) [][]byte {
@@ -62,28 +65,6 @@ func dedupe(keys [][]byte) [][]byte {
 			seen[string(k)] = true
 			out = append(out, k)
 		}
-	}
-	return out
-}
-
-// dropZeroRunExtensions removes keys that equal another corpus key plus a
-// trailing 0x00 run (the zero-padding weak-order edge documented in
-// DESIGN.md).
-func dropZeroRunExtensions(keys [][]byte) [][]byte {
-	set := map[string]bool{}
-	for _, k := range keys {
-		set[string(k)] = true
-	}
-	out := keys[:0]
-	for _, k := range keys {
-		i := len(k)
-		for i > 0 && k[i-1] == 0x00 {
-			i--
-		}
-		if i < len(k) && set[string(k[:i])] {
-			continue
-		}
-		out = append(out, k)
 	}
 	return out
 }
@@ -102,6 +83,7 @@ func scanBounds() [][]byte {
 		[]byte("a\xff"), []byte("a\xff\xff"), []byte("a\xffz"),
 		{0xff}, {0xff, 0xff}, {0xff, 0xff, 0xff, 0xff},
 		[]byte("zzz"), []byte("zzzz"),
+		[]byte("a\x00"), []byte("app\x00"), {0x00, 0x00},
 	}
 }
 
@@ -140,13 +122,16 @@ func testEncoders(t *testing.T) map[core.Scheme]*core.Encoder {
 	return encFixture.encs
 }
 
+// openIndex opens a single-goroutine Index through Open.
+func openIndex(t *testing.T, backend Backend, enc *core.Encoder) *Index {
+	t.Helper()
+	return mustOpen(t, backend, WithEncoder(enc)).(*Index)
+}
+
 // loadIndex builds an index over the corpus with val i for key i.
 func loadIndex(t *testing.T, backend Backend, enc *core.Encoder, keys [][]byte) *Index {
 	t.Helper()
-	x, err := NewIndex(backend, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := openIndex(t, backend, enc)
 	if err := x.Bulk(keys, nil); err != nil {
 		t.Fatalf("%s: bulk: %v", backend, err)
 	}
@@ -222,9 +207,9 @@ func TestScanDifferential(t *testing.T) {
 	}
 }
 
-// TestScanPrefixDifferential covers the interval-ceiling upper bound:
-// encoded prefix scans must match unencoded prefix scans, including
-// prefixes ending in 0xff runs and the empty (full-range) prefix.
+// TestScanPrefixDifferential: encoded prefix scans, the range scans of
+// [prefix, successor), must match unencoded prefix scans, including
+// prefixes ending in 0xff or 0x00 runs and the empty (full-range) prefix.
 func TestScanPrefixDifferential(t *testing.T) {
 	keys := adversarialCorpus()
 	encs := testEncoders(t)
@@ -232,7 +217,7 @@ func TestScanPrefixDifferential(t *testing.T) {
 		{}, []byte("a"), []byte("ap"), []byte("app"), []byte("apple"),
 		[]byte("com."), []byte("com.gmail@"), []byte("com.gmail@bob"),
 		{0x00}, {0xff}, {0xff, 0xff}, []byte("a\xff"), []byte("a\xff\xff"),
-		[]byte("nosuchprefix"), []byte("z"),
+		[]byte("nosuchprefix"), []byte("z"), []byte("a\x00"), {0x00, 0x00},
 	}
 	collect := func(x *Index, p []byte) []uint64 {
 		var out []uint64
@@ -252,6 +237,87 @@ func TestScanPrefixDifferential(t *testing.T) {
 				if !equalU64(want, got) {
 					t.Fatalf("%s/%v: ScanPrefix(%q): plain %v != coded %v",
 						backend, scheme, p, want, got)
+				}
+			}
+		}
+	}
+}
+
+// TestStrictOrderScanPrefixAllSchemes checks the property prefix scans
+// rest on, for all six schemes on email, URL and wiki keys plus keys that
+// extend others by 0x00 runs: sorted distinct keys give strictly
+// ascending padded encodings, and ScanPrefix, the range scan of
+// [prefix, successor), returns exactly the model's keys carrying the
+// prefix, in order, from a 4-shard hash-merged B+tree and from a 4-shard
+// range-partitioned ART (whose split points are probed as prefixes too).
+func TestStrictOrderScanPrefixAllSchemes(t *testing.T) {
+	var keys [][]byte
+	for _, kind := range []datagen.Kind{datagen.Email, datagen.URL, datagen.Wiki} {
+		keys = append(keys, datagen.Generate(kind, 800, 7)...)
+	}
+	for i := 0; i < len(keys); i += 8 {
+		k := keys[i]
+		keys = append(keys, append(bytes.Clone(k), 0), append(bytes.Clone(k), 0, 0))
+	}
+	keys = dedupe(keys)
+	sorted := slices.Clone(keys)
+	slices.SortFunc(sorted, bytes.Compare)
+	index := map[string]uint64{}
+	for i, k := range keys {
+		index[string(k)] = uint64(i)
+	}
+	model := func(p []byte) []uint64 {
+		var out []uint64
+		for _, k := range sorted {
+			if bytes.HasPrefix(k, p) {
+				out = append(out, index[string(k)])
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(7))
+	prefixes := [][]byte{{}, {0x00}, {0xff}, []byte("com."), []byte("http://"), []byte("a\x00")}
+	for range 60 {
+		k := keys[rng.Intn(len(keys))]
+		prefixes = append(prefixes, k[:rng.Intn(len(k)+1)], append(bytes.Clone(k), 0))
+	}
+	var sample [][]byte
+	for i := 0; i < len(keys); i += 4 {
+		sample = append(sample, keys[i])
+	}
+	for _, scheme := range core.Schemes {
+		opt := core.Options{DictLimit: 1024, MaxPatternLen: 16}
+		if scheme == core.DoubleChar {
+			opt = core.Options{}
+		}
+		enc, err := core.Build(scheme, sample, opt)
+		if err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+		stored := enc.EncodeAll(sorted)
+		for i := 1; i < len(stored); i++ {
+			if bytes.Compare(stored[i-1], stored[i]) >= 0 {
+				t.Fatalf("%v: %q < %q but padded encodings %x >= %x",
+					scheme, sorted[i-1], sorted[i], stored[i-1], stored[i])
+			}
+		}
+		stores := map[string]Store{
+			"hash B+tree": mustOpen(t, BTree, WithEncoder(enc.Clone()), WithShards(4)),
+			"range ART":   mustOpen(t, ART, WithEncoder(enc.Clone()), WithShards(4), WithRangePartitioner(keys)),
+		}
+		probes := append(slices.Clone(prefixes), stores["range ART"].(*ShardedIndex).Partitioner().Splits()...)
+		for name, st := range stores {
+			if err := st.Bulk(keys, nil); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range probes {
+				var got []uint64
+				st.ScanPrefix(p, func(_ []byte, v uint64) bool {
+					got = append(got, v)
+					return true
+				})
+				if want := model(p); !equalU64(got, want) {
+					t.Fatalf("%v/%s: ScanPrefix(%q) returned %d keys, model %d", scheme, name, p, len(got), len(want))
 				}
 			}
 		}
@@ -308,10 +374,7 @@ func TestPointOpsDifferential(t *testing.T) {
 				}
 				continue
 			}
-			x, err := NewIndex(backend, enc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			x := openIndex(t, backend, enc)
 			model := map[string]uint64{}
 			for i, k := range keys {
 				if err := x.Put(k, uint64(i)); err != nil {
@@ -361,13 +424,10 @@ func TestPointOpsDifferential(t *testing.T) {
 func TestIndexBasics(t *testing.T) {
 	keys := adversarialCorpus()
 	encs := testEncoders(t)
-	if _, err := NewIndex(Backend("T-tree"), nil); err == nil {
+	if _, err := Open(Backend("T-tree")); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
-	x, err := NewIndex(BTree, encs[core.DoubleChar])
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := openIndex(t, BTree, encs[core.DoubleChar])
 	if err := x.Bulk(keys, make([]uint64, 1)); err == nil {
 		t.Fatal("mismatched vals length accepted")
 	}
@@ -380,7 +440,7 @@ func TestIndexBasics(t *testing.T) {
 	if x.MemoryUsage() <= x.TreeMemoryUsage() {
 		t.Fatal("dictionary memory not accounted")
 	}
-	plain, _ := NewIndex(BTree, nil)
+	plain := openIndex(t, BTree, nil)
 	if err := plain.Bulk(keys, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -110,15 +110,15 @@ func runOps(t *testing.T, mode Mode, data []byte) {
 				checkFloor(t, tr, model, k)
 			}
 		case 7:
-			lo, hi, incl := key(), key(), next()%2 == 0
+			lo, hi := key(), key()
 			var want []string
 			for _, k := range slices.Sorted(maps.Keys(model)) {
-				if k >= string(lo) && (k < string(hi) || incl && k == string(hi)) {
+				if k >= string(lo) && k < string(hi) {
 					want = append(want, k)
 				}
 			}
 			var got []string
-			tr.Range(lo, hi, incl, func(k []byte, v uint64) bool {
+			tr.Range(lo, hi, func(k []byte, v uint64) bool {
 				if model[string(k)] != v {
 					t.Fatalf("mode %v step %d: range value of %q is %d, model %d", mode, step, k, v, model[string(k)])
 				}
@@ -126,7 +126,7 @@ func runOps(t *testing.T, mode Mode, data []byte) {
 				return true
 			})
 			if !slices.Equal(got, want) {
-				t.Fatalf("mode %v step %d: Range(%q, %q, %v) = %q, model %q", mode, step, lo, hi, incl, got, want)
+				t.Fatalf("mode %v step %d: Range(%q, %q) = %q, model %q", mode, step, lo, hi, got, want)
 			}
 		}
 		if tr.Len() != len(model) {

@@ -93,7 +93,7 @@ func TestRangeSeekFromEveryByte(t *testing.T) {
 				i := sort.SearchStrings(sorted, string(start))
 				want := sorted[i:]
 				var got []string
-				tr.Range(start, nil, false, func(k []byte, _ uint64) bool {
+				tr.Range(start, nil, func(k []byte, _ uint64) bool {
 					got = append(got, string(k))
 					return true
 				})
@@ -108,7 +108,7 @@ func TestRangeSeekFromEveryByte(t *testing.T) {
 				hi[len(hi)-1] = byte(min(int(hi[len(hi)-1])+3, 255))
 				j := sort.SearchStrings(sorted, string(hi))
 				got = got[:0]
-				tr.Range(start, hi, false, func(k []byte, _ uint64) bool {
+				tr.Range(start, hi, func(k []byte, _ uint64) bool {
 					got = append(got, string(k))
 					return true
 				})

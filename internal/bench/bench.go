@@ -130,9 +130,8 @@ func encodeAllBulk(enc *core.Encoder, keys [][]byte) [][]byte {
 	return enc.EncodeAll(keys)
 }
 
-// sortedUnique sorts byte strings and drops duplicates (padded encodings
-// can collide on the documented zero-padding edge; filters need unique
-// sorted input).
+// sortedUnique sorts byte strings and drops duplicates (filters need
+// unique sorted input).
 func sortedUnique(keys [][]byte) [][]byte {
 	out := make([][]byte, len(keys))
 	copy(out, keys)

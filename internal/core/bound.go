@@ -3,71 +3,20 @@ package core
 // Bound encoding (range-query support for compressed search trees).
 //
 // A search tree storing HOPE-encoded keys answers a range query by
-// translating the query bounds into encoded space. A *complete key* bound
-// translates exactly: encoding is order-preserving, so Encode(bound)
-// compares against the stored keys precisely as the bound compares against
-// the original keys (modulo the documented zero-padding weak-order edge).
+// translating the query bounds into encoded space. Every encoder's order
+// is strict on the padded bytes the trees store: a < b implies
+// Encode(a) < Encode(b) byte-wise (Build widens an all-zero entry-0 code
+// to 8 bits and Reassemble refuses a code set without that guard, so no
+// code can hide inside the zero padding). A complete-key bound therefore
+// translates exactly: Encode(lo) <= Encode(k) < Encode(hi) holds precisely
+// when lo <= k < hi.
 //
-// A *prefix* bound does not: the set "all keys starting with p" has no
-// largest element, and p itself is generally not dictionary-complete — the
-// greedy encoder's last lookup for p depends on bytes that a continuation
-// of p would supply. Encoding p as if it were a complete key yields a
-// string that sorts *below* the encodings of p's continuations, so it can
-// serve only as the lower bound. The upper bound must dominate every
-// continuation's encoding. HOPE's dictionary makes that computable: the
-// intervals of the string axis are totally ordered and the assigned codes
-// are alphabetic, so the largest code any continuation of p can emit at a
-// given position is the code of the *interval ceiling* — the interval
-// containing the remaining prefix bytes extended by 0xff, the largest
-// continuation. Chasing the ceiling at every step is exactly a greedy
-// encode of p padded with 0xff bytes, which is how EncodePrefix computes
-// the upper bound.
-
-// EncodePrefix returns encoded bounds [lo, hi] bracketing every key that
-// starts with prefix and is at most maxKeyLen bytes long:
-//
-//	lo <= Encode(k) <= hi   for every such key k,
-//	Encode(k') outside [lo, hi] for every key k' (of length <= maxKeyLen)
-//	                        not carrying the prefix,
-//
-// under byte-wise comparison of the padded encodings (the form the search
-// trees store), with the repository's documented zero-padding weak-order
-// edge as the only exception. The lower bound is the exact encoding of the
-// prefix — the smallest key carrying it. The upper bound is the interval
-// ceiling: a greedy encode of the prefix extended with 0xff bytes out to
-// maxKeyLen plus the dictionary's look-ahead, so that each lookup past the
-// prefix end selects the dictionary's last reachable interval and the
-// emitted code sequence dominates every real continuation.
-//
-// maxKeyLen is the length cap of the keys the tree stores (hope.Index
-// tracks it automatically); values below len(prefix) are treated as
-// len(prefix).
-//
-// The ceiling extension uses 0xff bytes, so the dictionary must cover the
-// full byte alphabet — true for every production configuration; only the
-// test-only restricted-alphabet Double-Char dictionaries fall short.
-func (e *Encoder) EncodePrefix(prefix []byte, maxKeyLen int) (lo, hi []byte) {
-	b, _ := e.EncodeBits(nil, prefix)
-	lo = append([]byte(nil), b...)
-
-	// One 0xff byte beyond the longest stored key guarantees the extended
-	// prefix sorts above every stored continuation; the extra look-ahead
-	// slack keeps every greedy lookup decided inside the materialized
-	// bytes rather than at the buffer's end.
-	ext := maxKeyLen - len(prefix) + 1
-	if ext < 1 {
-		ext = 1
-	}
-	ext += e.maxBoundary
-	ceil := make([]byte, len(prefix)+ext)
-	copy(ceil, prefix)
-	for i := len(prefix); i < len(ceil); i++ {
-		ceil[i] = 0xff
-	}
-	b, _ = e.EncodeBits(nil, ceil)
-	hi = append([]byte(nil), b...)
-	return lo, hi
-}
+// A prefix needs no construction of its own. The keys starting with p are
+// exactly the keys in [p, succ(p)), where succ(p) is the smallest string
+// above every continuation of p (p with its trailing 0xff run dropped and
+// its last remaining byte incremented; none when p is all 0xff, and the
+// range is then unbounded above). Both ends are complete keys, so a prefix
+// scan is the range scan [Encode(p), Encode(succ(p))).
 
 // EncodeBound translates one complete-key range bound into encoded space.
 // Lower bounds and upper bounds both encode exactly (order preservation

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -25,54 +26,95 @@ func prefixCorpus(rng *rand.Rand) [][]byte {
 	return out
 }
 
-// TestEncodePrefixBrackets checks the bound-encoding contract directly:
-// for every (corpus key, prefix) pair, the key's padded encoding falls
-// inside [lo, hi] exactly when the key carries the prefix (keys that
-// compare equal to a bound under the zero-padding weak order are the
-// documented exception and do not occur in this corpus).
-func TestEncodePrefixBrackets(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	encs := buildAll(t, nil)
-	corpus := prefixCorpus(rng)
-	maxLen := 0
-	for _, k := range corpus {
-		if len(k) > maxLen {
-			maxLen = len(k)
+// withZeroRuns returns keys plus, for every key, its extensions by one,
+// two and nine 0x00 bytes: the keys whose stored bytes an all-zero code
+// hidden in the padding would merge with the key's own.
+func withZeroRuns(keys [][]byte) [][]byte {
+	out := append([][]byte(nil), keys...)
+	for _, k := range keys {
+		for _, n := range []int{1, 2, 9} {
+			out = append(out, append(append([]byte(nil), k...), make([]byte, n)...))
 		}
 	}
-	prefixes := [][]byte{
-		{}, []byte("a"), []byte("ab"), []byte("app"), []byte("apple"),
-		[]byte("com.gmail@"), []byte("com."), {0xff}, {0xff, 0xff},
-		[]byte("a\xff"), {0x00}, []byte("zz"), []byte("nosuchprefix"),
-	}
-	for s, e := range encs {
-		for _, p := range prefixes {
-			lo, hi := e.EncodePrefix(p, maxLen)
-			if bytes.Compare(lo, hi) > 0 {
-				t.Fatalf("%v: prefix %q: lo > hi", s, p)
-			}
-			for _, k := range corpus {
-				ek := e.Encode(k)
-				in := bytes.Compare(lo, ek) <= 0 && bytes.Compare(ek, hi) <= 0
-				want := bytes.HasPrefix(k, p)
-				if in != want {
-					t.Errorf("%v: prefix %q key %q: in-bounds=%v want %v (lo=%x ek=%x hi=%x)",
-						s, p, k, in, want, lo, ek, hi)
-				}
-			}
-		}
-	}
+	return out
 }
 
-// TestEncodePrefixLowerBoundExact pins the documented property that the
-// lower bound is the exact encoding of the prefix itself.
-func TestEncodePrefixLowerBoundExact(t *testing.T) {
-	encs := buildAll(t, nil)
-	for s, e := range encs {
-		for _, p := range [][]byte{{}, []byte("a"), []byte("com.gmail@"), {0xff}} {
-			lo, _ := e.EncodePrefix(p, 32)
-			if !bytes.Equal(lo, e.Encode(p)) {
-				t.Fatalf("%v: lower bound of %q is not the exact encoding", s, p)
+// successor returns the smallest string above every string starting with
+// p, or nil when p is all 0xff (no upper bound).
+func successor(p []byte) []byte {
+	i := len(p) - 1
+	for ; i >= 0 && p[i] == 0xff; i-- {
+	}
+	if i < 0 {
+		return nil
+	}
+	s := append([]byte(nil), p[:i+1]...)
+	s[i]++
+	return s
+}
+
+// TestStrictOrderAllSchemes is the order property every stored-key scan
+// rests on. For all six schemes, each built on a mix of the corpora, and
+// on email, URL, wiki and 0x00-heavy keys and the prefix corpus with
+// zero-run extensions: distinct keys give strictly ascending padded
+// encodings, and a key starts with prefix p exactly when
+// Encode(p) <= Encode(k) < Encode(successor(p)).
+func TestStrictOrderAllSchemes(t *testing.T) {
+	corpora := guardCorpora()
+	rng := rand.New(rand.NewSource(11))
+	// Keys just above a fixed prefix's range: the successor must keep
+	// them out even where one dictionary interval spans the boundary.
+	var siblings [][]byte
+	for _, above := range []string{"b", "aq", "apq", "com.gmailA", "\x01", "\x00\x01"} {
+		for _, suffix := range []string{"", "a", "zz", "\xff\xff"} {
+			siblings = append(siblings, []byte(above+suffix))
+		}
+	}
+	corpora["prefix+zeros"] = withZeroRuns(append(prefixCorpus(rng), siblings...))
+	var sample [][]byte
+	for _, name := range []string{"email", "url", "wiki", "zero"} {
+		sample = append(sample, corpora[name][:500]...)
+	}
+	fixed := [][]byte{
+		{}, []byte("a"), []byte("ab"), []byte("app"), []byte("apple"),
+		[]byte("com.gmail@"), []byte("com."), {0xff}, {0xff, 0xff},
+		[]byte("a\xff"), {0x00}, {0x00, 0x00}, []byte("a\x00"), []byte("zz"),
+		[]byte("http://"), []byte("nosuchprefix"),
+	}
+	for _, s := range Schemes {
+		opt := Options{DictLimit: 1024, MaxPatternLen: 16}
+		if s == DoubleChar {
+			opt = Options{}
+		}
+		e, err := Build(s, sample, opt)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		for name, keys := range corpora {
+			keys = slices.Clone(keys)
+			slices.SortFunc(keys, bytes.Compare)
+			keys = slices.CompactFunc(keys, bytes.Equal)
+			enc := e.EncodeAll(keys)
+			for i := 1; i < len(keys); i++ {
+				if bytes.Compare(enc[i-1], enc[i]) >= 0 {
+					t.Fatalf("%v/%s: %q < %q but padded encodings %x >= %x",
+						s, name, keys[i-1], keys[i], enc[i-1], enc[i])
+				}
+			}
+			prefixes := slices.Clone(fixed)
+			for range 40 {
+				k := keys[rng.Intn(len(keys))]
+				prefixes = append(prefixes, k[:rng.Intn(len(k)+1)])
+			}
+			for _, p := range prefixes {
+				lo, hi := e.Encode(p), e.EncodeBound(successor(p))
+				for i, k := range keys {
+					in := bytes.Compare(lo, enc[i]) <= 0 && (hi == nil || bytes.Compare(enc[i], hi) < 0)
+					if in != bytes.HasPrefix(k, p) {
+						t.Fatalf("%v/%s: prefix %q key %q: in [enc(p), enc(succ(p))) = %v",
+							s, name, p, k, in)
+					}
+				}
 			}
 		}
 	}
@@ -89,36 +131,6 @@ func TestEncodeBound(t *testing.T) {
 		k := []byte("com.gmail@alice")
 		if !bytes.Equal(e.EncodeBound(k), e.Encode(k)) {
 			t.Fatalf("%v: bound encoding differs from exact encoding", s)
-		}
-	}
-}
-
-// TestEncodePrefixSeparatesSiblings stresses the interval-ceiling upper
-// bound with keys immediately above the prefix range: the successor of the
-// prefix must encode strictly above hi even when a single dictionary
-// interval spans the prefix boundary.
-func TestEncodePrefixSeparatesSiblings(t *testing.T) {
-	encs := buildAll(t, nil)
-	cases := []struct{ prefix, above []byte }{
-		{[]byte("a"), []byte("b")},
-		{[]byte("ap"), []byte("aq")},
-		{[]byte("app"), []byte("apq")},
-		{[]byte("com.gmail@"), []byte("com.gmailA")},
-		{[]byte("a\xff"), []byte("b")},
-		{[]byte{0x00}, []byte{0x01}},
-	}
-	for s, e := range encs {
-		for _, c := range cases {
-			_, hi := e.EncodePrefix(c.prefix, 24)
-			for _, suffix := range []string{"", "a", "zz", "\x00", "\xff\xff"} {
-				k := append(append([]byte(nil), c.above...), suffix...)
-				if len(k) > 24 {
-					continue
-				}
-				if bytes.Compare(e.Encode(k), hi) <= 0 {
-					t.Errorf("%v: key %q (above prefix %q) not separated by ceiling", s, k, c.prefix)
-				}
-			}
 		}
 	}
 }

@@ -73,17 +73,6 @@ func (c *ConcurrentEncoder) EncodeBound(key []byte) []byte {
 	return e.EncodeBound(key)
 }
 
-// EncodePrefix returns encoded bounds [lo, hi] bracketing every key of at
-// most maxKeyLen bytes that starts with prefix; safe for concurrent use
-// (see Encoder.EncodePrefix). As in EncodePair, a stack-local copy of the
-// encoder shares the read-only dictionary and supplies fresh bit-buffer
-// state, so concurrent range queries never contend on an appender.
-func (c *ConcurrentEncoder) EncodePrefix(prefix []byte, maxKeyLen int) (lo, hi []byte) {
-	e := *c.enc
-	e.app = appender{}
-	return e.EncodePrefix(prefix, maxKeyLen)
-}
-
 // Scheme returns the wrapped encoder's scheme.
 func (c *ConcurrentEncoder) Scheme() Scheme { return c.enc.scheme }
 

@@ -153,11 +153,6 @@ type Encoder struct {
 	// batch encoding (ALM schemes, whose symbols have arbitrary length).
 	lookAhead int
 
-	// maxBoundary is the longest interval boundary, captured at build for
-	// the bound encoder (after that many look-ahead bytes every floor
-	// lookup is fully decided).
-	maxBoundary int
-
 	// structOpt retains the options that shape the dictionary STRUCTURE
 	// (not the symbol selection): what Reassemble must be handed to
 	// rebuild an encode-identical lookup structure from the entries alone.
@@ -221,15 +216,11 @@ func Build(scheme Scheme, samples [][]byte, opt Options) (*Encoder, error) {
 
 	t2 := time.Now()
 	e.entries = make([]dict.Entry, len(intervals))
-	e.maxBoundary = 1
 	for i, iv := range intervals {
 		e.entries[i] = dict.Entry{
 			Boundary:  iv.Boundary,
 			SymbolLen: uint8(len(iv.Symbol)),
 			Code:      codes[i],
-		}
-		if len(iv.Boundary) > e.maxBoundary {
-			e.maxBoundary = len(iv.Boundary)
 		}
 	}
 	e.dict, err = buildDictionary(scheme, opt, e.entries)
@@ -257,8 +248,9 @@ func Build(scheme Scheme, samples [][]byte, opt Options) (*Encoder, error) {
 // padded bytes. Only entry 0 can have an all-zero code: it would be the
 // smallest left-aligned string, and the codes sort in entry order. Widening
 // it to 8 zero bits keeps the set prefix-free and ordered, because no other
-// code starts with entry 0's bits, and it makes every padded encoding
-// decode to exactly one key (see TableDecoder).
+// code starts with entry 0's bits, and it makes the padded order strict
+// and every padded encoding decode to exactly one key (see TableDecoder).
+// Reassemble refuses a code set without this guard.
 func widenZeroCode(codes []hutucker.Code) {
 	if len(codes) > 0 && codes[0].Bits == 0 && codes[0].Len < 8 {
 		codes[0] = hutucker.Code{Len: 8}

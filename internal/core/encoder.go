@@ -34,12 +34,10 @@ func (e *Encoder) appendEncodeGeneric(a *appender, key []byte) {
 
 // Encode compresses key and returns the code sequence padded with zero
 // bits to a byte boundary — the form the search trees store. Comparing two
-// encoded keys as byte strings preserves the order of the original keys.
-//
-// Known modelling edge (shared with the paper, see DESIGN.md): if key a is
-// a proper prefix of key b and b's extension encodes to all-zero bits, the
-// padded outputs are equal. EncodeBits exposes the exact bit length for
-// callers that need the strict order.
+// encoded keys as byte strings preserves the order of the original keys
+// strictly: no code can hide inside the padding, because entry 0 never has
+// an all-zero code under 8 bits (Build widens one, Reassemble refuses
+// one; DESIGN.md, "Strict order").
 func (e *Encoder) Encode(key []byte) []byte {
 	out, _ := e.EncodeBits(nil, key)
 	return out

@@ -104,19 +104,15 @@ func FuzzOrderPreservation(f *testing.F) {
 }
 
 // FuzzEncodedBounds: bound translation preserves the range-query
-// invariants on arbitrary (prefix, key) pairs. For lo, hi :=
-// EncodePrefix(p, maxLen) and any key k with len(k) <= maxLen, under
-// byte-wise comparison of the padded encodings (the form the search trees
-// store and compare):
+// invariants on arbitrary (prefix, key) pairs, strictly, under byte-wise
+// comparison of the padded encodings (the form the search trees store and
+// compare):
 //
-//   - k carries p            =>  lo <= Encode(k) <= hi
-//   - k < p (not carrying)   =>  Encode(k) <= lo
-//   - k > p (not carrying)   =>  Encode(k) >= hi
-//
-// and complete-key bounds never invert: a <= b implies
-// EncodeBound(a) <= EncodeBound(b). All comparisons are non-strict because
-// the documented zero-padding edge may collapse distinct keys to equal
-// padded encodings — collapse is allowed, inversion is a bug.
+//   - complete-key bounds keep the order: p < k implies
+//     EncodeBound(p) < EncodeBound(k), and equal keys encode equally;
+//   - k starts with p exactly when Encode(p) <= Encode(k) <
+//     Encode(succ(p)), where succ(p) is p's successor and a nil successor
+//     (p all 0xff) means no upper bound.
 func FuzzEncodedBounds(f *testing.F) {
 	encs, _ := fuzzEncoders(f)
 	f.Add([]byte("com.gmail@"), []byte("com.gmail@alice"))
@@ -132,36 +128,17 @@ func FuzzEncodedBounds(f *testing.F) {
 		if len(k) > 128 {
 			k = k[:128]
 		}
-		maxLen := len(k)
-		if len(p) > maxLen {
-			maxLen = len(p)
-		}
+		succ := successor(p)
 		for _, e := range encs {
-			lo, hi := e.EncodePrefix(p, maxLen)
-			ek := e.Encode(k)
-			switch {
-			case bytes.HasPrefix(k, p):
-				if bytes.Compare(ek, lo) < 0 || bytes.Compare(ek, hi) > 0 {
-					t.Fatalf("scheme %v: carrier %q of prefix %q escapes [lo, hi]",
-						e.Scheme(), k, p)
-				}
-			case bytes.Compare(k, p) < 0:
-				if bytes.Compare(ek, lo) > 0 {
-					t.Fatalf("scheme %v: %q < prefix %q but Encode(k) > lo",
-						e.Scheme(), k, p)
-				}
-			default:
-				if bytes.Compare(ek, hi) < 0 {
-					t.Fatalf("scheme %v: %q > prefix %q but Encode(k) < hi",
-						e.Scheme(), k, p)
-				}
+			lo, ek, hi := e.EncodeBound(p), e.Encode(k), e.EncodeBound(succ)
+			in := bytes.Compare(lo, ek) <= 0 && (hi == nil || bytes.Compare(ek, hi) < 0)
+			if in != bytes.HasPrefix(k, p) {
+				t.Fatalf("scheme %v: key %q, prefix %q: in [enc(p), enc(succ(p))) = %v",
+					e.Scheme(), k, p, in)
 			}
-			// Complete-key bounds: order may collapse, never invert.
-			ba, bb := e.EncodeBound(p), e.EncodeBound(k)
-			if c := bytes.Compare(p, k); c < 0 && bytes.Compare(ba, bb) > 0 ||
-				c > 0 && bytes.Compare(ba, bb) < 0 {
-				t.Fatalf("scheme %v: EncodeBound inverted order of %q and %q",
-					e.Scheme(), p, k)
+			if c, got := bytes.Compare(p, k), bytes.Compare(lo, ek); c != got {
+				t.Fatalf("scheme %v: order(%q, %q) = %d but EncodeBound order %d",
+					e.Scheme(), p, k, c, got)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/dict"
@@ -20,6 +21,12 @@ import (
 // entries produce identical kernels, so every key maps to the same bits —
 // which is what lets a snapshot's encoded runs be loaded back verbatim.
 // The entries slice is retained; callers hand over ownership.
+//
+// Reassemble admits only code sets whose padded encodings keep the key
+// order strict: the codes must ascend strictly in entry order and be
+// prefix-free (the dictionary constructors refuse anything else), and
+// entry 0 must not be an all-zero code under 8 bits (ErrAmbiguousPadding),
+// the guard Build applies itself (widenZeroCode).
 func Reassemble(scheme Scheme, opt Options, entries []dict.Entry) (*Encoder, error) {
 	opt.fill()
 	e := &Encoder{scheme: scheme, entries: entries, structOpt: structuralOptions(opt)}
@@ -37,10 +44,9 @@ func Reassemble(scheme Scheme, opt Options, entries []dict.Entry) (*Encoder, err
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %d", int(scheme))
 	}
-	e.maxBoundary = 1
-	for _, en := range entries {
-		if len(en.Boundary) > e.maxBoundary {
-			e.maxBoundary = len(en.Boundary)
+	if len(entries) > 0 {
+		if c := entries[0].Code; c.Bits == 0 && c.Len < 8 {
+			return nil, ErrAmbiguousPadding
 		}
 	}
 	var err error
@@ -53,3 +59,10 @@ func Reassemble(scheme Scheme, opt Options, entries []dict.Entry) (*Encoder, err
 	e.stats.Entries = len(entries)
 	return e, nil
 }
+
+// ErrAmbiguousPadding: the dictionary gives entry 0 an all-zero code
+// shorter than 8 bits, which the zero padding of a stored encoding can
+// hide, so a key and the key extended by entry 0's symbol would share
+// stored bytes. Build never makes such a dictionary; Reassemble refuses
+// one.
+var ErrAmbiguousPadding = errors.New("core: entry 0 has an all-zero code under 8 bits; padded encodings are ambiguous")

@@ -19,9 +19,10 @@ import (
 // symbol bytes inline — as many codes as fit in the 12 bits and 6 bytes.
 // A bucket that only longer codes start in gets a sub-table on up to 6
 // more bits; the rest binary-search the entries that start inside the
-// bucket. Padding is unambiguous because Build widens an all-zero entry-0
-// code to 8 bits: at a code boundary, fewer than 8 remaining bits that
-// are all zero can only be padding.
+// bucket. Padding is unambiguous because no encoder has an all-zero
+// entry-0 code under 8 bits (Build widens one, Reassemble refuses one):
+// at a code boundary, fewer than 8 remaining bits that are all zero can
+// only be padding.
 //
 // A TableDecoder is read-only after construction and safe for concurrent
 // use.
@@ -36,14 +37,7 @@ type TableDecoder struct {
 	syms   []byte
 }
 
-// Errors of TableDecoder.
-var (
-	// ErrAmbiguousPadding: the dictionary gives entry 0 an all-zero code
-	// shorter than 8 bits, which byte padding can hide. Build never makes
-	// such a dictionary; Reassemble of foreign entries can.
-	ErrAmbiguousPadding = errors.New("core: entry 0 has an all-zero code under 8 bits; padded encodings are ambiguous")
-	errInvalidCode      = errors.New("core: invalid or truncated code sequence")
-)
+var errInvalidCode = errors.New("core: invalid or truncated code sequence")
 
 // leadBits is the lead table's index width: 4096 buckets, 48 KiB with
 // the bucket bounds. 12 bits hold two or more Single-Char codes and the
@@ -57,9 +51,6 @@ func NewTableDecoder(e *Encoder) (*TableDecoder, error) {
 	if n == 0 {
 		return nil, errors.New("core: empty dictionary")
 	}
-	if c := e.entries[0].Code; c.Bits == 0 && c.Len < 8 {
-		return nil, ErrAmbiguousPadding
-	}
 	d := &TableDecoder{
 		left: make([]uint64, n),
 		lens: make([]uint8, n),
@@ -72,9 +63,6 @@ func NewTableDecoder(e *Encoder) (*TableDecoder, error) {
 		}
 		d.left[i] = c.Bits << (64 - c.Len)
 		d.lens[i] = c.Len
-		if i > 0 && d.left[i] <= d.left[i-1] {
-			return nil, errors.New("core: codes are not in entry order")
-		}
 		d.syms = append(d.syms, ent.Boundary[:ent.SymbolLen]...)
 		d.off[i+1] = uint32(len(d.syms))
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -108,8 +109,9 @@ func TestDecodeGuardAllSchemes(t *testing.T) {
 // TestDecodeGuardWidensShortZeroCode builds a Single-Char dictionary from
 // a sample dominated by 0x00, on which the raw Hu-Tucker coder gives entry
 // 0 (the 0x00 interval) a code under 8 bits. Build widens it to 8 zero
-// bits; a dictionary reassembled from the raw codes is the counterexample:
-// "a" and "a\x00" share stored bytes and the table decoder refuses it.
+// bits. The raw codes are the counterexample, packed by hand as Encode
+// packs them: "a" and "a\x00" would share stored bytes. Reassemble
+// refuses the raw code set.
 func TestDecodeGuardWidensShortZeroCode(t *testing.T) {
 	var samples [][]byte
 	for i := 0; i < 200; i++ {
@@ -129,8 +131,9 @@ func TestDecodeGuardWidensShortZeroCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Entries()[0].Code; got != (hutucker.Code{Len: 8}) {
-		t.Fatalf("Build left entry 0 code %v, want 8 zero bits", got)
+	widened := e.Entries()[0].Code
+	if widened != (hutucker.Code{Len: 8}) {
+		t.Fatalf("Build left entry 0 code %v, want 8 zero bits", widened)
 	}
 	for i, ent := range e.Entries()[1:] {
 		if ent.Code != raw[i+1] {
@@ -139,19 +142,39 @@ func TestDecodeGuardWidensShortZeroCode(t *testing.T) {
 	}
 	checkDecodeExact(t, "widened", e, zeroHeavyKeys(rand.New(rand.NewSource(3)), 2000))
 
-	entries := make([]dict.Entry, len(e.Entries()))
-	copy(entries, e.Entries())
+	// Single-Char entry i is byte i; packCodes must agree with Encode.
+	codeA := e.Entries()['a'].Code
+	if got := packCodes(codeA, widened); !bytes.Equal(got, e.Encode([]byte("a\x00"))) {
+		t.Fatalf("packCodes(a, 0x00) = %x, Encode %x", got, e.Encode([]byte("a\x00")))
+	}
+	if a, a0 := packCodes(codeA), packCodes(codeA, raw[0]); !bytes.Equal(a, a0) {
+		t.Fatalf("counterexample: raw codes give distinct bytes %x, %x", a, a0)
+	}
+
+	entries := slices.Clone(e.Entries())
 	entries[0].Code = raw[0]
-	unguarded, err := Reassemble(SingleChar, Options{}, entries)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Reassemble(SingleChar, Options{}, entries); !errors.Is(err, ErrAmbiguousPadding) {
+		t.Fatalf("Reassemble of the raw codes: %v, want ErrAmbiguousPadding", err)
 	}
-	if a, b := unguarded.Encode([]byte("a")), unguarded.Encode([]byte("a\x00")); !bytes.Equal(a, b) {
-		t.Fatalf("counterexample: unguarded codes give distinct bytes %x, %x", a, b)
+}
+
+// packCodes concatenates codes most significant bit first and pads the
+// last byte with zero bits, the stored form Encode returns.
+func packCodes(codes ...hutucker.Code) []byte {
+	var out []byte
+	n := 0
+	for _, c := range codes {
+		for i := int(c.Len) - 1; i >= 0; i-- {
+			if n%8 == 0 {
+				out = append(out, 0)
+			}
+			if c.Bits>>uint(i)&1 == 1 {
+				out[n/8] |= 0x80 >> (n % 8)
+			}
+			n++
+		}
 	}
-	if _, err := NewTableDecoder(unguarded); !errors.Is(err, ErrAmbiguousPadding) {
-		t.Fatalf("table decoder over the unguarded dictionary: %v, want ErrAmbiguousPadding", err)
-	}
+	return out
 }
 
 // TestTableDecodeLongCodes drives the path for codes longer than the 57

@@ -64,8 +64,15 @@ var (
 )
 
 const (
-	magic   = "HOPESNP1"
-	version = 1
+	magic = "HOPESNP1"
+
+	// Version is the format version Writer stamps into the header. The
+	// section framing is the same in every version; the version tells the
+	// caller how to read its payloads (version 2 drops a field from the
+	// hope meta section), and Decode accepts minVersion..Version. A reader
+	// that knows only version 1 refuses version-2 files as corrupt.
+	Version    = 2
+	minVersion = 1
 
 	// FooterKind is the reserved section kind closing every snapshot;
 	// payload kinds must stay below it.
@@ -87,6 +94,7 @@ type Section struct {
 
 // Snapshot is one fully validated snapshot file.
 type Snapshot struct {
+	Version    uint32 // the header's format version, 1 to Version
 	Generation uint64
 	Sections   []Section
 }
@@ -104,7 +112,7 @@ type Writer struct {
 func NewWriter(f File, generation uint64) (*Writer, error) {
 	w := &Writer{f: f}
 	w.buf = append(w.buf, magic...)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, version)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, Version)
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, generation)
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(w.buf, castagnoli))
 	if _, err := f.Write(w.buf); err != nil {
@@ -168,10 +176,11 @@ func Decode(data []byte) (*Snapshot, error) {
 	if crc32.Checksum(hdr, castagnoli) != binary.LittleEndian.Uint32(data[headerLen-4:headerLen]) {
 		return nil, fmt.Errorf("%w: header checksum mismatch", ErrCorrupt)
 	}
-	if v := binary.LittleEndian.Uint32(data[len(magic):]); v != version {
-		return nil, fmt.Errorf("%w: version %d, this build reads %d", ErrCorrupt, v, version)
+	v := binary.LittleEndian.Uint32(data[len(magic):])
+	if v < minVersion || v > Version {
+		return nil, fmt.Errorf("%w: version %d, this build reads %d to %d", ErrCorrupt, v, minVersion, Version)
 	}
-	snap := &Snapshot{Generation: binary.LittleEndian.Uint64(data[len(magic)+4:])}
+	snap := &Snapshot{Version: v, Generation: binary.LittleEndian.Uint64(data[len(magic)+4:])}
 
 	off := headerLen
 	sealed := false

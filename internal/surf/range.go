@@ -2,33 +2,34 @@ package surf
 
 import "bytes"
 
-// MayIntersect reports whether any stored key may lie in [lo, hi) — or
-// [lo, hi] when hiIncl — with a nil hi leaving the range unbounded above.
-// Like MayContainRange it is one-sided: it never answers false when a
-// stored key is in range. It is the adapter hope.Index's SuRF backend
-// drives to short-circuit encoded range scans before touching the backing
-// run.
-func (f *Filter) MayIntersect(lo, hi []byte, hiIncl bool) bool {
-	if f.numKeys == 0 {
+// MayIntersect reports whether any stored key may lie in [lo, hi), with a
+// nil hi leaving the range unbounded above. Like MayContainRange it is
+// one-sided: it never answers false when a stored key is in range. It is
+// the adapter hope.Index's SuRF backend drives to short-circuit encoded
+// range scans before touching the backing run.
+func (f *Filter) MayIntersect(lo, hi []byte) bool {
+	if hi != nil && bytes.Compare(lo, hi) >= 0 {
 		return false
 	}
-	if hi != nil {
-		if c := bytes.Compare(lo, hi); c > 0 || (c == 0 && !hiIncl) {
-			return false
-		}
+	cand, ok := f.candidate(lo)
+	return ok && (hi == nil || bytes.Compare(cand, hi) < 0)
+}
+
+// candidate returns a string known to be <= the first stored key K that
+// could be >= lo, or ok false when no stored key can be >= lo. The stored
+// prefix found by lowerBound truncates K, so it is <= K; Real-mode suffix
+// bytes extend it up to the first ambiguous zero. If cand already clears
+// a range's upper bound, K does too and the range is definitely empty;
+// otherwise the filters err toward true (false positives are allowed).
+func (f *Filter) candidate(lo []byte) (cand []byte, ok bool) {
+	if f.numKeys == 0 {
+		return nil, false
 	}
 	prefix, leafPos, ok := f.lowerBound(lo)
 	if !ok {
-		return false
+		return nil, false
 	}
-	if hi == nil {
-		return true
-	}
-	// As in MayContainRange: cand is a string known to be <= the first
-	// stored key K that could be >= lo. If cand already clears hi, then
-	// K does too and the range is definitely empty; otherwise err toward
-	// true (false positives are allowed).
-	cand := prefix
+	cand = prefix
 	if f.mode == Real && f.suffixLen >= 8 {
 		suffix := f.getSuffix(f.leafIndex(leafPos))
 		for i := uint(0); i+8 <= f.suffixLen; i += 8 {
@@ -39,8 +40,5 @@ func (f *Filter) MayIntersect(lo, hi []byte, hiIncl bool) bool {
 			cand = append(cand, b)
 		}
 	}
-	if hiIncl {
-		return bytes.Compare(cand, hi) <= 0
-	}
-	return bytes.Compare(cand, hi) < 0
+	return cand, true
 }

@@ -15,6 +15,7 @@
 package surf
 
 import (
+	"bytes"
 	"sort"
 
 	"repro/internal/bitops"
@@ -277,13 +278,14 @@ func (f *Filter) FalsePositiveRate(absent [][]byte) float64 {
 	return float64(fp) / float64(len(absent))
 }
 
-// MayContainRange reports whether any key in [lo, hi] may be present.
-// One-sided: never false when a stored key is in range. The stored prefix
-// found by lowerBound truncates some original key K with prefix <= K; if a
-// candidate built from the prefix (extended by Real-suffix bytes up to the
-// first ambiguous zero) already clears hi then K > hi and every later
-// stored key is larger still. MayIntersect generalizes this test to
-// half-open and unbounded ranges.
+// MayContainRange reports whether any key in the closed range [lo, hi]
+// may be present. One-sided: never false when a stored key is in range
+// (see candidate for the test). MayIntersect is the half-open,
+// optionally unbounded form.
 func (f *Filter) MayContainRange(lo, hi []byte) bool {
-	return f.MayIntersect(lo, hi, true)
+	if bytes.Compare(lo, hi) > 0 {
+		return false
+	}
+	cand, ok := f.candidate(lo)
+	return ok && bytes.Compare(cand, hi) <= 0
 }

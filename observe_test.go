@@ -19,10 +19,7 @@ import (
 // sampled latency series exist, and the size gauges report live state.
 func TestShardedRegisterMetrics(t *testing.T) {
 	encs := testEncoders(t)
-	s, err := NewShardedIndex(ART, encs[core.SingleChar], 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSharded(t, ART, encs[core.SingleChar], 4)
 	reg := telemetry.NewRegistry()
 	if err := s.RegisterMetrics(reg); err != nil {
 		t.Fatal(err)

@@ -106,13 +106,11 @@ func WithSnapshotFS(fs snapshot.VFS) Option {
 //	Open(ART, WithAdaptive(AdaptiveOptions{      // lifecycle-managed AdaptiveIndex
 //	     Scheme: DoubleChar, Shards: 16}))
 //
-// Open is the one constructor new code should use, and the only one for
-// an AdaptiveIndex; the other per-type constructors it consolidates
-// (NewIndex, NewShardedIndex, NewRangeShardedIndex) remain as deprecated
-// wrappers.
-// Callers needing implementation-specific surface (MemoryUsage, Stats,
-// Rebuild, ...) type-assert the returned Store to the concrete type the
-// options imply.
+// Open constructs every store kind; only a ShardedIndex over a
+// caller-supplied Partitioner is built directly, through
+// NewShardedIndexWithPartitioner. Callers needing implementation-specific
+// surface (MemoryUsage, Stats, Rebuild, ...) type-assert the returned
+// Store to the concrete type the options imply.
 func Open(backend Backend, opts ...Option) (Store, error) {
 	var c openConfig
 	for _, o := range opts {
@@ -149,12 +147,12 @@ func buildStore(backend Backend, c *openConfig) (Store, error) {
 		return newAdaptiveIndexWithSplits(backend, ao, nil)
 	}
 	if c.rangePart {
-		return NewRangeShardedIndex(backend, c.enc, c.shards, c.corpus)
+		return NewShardedIndexWithPartitioner(backend, c.enc, newRangePartitioner(c.shards, c.corpus))
 	}
 	if c.shardsSet {
-		return NewShardedIndex(backend, c.enc, c.shards)
+		return NewShardedIndexWithPartitioner(backend, c.enc, NewHashPartitioner(c.shards))
 	}
-	return NewIndex(backend, c.enc)
+	return newIndex(backend, c.enc)
 }
 
 // ParseScheme maps a scheme name to its Scheme: the canonical

@@ -49,7 +49,6 @@ type snapMeta struct {
 	forceBS   bool
 	partition uint8 // 0 = hash, 1 = range
 	shards    uint32
-	maxKeyLen uint64
 	keyCount  uint64
 	splits    [][]byte // original-key-space split points (range partitions)
 }
@@ -118,6 +117,20 @@ func (r *payloadReader) u64() uint64 {
 	return v
 }
 
+// count reads a u64 element count and refuses one that the rest of the
+// payload cannot hold at minSize bytes an element, so no allocation is
+// ever sized by a forged count.
+func (r *payloadReader) count(n uint64, minSize int) int {
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64((len(r.b)-r.off)/minSize) {
+		r.err = fmt.Errorf("%w: count %d exceeds the %d-byte payload remainder", ErrSnapshotCorrupt, n, len(r.b)-r.off)
+		return 0
+	}
+	return int(n)
+}
+
 // bytes returns the next length-prefixed byte string, aliasing the
 // payload buffer; callers that retain it must copy (see ownedCopies).
 func (r *payloadReader) bytes() []byte {
@@ -156,7 +169,6 @@ func encodeMeta(m snapMeta) []byte {
 	b = appendBool(b, m.forceBS)
 	b = appendU8(b, m.partition)
 	b = appendU32(b, m.shards)
-	b = appendU64(b, m.maxKeyLen)
 	b = appendU64(b, m.keyCount)
 	b = appendU32(b, uint32(len(m.splits)))
 	for _, s := range m.splits {
@@ -165,7 +177,17 @@ func encodeMeta(m snapMeta) []byte {
 	return b
 }
 
-func decodeMeta(payload []byte) (snapMeta, error) {
+// Minimum encoded sizes of one repeated element of a section payload.
+const (
+	minSplitSize = 4             // length prefix
+	minDictEntry = 4 + 1 + 1 + 8 // boundary length, symbol length, code length, code bits
+	minRunEntry  = 4 + 8         // key length, value
+)
+
+// decodeMeta parses a meta payload written in snapshot format version.
+// Version 1 carried a u64 after the shard count (the longest stored key,
+// which ScanPrefix then needed); it is read and ignored.
+func decodeMeta(payload []byte, version uint32) (snapMeta, error) {
 	r := &payloadReader{b: payload}
 	var m snapMeta
 	m.storeKind = r.u8()
@@ -175,10 +197,12 @@ func decodeMeta(payload []byte) (snapMeta, error) {
 	m.forceBS = r.bool()
 	m.partition = r.u8()
 	m.shards = r.u32()
-	m.maxKeyLen = r.u64()
+	if version < 2 {
+		r.u64() // maxKeyLen
+	}
 	m.keyCount = r.u64()
-	nSplits := int(r.u32())
-	if r.err == nil && nSplits > 0 {
+	nSplits := r.count(uint64(r.u32()), minSplitSize)
+	if nSplits > 0 {
 		m.splits = make([][]byte, 0, nSplits)
 		for i := 0; i < nSplits; i++ {
 			m.splits = append(m.splits, append([]byte(nil), r.bytes()...))
@@ -213,7 +237,7 @@ func encodeDict(entries []dict.Entry) []byte {
 
 func decodeDict(payload []byte) ([]dict.Entry, error) {
 	r := &payloadReader{b: payload}
-	count := int(r.u32())
+	count := r.count(uint64(r.u32()), minDictEntry)
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -256,7 +280,7 @@ func encodeRun(keys [][]byte, vals []uint64) []byte {
 // decodeRun parses a secRun payload. Returned key slices alias payload.
 func decodeRun(payload []byte) (keys [][]byte, vals []uint64, err error) {
 	r := &payloadReader{b: payload}
-	count := int(r.u64())
+	count := r.count(r.u64(), minRunEntry)
 	if r.err != nil {
 		return nil, nil, r.err
 	}

@@ -71,7 +71,6 @@ func dumpIndex(x *Index, w *snapshot.Writer, trace *telemetry.EventTrace) (keys,
 		storeKind: kindIndex,
 		backend:   x.backend,
 		shards:    1,
-		maxKeyLen: uint64(x.maxKeyLen),
 		keyCount:  uint64(x.Len()),
 	}
 	encoderMeta(&m, x.enc)
@@ -87,7 +86,7 @@ func dumpIndex(x *Index, w *snapshot.Writer, trace *telemetry.EventTrace) (keys,
 
 	var ks [][]byte
 	var vs []uint64
-	x.be.scan([]byte{}, nil, false, func(k []byte, v uint64) bool {
+	x.be.scan([]byte{}, nil, func(k []byte, v uint64) bool {
 		ks = append(ks, append([]byte(nil), k...))
 		vs = append(vs, v)
 		return true
@@ -129,7 +128,6 @@ func dumpRuns(s *ShardedIndex, kind uint8, w *snapshot.Writer, trace *telemetry.
 		storeKind: kind,
 		backend:   s.backend,
 		shards:    uint32(len(s.shards)),
-		maxKeyLen: uint64(s.maxKeyLen.Load()),
 		splits:    s.part.Splits(),
 	}
 	if s.part.Ordered() {
@@ -145,7 +143,7 @@ func dumpRuns(s *ShardedIndex, kind uint8, w *snapshot.Writer, trace *telemetry.
 	for i := range s.shards {
 		var ks [][]byte
 		var vs []uint64
-		s.scanShard(i, []byte{}, nil, false, func(k []byte, v uint64) bool {
+		s.scanShard(i, []byte{}, nil, func(k []byte, v uint64) bool {
 			ks = append(ks, append([]byte(nil), k...))
 			vs = append(vs, v)
 			return true

@@ -27,7 +27,7 @@ func restoreStore(backend Backend, snap *snapshot.Snapshot, c *openConfig) (Stor
 	if len(snap.Sections) == 0 || snap.Sections[0].Kind != secMeta {
 		return nil, fmt.Errorf("%w: first section is not meta", ErrSnapshotCorrupt)
 	}
-	meta, err := decodeMeta(snap.Sections[0].Payload)
+	meta, err := decodeMeta(snap.Sections[0].Payload, snap.Version)
 	if err != nil {
 		return nil, err
 	}
@@ -59,14 +59,16 @@ func restoreStore(backend Backend, snap *snapshot.Snapshot, c *openConfig) (Stor
 			ForceBinarySearchDict: meta.forceBS,
 		}, entries)
 		if err != nil {
-			return nil, fmt.Errorf("hope: reassemble dictionary: %w", err)
+			// A code set Reassemble refuses would misorder or merge
+			// stored keys (core.ErrAmbiguousPadding among others).
+			return nil, fmt.Errorf("%w: reassemble dictionary: %w", ErrSnapshotCorrupt, err)
 		}
 		rest = rest[1:]
 	}
 
 	switch meta.storeKind {
 	case kindIndex:
-		return restoreIndex(backend, meta, enc, rest)
+		return restoreIndex(backend, enc, rest)
 	case kindSharded:
 		return restoreSharded(backend, meta, enc, rest)
 	case kindAdaptive:
@@ -96,16 +98,15 @@ func runSections(sections []snapshot.Section, kind uint8, shards int) ([][]byte,
 	return payloads, nil
 }
 
-func restoreIndex(backend Backend, meta snapMeta, enc *core.Encoder, sections []snapshot.Section) (*Index, error) {
+func restoreIndex(backend Backend, enc *core.Encoder, sections []snapshot.Section) (*Index, error) {
 	payloads, err := runSections(sections, secRun, 1)
 	if err != nil {
 		return nil, err
 	}
-	x, err := NewIndex(backend, enc)
+	x, err := newIndex(backend, enc)
 	if err != nil {
 		return nil, err
 	}
-	x.maxKeyLen = int(meta.maxKeyLen)
 	keys, vals, err := decodeRun(payloads[0])
 	if err != nil {
 		return nil, err
@@ -136,7 +137,7 @@ func restoreSharded(backend Backend, meta snapMeta, enc *core.Encoder, sections 
 	if err != nil {
 		return nil, err
 	}
-	if err := loadRuns(s, meta, payloads); err != nil {
+	if err := loadRuns(s, payloads); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -145,8 +146,7 @@ func restoreSharded(backend Backend, meta snapMeta, enc *core.Encoder, sections 
 // loadRuns loads one decoded secRun payload into each of s's shards.
 // Shard loads are independent: decode, copy, and bulk-insert each shard's
 // run in parallel, the restore-side mirror of Bulk's layout.
-func loadRuns(s *ShardedIndex, meta snapMeta, payloads [][]byte) error {
-	s.maxKeyLen.Store(int64(meta.maxKeyLen))
+func loadRuns(s *ShardedIndex, payloads [][]byte) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(payloads))
 	for i := range payloads {
@@ -206,7 +206,7 @@ func restoreAdaptive(backend Backend, meta snapMeta, enc *core.Encoder, sections
 	if err != nil {
 		return nil, err
 	}
-	if err := loadRuns(a.cur.Load().idx, meta, payloads); err != nil {
+	if err := loadRuns(a.cur.Load().idx, payloads); err != nil {
 		return nil, err
 	}
 	return a, nil

@@ -98,10 +98,7 @@ func TestShardedScratchNotRetained(t *testing.T) {
 	keys := adversarialCorpus()
 	encs := testEncoders(t)
 	for _, backend := range []Backend{ART, HOT, BTree, PrefixBTree} {
-		s, err := NewShardedIndex(backend, encs[core.ThreeGrams], 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := openSharded(t, backend, encs[core.ThreeGrams], 4)
 		model := map[string]uint64{}
 		for i, k := range keys {
 			if err := s.Put(k, uint64(i)); err != nil {

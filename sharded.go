@@ -15,7 +15,7 @@ import (
 // facade: N lock-striped shards, each wrapping one search tree
 // (indexBackend) behind its own RWMutex, partitioned on the original key
 // bytes by a pluggable Partitioner (hash by default; range with sampled
-// split points via NewRangeShardedIndex). The expensive build artifact —
+// split points via WithRangePartitioner). The expensive build artifact —
 // the HOPE dictionary — is built once and shared read-only by every shard
 // and by the pooled point-encode state, so memory overhead versus a single
 // Index is a lock and a tree header per shard, not a dictionary per shard.
@@ -66,10 +66,6 @@ type ShardedIndex struct {
 	// splits yet, or is single-shard.
 	encSplits atomic.Pointer[[][]byte]
 
-	// maxKeyLen tracks the longest original key ever stored (monotonic;
-	// ScanPrefix feeds it to the encoder's interval-ceiling bound).
-	maxKeyLen atomic.Int64
-
 	scratch sync.Pool // *pointScratch; Get's zero-alloc encode buffers
 
 	// closed is set by Close; the public mutation entry points (Put,
@@ -113,46 +109,17 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// NewShardedIndex builds a concurrent index of nShards lock-striped,
-// hash-partitioned shards (rounded up to a power of two; <= 0 selects
-// DefaultShards) over the named backend. enc may be nil for an
-// uncompressed index; otherwise it is the build-phase template: its
-// read-only dictionary is shared by every shard and by the pooled
-// read-path encoder, and the template must not be used directly afterwards
-// (clone it first if independent use is needed).
-//
-// Deprecated: use Open(backend, WithEncoder(enc), WithShards(nShards)),
-// which returns the same index behind the unified Store interface.
-func NewShardedIndex(backend Backend, enc *core.Encoder, nShards int) (*ShardedIndex, error) {
-	return NewShardedIndexWithPartitioner(backend, enc, NewHashPartitioner(nShards))
-}
-
-// NewRangeShardedIndex builds a range-partitioned concurrent index: shards
-// own disjoint ascending key intervals, so short scans touch only the
-// shards their bounds overlap (see the type comment). corpus, when
-// non-nil, is a sample of the expected key population from which the split
-// points are drawn (RangeSplits); with a nil corpus the partitioner starts
-// unseeded and the first Bulk into the empty index seeds it from the
-// loaded keys.
-//
-// Deprecated: use Open(backend, WithEncoder(enc), WithShards(nShards),
-// WithRangePartitioner(corpus)), which returns the same index behind the
-// unified Store interface.
-func NewRangeShardedIndex(backend Backend, enc *core.Encoder, nShards int, corpus [][]byte) (*ShardedIndex, error) {
-	if nShards <= 0 {
-		nShards = DefaultShards()
+// newRangePartitioner returns the range partitioner of nShards shards
+// (rounded up to a power of two; <= 0 selects DefaultShards). corpus,
+// when it yields split points (RangeSplits), seeds it; otherwise the
+// partitioner starts unseeded and the first Bulk into the empty index
+// seeds it from the loaded keys.
+func newRangePartitioner(nShards int, corpus [][]byte) *RangePartitioner {
+	p := NewUnseededRangePartitioner(nShards)
+	if splits := RangeSplits(corpus, p.n, splitSeed); splits != nil {
+		p.seed(splits)
 	}
-	nShards = ceilPow2(nShards)
-	var p *RangePartitioner
-	if corpus != nil {
-		p = NewRangePartitioner(RangeSplits(corpus, nShards, splitSeed))
-		if !p.seeded() { // empty corpus or single shard
-			p = NewUnseededRangePartitioner(nShards)
-		}
-	} else {
-		p = NewUnseededRangePartitioner(nShards)
-	}
-	return NewShardedIndexWithPartitioner(backend, enc, p)
+	return p
 }
 
 // splitSeed drives split-point reservoir sampling; fixed so identical
@@ -161,7 +128,10 @@ const splitSeed = 1
 
 // NewShardedIndexWithPartitioner builds a concurrent index whose shards
 // are laid out by the given partitioner (one lock-striped shard per
-// partition). See NewShardedIndex for the encoder contract.
+// partition). enc may be nil for an uncompressed index; otherwise it is
+// the build-phase template: its read-only dictionary is shared by every
+// shard and by the pooled read-path encoder, and the template must not be
+// used directly afterwards (clone it first if independent use is needed).
 func NewShardedIndexWithPartitioner(backend Backend, enc *core.Encoder, p Partitioner) (*ShardedIndex, error) {
 	s := &ShardedIndex{
 		backend: backend,
@@ -262,15 +232,6 @@ func (s *ShardedIndex) maxShardFrac() (frac float64, total int) {
 	return float64(maxLen) / float64(total), total
 }
 
-func (s *ShardedIndex) trackLen(n int) {
-	for {
-		cur := s.maxKeyLen.Load()
-		if int64(n) <= cur || s.maxKeyLen.CompareAndSwap(cur, int64(n)) {
-			return
-		}
-	}
-}
-
 // Put inserts or overwrites one key.
 func (s *ShardedIndex) Put(key []byte, val uint64) error {
 	if s.closed.Load() {
@@ -288,7 +249,6 @@ func (s *ShardedIndex) Put(key []byte, val uint64) error {
 // whether the key was already stored (the tree's length did not grow) and
 // the stored (encoded) key length, in one encode and one lock hold.
 func (s *ShardedIndex) putShard(shard int, key []byte, val uint64) (existed bool, storedLen int, err error) {
-	s.trackLen(len(key))
 	sh := s.shards[shard]
 	if s.cenc == nil {
 		sh.mu.Lock()
@@ -310,10 +270,10 @@ func (s *ShardedIndex) putShard(shard int, key []byte, val uint64) (existed bool
 	return existed, len(ek), err
 }
 
-// writeStored puts (or, with del, deletes) an already encoded key of an
-// original keyLen bytes in one shard — the hook AdaptiveIndex replays
-// batch-encoded change lists through.
-func (s *ShardedIndex) writeStored(shard, keyLen int, stored []byte, val uint64, del bool) error {
+// writeStored puts (or, with del, deletes) an already encoded key in one
+// shard — the hook AdaptiveIndex replays batch-encoded change lists
+// through.
+func (s *ShardedIndex) writeStored(shard int, stored []byte, val uint64, del bool) error {
 	sh := s.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -321,7 +281,6 @@ func (s *ShardedIndex) writeStored(shard, keyLen int, stored []byte, val uint64,
 		_, err := sh.be.remove(stored)
 		return err
 	}
-	s.trackLen(keyLen)
 	return sh.be.insert(stored, val)
 }
 
@@ -425,7 +384,6 @@ func (s *ShardedIndex) Bulk(keys [][]byte, vals []uint64) error {
 		pvals[i] = make([]uint64, 0, len(keys)/n+1)
 	}
 	for i, k := range keys {
-		s.trackLen(len(k))
 		w := s.shardIdx(k)
 		parts[w] = append(parts[w], k)
 		if vals != nil {
@@ -542,6 +500,11 @@ func (s *ShardedIndex) Scan(lo, hi []byte, fn func(key []byte, val uint64) bool)
 func (s *ShardedIndex) scan(lo, hi []byte, fn func(key []byte, val uint64) bool) int {
 	m := scanStatePool.Get().(*scanState)
 	defer m.release()
+	return s.scanWith(m, lo, hi, fn)
+}
+
+// scanWith is scan on a scan state the caller holds.
+func (s *ShardedIndex) scanWith(m *scanState, lo, hi []byte, fn func(key []byte, val uint64) bool) int {
 	if s.cenc != nil {
 		// A nil lo still becomes a present (empty) bound; a nil hi stays
 		// unbounded.
@@ -552,7 +515,7 @@ func (s *ShardedIndex) scan(lo, hi []byte, fn func(key []byte, val uint64) bool)
 			hi = m.hi
 		}
 	}
-	return s.planScan(m, lo, hi, false, fn)
+	return s.planScan(m, lo, hi, fn)
 }
 
 // encodeBound encodes one complete-key bound into dst's storage. The
@@ -566,8 +529,8 @@ func (s *ShardedIndex) encodeBound(dst, key []byte) []byte {
 }
 
 // ScanPrefix visits every stored key that starts with prefix, in ascending
-// order, and returns how many keys it visited. Bound translation follows
-// Index.ScanPrefix (exact lower bound, interval-ceiling upper bound).
+// order, and returns how many keys it visited: the scan of
+// [prefix, prefixSuccessor(prefix)), as in Index.ScanPrefix.
 func (s *ShardedIndex) ScanPrefix(prefix []byte, fn func(key []byte, val uint64) bool) int {
 	t := s.met.scan.Begin(0)
 	n := s.scanPrefix(prefix, fn)
@@ -575,36 +538,32 @@ func (s *ShardedIndex) ScanPrefix(prefix []byte, fn func(key []byte, val uint64)
 	return n
 }
 
-// scanPrefix is ScanPrefix without the instrument (see scan).
+// scanPrefix is ScanPrefix without the instrument (see scan). The
+// successor is built in the scan state's buffer and encoded into its hi
+// buffer, so a steady-state prefix scan allocates nothing either.
 func (s *ShardedIndex) scanPrefix(prefix []byte, fn func(key []byte, val uint64) bool) int {
 	m := scanStatePool.Get().(*scanState)
 	defer m.release()
-	if s.cenc == nil {
-		return s.planScan(m, prefix, prefixSuccessor(prefix), false, fn)
-	}
-	lo, hi := s.cenc.EncodePrefix(prefix, max(int(s.maxKeyLen.Load()), len(prefix)))
-	return s.planScan(m, lo, hi, true, fn)
+	m.succ = appendSuccessor(m.succ, prefix)
+	return s.scanWith(m, prefix, m.succ, fn)
 }
 
 // planScan routes a translated (encoded-space) scan to the cheapest
 // strategy the partition shape allows: a pruned sequential walk for
 // ordered partitions — single-shard scans skip the merge machinery
 // entirely — or the k-way merge for hash partitions.
-func (s *ShardedIndex) planScan(m *scanState, lo, hi []byte, hiIncl bool, fn func(key []byte, val uint64) bool) int {
+func (s *ShardedIndex) planScan(m *scanState, lo, hi []byte, fn func(key []byte, val uint64) bool) int {
 	if first, last, ok := s.scanSpan(lo, hi); ok {
-		return s.orderedScan(first, last, lo, hi, hiIncl, fn)
+		return s.orderedScan(first, last, lo, hi, fn)
 	}
-	return s.mergeScan(m, lo, hi, hiIncl, fn)
+	return s.mergeScan(m, lo, hi, fn)
 }
 
 // scanSpan prunes an ordered partition to the inclusive shard span whose
-// key intervals can overlap the encoded query bounds. Shard i's stored
-// encodings lie within [encSplit[i-1], encSplit[i]] (closed: the
-// zero-padding weak-order edge permits a stored key's encoding to equal a
-// boundary's from either side), so the span conservatively includes any
-// shard whose closed interval touches the bounds — never excluding a
-// shard that could hold a match. ok is false for unordered (hash)
-// partitions, which have no prunable structure.
+// key intervals overlap the encoded query range [lo, hi). Shard i holds
+// the keys in [split[i-1], split[i]), and the encoded order is strict, so
+// its stored encodings lie in [encSplit[i-1], encSplit[i]). ok is false
+// for unordered (hash) partitions, which have no prunable structure.
 func (s *ShardedIndex) scanSpan(lo, hi []byte) (first, last int, ok bool) {
 	if !s.part.Ordered() {
 		return 0, 0, false
@@ -619,19 +578,14 @@ func (s *ShardedIndex) scanSpan(lo, hi []byte) (first, last int, ok bool) {
 		return 0, last, true
 	}
 	splits := *es
-	if len(lo) > 0 {
-		// First shard whose upper boundary is at or above lo; shards whose
-		// entire interval encodes below lo cannot match.
-		first = sort.Search(len(splits), func(i int) bool {
-			return bytes.Compare(splits[i], lo) >= 0
-		})
-	}
+	// The first shard whose upper boundary lies above lo, and the last
+	// whose lower boundary lies below hi.
+	first = sort.Search(len(splits), func(i int) bool {
+		return bytes.Compare(splits[i], lo) > 0
+	})
 	if hi != nil {
-		// Last shard whose lower boundary is at or below hi (closed
-		// comparison regardless of hi's inclusivity — a boundary-equal
-		// shard is scanned and simply yields nothing when exclusive).
 		last = sort.Search(len(splits), func(i int) bool {
-			return bytes.Compare(splits[i], hi) > 0
+			return bytes.Compare(splits[i], hi) >= 0
 		})
 	}
 	if first > last {
@@ -645,11 +599,13 @@ func (s *ShardedIndex) scanSpan(lo, hi []byte) (first, last int, ok bool) {
 // single-shard fast path nor the k-way merge allocates a cursor per scan.
 var scanCursorPool = sync.Pool{New: func() any { return new(shardCursor) }}
 
-// scanState is one scan's pooled scratch: the encoded lo/hi bound buffers
-// and, for a hash-merged scan, the merge heap of per-shard cursors taken
-// from scanCursorPool. With it a steady-state scan allocates nothing.
+// scanState is one scan's pooled scratch: the encoded lo/hi bound
+// buffers, a prefix scan's successor bound, and, for a hash-merged scan,
+// the merge heap of per-shard cursors taken from scanCursorPool. With it a
+// steady-state scan allocates nothing.
 type scanState struct {
 	lo, hi []byte
+	succ   []byte
 	heap   []*shardCursor
 }
 
@@ -673,11 +629,11 @@ func (m *scanState) release() {
 // the global order is the concatenation of per-shard orders and no merge
 // or heap is needed. Each shard still drains in chunks under its read
 // lock, exactly like the merge path's cursors.
-func (s *ShardedIndex) orderedScan(first, last int, lo, hi []byte, hiIncl bool, fn func(key []byte, val uint64) bool) int {
+func (s *ShardedIndex) orderedScan(first, last int, lo, hi []byte, fn func(key []byte, val uint64) bool) int {
 	c := scanCursorPool.Get().(*shardCursor)
 	count := 0
 	for w := first; w <= last; w++ {
-		c.reset(s.shards[w], w, lo, hi, hiIncl)
+		c.reset(s.shards[w], lo, hi)
 		for {
 			k, ok := c.peek()
 			if !ok {
@@ -706,17 +662,15 @@ const (
 	scanChunk     = 64
 )
 
-// shardCursor drains one shard's stored keys in [next, hi) (or [next, hi]
-// when hiIncl) in chunks. Keys are copied into a reused arena so the
-// cursor never retains tree memory across lock releases; the resume point
-// after a chunk is lastKey+0x00, the smallest stored key strictly above
-// lastKey in byte order.
+// shardCursor drains one shard's stored keys in [next, hi) in chunks.
+// Keys are copied into a reused arena so the cursor never retains tree
+// memory across lock releases; the resume point after a chunk is
+// lastKey+0x00, the smallest stored key strictly above lastKey in byte
+// order.
 type shardCursor struct {
-	sh     *indexShard
-	order  int    // shard index; deterministic tie-break in the merge heap
-	next   []byte // inclusive resume bound (owned)
-	hi     []byte // shared, read-only
-	hiIncl bool
+	sh   *indexShard
+	next []byte // inclusive resume bound (owned)
+	hi   []byte // shared, read-only
 
 	arena []byte
 	keys  [][]byte
@@ -732,25 +686,25 @@ type shardCursor struct {
 	nFill   int
 }
 
-// scanShard drains one shard's stored keys in [from, hi) (or [from, hi]
-// when hiIncl; nil hi unbounded) in encoded order under the shard's read
-// lock, until fn returns false: one locked pass, the hook behind the
-// snapshot dump and AdaptiveIndex's chunked walks. Keys passed to fn alias
-// tree memory and are only valid during the callback, which must not call
-// back into the index.
-func (s *ShardedIndex) scanShard(shard int, from, hi []byte, hiIncl bool, fn func(k []byte, v uint64) bool) {
+// scanShard drains one shard's stored keys in [from, hi) (nil hi
+// unbounded) in encoded order under the shard's read lock, until fn
+// returns false: one locked pass, the hook behind the snapshot dump and
+// AdaptiveIndex's chunked walks. Keys passed to fn alias tree memory and
+// are only valid during the callback, which must not call back into the
+// index.
+func (s *ShardedIndex) scanShard(shard int, from, hi []byte, fn func(k []byte, v uint64) bool) {
 	sh := s.shards[shard]
 	sh.mu.RLock()
-	sh.be.scan(from, hi, hiIncl, fn)
+	sh.be.scan(from, hi, fn)
 	sh.mu.RUnlock()
 }
 
 // reset re-aims a (possibly pooled) cursor at one shard's [lo, hi) span,
 // keeping its arena and resume buffers for reuse.
-func (c *shardCursor) reset(sh *indexShard, order int, lo, hi []byte, hiIncl bool) {
-	c.sh, c.order = sh, order
+func (c *shardCursor) reset(sh *indexShard, lo, hi []byte) {
+	c.sh = sh
 	c.next = append(c.next[:0], lo...)
-	c.hi, c.hiIncl = hi, hiIncl
+	c.hi = hi
 	c.arena, c.keys, c.vals = c.arena[:0], c.keys[:0], c.vals[:0]
 	c.i, c.chunk, c.done = 0, 0, false
 }
@@ -784,7 +738,7 @@ func (c *shardCursor) fill() {
 	}
 	c.nFill = 0
 	c.sh.mu.RLock()
-	c.sh.be.scan(c.next, c.hi, c.hiIncl, c.collect)
+	c.sh.be.scan(c.next, c.hi, c.collect)
 	c.sh.mu.RUnlock()
 	n := c.nFill
 	if n < c.chunk {
@@ -828,10 +782,10 @@ func (c *shardCursor) pop() (key []byte, val uint64) {
 // ~30× on the scan hot path). The heap lives in m and its cursors come
 // from scanCursorPool; a cursor goes back as soon as its shard is
 // exhausted, the rest when the caller releases m.
-func (s *ShardedIndex) mergeScan(m *scanState, lo, hi []byte, hiIncl bool, fn func(key []byte, val uint64) bool) int {
-	for order, sh := range s.shards {
+func (s *ShardedIndex) mergeScan(m *scanState, lo, hi []byte, fn func(key []byte, val uint64) bool) int {
+	for _, sh := range s.shards {
 		c := scanCursorPool.Get().(*shardCursor)
-		c.reset(sh, order, lo, hi, hiIncl)
+		c.reset(sh, lo, hi)
 		if _, ok := c.peek(); ok {
 			m.heap = append(m.heap, c)
 		} else {
@@ -861,15 +815,11 @@ func (s *ShardedIndex) mergeScan(m *scanState, lo, hi []byte, hiIncl bool, fn fu
 	return count
 }
 
-// cursorLess orders heap cursors by current encoded key, breaking ties by
-// shard order so the merge is deterministic when distinct originals share
-// a padded encoding (the zero-padding edge). Both cursors must have a
-// current item.
+// cursorLess orders heap cursors by current encoded key. Distinct
+// originals have distinct encodings and a key lives in one shard, so two
+// cursors never tie. Both cursors must have a current item.
 func cursorLess(a, b *shardCursor) bool {
-	if c := bytes.Compare(a.keys[a.i], b.keys[b.i]); c != 0 {
-		return c < 0
-	}
-	return a.order < b.order
+	return bytes.Compare(a.keys[a.i], b.keys[b.i]) < 0
 }
 
 // siftDown restores the merge heap's min-heap property at index i.

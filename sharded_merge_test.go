@@ -35,28 +35,49 @@ func hashScanStores(t *testing.T, keys [][]byte) map[string]Store {
 // pools are warm, a compressed scan over hash shards — bounds encoded
 // into pooled buffers, cursors and heap from the pooled scan state —
 // allocates nothing, and neither does an AdaptiveIndex scan, which runs
-// the same merge and decodes into a pooled buffer.
+// the same merge and decodes into a pooled buffer. A prefix scan builds
+// its successor bound in the pooled state too, so ScanPrefix allocates
+// nothing on those stores or on a range-sharded one.
 func TestHashScanZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race; zero-alloc steady state not reachable")
 	}
 	keys := datagen.Generate(datagen.Email, 4000, 3)
-	for name, st := range hashScanStores(t, keys) {
+	stores := hashScanStores(t, keys)
+	for name, st := range stores {
 		if sx, ok := st.(*ShardedIndex); ok && sx.part.Ordered() {
 			t.Fatalf("%s: want a hash partition", name)
 		}
+	}
+	ranged := mustOpen(t, BTree, WithEncoder(testEncoders(t)[core.DoubleChar]), WithShards(4), WithRangePartitioner(keys))
+	if err := ranged.Bulk(keys, nil); err != nil {
+		t.Fatal(err)
+	}
+	stores["BTree/range ShardedIndex"] = ranged
+	for name, st := range stores {
 		n, i := 0, 0
 		fn := func([]byte, uint64) bool { n++; return n < 50 }
-		run := func() {
+		scan := func() {
 			n = 0
 			st.Scan(keys[i%64], nil, fn)
 			i++
 		}
-		for j := 0; j < 128; j++ {
-			run() // warm the pools over every start key
+		scanPrefix := func() {
+			n = 0
+			k := keys[i%64]
+			st.ScanPrefix(k[:len(k)/2], fn)
+			i++
 		}
-		if allocs := testing.AllocsPerRun(2000, run); allocs >= 0.5 {
-			t.Errorf("%s: hash-merged Scan allocates %.2f/op in steady state, want 0", name, allocs)
+		for _, op := range []struct {
+			label string
+			run   func()
+		}{{"Scan", scan}, {"ScanPrefix", scanPrefix}} {
+			for j := 0; j < 128; j++ {
+				op.run() // warm the pools over every start key
+			}
+			if allocs := testing.AllocsPerRun(2000, op.run); allocs >= 0.5 {
+				t.Errorf("%s: %s allocates %.2f/op in steady state, want 0", name, op.label, allocs)
+			}
 		}
 	}
 }

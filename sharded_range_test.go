@@ -16,14 +16,18 @@ import (
 	"repro/internal/ycsb"
 )
 
+// openRangeSharded opens a range-partitioned ShardedIndex through Open,
+// with split points drawn from corpus (unseeded when corpus is nil).
+func openRangeSharded(t *testing.T, backend Backend, enc *core.Encoder, nShards int, corpus [][]byte) *ShardedIndex {
+	t.Helper()
+	return mustOpen(t, backend, WithEncoder(enc), WithShards(nShards), WithRangePartitioner(corpus)).(*ShardedIndex)
+}
+
 // loadRangeSharded builds a range-partitioned index over the corpus (split
 // points sampled from the corpus itself) with val i for key i.
 func loadRangeSharded(t *testing.T, backend Backend, enc *core.Encoder, nShards int, keys [][]byte) *ShardedIndex {
 	t.Helper()
-	s, err := NewRangeShardedIndex(backend, enc, nShards, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openRangeSharded(t, backend, enc, nShards, keys)
 	if err := s.Bulk(keys, nil); err != nil {
 		t.Fatalf("%s: bulk: %v", backend, err)
 	}
@@ -176,10 +180,7 @@ func TestRangeShardedPointOpsDifferential(t *testing.T) {
 		[]byte("absent"), []byte("apples"), []byte("a\xffa"), []byte("zzzzz"), []byte{0x02})
 	for _, backend := range []Backend{ART, HOT, BTree, PrefixBTree} {
 		for _, enc := range shardedSchemes(t) {
-			s, err := NewRangeShardedIndex(backend, enc, 8, keys)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := openRangeSharded(t, backend, enc, 8, keys)
 			model := map[string]uint64{}
 			for i, k := range keys {
 				if err := s.Put(k, uint64(i)); err != nil {
@@ -290,10 +291,7 @@ func TestRangeShardedBulkSeedsSplits(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		keys = append(keys, []byte(fmt.Sprintf("com.user@%05d", i*7)))
 	}
-	s, err := NewRangeShardedIndex(BTree, nil, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openRangeSharded(t, BTree, nil, 8, nil)
 	rp := s.Partitioner().(*RangePartitioner)
 	if rp.seeded() {
 		t.Fatal("partitioner seeded before any corpus")
@@ -396,10 +394,7 @@ func TestSingleShardScanZeroAlloc(t *testing.T) {
 func TestRangeShardedScanUnderChurn(t *testing.T) {
 	base := adversarialCorpus()
 	encs := testEncoders(t)
-	s, err := NewRangeShardedIndex(BTree, encs[core.DoubleChar], 8, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openRangeSharded(t, BTree, encs[core.DoubleChar], 8, base)
 	if err := s.Bulk(base, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -512,10 +507,7 @@ func TestScanSpanPruning(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		keys = append(keys, []byte(fmt.Sprintf("k%06d", i)))
 	}
-	s, err := NewRangeShardedIndex(BTree, nil, 8, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openRangeSharded(t, BTree, nil, 8, keys)
 	if err := s.Bulk(keys, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,16 @@ import (
 	"repro/internal/core"
 )
 
+// openSharded opens a hash-partitioned ShardedIndex through Open.
+func openSharded(t *testing.T, backend Backend, enc *core.Encoder, nShards int) *ShardedIndex {
+	t.Helper()
+	return mustOpen(t, backend, WithEncoder(enc), WithShards(nShards)).(*ShardedIndex)
+}
+
 // loadSharded builds a sharded index over the corpus with val i for key i.
 func loadSharded(t *testing.T, backend Backend, enc *core.Encoder, nShards int, keys [][]byte) *ShardedIndex {
 	t.Helper()
-	s, err := NewShardedIndex(backend, enc, nShards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSharded(t, backend, enc, nShards)
 	if err := s.Bulk(keys, nil); err != nil {
 		t.Fatalf("%s: bulk: %v", backend, err)
 	}
@@ -89,8 +92,8 @@ func TestShardedScanDifferential(t *testing.T) {
 	}
 }
 
-// TestShardedScanPrefixDifferential: prefix scans through the merged
-// interval-ceiling bounds match the single-Index reference.
+// TestShardedScanPrefixDifferential: merged prefix scans, the range scans
+// of [prefix, successor), match the single-Index reference.
 func TestShardedScanPrefixDifferential(t *testing.T) {
 	keys := adversarialCorpus()
 	prefixes := [][]byte{
@@ -179,10 +182,7 @@ func TestShardedPointOpsDifferential(t *testing.T) {
 				}
 				continue
 			}
-			s, err := NewShardedIndex(backend, enc, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := openSharded(t, backend, enc, 8)
 			model := map[string]uint64{}
 			for i, k := range keys {
 				if err := s.Put(k, uint64(i)); err != nil {
@@ -229,23 +229,17 @@ func TestShardedPointOpsDifferential(t *testing.T) {
 func TestShardedBasics(t *testing.T) {
 	keys := adversarialCorpus()
 	encs := testEncoders(t)
-	if _, err := NewShardedIndex(Backend("T-tree"), nil, 4); err == nil {
+	if _, err := Open(Backend("T-tree"), WithShards(4)); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
 	for _, in := range []int{0, 1, 3, 4, 5, 8, 100} {
-		s, err := NewShardedIndex(BTree, nil, in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := openSharded(t, BTree, nil, in)
 		n := s.NumShards()
 		if n&(n-1) != 0 || (in > 0 && n < in) {
 			t.Fatalf("NumShards(%d) = %d: not a covering power of two", in, n)
 		}
 	}
-	s, err := NewShardedIndex(BTree, encs[core.DoubleChar], 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSharded(t, BTree, encs[core.DoubleChar], 8)
 	if err := s.Bulk(keys, make([]uint64, 1)); err == nil {
 		t.Fatal("mismatched vals length accepted")
 	}
@@ -261,7 +255,7 @@ func TestShardedBasics(t *testing.T) {
 		t.Fatalf("dictionary accounted %d bytes, want %d (shared once)", got, want)
 	}
 	// Explicit vals round-trip.
-	s2, _ := NewShardedIndex(ART, nil, 4)
+	s2 := openSharded(t, ART, nil, 4)
 	vals := make([]uint64, len(keys))
 	for i := range vals {
 		vals[i] = uint64(i * 3)
