@@ -334,6 +334,27 @@ func mustOpen(t *testing.T, backend Backend, opts ...Option) Store {
 	return s
 }
 
+// TestOpenUnknownBackendReturnsNilStore: a store Open cannot build comes
+// back as a nil Store beside the error, in every shape, never as a typed
+// nil pointer inside a non-nil interface.
+func TestOpenUnknownBackendReturnsNilStore(t *testing.T) {
+	for name, opts := range map[string][]Option{
+		"index":         nil,
+		"hash-sharded":  {WithShards(4)},
+		"range-sharded": {WithShards(4), WithRangePartitioner(adversarialCorpus())},
+		"adaptive":      {WithAdaptive(AdaptiveOptions{Manual: true})},
+		"persistent":    {WithSnapshotDir(t.TempDir())},
+	} {
+		st, err := Open(Backend("T-tree"), opts...)
+		if err == nil {
+			t.Errorf("%s: unknown backend accepted", name)
+		}
+		if st != nil {
+			t.Errorf("%s: Open returned %T(%v) beside its error, want a nil Store", name, st, st)
+		}
+	}
+}
+
 // TestOpenDispatch pins which implementation each option combination
 // selects, and the option plumbing into it.
 func TestOpenDispatch(t *testing.T) {

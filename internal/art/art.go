@@ -16,13 +16,15 @@
 // Node256. Both modes share one node format: a child slot is a single
 // pointer whose target starts with a kind byte, an inner node keeps at
 // most maxStoredPrefix bytes of its compressed path inline and reads the
-// rest from its subtree's smallest leaf, and a leaf points at its key
-// bytes. BulkLoad carves every leaf from one slab and every key from one
-// arena.
+// rest from its subtree's smallest leaf, and a leaf is one pointer-free
+// record, a 16-byte header followed by its key bytes. Insert allocates one
+// record per key; BulkLoad carves all of them from one arena.
 package art
 
 import (
 	"bytes"
+	"slices"
+	"sync"
 	"unsafe"
 )
 
@@ -41,9 +43,10 @@ const maxStoredPrefix = 8
 
 // Tree is an adaptive radix tree mapping byte-string keys to uint64 values.
 type Tree struct {
-	root node
-	size int
-	mode Mode
+	root  node
+	size  int
+	mode  Mode
+	arena []byte // BulkLoad's leaf records
 }
 
 // New returns an empty tree in the given mode.
@@ -71,32 +74,47 @@ const (
 
 func kindOf(n node) kind { return *(*kind)(n) }
 
-// leaf is one key and its value: 24 bytes on 64-bit targets. The key bytes
-// live elsewhere (a per-key allocation from Insert, BulkLoad's arena) and
-// are viewed through key().
+// leaf is the 16-byte header of a leaf record; the key's klen bytes follow
+// it inline. A record is pointer-free and 8-byte aligned, carved from a
+// byte allocation: one per key from Insert, one arena for all of
+// BulkLoad's keys. Reaching a leaf loads one cache line for both its value
+// and the key a lookup verifies.
 type leaf struct {
 	kind kind
 	klen uint32
 	val  uint64
-	kp   *byte
 }
 
-// emptyKey backs zero-length keys, so they read back as non-nil slices.
+// leafHeader is the size of a leaf record's header.
+const leafHeader = unsafe.Sizeof(leaf{})
+
+// leafSize returns the bytes of a record holding an n-byte key, rounded up
+// to 8 so records carved back to back stay aligned.
+func leafSize(n int) int { return (int(leafHeader) + n + 7) &^ 7 }
+
+// putLeaf writes a record for key and val at the start of rec, which holds
+// leafSize(len(key)) zero bytes, and returns it.
+func putLeaf(rec, key []byte, val uint64) *leaf {
+	if uint64(len(key)) > 1<<32-1 {
+		panic("art: key longer than 4 GiB")
+	}
+	l := (*leaf)(unsafe.Pointer(&rec[0]))
+	l.kind, l.klen, l.val = kindLeaf, uint32(len(key)), val
+	copy(rec[leafHeader:], key)
+	return l
+}
+
+// emptyKey backs zero-length keys, so they read back as non-nil slices
+// without pointing one past their record, into the next heap object.
 var emptyKey byte
 
 // key returns the leaf's key. Its capacity equals its length, so an
-// append by a caller copies instead of writing into a neighbour's bytes.
-func (l *leaf) key() []byte { return unsafe.Slice(l.kp, l.klen) }
-
-// setKey points the leaf at key bytes it now owns.
-func (l *leaf) setKey(k []byte) {
-	if uint64(len(k)) > 1<<32-1 {
-		panic("art: key longer than 4 GiB")
+// append by a caller copies instead of writing into the next record.
+func (l *leaf) key() []byte {
+	if l.klen == 0 {
+		return unsafe.Slice(&emptyKey, 0)
 	}
-	l.kind, l.klen, l.kp = kindLeaf, uint32(len(k)), &emptyKey
-	if len(k) > 0 {
-		l.kp = &k[0]
-	}
+	return unsafe.Slice((*byte)(unsafe.Add(unsafe.Pointer(l), leafHeader)), l.klen)
 }
 
 // asLeaf returns n as a leaf, or nil when n is an inner node.
@@ -153,42 +171,16 @@ type node256 struct {
 	child [256]node
 }
 
-// Constructors for each layout, carrying over a header and setting the
-// kind byte.
-func newNode4(h header) *node4 {
-	h.kind = kindNode4
-	return &node4{header: h}
+// tagged returns h tagged with kind k, the header of a new inner node that
+// carries over h's path and value leaf.
+func (h header) tagged(k kind) header {
+	h.kind = k
+	return h
 }
 
-func newNode16(h header) *node16 {
-	h.kind = kindNode16
-	return &node16{header: h}
-}
-
-func newNode48(h header) *node48 {
-	h.kind = kindNode48
-	return &node48{header: h}
-}
-
-func newNode256(h header) *node256 {
-	h.kind = kindNode256
-	return &node256{header: h}
-}
-
-// hdr returns the header of an inner node, or nil for a leaf.
-func hdr(n node) *header {
-	switch kindOf(n) {
-	case kindNode4:
-		return &(*node4)(n).header
-	case kindNode16:
-		return &(*node16)(n).header
-	case kindNode48:
-		return &(*node48)(n).header
-	case kindNode256:
-		return &(*node256)(n).header
-	}
-	return nil
-}
+// hdr returns the header of an inner node: every inner layout starts with
+// it.
+func hdr(n node) *header { return (*header)(n) }
 
 // findChild returns the child for byte c, or nil.
 func findChild(n node, c byte) node {
@@ -225,22 +217,24 @@ func findChild(n node, c byte) node {
 	return nil
 }
 
+// sorted returns the key bytes and child slots in use of a Node4 or a
+// Node16, which keep both sorted by key byte.
+func sorted(n node) ([]byte, []node) {
+	if kindOf(n) == kindNode4 {
+		v := (*node4)(n)
+		return v.keys[:v.numChildren], v.child[:v.numChildren]
+	}
+	v := (*node16)(n)
+	return v.keys[:v.numChildren], v.child[:v.numChildren]
+}
+
 // childRef returns a pointer to the child slot for byte c, or nil.
 func childRef(n node, c byte) *node {
 	switch kindOf(n) {
-	case kindNode4:
-		v := (*node4)(n)
-		for i := 0; i < int(v.numChildren); i++ {
-			if v.keys[i] == c {
-				return &v.child[i]
-			}
-		}
-	case kindNode16:
-		v := (*node16)(n)
-		for i := 0; i < int(v.numChildren); i++ {
-			if v.keys[i] == c {
-				return &v.child[i]
-			}
+	case kindNode4, kindNode16:
+		keys, child := sorted(n)
+		if i := bytes.IndexByte(keys, c); i >= 0 {
+			return &child[i]
 		}
 	case kindNode48:
 		v := (*node48)(n)
@@ -260,18 +254,11 @@ func childRef(n node, c byte) *node {
 // than c, or nil.
 func maxChildBelow(n node, c int) node {
 	switch kindOf(n) {
-	case kindNode4:
-		v := (*node4)(n)
+	case kindNode4, kindNode16:
+		keys, child := sorted(n)
 		var best node
-		for i := 0; i < int(v.numChildren) && int(v.keys[i]) < c; i++ {
-			best = v.child[i]
-		}
-		return best
-	case kindNode16:
-		v := (*node16)(n)
-		var best node
-		for i := 0; i < int(v.numChildren) && int(v.keys[i]) < c; i++ {
-			best = v.child[i]
+		for i := 0; i < len(keys) && int(keys[i]) < c; i++ {
+			best = child[i]
 		}
 		return best
 	case kindNode48:
@@ -296,13 +283,9 @@ func maxChildBelow(n node, c int) node {
 // key bytes.
 func minChild(n node) node {
 	switch kindOf(n) {
-	case kindNode4:
-		if v := (*node4)(n); v.numChildren > 0 {
-			return v.child[0]
-		}
-	case kindNode16:
-		if v := (*node16)(n); v.numChildren > 0 {
-			return v.child[0]
+	case kindNode4, kindNode16:
+		if _, child := sorted(n); len(child) > 0 {
+			return child[0]
 		}
 	case kindNode48:
 		v := (*node48)(n)
@@ -427,7 +410,8 @@ type Stats struct {
 	KeyBytes                  int // key bytes retained in leaves
 	ValueLeaves               int // prefix keys stored at inner nodes
 	SumLeafDepth              int // radix depth summed over leaves (trie height numerator)
-	MemoryBytes               int
+	MemoryBytes               int // the C model's footprint (see ComputeStats)
+	HeapBytes                 int // Go heap held by inner nodes and leaf records
 	MaxDepth, TotalInnerNodes int
 }
 
@@ -442,12 +426,18 @@ type Stats struct {
 // DBMS's final verification) — this is exactly why the paper observes
 // smaller HOPE memory savings on ART/HOT than on B+trees (Figure 7).
 // DictMode counts key bytes: a dictionary has no tuples to defer storage
-// to.
+// to. HeapBytes is the Go heap the tree really holds: each inner node and
+// each inserted leaf record at its allocation size, plus BulkLoad's arena.
 func (t *Tree) ComputeStats() Stats {
 	var s Stats
 	if t.root != nil {
 		t.walkStats(t.root, 0, &s)
 	}
+	// Node48 and Node256 are large enough to carry the allocator's 8-byte
+	// header for objects with pointers.
+	s.HeapBytes += allocSize(len(t.arena)) +
+		s.Node4s*allocSize(int(unsafe.Sizeof(node4{}))) + s.Node16s*allocSize(int(unsafe.Sizeof(node16{}))) +
+		s.Node48s*allocSize(int(unsafe.Sizeof(node48{}))+8) + s.Node256s*allocSize(int(unsafe.Sizeof(node256{}))+8)
 	s.TotalInnerNodes = s.Node4s + s.Node16s + s.Node48s + s.Node256s
 	s.MemoryBytes = s.Leaves*16 + s.PrefixBytes +
 		s.Node4s*(16+4+4*8) + s.Node16s*(16+16+16*8) +
@@ -460,9 +450,7 @@ func (t *Tree) ComputeStats() Stats {
 
 func (t *Tree) walkStats(n node, depth int, s *Stats) {
 	if l := asLeaf(n); l != nil {
-		s.Leaves++
-		s.KeyBytes += int(l.klen)
-		s.SumLeafDepth += depth
+		t.leafStats(l, depth, s)
 		if depth > s.MaxDepth {
 			s.MaxDepth = depth
 		}
@@ -477,9 +465,7 @@ func (t *Tree) walkStats(n node, depth int, s *Stats) {
 	d := depth + int(h.prefixLen)
 	if h.valueLeaf != nil {
 		s.ValueLeaves++
-		s.Leaves++
-		s.KeyBytes += int(h.valueLeaf.klen)
-		s.SumLeafDepth += d
+		t.leafStats(h.valueLeaf, d, s)
 	}
 	switch kindOf(n) {
 	case kindNode4:
@@ -495,6 +481,37 @@ func (t *Tree) walkStats(n node, depth int, s *Stats) {
 		t.walkStats(ch, d+1, s)
 		return true
 	})
+}
+
+// leafStats counts one leaf. A record outside the bulk arena is an
+// allocation of its own, made by Insert.
+func (t *Tree) leafStats(l *leaf, depth int, s *Stats) {
+	s.Leaves++
+	s.KeyBytes += int(l.klen)
+	s.SumLeafDepth += depth
+	if off := uintptr(unsafe.Pointer(l)) - uintptr(unsafe.Pointer(unsafe.SliceData(t.arena))); off >= uintptr(len(t.arena)) {
+		s.HeapBytes += allocSize(leafSize(int(l.klen)))
+	}
+}
+
+// sizeClasses lists 0 and the allocator's size classes up to 32 KiB, read
+// off the runtime: growing an empty slice rounds its capacity up to a class.
+var sizeClasses = sync.OnceValue(func() []int {
+	var cs []int
+	for n := 0; n <= 32<<10; n = cs[len(cs)-1] + 1 {
+		cs = append(cs, cap(slices.Grow([]byte(nil), n)))
+	}
+	return cs
+})
+
+// allocSize returns the heap bytes an n-byte allocation occupies: n rounded
+// up to its size class, or to whole 8 KiB pages beyond the classes.
+func allocSize(n int) int {
+	cs := sizeClasses()
+	if i, _ := slices.BinarySearch(cs, n); i < len(cs) {
+		return cs[i]
+	}
+	return (n + 8<<10 - 1) &^ (8<<10 - 1)
 }
 
 // MemoryUsage returns the modeled footprint in bytes (see ComputeStats).

@@ -211,10 +211,10 @@ func checkNodes(t *testing.T, tr *Tree) {
 			}
 			return
 		}
-		h := hdr(n)
-		if h == nil {
-			t.Fatalf("node of unknown kind %d under path %q", kindOf(n), path)
+		if k := kindOf(n); k < kindNode4 || k > kindNode256 {
+			t.Fatalf("node of unknown kind %d under path %q", k, path)
 		}
+		h := hdr(n)
 		depth := len(path)
 		k := minLeaf(n).key()
 		if len(k) < depth+int(h.prefixLen) {

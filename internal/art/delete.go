@@ -109,7 +109,7 @@ func removeChild(ref *node, n node, c byte) {
 		v := (*node16)(n)
 		removeSorted(v.keys[:], v.child[:], &v.numChildren, c)
 		if v.numChildren <= 3 {
-			g := newNode4(v.header)
+			g := &node4{header: v.tagged(kindNode4)}
 			copy(g.keys[:], v.keys[:v.numChildren])
 			copy(g.child[:], v.child[:v.numChildren])
 			*ref = unsafe.Pointer(g)
@@ -134,7 +134,7 @@ func removeChild(ref *node, n node, c byte) {
 			v.numChildren--
 		}
 		if v.numChildren <= 12 {
-			g := newNode16(v.header)
+			g := &node16{header: v.tagged(kindNode16)}
 			i := 0
 			for b := 0; b < 256; b++ {
 				if s := v.index[b]; s != 0 {
@@ -152,7 +152,7 @@ func removeChild(ref *node, n node, c byte) {
 		v.child[c] = nil
 		v.numChildren--
 		if v.numChildren <= 36 {
-			g := newNode48(v.header)
+			g := &node48{header: v.tagged(kindNode48)}
 			i := 0
 			for b := 0; b < 256; b++ {
 				if v.child[b] != nil {

@@ -35,11 +35,7 @@ func floorRec(n node, query []byte, depth int) *leaf {
 	if h.prefixLen > 0 {
 		p := actualPrefix(n, depth)
 		rem := query[depth:]
-		m := len(p)
-		if len(rem) < m {
-			m = len(rem)
-		}
-		for i := 0; i < m; i++ {
+		for i := range min(len(p), len(rem)) {
 			if p[i] != rem[i] {
 				if p[i] < rem[i] {
 					return maxLeaf(n) // whole subtree below query

@@ -26,7 +26,7 @@ func (t *Tree) insert(ref *node, key []byte, depth int, val uint64) {
 		lcp := commonPrefixLen(lk[depth:], key[depth:])
 		var h header
 		h.setPrefix(key[depth : depth+lcp])
-		nn := newNode4(h)
+		nn := &node4{header: h.tagged(kindNode4)}
 		attach(nn, lk, depth+lcp, l)
 		attach(nn, key, depth+lcp, t.newLeaf(key, val))
 		*ref = unsafe.Pointer(nn)
@@ -40,7 +40,7 @@ func (t *Tree) insert(ref *node, key []byte, depth int, val uint64) {
 			actual := actualPrefix(n, depth)
 			var nh header
 			nh.setPrefix(actual[:mp])
-			nn := newNode4(nh)
+			nn := &node4{header: nh.tagged(kindNode4)}
 			edge := actual[mp]
 			h.setPrefix(actual[mp+1:])
 			insertSorted(nn.keys[:], nn.child[:], &nn.numChildren, edge, n)
@@ -76,12 +76,10 @@ func attach(nn *node4, key []byte, d int, l *leaf) {
 	insertSorted(nn.keys[:], nn.child[:], &nn.numChildren, key[d], unsafe.Pointer(l))
 }
 
-// newLeaf allocates a leaf and a copy of its key.
+// newLeaf allocates a leaf record holding a copy of its key.
 func (t *Tree) newLeaf(key []byte, val uint64) *leaf {
 	t.size++
-	l := &leaf{val: val}
-	l.setKey(bytes.Clone(key))
-	return l
+	return putLeaf(make([]byte, leafSize(len(key))), key, val)
 }
 
 // prefixMismatch returns how many bytes of the node's compressed path
@@ -120,7 +118,7 @@ func addChildGrow(ref *node, n node, c byte, child node) {
 			insertSorted(v.keys[:], v.child[:], &v.numChildren, c, child)
 			return
 		}
-		g := newNode16(v.header)
+		g := &node16{header: v.tagged(kindNode16)}
 		copy(g.keys[:], v.keys[:])
 		copy(g.child[:], v.child[:])
 		insertSorted(g.keys[:], g.child[:], &g.numChildren, c, child)
@@ -131,7 +129,7 @@ func addChildGrow(ref *node, n node, c byte, child node) {
 			insertSorted(v.keys[:], v.child[:], &v.numChildren, c, child)
 			return
 		}
-		g := newNode48(v.header)
+		g := &node48{header: v.tagged(kindNode48)}
 		for i := 0; i < 16; i++ {
 			g.index[v.keys[i]] = byte(i + 1)
 			g.child[i] = v.child[i]
@@ -148,7 +146,7 @@ func addChildGrow(ref *node, n node, c byte, child node) {
 			v.numChildren++
 			return
 		}
-		g := newNode256(v.header)
+		g := &node256{header: v.tagged(kindNode256)}
 		for b := 0; b < 256; b++ {
 			if s := v.index[b]; s != 0 {
 				g.child[b] = v.child[s-1]
@@ -192,8 +190,8 @@ func commonPrefixLen(a, b []byte) int {
 // path is the common prefix of its first and last key, a key ending there
 // becomes its value leaf, and the rest are grouped by their next byte into
 // the smallest layout that holds the groups. Keys are copied, as Insert
-// copies them, but into one arena, and the leaves are carved from one
-// slab: a leaf deleted later keeps its slab slot and key bytes until the
+// copies them, but every leaf record is carved from one arena, which lives
+// as long as the tree: a leaf deleted later keeps its bytes until the
 // whole tree is dropped.
 func BulkLoad(mode Mode, keys [][]byte, vals []uint64) *Tree {
 	t := New(mode)
@@ -202,35 +200,29 @@ func BulkLoad(mode Mode, keys [][]byte, vals []uint64) *Tree {
 }
 
 // bulkLoad builds the tree's nodes over keys; the tree must be empty.
-// Besides one allocation per inner node it allocates twice: the leaf slab
-// and the key arena.
+// Besides one allocation per inner node it allocates once: the arena.
 func (t *Tree) bulkLoad(keys [][]byte, vals []uint64) {
 	if len(keys) == 0 {
 		return
 	}
 	total := 0
 	for _, k := range keys {
-		total += len(k)
+		total += leafSize(len(k))
 	}
-	b := bulkBuilder{leaves: make([]leaf, len(keys)), arena: make([]byte, 0, total)}
+	t.arena = make([]byte, total)
+	b := bulkBuilder{arena: t.arena}
 	t.root = b.build(keys, vals, 0)
 	t.size = len(keys)
 }
 
-// bulkBuilder hands out BulkLoad's leaves and key bytes in key order.
-type bulkBuilder struct {
-	leaves []leaf
-	arena  []byte
-}
+// bulkBuilder hands out BulkLoad's leaf records in key order.
+type bulkBuilder struct{ arena []byte }
 
-// leaf carves the next leaf from the slab and its key from the arena.
+// leaf carves the next record from the arena.
 func (b *bulkBuilder) leaf(key []byte, val uint64) *leaf {
-	l := &b.leaves[0]
-	b.leaves = b.leaves[1:]
-	off := len(b.arena)
-	b.arena = append(b.arena, key...)
-	l.val = val
-	l.setKey(b.arena[off:len(b.arena):len(b.arena)])
+	n := leafSize(len(key))
+	l := putLeaf(b.arena[:n:n], key, val)
+	b.arena = b.arena[n:]
 	return l
 }
 
@@ -257,13 +249,13 @@ func (b *bulkBuilder) build(keys [][]byte, vals []uint64, depth int) node {
 	var n node
 	switch {
 	case groups <= 4:
-		n = unsafe.Pointer(newNode4(h))
+		n = unsafe.Pointer(&node4{header: h.tagged(kindNode4)})
 	case groups <= 16:
-		n = unsafe.Pointer(newNode16(h))
+		n = unsafe.Pointer(&node16{header: h.tagged(kindNode16)})
 	case groups <= 48:
-		n = unsafe.Pointer(newNode48(h))
+		n = unsafe.Pointer(&node48{header: h.tagged(kindNode48)})
 	default:
-		n = unsafe.Pointer(newNode256(h))
+		n = unsafe.Pointer(&node256{header: h.tagged(kindNode256)})
 	}
 	for lo := 0; lo < len(keys); {
 		c := keys[lo][d]

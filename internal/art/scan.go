@@ -26,11 +26,7 @@ func scanRec(n node, start []byte, depth int, fn func([]byte, uint64) bool) bool
 	if h.prefixLen > 0 {
 		p := actualPrefix(n, depth)
 		rem := start[depth:]
-		m := len(p)
-		if len(rem) < m {
-			m = len(rem)
-		}
-		for i := 0; i < m; i++ {
+		for i := range min(len(p), len(rem)) {
 			if p[i] != rem[i] {
 				if p[i] > rem[i] {
 					return emitAll(n, fn) // whole subtree above start
@@ -92,17 +88,10 @@ func eachChild(n node, fn func(byte, node) bool) { eachChildFrom(n, 0, fn) }
 // instead of stepping over every lower one.
 func eachChildFrom(n node, from byte, fn func(byte, node) bool) {
 	switch kindOf(n) {
-	case kindNode4:
-		v := (*node4)(n)
-		for i := 0; i < int(v.numChildren); i++ {
-			if v.keys[i] >= from && !fn(v.keys[i], v.child[i]) {
-				return
-			}
-		}
-	case kindNode16:
-		v := (*node16)(n)
-		for i := 0; i < int(v.numChildren); i++ {
-			if v.keys[i] >= from && !fn(v.keys[i], v.child[i]) {
+	case kindNode4, kindNode16:
+		keys, child := sorted(n)
+		for i, b := range keys {
+			if b >= from && !fn(b, child[i]) {
 				return
 			}
 		}

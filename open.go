@@ -117,13 +117,7 @@ func Open(backend Backend, opts ...Option) (Store, error) {
 		o(&c)
 	}
 	if c.snapDir != "" {
-		// A failed restore must return a nil Store, not a nil *Persistent
-		// inside a non-nil interface.
-		p, err := openPersistent(backend, &c)
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
+		return asStore(openPersistent(backend, &c))
 	}
 	return buildStore(backend, &c)
 }
@@ -144,15 +138,24 @@ func buildStore(backend Backend, c *openConfig) (Store, error) {
 		if c.rangePart {
 			ao.Partition = RangePartitioned
 		}
-		return newAdaptiveIndexWithSplits(backend, ao, nil)
+		return asStore(newAdaptiveIndexWithSplits(backend, ao, nil))
 	}
 	if c.rangePart {
-		return NewShardedIndexWithPartitioner(backend, c.enc, newRangePartitioner(c.shards, c.corpus))
+		return asStore(NewShardedIndexWithPartitioner(backend, c.enc, newRangePartitioner(c.shards, c.corpus)))
 	}
 	if c.shardsSet {
-		return NewShardedIndexWithPartitioner(backend, c.enc, NewHashPartitioner(c.shards))
+		return asStore(NewShardedIndexWithPartitioner(backend, c.enc, NewHashPartitioner(c.shards)))
 	}
-	return newIndex(backend, c.enc)
+	return asStore(newIndex(backend, c.enc))
+}
+
+// asStore returns a built store as a Store, or a nil Store beside a build
+// error: never a typed nil pointer inside a non-nil interface.
+func asStore[S Store](s S, err error) (Store, error) {
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // ParseScheme maps a scheme name to its Scheme: the canonical
