@@ -63,23 +63,21 @@ func main() {
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
 	if *decodeMode {
-		dec, err := core.NewDecoder(enc)
+		dec, err := core.NewTableDecoder(enc)
 		if err != nil {
 			fatal(err)
 		}
+		var key []byte
 		for in.Scan() {
-			var hexStr string
-			var bits int
-			if _, err := fmt.Sscanf(in.Text(), "%x/%d", &hexStr, &bits); err != nil {
+			// The decoder reads the padded bytes; the bit count after the
+			// slash is not needed.
+			hexStr, _, _ := strings.Cut(in.Text(), "/")
+			raw, err := hex.DecodeString(hexStr)
+			if err != nil {
 				fatal(fmt.Errorf("bad encoded line %q: %w", in.Text(), err))
 			}
-			raw, err := hex.DecodeString(in.Text()[:strings.IndexByte(in.Text(), '/')])
-			if err != nil {
-				fatal(err)
-			}
-			key, err := dec.Decode(raw, bits)
-			if err != nil {
-				fatal(err)
+			if key, err = dec.AppendDecode(key[:0], raw); err != nil {
+				fatal(fmt.Errorf("bad encoded line %q: %w", in.Text(), err))
 			}
 			fmt.Fprintf(out, "%s\n", key)
 		}

@@ -60,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	back, err := dec.Decode(out, bits)
+	back, err := dec.AppendDecode(nil, out)
 	if err != nil || !bytes.Equal(back, novel) {
 		log.Fatalf("roundtrip failed: %q %v", back, err)
 	}

@@ -92,9 +92,10 @@ func EncodeAll(enc *Encoder, keys [][]byte) [][]byte { return enc.EncodeAll(keys
 // BuildStats is the build-phase time breakdown (paper Figure 9).
 type BuildStats = core.BuildStats
 
-// Decoder reconstructs original keys from encoded bits; search-tree
-// queries never need it, but compression is lossless.
-type Decoder = core.Decoder
+// Decoder reconstructs original keys from their stored encodings (the
+// padded bytes Encode returns) with AppendDecode; search-tree queries
+// never need it, but compression is lossless. Safe for concurrent use.
+type Decoder = core.TableDecoder
 
 // Build runs HOPE's build phase on a list of sampled keys and returns an
 // encoder. A 1% sample of the indexed keys saturates the compression rate
@@ -104,7 +105,7 @@ func Build(scheme Scheme, samples [][]byte, opt Options) (*Encoder, error) {
 }
 
 // NewDecoder builds the optional decoder for an encoder's dictionary.
-func NewDecoder(e *Encoder) (*Decoder, error) { return core.NewDecoder(e) }
+func NewDecoder(e *Encoder) (*Decoder, error) { return core.NewTableDecoder(e) }
 
 // Sampler reservoir-samples keys arriving at an initially empty tree, the
 // paper's Section 5 integration path: accumulate samples during inserts,

@@ -39,8 +39,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf, bits := enc.EncodeBits(nil, keys[0])
-		back, err := dec.Decode(buf, bits)
+		back, err := dec.AppendDecode(nil, enc.Encode(keys[0]))
 		if err != nil || !bytes.Equal(back, keys[0]) {
 			t.Fatalf("%v: roundtrip", scheme)
 		}

@@ -28,11 +28,6 @@ type Config struct {
 	Quick      bool // shrink dictionary limits for CI-speed runs
 }
 
-// DefaultConfig returns the laptop-scale default.
-func DefaultConfig(ds datagen.Kind) Config {
-	return Config{Dataset: ds, NumKeys: 100000, NumOps: 100000, SampleFrac: 0.01, Seed: 42}
-}
-
 // QuickConfig returns a CI-scale configuration.
 func QuickConfig(ds datagen.Kind) Config {
 	return Config{Dataset: ds, NumKeys: 8000, NumOps: 8000, SampleFrac: 0.02, Seed: 42, Quick: true}

@@ -149,26 +149,35 @@ func TestRunFig13(t *testing.T) {
 }
 
 func TestRunFig14(t *testing.T) {
-	rows, err := RunFig14(quick(t), []int{1, 2, 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 12 {
-		t.Fatalf("got %d rows", len(rows))
-	}
 	// Wall-clock latencies under `go test` are contaminated by parallel
-	// package tests, so only a loose pathology bound is asserted here; the
-	// strict batch-beats-individual comparison is a benchmark
-	// (BenchmarkFig14BatchEncode) run in isolation.
+	// package tests, so only a loose pathology bound is asserted here, on
+	// the best of three passes per (scheme, batch size) with the batch-size
+	// order reversed every other pass; the strict batch-beats-individual
+	// comparison is a benchmark (BenchmarkFig14) run in isolation.
 	lat := map[core.Scheme]map[int]float64{}
-	for _, r := range rows {
-		if r.LatNsChar <= 0 {
-			t.Fatalf("missing latency: %+v", r)
+	for pass := 0; pass < 3; pass++ {
+		sizes := []int{1, 2, 32}
+		if pass%2 == 1 {
+			sizes = []int{32, 2, 1}
 		}
-		if lat[r.Scheme] == nil {
-			lat[r.Scheme] = map[int]float64{}
+		rows, err := RunFig14(quick(t), sizes)
+		if err != nil {
+			t.Fatal(err)
 		}
-		lat[r.Scheme][r.BatchSize] = r.LatNsChar
+		if len(rows) != 12 {
+			t.Fatalf("got %d rows", len(rows))
+		}
+		for _, r := range rows {
+			if r.LatNsChar <= 0 {
+				t.Fatalf("missing latency: %+v", r)
+			}
+			if lat[r.Scheme] == nil {
+				lat[r.Scheme] = map[int]float64{}
+			}
+			if best, ok := lat[r.Scheme][r.BatchSize]; !ok || r.LatNsChar < best {
+				lat[r.Scheme][r.BatchSize] = r.LatNsChar
+			}
+		}
 	}
 	for s, m := range lat {
 		if m[32] > m[1]*3 {

@@ -76,28 +76,6 @@ func (a *Appender) AppendWord(w uint64, n uint) {
 	a.nAcc = rem
 }
 
-// AppendWords64 appends ws as complete 64-bit words, most significant
-// bit first. When the stream sits on a byte boundary (true after Reset,
-// Pad, or Finish — the state the batch encode kernels are in between
-// keys) every word is stored with one 8-byte write instead of being
-// re-staged bit by bit through the accumulator; otherwise it falls back
-// to AppendWord per word.
-func (a *Appender) AppendWords64(ws []uint64) {
-	if a.nAcc != 0 {
-		for _, w := range ws {
-			a.AppendWord(w, 64)
-		}
-		return
-	}
-	off := len(a.buf)
-	a.buf = append(a.buf, make([]byte, 8*len(ws))...)
-	for _, w := range ws {
-		binary.BigEndian.PutUint64(a.buf[off:], w)
-		off += 8
-	}
-	a.bits += 64 * len(ws)
-}
-
 func (a *Appender) spill() {
 	a.buf = binary.BigEndian.AppendUint64(a.buf, a.acc)
 	a.acc = 0
@@ -118,10 +96,10 @@ func (a *Appender) Finish() (buf []byte, bitLen int) {
 
 // Pad appends zero bits up to the next byte boundary and returns the
 // number of complete output bytes emitted so far. It is Finish restated
-// for the batch encode kernels, which record a byte offset after every
-// key of a batch without handing the buffer out mid-stream; appending may
-// continue afterwards (the next key starts byte-aligned, exactly the
-// stored form the search trees compare).
+// for bulk encoding, which records a byte offset after every key without
+// handing the buffer out mid-stream; appending may continue afterwards
+// (the next key starts byte-aligned, exactly the stored form the search
+// trees compare).
 func (a *Appender) Pad() int {
 	if a.nAcc > 0 {
 		// acc is left-aligned with zeros below the nAcc valid bits, so

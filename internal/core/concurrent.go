@@ -10,8 +10,7 @@ import (
 // state needs isolating; a pool of appenders provides it. The paper's
 // encoder is single-threaded — this wrapper is the natural extension for a
 // DBMS running queries on many threads against one index dictionary.
-// Encoding runs through the same devirtualized kernel as the serial
-// encoder.
+// Encoding runs through the same dictionary kernel as the serial encoder.
 type ConcurrentEncoder struct {
 	enc  *Encoder
 	pool sync.Pool
@@ -35,7 +34,7 @@ func (c *ConcurrentEncoder) Encode(key []byte) []byte {
 func (c *ConcurrentEncoder) EncodeBits(dst, key []byte) ([]byte, int) {
 	a := c.pool.Get().(*appender)
 	a.Reset(dst)
-	c.enc.appendEncode(a, key)
+	c.enc.dict.AppendEncode(a, key)
 	buf, bits := a.Finish()
 	c.pool.Put(a)
 	return buf, bits

@@ -143,8 +143,6 @@ func (s BuildStats) Total() time.Duration {
 type Encoder struct {
 	scheme  Scheme
 	dict    dict.Dictionary
-	kern    dict.Kernel      // concrete encode kernel, captured once at build
-	batch   dict.BatchKernel // concrete batch kernel for the bulk paths
 	entries []dict.Entry
 	stats   BuildStats
 
@@ -227,16 +225,6 @@ func Build(scheme Scheme, samples [][]byte, opt Options) (*Encoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Capture the concrete kernel once: every encode after this point runs
-	// the dictionary's fused lookup+append loop with no interface dispatch
-	// per symbol. The Dictionary interface remains the correctness
-	// reference (the differential tests compare the two).
-	e.kern, _ = e.dict.(dict.Kernel)
-	// The batch kernel drives the bulk paths (EncodeAll and everything
-	// built on it): word-parallel loops over whole key batches, pinned
-	// byte-identical to the per-key kernel by the batch differential
-	// suite.
-	e.batch, _ = e.dict.(dict.BatchKernel)
 	e.stats.DictBuild = time.Since(t2)
 	e.stats.Entries = len(e.entries)
 	return e, nil
@@ -276,11 +264,11 @@ func buildDictionary(scheme Scheme, opt Options, entries []dict.Entry) (dict.Dic
 }
 
 // Clone returns an encoder that shares the read-only build artifacts (the
-// dictionary, its entries and the captured kernels) but owns fresh
-// point-encode state. Dictionary lookups are immutable after Build, so
-// clones are independent single-writer encoders over one dictionary —
-// the per-shard encoder a concurrent serving layer needs (see
-// hope.ShardedIndex). Cloning is O(1); no dictionary is rebuilt.
+// dictionary and its entries) but owns fresh point-encode state.
+// Dictionary lookups are immutable after Build, so clones are independent
+// single-writer encoders over one dictionary — the per-shard encoder a
+// concurrent serving layer needs (see hope.ShardedIndex). Cloning is
+// O(1); no dictionary is rebuilt.
 func (e *Encoder) Clone() *Encoder {
 	c := *e
 	c.app = appender{}

@@ -152,7 +152,7 @@ func TestOrderPreservation(t *testing.T) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
 	for s, e := range encs {
-		if err := e.CheckOrderPreserving(keys); err != nil {
+		if err := checkOrderPreserving(e, keys); err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
 	}
@@ -383,44 +383,6 @@ func TestForceBinarySearchDict(t *testing.T) {
 	}
 }
 
-func TestMaxAndAvgSymbolLen(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	samples := sampleKeys(rng, 500)
-	e, err := Build(ThreeGrams, samples, Options{DictLimit: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := e.MaxSymbolLen(); m < 1 || m > 3 {
-		t.Fatalf("3-gram max symbol len %d", m)
-	}
-	avg := e.AvgSymbolLen(sampleKeys(rng, 200))
-	if avg < 1 || avg > 3 {
-		t.Fatalf("avg symbol len %v", avg)
-	}
-}
-
-func TestDecodeIntervalAccessors(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	e, err := Build(SingleChar, sampleKeys(rng, 100), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := e.DecodeInterval(0)
-	if len(lo) != 1 || lo[0] != 0x00 || len(hi) != 1 || hi[0] != 0x01 {
-		t.Fatalf("interval 0 = [%q, %q)", lo, hi)
-	}
-	lo, hi = e.DecodeInterval(255)
-	if lo[0] != 0xFF || hi != nil {
-		t.Fatalf("interval 255 = [%q, %q)", lo, hi)
-	}
-	if len(e.Entries()) != 256 || e.Dictionary() == nil {
-		t.Fatal("accessors")
-	}
-	if e.Scheme() != SingleChar {
-		t.Fatal("scheme accessor")
-	}
-}
-
 // The padded byte form is strictly order-preserving, also on keys that
 // extend other keys by 0x00 runs.
 func TestPaddedBytesStrictOrder(t *testing.T) {
@@ -482,7 +444,7 @@ func TestDistributionShiftCorrectness(t *testing.T) {
 		other = append(other, []byte(fmt.Sprintf("http://198.51.100.7/id/%03d", i)))
 	}
 	sort.Slice(other, func(i, j int) bool { return bytes.Compare(other[i], other[j]) < 0 })
-	if err := e.CheckOrderPreserving(other); err != nil {
+	if err := checkOrderPreserving(e, other); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range other {
@@ -492,4 +454,57 @@ func TestDistributionShiftCorrectness(t *testing.T) {
 			t.Fatalf("shifted roundtrip failed for %q", k)
 		}
 	}
+}
+
+// checkOrderPreserving verifies on a key sample that encoding preserves
+// order bit-exactly. Keys must be sorted and unique.
+func checkOrderPreserving(e *Encoder, sortedKeys [][]byte) error {
+	if len(sortedKeys) == 0 {
+		return nil
+	}
+	prev, prevBits := cloneEnc(e, sortedKeys[0])
+	for i := 1; i < len(sortedKeys); i++ {
+		cur, curBits := cloneEnc(e, sortedKeys[i])
+		if bitCompare(prev, prevBits, cur, curBits) >= 0 {
+			return fmt.Errorf("core: order violated between %q and %q", sortedKeys[i-1], sortedKeys[i])
+		}
+		prev, prevBits = cur, curBits
+	}
+	return nil
+}
+
+func cloneEnc(e *Encoder, key []byte) ([]byte, int) {
+	b, n := e.EncodeBits(nil, key)
+	return append([]byte(nil), b...), n
+}
+
+// bitCompare orders two bit strings (byte buffers with exact bit lengths).
+func bitCompare(a []byte, aBits int, b []byte, bBits int) int {
+	min := aBits
+	if bBits < min {
+		min = bBits
+	}
+	nBytes := min / 8
+	for i := 0; i < nBytes; i++ {
+		if a[i] != b[i] {
+			if a[i] < b[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	for i := nBytes * 8; i < min; i++ {
+		ab := (a[i/8] >> (7 - uint(i)%8)) & 1
+		bb := (b[i/8] >> (7 - uint(i)%8)) & 1
+		if ab != bb {
+			return int(ab) - int(bb)
+		}
+	}
+	switch {
+	case aBits < bBits:
+		return -1
+	case aBits > bBits:
+		return 1
+	}
+	return 0
 }

@@ -111,17 +111,10 @@ func (e *Encoder) encodeShard(buf []byte, keys [][]byte, offs []int) ([]byte, []
 	var a appender
 	a.Reset(buf)
 	offs[0] = 0
-	if e.batch != nil {
-		// Batch kernel: one call encodes the whole shard with word-level
-		// parallelism, padding each key and recording its offset in place.
-		e.batch.AppendEncodeBatch(&a, keys, offs)
-		buf, _ = a.Finish()
-		return buf, offs
-	}
 	for i, k := range keys {
-		e.appendEncode(&a, k)
-		buf, _ = a.Finish() // pads to a byte boundary in place
-		offs[i+1] = len(buf)
+		e.dict.AppendEncode(&a, k)
+		offs[i+1] = a.Pad()
 	}
+	buf, _ = a.Finish()
 	return buf, offs
 }

@@ -10,28 +10,6 @@ import (
 // encode state.
 type appender = bitops.Appender
 
-// appendEncode runs the captured concrete kernel over key, falling back to
-// the interface-dispatch loop for dictionaries that do not provide one.
-// The fallback also serves as the reference loop the differential tests
-// compare the kernels against.
-func (e *Encoder) appendEncode(a *appender, key []byte) {
-	if e.kern != nil {
-		e.kern.AppendEncode(a, key)
-		return
-	}
-	e.appendEncodeGeneric(a, key)
-}
-
-// appendEncodeGeneric is the devirtualization baseline: one Dictionary
-// interface call and one sub-slice per symbol.
-func (e *Encoder) appendEncodeGeneric(a *appender, key []byte) {
-	for pos := 0; pos < len(key); {
-		code, n := e.dict.Lookup(key[pos:])
-		a.Append(code.Bits, uint(code.Len))
-		pos += n
-	}
-}
-
 // Encode compresses key and returns the code sequence padded with zero
 // bits to a byte boundary — the form the search trees store. Comparing two
 // encoded keys as byte strings preserves the order of the original keys
@@ -49,7 +27,7 @@ func (e *Encoder) Encode(key []byte) []byte {
 func (e *Encoder) EncodeBits(dst, key []byte) ([]byte, int) {
 	a := &e.app
 	a.Reset(dst)
-	e.appendEncode(a, key)
+	e.dict.AppendEncode(a, key)
 	return a.Finish()
 }
 
@@ -124,7 +102,7 @@ func (e *Encoder) EncodeBatch(keys [][]byte) [][]byte {
 	mark := a.Mark()
 	for i, k := range keys {
 		a.Restore(mark)
-		e.appendEncode(a, k[pos:])
+		e.dict.AppendEncode(a, k[pos:])
 		m2 := a.Mark()
 		buf, _ := a.Finish()
 		backing = append(backing, buf...)

@@ -12,22 +12,22 @@ import (
 var fuzzFixture struct {
 	sync.Once
 	encs []*Encoder
-	decs []*Decoder
+	decs []*TableDecoder
 	err  error
 }
 
-func fuzzEncoders(f *testing.F) ([]*Encoder, []*Decoder) {
+func fuzzEncoders(f *testing.F) ([]*Encoder, []*TableDecoder) {
 	f.Helper()
 	fuzzFixture.Do(func() {
 		rng := rand.New(rand.NewSource(1))
 		samples := sampleKeys(rng, 800)
-		for _, s := range []Scheme{SingleChar, ThreeGrams, ALMImproved} {
+		for _, s := range []Scheme{SingleChar, DoubleChar, ThreeGrams, ALMImproved} {
 			e, err := Build(s, samples, Options{DictLimit: 1024, MaxPatternLen: 16})
 			if err != nil {
 				fuzzFixture.err = err
 				return
 			}
-			d, err := NewDecoder(e)
+			d, err := NewTableDecoder(e)
 			if err != nil {
 				fuzzFixture.err = err
 				return
@@ -60,7 +60,7 @@ func FuzzEncodeRoundTrip(f *testing.F) {
 			if len(out) != (bits+7)/8 {
 				t.Fatalf("scheme %v: padding mismatch", e.Scheme())
 			}
-			back, err := decs[i].Decode(out, bits)
+			back, err := decs[i].AppendDecode(nil, out)
 			if err != nil {
 				t.Fatalf("scheme %v: decode: %v", e.Scheme(), err)
 			}
@@ -144,9 +144,9 @@ func FuzzEncodedBounds(f *testing.F) {
 	})
 }
 
-// FuzzBatchEncode: the batch kernels behind EncodeAll must be
-// byte-identical to the per-key encode path for arbitrary batches,
-// including empty keys and ragged lengths carved from the fuzz input.
+// FuzzBatchEncode: EncodeAll and Encode must both be byte-identical to the
+// Lookup loop (appendEncodeGeneric) for arbitrary batches, including
+// empty keys and ragged lengths carved from the fuzz input.
 func FuzzBatchEncode(f *testing.F) {
 	encs, _ := fuzzEncoders(f)
 	f.Add([]byte("com.gmail@alice\x00bob\x00\x00carol"), uint8(3))
@@ -170,10 +170,16 @@ func FuzzBatchEncode(f *testing.F) {
 				t.Fatalf("scheme %v: EncodeAll returned %d of %d", e.Scheme(), len(got), n)
 			}
 			for i, k := range keys {
-				want := e.Encode(k)
+				var a appender
+				a.Reset(nil)
+				e.appendEncodeGeneric(&a, k)
+				want, _ := a.Finish()
 				if !bytes.Equal(got[i], want) {
-					t.Fatalf("scheme %v: batch[%d](%q) = %x, per-key %x",
+					t.Fatalf("scheme %v: EncodeAll[%d](%q) = %x, Lookup loop %x",
 						e.Scheme(), i, k, got[i], want)
+				}
+				if one := e.Encode(k); !bytes.Equal(one, want) {
+					t.Fatalf("scheme %v: Encode(%q) = %x, Lookup loop %x", e.Scheme(), k, one, want)
 				}
 			}
 		}

@@ -47,9 +47,8 @@ func benchEncoders(b *testing.B) (map[Scheme]*Encoder, [][]byte, int) {
 	return benchFixture.encs, benchFixture.keys, benchFixture.n
 }
 
-// BenchmarkEncodeKernel measures the devirtualized single-key path: the
-// concrete kernel captured at build time, reused destination buffer,
-// 0 allocs/op.
+// BenchmarkEncodeKernel measures the single-key path: the dictionary's
+// encode kernel, reused destination buffer, 0 allocs/op.
 func BenchmarkEncodeKernel(b *testing.B) {
 	encs, keys, _ := benchEncoders(b)
 	for _, s := range Schemes {

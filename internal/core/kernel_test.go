@@ -28,6 +28,16 @@ func kernelCorpora(rng *rand.Rand) [][]byte {
 	return corpus
 }
 
+// appendEncodeGeneric is the reference every encode kernel is pinned to:
+// one Dictionary.Lookup interface call and one sub-slice per symbol.
+func (e *Encoder) appendEncodeGeneric(a *appender, key []byte) {
+	for pos := 0; pos < len(key); {
+		code, n := e.dict.Lookup(key[pos:])
+		a.Append(code.Bits, uint(code.Len))
+		pos += n
+	}
+}
+
 // referenceEncode is the devirtualization baseline: drive the reference
 // BinarySearch dictionary through the Dictionary interface, one Lookup and
 // one masked Append per symbol.

@@ -18,8 +18,9 @@ import (
 // everything else in Options only shapes symbol selection and is ignored.
 //
 // A reassembled encoder is encode-identical to the original: identical
-// entries produce identical kernels, so every key maps to the same bits —
-// which is what lets a snapshot's encoded runs be loaded back verbatim.
+// entries produce identical dictionaries, so every key maps to the same
+// bits — which is what lets a snapshot's encoded runs be loaded back
+// verbatim.
 // The entries slice is retained; callers hand over ownership.
 //
 // Reassemble admits only code sets whose padded encodings keep the key
@@ -40,7 +41,7 @@ func Reassemble(scheme Scheme, opt Options, entries []dict.Entry) (*Encoder, err
 	case FourGrams:
 		e.lookAhead = 4
 	case ALM, ALMImproved:
-		// Arbitrary-length symbols: no look-ahead, no batch kernel.
+		// Arbitrary-length symbols: no look-ahead, no batch encoding.
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %d", int(scheme))
 	}
@@ -54,8 +55,6 @@ func Reassemble(scheme Scheme, opt Options, entries []dict.Entry) (*Encoder, err
 	if err != nil {
 		return nil, err
 	}
-	e.kern, _ = e.dict.(dict.Kernel)
-	e.batch, _ = e.dict.(dict.BatchKernel)
 	e.stats.Entries = len(entries)
 	return e, nil
 }

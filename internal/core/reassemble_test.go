@@ -10,7 +10,7 @@ import (
 
 // TestReassembleEncodeIdentical pins the restore-path contract: an encoder
 // reassembled from a built encoder's entries produces byte-identical
-// encodings for every scheme, on both the point and the batch kernels.
+// encodings for every scheme, on both the point and the bulk paths.
 func TestReassembleEncodeIdentical(t *testing.T) {
 	encs := buildAll(t, nil)
 	rng := rand.New(rand.NewSource(9))

@@ -191,7 +191,7 @@ func TestRangeEncodingOptionEndToEnd(t *testing.T) {
 			}
 		}
 		sortBytes(sorted)
-		if err := e.CheckOrderPreserving(sorted); err != nil {
+		if err := checkOrderPreserving(e, sorted); err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
 		d, err := NewDecoder(e)

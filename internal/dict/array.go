@@ -13,14 +13,15 @@ import (
 // boundary and symbol are implied by the array offset.
 type SingleCharArray struct {
 	codes [256]hutucker.Code
-	// maxLen is the longest code in the table; the batch kernel uses it to
-	// bound how many codes fit the 64-bit staging word so a whole 8-symbol
-	// run can skip the per-symbol overflow check (see AppendEncodeBatch).
+	// maxLen is the longest code in the table; the encode kernel uses it
+	// to pick its body: pairs when two codes fit a pair-table entry, and
+	// two pairs per staging step when four codes fit the staging word
+	// (see AppendEncode).
 	maxLen uint
 
 	// pairBits/pairLens fuse every two-byte source combination into one
 	// precomputed code (pairBits[c1<<8|c2] = bits of c1 followed by bits
-	// of c2, pairLens the summed length). The batch kernel then issues
+	// of c2, pairLens the summed length). The encode kernel then issues
 	// one table load and one staging step per two source bytes, halving
 	// the serial shift-or dependency chain that dominates encode. Built
 	// only when 2*maxLen fits the 64-bit staging word; 576 KiB.
@@ -86,7 +87,6 @@ func (d *SingleCharArray) MemoryUsage() int { return 256 * 9 }
 type DoubleCharArray struct {
 	alphabet int
 	codes    []hutucker.Code
-	maxLen   uint // longest code; see SingleCharArray.maxLen
 }
 
 // DoubleCharEntries returns the number of entries of a Double-Char
@@ -122,9 +122,6 @@ func NewDoubleCharArray(alphabet int, entries []Entry) (*DoubleCharArray, error)
 			return nil, fmt.Errorf("dict: entry %d has symbol length %d", i, e.SymbolLen)
 		}
 		d.codes[i] = e.Code
-		if l := uint(e.Code.Len); l > d.maxLen {
-			d.maxLen = l
-		}
 	}
 	return d, nil
 }

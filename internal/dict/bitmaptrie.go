@@ -21,8 +21,7 @@ type BitmapTrie struct {
 	symLens []uint8
 	codes   []hutucker.Code
 
-	// Root dispatch table, precomputed at build for the batch encode
-	// kernel: the root level's rank/select walk is identical for every
+	// Root dispatch table, precomputed at build for the encode kernel: the root level's rank/select walk is identical for every
 	// symbol starting with the same byte, so one 256-entry table replaces
 	// a Rank256 (four popcounts) plus the branch logic per symbol.
 	// rootChild[c] >= 0 names the level-1 node to continue the floor walk
@@ -152,7 +151,7 @@ func (t *BitmapTrie) buildRootTable() {
 }
 
 // buildRoot2Table replays the first two iterations of floorFrom for
-// every byte pair, assuming at least two source bytes remain (the batch
+// every byte pair, assuming at least two source bytes remain (the encode
 // kernel falls back to the one-byte tables otherwise, because the
 // end-of-key terminator branch resolves differently).
 func (t *BitmapTrie) buildRoot2Table() {
@@ -202,7 +201,7 @@ func (t *BitmapTrie) resolve2(c0, c1 byte) int32 {
 
 // Lookup walks at most depth levels, using popcounts to locate children,
 // and returns the floor entry for src. The walk itself lives in floorIdx
-// (kernel.go), shared with the encode kernel.
+// (kernel.go); the encode kernel enters it below the root tables.
 func (t *BitmapTrie) Lookup(src []byte) (hutucker.Code, int) {
 	idx := t.floorIdx(src, 0)
 	return t.codes[idx], int(t.symLens[idx])

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bitops"
 	"repro/internal/hutucker"
 )
 
@@ -35,8 +36,13 @@ type Entry struct {
 // symbol length; src must be non-empty and the dictionary must cover the
 // axis from "\x00" (all HOPE symbol selectors guarantee this), so a lookup
 // never fails.
+//
+// AppendEncode is the encode kernel (kernel.go): it appends the codes of
+// every symbol of key to a, exactly the bits a Lookup loop over key
+// appends, in one concrete loop with no dispatch or sub-slice per symbol.
 type Dictionary interface {
 	Lookup(src []byte) (code hutucker.Code, symLen int)
+	AppendEncode(a *bitops.Appender, key []byte)
 	NumEntries() int
 	// MemoryUsage is the structure's footprint in bytes, reported for the
 	// paper's dictionary-memory experiments (Figure 8, third row).
@@ -96,8 +102,8 @@ func isPrefix(a, b hutucker.Code) bool {
 
 // checkCode rejects code words with set bits above their length. The
 // encode kernels stage codes into a 64-bit word without masking (see
-// Kernel), so this invariant is enforced once at construction instead of
-// once per appended code.
+// kernel.go), so this invariant is enforced once at construction instead
+// of once per appended code.
 func checkCode(c hutucker.Code) error {
 	if c.Len > 64 {
 		return fmt.Errorf("code length %d exceeds 64", c.Len)

@@ -2,8 +2,8 @@ package dict
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitops"
@@ -97,14 +97,46 @@ func doubleFixture(t testing.TB, alphabet int, codes []hutucker.Code) *DoubleCha
 	return d
 }
 
+// trieFixture builds a bitmap trie of the given depth over all 256 single
+// bytes plus, for depths above 1, 2000 random longer boundaries.
 func trieFixture(t testing.TB, rng *rand.Rand, depth int) *BitmapTrie {
 	t.Helper()
-	boundaries := randomCoveringBoundaries(rng, 2000, depth, 256)
+	extra := 2000
+	if depth == 1 {
+		extra = 0
+	}
+	boundaries := randomCoveringBoundaries(rng, extra, depth, 256)
 	tr, err := NewBitmapTrie(depth, makeEntries(t, boundaries))
 	if err != nil {
 		t.Fatalf("NewBitmapTrie: %v", err)
 	}
 	return tr
+}
+
+type kernelFixture struct {
+	name     string
+	d        Dictionary
+	alphabet int
+}
+
+// kernelFixtures covers every kernel body: Single-Char's pair table (short
+// and mixed codes) and encodeWords (codes over 32 bits), Double-Char with
+// short and long codes and a small alphabet, and the trie's one-byte
+// tables (depth 1), root2 resolving at the leaves (depth 2) and root2
+// continuing the walk (depths 3 and 4).
+func kernelFixtures(t *testing.T, rng *rand.Rand) []kernelFixture {
+	return []kernelFixture{
+		{"Single-Char/short", singleFixture(t, skewedCodes(t, rng, 256)), 256},
+		{"Single-Char/mixed", singleFixture(t, orderedCodes(rng, 256, 1, 24)), 256},
+		{"Single-Char/long", singleFixture(t, orderedCodes(rng, 256, 40, 63)), 256},
+		{"Double-Char/256", doubleFixture(t, 256, skewedCodes(t, rng, DoubleCharEntries(256))), 256},
+		{"Double-Char/256-long", doubleFixture(t, 256, orderedCodes(rng, DoubleCharEntries(256), 30, 63)), 256},
+		{"Double-Char/16", doubleFixture(t, 16, skewedCodes(t, rng, DoubleCharEntries(16))), 16},
+		{"1-Grams", trieFixture(t, rng, 1), 256},
+		{"2-Grams", trieFixture(t, rng, 2), 256},
+		{"3-Grams", trieFixture(t, rng, 3), 256},
+		{"4-Grams", trieFixture(t, rng, 4), 256},
+	}
 }
 
 // batchCases yields key batches covering the tricky shapes: empty
@@ -138,144 +170,96 @@ func batchCases(rng *rand.Rand, alphabet int) [][][]byte {
 	return cases
 }
 
-// refBatch is the batch contract restated over the per-key reference
-// kernel: encode each key, pad, record the offset.
-func refBatch(k Kernel, keys [][]byte) ([]byte, []int) {
+// lookupEncode is the reference: one Lookup and one masked Append per
+// symbol.
+func lookupEncode(d Dictionary, a *bitops.Appender, key []byte) {
+	for pos := 0; pos < len(key); {
+		code, n := d.Lookup(key[pos:])
+		a.Append(code.Bits, uint(code.Len))
+		pos += n
+	}
+}
+
+// encodeBatch encodes keys back to back, each padded to a byte boundary,
+// as EncodeAll lays them out, and returns the buffer and end offsets.
+func encodeBatch(encode func(*bitops.Appender, []byte), keys [][]byte) ([]byte, []int) {
 	var a bitops.Appender
 	a.Reset(nil)
 	offs := make([]int, len(keys)+1)
 	for i, key := range keys {
-		k.AppendEncode(&a, key)
-		a.Pad()
-		buf, _ := a.Finish()
-		offs[i+1] = len(buf)
+		encode(&a, key)
+		offs[i+1] = a.Pad()
 	}
 	buf, _ := a.Finish()
 	return buf, offs
 }
 
-func runBatch(b BatchKernel, keys [][]byte) ([]byte, []int) {
-	var a bitops.Appender
-	a.Reset(nil)
-	offs := make([]int, len(keys)+1)
-	b.AppendEncodeBatch(&a, keys, offs)
-	buf, _ := a.Finish()
-	return buf, offs
-}
-
-func checkBatchMatches(t *testing.T, name string, d interface {
-	Kernel
-	BatchKernel
-}, keys [][]byte) {
-	t.Helper()
-	wantBuf, wantOffs := refBatch(d, keys)
-	gotBuf, gotOffs := runBatch(d, keys)
-	if !bytes.Equal(gotBuf, wantBuf) {
-		t.Fatalf("%s: batch buffer diverges from per-key kernel\n got %x\nwant %x", name, gotBuf, wantBuf)
-	}
-	for i := range wantOffs {
-		if gotOffs[i] != wantOffs[i] {
-			t.Fatalf("%s: offs[%d] = %d, want %d", name, i, gotOffs[i], wantOffs[i])
-		}
-	}
-}
-
-// TestBatchKernelMatchesPerKey pins every batch kernel byte-identical to
-// the per-key reference across all dictionary structures, including the
-// spill-heavy long-code configurations and ragged batch shapes.
+// TestBatchKernelMatchesPerKey pins every dictionary's encode kernel
+// byte-identical to the per-key Lookup loop, including the spill-heavy
+// long-code configurations and ragged batch shapes.
 func TestBatchKernelMatchesPerKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	dicts := []struct {
-		name string
-		d    interface {
-			Kernel
-			BatchKernel
-		}
-		alphabet int
-	}{
-		{"Single-Char/short", singleFixture(t, skewedCodes(t, rng, 256)), 256},
-		{"Single-Char/mixed", singleFixture(t, orderedCodes(rng, 256, 1, 24)), 256},
-		{"Single-Char/long", singleFixture(t, orderedCodes(rng, 256, 40, 63)), 256},
-		{"Double-Char/256", doubleFixture(t, 256, skewedCodes(t, rng, DoubleCharEntries(256))), 256},
-		{"Double-Char/256-long", doubleFixture(t, 256, orderedCodes(rng, DoubleCharEntries(256), 30, 63)), 256},
-		{"Double-Char/16", doubleFixture(t, 16, skewedCodes(t, rng, DoubleCharEntries(16))), 16},
-		{"3-Grams", trieFixture(t, rng, 3), 256},
-		{"4-Grams", trieFixture(t, rng, 4), 256},
-	}
-	for _, tc := range dicts {
+	for _, tc := range kernelFixtures(t, rng) {
 		t.Run(tc.name, func(t *testing.T) {
+			ref := func(a *bitops.Appender, key []byte) { lookupEncode(tc.d, a, key) }
 			for ci, keys := range batchCases(rng, tc.alphabet) {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							t.Fatalf("case %d: panic: %v", ci, r)
-						}
-					}()
-					checkBatchMatches(t, fmt.Sprintf("%s case %d", tc.name, ci), tc.d, keys)
-				}()
+				wantBuf, wantOffs := encodeBatch(ref, keys)
+				gotBuf, gotOffs := encodeBatch(tc.d.AppendEncode, keys)
+				if !bytes.Equal(gotBuf, wantBuf) || !slices.Equal(gotOffs, wantOffs) {
+					t.Fatalf("case %d: kernel diverges from the Lookup loop\n got %x %v\nwant %x %v",
+						ci, gotBuf, gotOffs, wantBuf, wantOffs)
+				}
 			}
 		})
 	}
 }
 
-// TestBatchKernelGoPathMatches drives the word-parallel encodeWords loops
-// directly: the batch kernels reach them only for codes longer than 32
-// bits, so short-code dictionaries would otherwise leave them uncovered.
+// TestBatchKernelGoPathMatches drives Single-Char's word-parallel
+// encodeWords loop directly: the kernel reaches it only for codes longer
+// than 32 bits, so short codes would otherwise leave its grouped fast path
+// uncovered.
 func TestBatchKernelGoPathMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	single := singleFixture(t, orderedCodes(rng, 256, 1, 20))
-	double := doubleFixture(t, 256, orderedCodes(rng, DoubleCharEntries(256), 1, 20))
 	for ci, keys := range batchCases(rng, 256) {
 		for _, key := range keys {
 			var want, got bitops.Appender
 			want.Reset(nil)
 			got.Reset(nil)
-			single.AppendEncode(&want, key)
+			lookupEncode(single, &want, key)
 			single.encodeWords(&got, key)
 			wb, wn := want.Finish()
 			gb, gn := got.Finish()
 			if wn != gn || !bytes.Equal(wb, gb) {
-				t.Fatalf("Single-Char case %d: encodeWords diverges for key %x", ci, key)
-			}
-			want.Reset(nil)
-			got.Reset(nil)
-			double.AppendEncode(&want, key)
-			double.encodeWords(&got, key)
-			wb, wn = want.Finish()
-			gb, gn = got.Finish()
-			if wn != gn || !bytes.Equal(wb, gb) {
-				t.Fatalf("Double-Char case %d: encodeWords diverges for key %x", ci, key)
+				t.Fatalf("case %d: encodeWords diverges for key %x", ci, key)
 			}
 		}
 	}
 }
 
-// TestBatchKernelAppendsMidStream checks the batch kernels compose with
-// a non-empty appender: offsets are absolute byte counts, not per-batch.
+// TestBatchKernelAppendsMidStream starts every kernel on an appender that
+// already holds 1 to 63 bits, as EncodeBatch does after encoding a shared
+// prefix once: the output must be the Lookup loop's from the same state.
 func TestBatchKernelAppendsMidStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	d := singleFixture(t, orderedCodes(rng, 256, 1, 12))
-	keys := [][]byte{[]byte("alpha"), []byte("beta-gamma-delta"), {}}
-
-	var a bitops.Appender
-	a.Reset(nil)
-	d.AppendEncode(&a, []byte("prefix"))
-	start := a.Pad()
-	offs := make([]int, len(keys)+1)
-	offs[0] = start
-	d.AppendEncodeBatch(&a, keys, offs)
-	buf, _ := a.Finish()
-
-	var ref bitops.Appender
-	ref.Reset(nil)
-	refKeys, refOffs := refBatch(d, keys)
-	_ = ref
-	if !bytes.Equal(buf[start:], refKeys) {
-		t.Fatalf("mid-stream batch bytes diverge")
-	}
-	for i := 1; i < len(offs); i++ {
-		if offs[i]-start != refOffs[i] {
-			t.Fatalf("mid-stream offs[%d] = %d, want %d", i, offs[i]-start, refOffs[i]+start)
+	for _, tc := range kernelFixtures(t, rng) {
+		for ci, keys := range batchCases(rng, tc.alphabet) {
+			for _, key := range keys {
+				lead := uint(1 + rng.Intn(63))
+				bits := rng.Uint64() & (1<<lead - 1)
+				var want, got bitops.Appender
+				want.Reset(nil)
+				got.Reset(nil)
+				want.Append(bits, lead)
+				got.Append(bits, lead)
+				lookupEncode(tc.d, &want, key)
+				tc.d.AppendEncode(&got, key)
+				wb, wn := want.Finish()
+				gb, gn := got.Finish()
+				if wn != gn || !bytes.Equal(wb, gb) {
+					t.Fatalf("%s case %d: after %d lead bits the kernel diverges for key %x", tc.name, ci, lead, key)
+				}
+			}
 		}
 	}
 }
