@@ -63,7 +63,8 @@ import (
 //   - Walk: every old tree shard in parallel, decoding its stored keys
 //     in chunks, one read-lock hold per chunk.
 //   - Build the next generation's trees off every lock with one Bulk:
-//     EncodeAll, one sort of the compressed keys, a bottom-up BulkLoad.
+//     one parallel route-and-encode pass, one sort of each shard's
+//     compressed keys, a bottom-up BulkLoad.
 //   - Replay, pass one: per stripe, under its own lock, take the change
 //     list; apply it to next's trees after the unlock — each key's last
 //     logged write, which is exact whatever the walk saw of a concurrent
@@ -409,7 +410,7 @@ func (a *AdaptiveIndex) newGeneration(enc *core.Encoder, splits [][]byte) (*gene
 
 // route routes a key whose stripe is already known to one
 // generation's tree shard: for a hash-partitioned generation the tree
-// shard IS the stripe (same FNV, same power-of-two count), so no hash is
+// shard IS the stripe (same hash, same power-of-two count), so no hash is
 // recomputed; range partitioners binary-search the key.
 func route(g *generation, stripe int, key []byte) int {
 	if _, ok := g.idx.part.(*HashPartitioner); ok {

@@ -410,6 +410,65 @@ func BenchmarkShardedScan(b *testing.B) {
 	}
 }
 
+// BenchmarkBulk times one Bulk into an empty store — the parallel
+// route-and-encode pass, the per-shard gather, sort and bottom-up build —
+// in the shapes perfbench sets up: 50k URLs, Double-Char, B+tree, at 1
+// and 2 hash shards (point-url), and 50k emails, 3-Grams 4K, an adaptive
+// ART of 2 shards (drift-email). Opening and closing the store are not
+// timed.
+func BenchmarkBulk(b *testing.B) {
+	const n = 50_000
+	urls := datagen.Generate(datagen.URL, n, 1)
+	emails := datagen.Generate(datagen.Email, n, 1)
+	encoder := func(b *testing.B, scheme hope.Scheme, keys [][]byte, opt hope.Options) *hope.Encoder {
+		enc, err := hope.Build(scheme, hope.SampleKeys(keys, 0.01, 1), opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return enc
+	}
+	email4K := hope.Options{DictLimit: 1 << 12}
+	for _, leg := range []struct {
+		name string
+		keys [][]byte
+		open func(enc *hope.Encoder) (hope.Store, error)
+		enc  func(b *testing.B) *hope.Encoder
+	}{
+		{"point-url/1", urls, func(enc *hope.Encoder) (hope.Store, error) {
+			return hope.Open(hope.BTree, hope.WithEncoder(enc), hope.WithShards(1))
+		}, func(b *testing.B) *hope.Encoder { return encoder(b, hope.DoubleChar, urls, hope.Options{}) }},
+		{"point-url/2", urls, func(enc *hope.Encoder) (hope.Store, error) {
+			return hope.Open(hope.BTree, hope.WithEncoder(enc), hope.WithShards(2))
+		}, func(b *testing.B) *hope.Encoder { return encoder(b, hope.DoubleChar, urls, hope.Options{}) }},
+		{"drift-email/AdaptiveIndex", emails, func(enc *hope.Encoder) (hope.Store, error) {
+			return hope.Open(hope.ART, hope.WithAdaptive(hope.AdaptiveOptions{
+				Scheme: hope.ThreeGrams, Build: email4K, Encoder: enc, Shards: 2, Manual: true,
+			}))
+		}, func(b *testing.B) *hope.Encoder { return encoder(b, hope.ThreeGrams, emails, email4K) }},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			enc := leg.enc(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st, err := leg.open(enc.Clone())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := st.Bulk(leg.keys, nil); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				st.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/key")
+		})
+	}
+}
+
 // BenchmarkAdaptivePut measures the adaptive write path under
 // multi-goroutine pressure — the satellite target of the striped
 // lifecycle tracker (no global accounting mutex) and the folded

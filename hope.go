@@ -65,9 +65,10 @@ var Schemes = core.Schemes
 // assignment).
 type Options = core.Options
 
-// Encoder compresses keys order-preservingly. Except for EncodeAll, it is
-// not safe for concurrent use; wrap it in a ConcurrentEncoder (dictionary
-// lookups are read-only, only the bit-buffer state needs isolating).
+// Encoder compresses keys order-preservingly. Except for EncodeAll and
+// EncodeRun, it is not safe for concurrent use; wrap it in a
+// ConcurrentEncoder (dictionary lookups are read-only, only the
+// bit-buffer state needs isolating).
 // Encoding runs through a dictionary-specialized kernel captured at build
 // time — an allocation-free fused lookup+append loop with no interface
 // dispatch per symbol.

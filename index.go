@@ -158,14 +158,14 @@ func (x *Index) Delete(key []byte) (bool, error) {
 	return x.be.remove(x.encodePoint(key))
 }
 
-// Bulk loads keys[i] -> vals[i] through the parallel bulk-encode path. A
-// nil vals assigns each key its position; a key given more than once
-// keeps the value of its last position. Keys need not be sorted. Into an
-// empty ART, B+tree, Prefix B+tree or HOT, the encoded keys are sorted
-// once and the tree is built bottom-up; a tree that already holds keys
-// inserts them one by one (overwriting stored values). For the SuRF
-// backend Bulk builds the filter over the sorted encoded run and retains
-// the run, replacing any earlier contents.
+// Bulk loads keys[i] -> vals[i] through the parallel bulk path
+// (bulkPass with one shard). A nil vals assigns each key its position; a
+// key given more than once keeps the value of its last position. Keys
+// need not be sorted. Into an empty ART, B+tree, Prefix B+tree or HOT,
+// the encoded keys are sorted once and the tree is built bottom-up; a
+// tree that already holds keys inserts them one by one (overwriting
+// stored values). For the SuRF backend Bulk builds the filter over the
+// sorted encoded run and retains the run, replacing any earlier contents.
 func (x *Index) Bulk(keys [][]byte, vals []uint64) error {
 	if x.closed {
 		return ErrClosed
@@ -173,24 +173,13 @@ func (x *Index) Bulk(keys [][]byte, vals []uint64) error {
 	if vals != nil && len(vals) != len(keys) {
 		return fmt.Errorf("hope: %d keys but %d values", len(keys), len(vals))
 	}
-	if vals == nil {
-		vals = make([]uint64, len(keys))
-		for i := range vals {
-			vals[i] = uint64(i)
-		}
-	}
-	var encoded [][]byte
-	if x.enc != nil {
-		encoded = x.enc.EncodeAll(keys)
-	} else {
-		encoded = copyAll(keys)
-	}
-	return x.be.bulk(encoded, vals)
+	return bulkPass(x.enc, 1, nil, keys, vals, true, func(_ int, keys [][]byte, vals []uint64) error {
+		return x.be.bulk(keys, vals)
+	})
 }
 
-// copyAll deep-copies keys into slices of one backing array — the
-// uncompressed bulk-load path (backends retain keys and callers may reuse
-// their buffers).
+// copyAll deep-copies keys into slices of one backing array: the run a
+// SuRF backend retains owns its bytes and nothing else.
 func copyAll(keys [][]byte) [][]byte {
 	backing := make([]byte, 0, totalLen(keys))
 	out := make([][]byte, len(keys))
@@ -267,9 +256,10 @@ func appendSuccessor(dst, p []byte) []byte {
 }
 
 // indexBackend adapts one search tree to the facade. Keys at this layer
-// are already in stored (encoded) form. insert copies the key bytes it
-// keeps (every tree does), so point ops may pass scratch buffers; bulk
-// may keep the keys it is handed.
+// are already in stored (encoded) form. insert and bulk copy the key
+// bytes they keep (every tree does, and SuRF copies its run), so callers
+// may pass scratch buffers, bulk workers' shared encode buffers or
+// snapshot file bytes.
 type indexBackend interface {
 	insert(k []byte, v uint64) error
 	bulk(keys [][]byte, vals []uint64) error
@@ -377,8 +367,9 @@ func (b *surfBackend) remove([]byte) (bool, error) { return false, ErrImmutableB
 
 func (b *surfBackend) bulk(keys [][]byte, vals []uint64) error {
 	keys, vals = sortRun(keys, vals)
-	// The run may alias the caller's vals; the backend retains its own.
-	b.keys, b.vals = keys, slices.Clone(vals)
+	// The run may alias the caller's keys and vals; the backend retains
+	// its own, the key bytes in one arena of exactly this run.
+	b.keys, b.vals = copyAll(keys), slices.Clone(vals)
 	b.filter = surf.Build(b.keys, surf.Real, 8)
 	return nil
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"runtime"
 	"sync"
+
+	"repro/internal/bitops"
 )
 
 // encodeAllMinShard is the smallest per-worker shard worth a goroutine;
@@ -48,7 +50,7 @@ func (e *Encoder) EncodeAll(keys [][]byte) [][]byte {
 	if workers <= 1 {
 		// Serial: encode straight into the final backing (no merge copy,
 		// nothing worth pooling — backing and offsets are the result).
-		backing, offs := e.encodeShard(nil, keys, make([]int, len(keys)+1))
+		backing, offs := e.EncodeRun(make([]byte, 0, SizeHint(keys)), keys, make([]int, 1, len(keys)+1))
 		return carve(out, backing, offs)
 	}
 	// Shard boundaries: contiguous, near-equal key counts; worker w owns
@@ -61,10 +63,10 @@ func (e *Encoder) EncodeAll(keys [][]byte) [][]byte {
 			defer wg.Done()
 			shard := keys[w*len(keys)/workers : (w+1)*len(keys)/workers]
 			ew := encodeWorkerPool.Get().(*encodeWorker)
-			if cap(ew.offs) < len(shard)+1 {
-				ew.offs = make([]int, len(shard)+1)
+			if hint := SizeHint(shard); cap(ew.buf) < hint {
+				ew.buf = make([]byte, 0, hint)
 			}
-			ew.buf, ew.offs = e.encodeShard(ew.buf, shard, ew.offs[:len(shard)+1])
+			ew.buf, ew.offs = e.EncodeRun(ew.buf[:0], shard, append(ew.offs[:0], 0))
 			ws[w] = ew
 		}(w)
 	}
@@ -91,30 +93,32 @@ func (e *Encoder) EncodeAll(keys [][]byte) [][]byte {
 	return out
 }
 
-// encodeShard encodes a contiguous run of keys back to back into one
-// growing buffer, recording the byte offset of each encoding in offs
-// (offs[i]..offs[i+1] is key i's padded encoding). buf's storage is reused
-// when its capacity suffices; otherwise the buffer is pre-sized to the
-// shard's source byte count — compression rates are ≥ 1 on workload-like
-// keys, so this usually avoids regrowth entirely (it is a hint, not a
-// bound: adversarial bytes can encode to more bits than they occupy, and
-// append still grows then).
-func (e *Encoder) encodeShard(buf []byte, keys [][]byte, offs []int) ([]byte, []int) {
-	hint := 0
+// EncodeRun appends the padded encodings of keys back to back to buf, and
+// the offset in buf where each one ends to ends. Started with ends =
+// [len(buf)], key j's encoding is buf[ends[j]:ends[j+1]]. It is the one
+// per-worker encode loop, behind EncodeAll and the stores' bulk loads,
+// which call it a chunk at a time so that a key is encoded while it is
+// still in cache. Like EncodeAll it reads only the dictionary, so it is
+// safe for concurrent use. A buf of SizeHint capacity rarely regrows.
+func (e *Encoder) EncodeRun(buf []byte, keys [][]byte, ends []int) ([]byte, []int) {
+	a := bitops.NewAppender(buf)
 	for _, k := range keys {
-		hint += len(k)
-	}
-	if cap(buf) < hint+8 {
-		buf = make([]byte, 0, hint+8)
-	}
-	buf = buf[:0]
-	var a appender
-	a.Reset(buf)
-	offs[0] = 0
-	for i, k := range keys {
-		e.dict.AppendEncode(&a, k)
-		offs[i+1] = a.Pad()
+		e.dict.AppendEncode(a, k)
+		ends = append(ends, a.Pad())
 	}
 	buf, _ = a.Finish()
-	return buf, offs
+	return buf, ends
+}
+
+// SizeHint is a capacity for the encodings of keys: their source byte
+// count plus the appender's 8-byte spill. Compression rates are >= 1 on
+// workload-like keys, so a buffer of this size usually never grows (it is
+// a hint, not a bound: adversarial bytes can encode to more bits than they
+// occupy, and append still grows then).
+func SizeHint(keys [][]byte) int {
+	n := 8
+	for _, k := range keys {
+		n += len(k)
+	}
+	return n
 }

@@ -69,9 +69,11 @@ const (
 	// Version is the format version Writer stamps into the header. The
 	// section framing is the same in every version; the version tells the
 	// caller how to read its payloads (version 2 drops a field from the
-	// hope meta section), and Decode accepts minVersion..Version. A reader
-	// that knows only version 1 refuses version-2 files as corrupt.
-	Version    = 2
+	// hope meta section; version 3 changes the hash that routed the hope
+	// runs of a hash-partitioned store), and Decode accepts
+	// minVersion..Version. A reader that knows only version 1 refuses
+	// version-2 files as corrupt.
+	Version    = 3
 	minVersion = 1
 
 	// FooterKind is the reserved section kind closing every snapshot;

@@ -11,7 +11,7 @@ import (
 // A Partitioner maps original keys to ShardedIndex shards. Two policies
 // ship with the package:
 //
-//   - HashPartitioner (the default): FNV-hash the original key bytes.
+//   - HashPartitioner (the default): hash the original key bytes.
 //     Point operations spread perfectly, but every range scan must consult
 //     every shard — the hash scatters adjacent keys across all of them.
 //   - RangePartitioner: route by sampled split points, so each shard owns
@@ -73,8 +73,9 @@ func (m PartitionMode) String() string {
 	return "PartitionMode(?)"
 }
 
-// HashPartitioner is the default policy: FNV-1a over the original key
-// bytes, masked to a power-of-two shard count (see shardHash).
+// HashPartitioner is the default policy: a word-at-a-time hash of the
+// original key bytes, masked to a power-of-two shard count (see
+// shardHash).
 type HashPartitioner struct {
 	n    int
 	mask uint64
@@ -93,7 +94,7 @@ func NewHashPartitioner(nShards int) *HashPartitioner {
 // NumShards returns the shard count.
 func (p *HashPartitioner) NumShards() int { return p.n }
 
-// Shard routes by FNV hash of the original key bytes.
+// Shard routes by the hash of the original key bytes.
 func (p *HashPartitioner) Shard(key []byte) int { return int(shardHash(key) & p.mask) }
 
 // Ordered reports false: hashed shards interleave the keyspace.

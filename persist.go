@@ -42,6 +42,9 @@ const DefaultSnapshotRetain = 2
 // over the same directory restores the newest valid generation without
 // re-encoding a single key: the dictionary is reassembled from its
 // serialized entries and the stored encodings bulk-load shard-parallel.
+// (A hash-partitioned store written before format version 3 is the
+// exception: its routing hash has changed, so its keys are decoded and
+// re-Bulked.)
 //
 // Snapshot may be called concurrently with serving traffic on the
 // concurrent stores (ShardedIndex, AdaptiveIndex); the image is per-shard

@@ -132,7 +132,7 @@ func (r *payloadReader) count(n uint64, minSize int) int {
 }
 
 // bytes returns the next length-prefixed byte string, aliasing the
-// payload buffer; callers that retain it must copy (see ownedCopies).
+// payload buffer; callers that retain it must copy.
 func (r *payloadReader) bytes() []byte {
 	n := int(r.u32())
 	if r.err != nil || r.off+n > len(r.b) || n < 0 {
@@ -277,7 +277,8 @@ func encodeRun(keys [][]byte, vals []uint64) []byte {
 	return b
 }
 
-// decodeRun parses a secRun payload. Returned key slices alias payload.
+// decodeRun parses a secRun payload. Returned key slices alias payload;
+// the backends' bulk paths copy what they keep.
 func decodeRun(payload []byte) (keys [][]byte, vals []uint64, err error) {
 	r := &payloadReader{b: payload}
 	count := r.count(r.u64(), minRunEntry)
@@ -294,11 +295,4 @@ func decodeRun(payload []byte) (keys [][]byte, vals []uint64, err error) {
 		return nil, nil, err
 	}
 	return keys, vals, nil
-}
-
-// ownedCopies deep-copies key slices (typically aliasing a snapshot file
-// buffer) into slices of one fresh backing array, the form backends may
-// retain (they keep bulk-loaded keys by reference).
-func ownedCopies(keys [][]byte) [][]byte {
-	return copyAll(keys)
 }

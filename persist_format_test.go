@@ -1,12 +1,15 @@
 package hope
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -87,7 +90,7 @@ func snapshotOf(t *testing.T, backend Backend, keys [][]byte, opts ...Option) (*
 	return snap, o
 }
 
-// TestPersistReadsVersion1: snapshots are written as version 2, and a
+// TestPersistReadsVersion1: snapshots are written as version 3, and a
 // version-1 snapshot — the same sections with the version-1 meta layout —
 // still restores, with its longest-key slot ignored: prefix scans over the
 // restored store match the model whatever the slot says.
@@ -100,8 +103,8 @@ func TestPersistReadsVersion1(t *testing.T) {
 	}
 	for name, opts := range shapes {
 		snap, o := snapshotOf(t, BTree, keys, opts...)
-		if snap.Version != snapshot.Version || snapshot.Version != 2 {
-			t.Fatalf("%s: snapshot written as version %d, want 2", name, snap.Version)
+		if snap.Version != snapshot.Version || snapshot.Version != 3 {
+			t.Fatalf("%s: snapshot written as version %d, want 3", name, snap.Version)
 		}
 		meta, err := decodeMeta(snap.Sections[0].Payload, snap.Version)
 		if err != nil {
@@ -131,13 +134,126 @@ func TestPersistReadsVersion1(t *testing.T) {
 	}
 }
 
+// fnvShard is the routing of snapshot format versions 1 and 2: FNV-1a
+// over the key bytes, high half folded in, masked to the shard count.
+func fnvShard(key []byte, shards int) int {
+	h := uint64(0xcbf29ce484222325)
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= 0x100000001b3
+	}
+	return int((h ^ h>>32) & uint64(shards-1))
+}
+
+// TestPersistReroutesOldHashSnapshots: a hash-partitioned store of more
+// than one shard written before format version 3 holds its keys in the
+// shards FNV-1a chose. Restored, every key is decoded and re-routed by
+// today's hash — the runs are never loaded into the shards they were
+// written to — so every key returns its value and full and prefix scans
+// match the model. The snapshots are version-2 files built here: a
+// version-3 snapshot of the same store with its runs regrouped by FNV-1a.
+func TestPersistReroutesOldHashSnapshots(t *testing.T) {
+	keys := adversarialCorpus()
+	enc := testEncoders(t)[core.ThreeGrams]
+	dec, err := core.NewTableDecoder(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards = 4
+	cases := []struct {
+		name    string
+		backend Backend
+		opts    []Option
+	}{
+		{"Sharded/B+tree/compressed", BTree, []Option{WithEncoder(enc.Clone()), WithShards(shards)}},
+		{"Sharded/B+tree/uncompressed", BTree, []Option{WithShards(shards)}},
+		{"Sharded/ART/compressed", ART, []Option{WithEncoder(enc.Clone()), WithShards(shards)}},
+		{"Sharded/ART/uncompressed", ART, []Option{WithShards(shards)}},
+		{"Adaptive/ART", ART, []Option{WithAdaptive(AdaptiveOptions{Encoder: enc.Clone(), Shards: shards, Manual: true})}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			snap, o := snapshotOf(t, c.backend, keys, c.opts...)
+			meta, err := decodeMeta(snap.Sections[0].Payload, snap.Version)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type entry struct {
+				stored []byte
+				val    uint64
+			}
+			old := make([][]entry, shards)
+			var v2 []snapshot.Section
+			moved := 0
+			for _, sec := range snap.Sections {
+				if sec.Kind != secRun {
+					v2 = append(v2, sec)
+					continue
+				}
+				stored, vals, err := decodeRun(sec.Payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, k := range stored {
+					orig := k
+					if meta.scheme >= 0 {
+						if orig, err = dec.AppendDecode(nil, k); err != nil {
+							t.Fatal(err)
+						}
+					}
+					w := fnvShard(orig, shards)
+					if w != sec.Shard {
+						moved++
+					}
+					old[w] = append(old[w], entry{k, vals[i]})
+				}
+			}
+			if moved == 0 {
+				t.Fatal("FNV-1a routes every key to its current shard; the fixture tests nothing")
+			}
+			for w, run := range old {
+				sort.Slice(run, func(i, j int) bool { return bytes.Compare(run[i].stored, run[j].stored) < 0 })
+				ks, vs := make([][]byte, len(run)), make([]uint64, len(run))
+				for i, e := range run {
+					ks[i], vs[i] = e.stored, e.val
+				}
+				v2 = append(v2, snapshot.Section{Kind: secRun, Shard: w, Payload: encodeRun(ks, vs)})
+			}
+			dir := t.TempDir()
+			writeSnapshotFile(t, dir, 2, snap.Generation, v2)
+			st := mustOpen(t, c.backend, WithSnapshotDir(dir))
+			defer st.Close()
+			if !st.(*Persistent).Restored() {
+				t.Fatal("version-2 snapshot not restored")
+			}
+			checkRestoredEquals(t, st, o)
+			for _, p := range [][]byte{[]byte("com.gmail@"), []byte("app"), []byte("a"), {0xff}, {0x00}} {
+				var want []uint64
+				for _, k := range o.keys { // sorted by checkRestoredEquals
+					if bytes.HasPrefix(k, p) {
+						want = append(want, o.vals[string(k)])
+					}
+				}
+				var got []uint64
+				st.ScanPrefix(p, func(_ []byte, v uint64) bool {
+					got = append(got, v)
+					return true
+				})
+				if !slices.Equal(got, want) {
+					t.Fatalf("ScanPrefix(%q) visited values %v, want %v", p, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestPersistRefusesUnknownVersion: a snapshot stamped with a version
-// outside 1..2 is refused with ErrSnapshotCorrupt, the way a reader that
+// outside 1..3 is refused with ErrSnapshotCorrupt, the way a reader that
 // knows only version 1 refuses a version-2 file.
 func TestPersistRefusesUnknownVersion(t *testing.T) {
 	keys := adversarialCorpus()
 	snap, _ := snapshotOf(t, BTree, keys, WithEncoder(testEncoders(t)[core.SingleChar].Clone()))
-	for _, v := range []uint32{0, 3} {
+	for _, v := range []uint32{0, 4} {
 		dir := t.TempDir()
 		writeSnapshotFile(t, dir, v, snap.Generation, snap.Sections)
 		st, err := Open(BTree, WithSnapshotDir(dir))

@@ -15,7 +15,10 @@ import (
 // assignment entirely), and the stored encodings in the run sections load
 // back verbatim through each backend's bulk path, shard-parallel. Runs are
 // dumped in encoded order, so for every backend that path is one linear
-// sortedness check and a bottom-up build (sortRun's fast path).
+// sortedness check and a bottom-up build (sortRun's fast path). The one
+// exception is a hash-partitioned store written before format version 3,
+// whose routing hash has since changed: its keys are decoded and
+// re-Bulked (rerouteRuns).
 
 // restoreStore rebuilds the store a snapshot serialized. backend is the
 // caller's requested backend and must match the dumped one — a snapshot
@@ -66,13 +69,16 @@ func restoreStore(backend Backend, snap *snapshot.Snapshot, c *openConfig) (Stor
 		rest = rest[1:]
 	}
 
+	// Before version 3 a hash partition routed keys by FNV-1a, so its runs
+	// sit in the wrong shards for today's hash.
+	reroute := snap.Version < 3 && meta.partition != 1 && meta.shards > 1
 	switch meta.storeKind {
 	case kindIndex:
 		return restoreIndex(backend, enc, rest)
 	case kindSharded:
-		return restoreSharded(backend, meta, enc, rest)
+		return restoreSharded(backend, meta, enc, rest, reroute)
 	case kindAdaptive:
-		return restoreAdaptive(backend, meta, enc, rest, c)
+		return restoreAdaptive(backend, meta, enc, rest, c, reroute)
 	}
 	return nil, fmt.Errorf("%w: unknown store kind %d", ErrSnapshotCorrupt, meta.storeKind)
 }
@@ -111,7 +117,7 @@ func restoreIndex(backend Backend, enc *core.Encoder, sections []snapshot.Sectio
 	if err != nil {
 		return nil, err
 	}
-	if err := x.be.bulk(ownedCopies(keys), vals); err != nil {
+	if err := x.be.bulk(keys, vals); err != nil {
 		return nil, err
 	}
 	return x, nil
@@ -128,7 +134,7 @@ func restorePartitioner(meta snapMeta) Partitioner {
 	return NewRangePartitioner(meta.splits)
 }
 
-func restoreSharded(backend Backend, meta snapMeta, enc *core.Encoder, sections []snapshot.Section) (*ShardedIndex, error) {
+func restoreSharded(backend Backend, meta snapMeta, enc *core.Encoder, sections []snapshot.Section, reroute bool) (*ShardedIndex, error) {
 	payloads, err := runSections(sections, secRun, int(meta.shards))
 	if err != nil {
 		return nil, err
@@ -137,16 +143,20 @@ func restoreSharded(backend Backend, meta snapMeta, enc *core.Encoder, sections 
 	if err != nil {
 		return nil, err
 	}
-	if err := loadRuns(s, payloads); err != nil {
+	if err := loadRuns(s, payloads, reroute); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// loadRuns loads one decoded secRun payload into each of s's shards.
-// Shard loads are independent: decode, copy, and bulk-insert each shard's
-// run in parallel, the restore-side mirror of Bulk's layout.
-func loadRuns(s *ShardedIndex, payloads [][]byte) error {
+// loadRuns loads the decoded secRun payloads into s's shards: run i into
+// shard i, or, with reroute, every run through s.Bulk (rerouteRuns).
+// Shard loads are independent: decode and bulk-insert each shard's run in
+// parallel, the restore-side mirror of Bulk's layout.
+func loadRuns(s *ShardedIndex, payloads [][]byte, reroute bool) error {
+	if reroute {
+		return rerouteRuns(s, payloads)
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(payloads))
 	for i := range payloads {
@@ -158,7 +168,7 @@ func loadRuns(s *ShardedIndex, payloads [][]byte) error {
 				errs[i] = err
 				return
 			}
-			errs[i] = s.shards[i].be.bulk(ownedCopies(keys), vals)
+			errs[i] = s.shards[i].be.bulk(keys, vals)
 		}(i)
 	}
 	wg.Wait()
@@ -170,11 +180,52 @@ func loadRuns(s *ShardedIndex, payloads [][]byte) error {
 	return nil
 }
 
+// rerouteRuns loads runs whose shards s's partitioner no longer agrees
+// with: it decodes every stored key back to its original key
+// (core.TableDecoder; an uncompressed run already holds them) and
+// bulk-loads them all, so each lands where today's routing looks for it.
+func rerouteRuns(s *ShardedIndex, payloads [][]byte) error {
+	var dec *core.TableDecoder
+	if s.enc != nil {
+		var err error
+		if dec, err = core.NewTableDecoder(s.enc); err != nil {
+			return err
+		}
+	}
+	var arena []byte
+	var ends []int
+	var keys [][]byte
+	var vals []uint64
+	for _, p := range payloads {
+		stored, vs, err := decodeRun(p)
+		if err != nil {
+			return err
+		}
+		vals = append(vals, vs...)
+		if dec == nil {
+			keys = append(keys, stored...)
+			continue
+		}
+		for _, k := range stored {
+			if arena, err = dec.AppendDecode(arena, k); err != nil {
+				return fmt.Errorf("%w: decode stored key: %w", ErrSnapshotCorrupt, err)
+			}
+			ends = append(ends, len(arena))
+		}
+	}
+	start := 0
+	for _, end := range ends {
+		keys = append(keys, arena[start:end:end])
+		start = end
+	}
+	return s.Bulk(keys, vals)
+}
+
 // restoreAdaptive rebuilds an AdaptiveIndex whose serving generation is
 // the dumped sharded store. Snapshots of the retired format, whose
 // sections held per-stripe records (section kind 4), are refused with
 // ErrSnapshotCorrupt.
-func restoreAdaptive(backend Backend, meta snapMeta, enc *core.Encoder, sections []snapshot.Section, c *openConfig) (*AdaptiveIndex, error) {
+func restoreAdaptive(backend Backend, meta snapMeta, enc *core.Encoder, sections []snapshot.Section, c *openConfig, reroute bool) (*AdaptiveIndex, error) {
 	for _, sec := range sections {
 		if sec.Kind == secRetiredARun {
 			return nil, fmt.Errorf("%w: adaptive snapshot in the retired record-run format", ErrSnapshotCorrupt)
@@ -206,7 +257,7 @@ func restoreAdaptive(backend Backend, meta snapMeta, enc *core.Encoder, sections
 	if err != nil {
 		return nil, err
 	}
-	if err := loadRuns(a.cur.Load().idx, payloads); err != nil {
+	if err := loadRuns(a.cur.Load().idx, payloads, reroute); err != nil {
 		return nil, err
 	}
 	return a, nil

@@ -1,9 +1,12 @@
 package hope
 
 import (
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 )
 
 // TestPointOpScratchNotRetained locks the facade's most fragile contract:
@@ -123,6 +126,80 @@ func TestShardedScratchNotRetained(t *testing.T) {
 			gotV, gotOK := s.Get(k)
 			if gotOK != wantOK || (wantOK && gotV != wantV) {
 				t.Fatalf("%s: Get(%q) = %d,%v want %d,%v", backend, k, gotV, gotOK, wantV, wantOK)
+			}
+		}
+	}
+}
+
+// TestBulkKeysNotRetained: Bulk hands an uncompressed store's backends
+// the caller's own key slices, and a compressed store's the bulk
+// workers' encode buffers, so every backend's bulk path must copy the
+// bytes it keeps. Each store is bulk-loaded from keys carved out of one
+// buffer, the buffer is clobbered, and every key must still return its
+// value and appear in a full scan.
+func TestBulkKeysNotRetained(t *testing.T) {
+	corpus := adversarialCorpus()
+	for _, backend := range Backends {
+		for _, enc := range []*core.Encoder{nil, testEncoders(t)[core.ThreeGrams]} {
+			for _, shards := range []int{1, 4} {
+				name := fmt.Sprintf("%s/encoded=%v/shards=%d", backend, enc != nil, shards)
+				var opts []Option
+				if enc != nil {
+					opts = append(opts, WithEncoder(enc.Clone()))
+				}
+				if shards > 1 {
+					opts = append(opts, WithShards(shards))
+				}
+				s := mustOpen(t, backend, opts...)
+				buf := make([]byte, 0, totalLen(corpus))
+				keys := make([][]byte, len(corpus))
+				for i, k := range corpus {
+					buf = append(buf, k...)
+					keys[i] = buf[len(buf)-len(k):]
+				}
+				if err := s.Bulk(keys, nil); err != nil {
+					t.Fatal(err)
+				}
+				for i := range buf {
+					buf[i] = 0xA5
+				}
+				for i, k := range corpus {
+					if v, ok := s.Get(k); !ok || v != uint64(i) {
+						t.Fatalf("%s: Get(%q) = %d,%v after the input was clobbered, want %d,true", name, k, v, ok, i)
+					}
+				}
+				if n := s.Scan(nil, nil, func([]byte, uint64) bool { return true }); n != len(corpus) {
+					t.Fatalf("%s: full scan visited %d keys, want %d", name, n, len(corpus))
+				}
+			}
+		}
+	}
+}
+
+// TestSuRFShardOwnsItsKeys: a SuRF shard retains its sorted run, and the
+// run's key bytes must be the shard's own — back to back in one arena, in
+// key order — not slices of a bulk worker's encode buffer that also holds
+// other shards' keys, or of the caller's keys, which would keep those
+// buffers alive as long as the shard.
+func TestSuRFShardOwnsItsKeys(t *testing.T) {
+	keys := datagen.Generate(datagen.Email, 5000, 4)
+	for _, enc := range []*core.Encoder{nil, testEncoders(t)[core.ThreeGrams]} {
+		s := mustOpen(t, SuRF, WithEncoder(enc), WithShards(4)).(*ShardedIndex)
+		if err := s.Bulk(keys, nil); err != nil {
+			t.Fatal(err)
+		}
+		for w, sh := range s.shards {
+			run := sh.be.(*surfBackend).keys
+			if len(run) == 0 {
+				t.Fatalf("encoded=%v: shard %d holds no keys", enc != nil, w)
+			}
+			base := unsafe.SliceData(run[0])
+			off := 0
+			for i, k := range run {
+				if len(k) > 0 && unsafe.SliceData(k) != (*byte)(unsafe.Add(unsafe.Pointer(base), off)) {
+					t.Fatalf("encoded=%v: shard %d key %d does not follow key %d in one arena", enc != nil, w, i, i-1)
+				}
+				off += len(k)
 			}
 		}
 	}

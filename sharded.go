@@ -2,6 +2,7 @@ package hope
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
@@ -41,13 +42,14 @@ import (
 //     point-in-time snapshot across shards: keys inserted or deleted while
 //     the scan runs may or may not appear, exactly as in any lock-striped
 //     map.
-//   - Bulk partitions the keys once by shard and loads all shards in
-//     parallel, each shard running the bulk-encode pipeline over its
-//     partition and then its backend's bulk path: into an empty shard,
-//     one sort of the encoded keys and a bottom-up build; populated
-//     mutable shards insert key by key. An unseeded range partitioner is
-//     seeded here: the first Bulk into an empty index samples split
-//     points from its corpus (RangeSplits over a core.Sampler reservoir).
+//   - Bulk routes and encodes every key once, on GOMAXPROCS workers that
+//     each take a contiguous slice of the input, then loads all shards in
+//     parallel, each gathering its keys from every worker and running its
+//     backend's bulk path: into an empty shard, one sort of the encoded
+//     keys and a bottom-up build; populated mutable shards insert key by
+//     key. An unseeded range partitioner is seeded here: the first Bulk
+//     into an empty index samples split points from its corpus
+//     (RangeSplits over a core.Sampler reservoir).
 //
 // The callback contract differs from Index in one respect: the stored
 // (encoded) key passed to a scan callback is only valid for the duration
@@ -348,17 +350,17 @@ func (s *ShardedIndex) deleteShard(shard int, key []byte) (bool, error) {
 	return ok, err
 }
 
-// Bulk loads keys[i] -> vals[i]: the keys are partitioned once by the
-// partitioner, then every shard loads its partition in parallel, each
-// running the parallel bulk-encode pipeline over its own slice of the
-// shared dictionary. A nil vals assigns each key its position. For the
-// SuRF backend this is the only way to populate the index, and it replaces
-// the contents: each shard rebuilds its filter over its partition, empty
-// or not.
+// Bulk loads keys[i] -> vals[i] in one parallel pass (bulkPass): every
+// key is routed by the partitioner and encoded once, by GOMAXPROCS
+// workers, and then every shard loads its keys in parallel. A nil vals
+// assigns each key its position; a key given more than once keeps the
+// value of its last position. For the SuRF backend this is the only way
+// to populate the index, and it replaces the contents: each shard
+// rebuilds its filter over its keys, empty or not.
 //
 // An unseeded range partitioner is seeded here: when the index is still
 // empty, split points are sampled from the corpus (RangeSplits) before
-// partitioning, so the load itself defines the key intervals. Seeding
+// routing, so the load itself defines the key intervals. Seeding
 // requires the empty index — Bulk into a populated unseeded index loads
 // everything into shard 0 rather than silently re-routing stored keys.
 func (s *ShardedIndex) Bulk(keys [][]byte, vals []uint64) error {
@@ -375,48 +377,76 @@ func (s *ShardedIndex) Bulk(keys [][]byte, vals []uint64) error {
 			s.refreshEncSplits()
 		}
 	}
-	n := len(s.shards)
-	parts := make([][][]byte, n)
-	pvals := make([][]uint64, n)
-	// Pre-size from an even split; skew is bounded by the hash.
-	for i := range parts {
-		parts[i] = make([][]byte, 0, len(keys)/n+1)
-		pvals[i] = make([]uint64, 0, len(keys)/n+1)
+	var shardOf func([]byte) int
+	if len(s.shards) > 1 {
+		shardOf = s.shardIdx
 	}
-	for i, k := range keys {
-		w := s.shardIdx(k)
-		parts[w] = append(parts[w], k)
-		if vals != nil {
-			pvals[w] = append(pvals[w], vals[i])
-		} else {
-			pvals[w] = append(pvals[w], uint64(i))
-		}
-	}
+	return bulkPass(s.enc, len(s.shards), shardOf, keys, vals, s.backend == SuRF,
+		func(shard int, keys [][]byte, vals []uint64) error {
+			sh := s.shards[shard]
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			return sh.be.bulk(keys, vals)
+		})
+}
+
+// bulkChunk is how many keys a bulk worker routes and then encodes at a
+// time: few enough that a key's bytes are still in cache when the encode
+// reads them after the routing hash did.
+const bulkChunk = 256
+
+// bulkWorker is one worker's share of a bulk load: a contiguous slice of
+// the input, its encodings, and per shard the keys routed there.
+type bulkWorker struct {
+	lo    int       // input position of the worker's first key
+	buf   []byte    // encodings back to back (compressed stores)
+	ends  []int     // key lo+j's encoding is buf[ends[j]:ends[j+1]]
+	picks [][]int32 // per shard, ascending offsets from lo of its keys
+}
+
+// bulkPass loads keys[i] -> vals[i] (i when vals is nil) into nShards
+// shards, Index's and ShardedIndex's one bulk path. Up to GOMAXPROCS
+// workers each take a contiguous slice of the input and, bulkChunk keys at
+// a time, route every key (shardOf; nil sends all to shard 0) and encode it
+// (enc; nil passes the keys through as given, since every backend copies
+// the bytes it keeps). Then one goroutine per shard gathers that shard's
+// keys from every worker in input order — so a key given twice keeps its
+// last value, and keys that arrive ascending stay ascending for sortRun —
+// and hands them to load. A shard that receives no keys is loaded only
+// when loadEmpty is set (SuRF, whose bulk replaces the contents).
+func bulkPass(enc *core.Encoder, nShards int, shardOf func([]byte) int, keys [][]byte, vals []uint64,
+	loadEmpty bool, load func(shard int, keys [][]byte, vals []uint64) error) error {
+	workers := max(min(runtime.GOMAXPROCS(0), (len(keys)+bulkChunk-1)/bulkChunk), 1)
+	ws := make([]bulkWorker, workers)
 	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for w := 0; w < n; w++ {
-		// SuRF's Bulk replaces the contents, so a shard that receives no
-		// keys must still be emptied.
-		if len(parts[w]) == 0 && s.backend != SuRF {
+	for w := range ws {
+		lo, hi := w*len(keys)/workers, (w+1)*len(keys)/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws[w].run(enc, nShards, shardOf, keys[lo:hi], lo)
+		}()
+	}
+	wg.Wait()
+
+	errs := make([]error, nShards)
+	for shard := range errs {
+		n := 0
+		for w := range ws {
+			n += len(ws[w].picks[shard])
+		}
+		if n == 0 && !loadEmpty {
 			continue
 		}
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			sh := s.shards[w]
-			var encoded [][]byte
-			if s.enc != nil {
-				// EncodeAll is safe for concurrent use (read-only
-				// dictionary, private appenders), so shards share the
-				// template directly.
-				encoded = s.enc.EncodeAll(parts[w])
-			} else {
-				encoded = copyAll(parts[w])
+			ks, vs := make([][]byte, 0, n), make([]uint64, 0, n)
+			for w := range ws {
+				ks, vs = ws[w].gather(ks, vs, shard, keys, vals)
 			}
-			sh.mu.Lock()
-			errs[w] = sh.be.bulk(encoded, pvals[w])
-			sh.mu.Unlock()
-		}(w)
+			errs[shard] = load(shard, ks, vs)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -425,6 +455,54 @@ func (s *ShardedIndex) Bulk(keys [][]byte, vals []uint64) error {
 		}
 	}
 	return nil
+}
+
+// run routes and encodes mine, the input from position lo on, a chunk at
+// a time.
+func (bw *bulkWorker) run(enc *core.Encoder, nShards int, shardOf func([]byte) int, mine [][]byte, lo int) {
+	bw.lo = lo
+	// An even share plus slack: hash shards rarely outgrow it.
+	per := len(mine)/nShards + len(mine)/(8*nShards) + 8
+	bw.picks = make([][]int32, nShards)
+	for s := range bw.picks {
+		bw.picks[s] = make([]int32, 0, per)
+	}
+	if enc != nil {
+		bw.buf = make([]byte, 0, core.SizeHint(mine))
+		bw.ends = make([]int, 1, len(mine)+1)
+	}
+	for c := 0; c < len(mine); c += bulkChunk {
+		chunk := mine[c:min(c+bulkChunk, len(mine))]
+		for j, k := range chunk {
+			s := 0
+			if shardOf != nil {
+				s = shardOf(k)
+			}
+			bw.picks[s] = append(bw.picks[s], int32(c+j))
+		}
+		if enc != nil {
+			bw.buf, bw.ends = enc.EncodeRun(bw.buf, chunk, bw.ends)
+		}
+	}
+}
+
+// gather appends the worker's keys routed to shard, in input order, and
+// their values to ks and vs.
+func (bw *bulkWorker) gather(ks [][]byte, vs []uint64, shard int, keys [][]byte, vals []uint64) ([][]byte, []uint64) {
+	for _, j := range bw.picks[shard] {
+		i := bw.lo + int(j)
+		if bw.ends != nil {
+			ks = append(ks, bw.buf[bw.ends[j]:bw.ends[j+1]:bw.ends[j+1]])
+		} else {
+			ks = append(ks, keys[i])
+		}
+		v := uint64(i)
+		if vals != nil {
+			v = vals[i]
+		}
+		vs = append(vs, v)
+	}
+	return ks, vs
 }
 
 // shardIdx maps an original key to its lock stripe via the partitioner.
@@ -436,16 +514,30 @@ func (s *ShardedIndex) shardIdx(key []byte) int {
 	return s.part.Shard(key)
 }
 
-// shardHash is the shared routing hash: FNV-1a over the key bytes, high
-// half folded in (FNV's low bits alone mix short keys poorly). Callers
-// mask it to their power-of-two shard count; AdaptiveIndex relies on every
-// generation with the same shard count routing a key identically.
+// shardHash is the shared routing hash, a word at a time: each 8-byte
+// load is xored in, multiplied and its high half folded down; the 0-7
+// tail bytes make one more word, and the key length seeds the state. The
+// closing multiply and fold bring the high bits, where a multiply leaves
+// a word's top bytes, into the low bits callers mask to their
+// power-of-two shard count (DESIGN.md, "The routing hash"). AdaptiveIndex
+// relies on every generation with the same shard count routing a key
+// identically.
 func shardHash(key []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 0x100000001b3
+	const m1, m2 = 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9
+	h := uint64(len(key)) * m1
+	for ; len(key) >= 8; key = key[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(key)) * m1
+		h ^= h >> 32
 	}
+	var w uint64
+	switch n := len(key); {
+	case n >= 4:
+		w = uint64(binary.LittleEndian.Uint32(key)) | uint64(binary.LittleEndian.Uint32(key[n-4:]))<<32
+	case n > 0:
+		w = uint64(key[0]) | uint64(key[n/2])<<8 | uint64(key[n-1])<<16
+	}
+	h = (h ^ w) * m1
+	h = (h ^ h>>32) * m2
 	return h ^ h>>32
 }
 

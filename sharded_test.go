@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 )
 
 // openSharded opens a hash-partitioned ShardedIndex through Open.
@@ -25,6 +27,96 @@ func loadSharded(t *testing.T, backend Backend, enc *core.Encoder, nShards int, 
 		t.Fatalf("%s: bulk: %v", backend, err)
 	}
 	return s
+}
+
+// TestShardHashBalance: the routing hash spreads every key family evenly
+// over 2, 4, 16 and 64 shards — no shard holds more than 1.10x the mean.
+// Each family is 100k distinct keys: datagen emails and URLs,
+// concatenations a+b and a+b+a of adversarialCorpus keys (the corpus
+// alone is ~4 keys a shard at 64 shards, too few for a 10% bound; the
+// concatenations keep its shared prefixes, 0x00 and 0xff runs and keys
+// extending keys), zero-heavy keys under 8 bytes, keys that differ only
+// by trailing zero bytes, and keys that differ only in their last byte
+// after a prefix of 0-31 bytes.
+func TestShardHashBalance(t *testing.T) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(17))
+	randKey := func(maxLen int) []byte { // 1..maxLen bytes, 3/4 of them 0x00
+		k := make([]byte, 1+rng.Intn(maxLen))
+		for j := range k {
+			if rng.Intn(4) == 0 {
+				k[j] = byte(rng.Intn(256))
+			}
+		}
+		return k
+	}
+	corpus := adversarialCorpus()
+	// Each family yields a batch of keys per call; the test draws batches
+	// until it holds n distinct keys.
+	families := []struct {
+		name string
+		next func(batch int) [][]byte
+	}{
+		{"email", func(batch int) [][]byte { return datagen.Generate(datagen.Email, n, int64(batch)) }},
+		{"url", func(batch int) [][]byte { return datagen.Generate(datagen.URL, n, int64(batch)) }},
+		{"adversarial concatenations", func(batch int) [][]byte {
+			var out [][]byte
+			for _, a := range corpus {
+				for _, b := range corpus {
+					ab := append(slices.Clone(a), b...)
+					if batch == 0 {
+						out = append(out, ab)
+					} else {
+						out = append(out, append(ab, a...))
+					}
+				}
+			}
+			return out
+		}},
+		{"under 8 bytes", func(int) [][]byte { return [][]byte{randKey(7)} }},
+		{"trailing zeros", func(int) [][]byte {
+			base := randKey(12)
+			base[len(base)-1] |= 1 // base+zeros is no other base's zero extension
+			out := make([][]byte, 100)
+			for z := range out {
+				out[z] = append(slices.Clone(base), make([]byte, z)...)
+			}
+			return out
+		}},
+		{"last byte", func(batch int) [][]byte {
+			prefix := make([]byte, batch%32)
+			rng.Read(prefix)
+			out := make([][]byte, 256)
+			for b := range out {
+				out[b] = append(slices.Clone(prefix), byte(b))
+			}
+			return out
+		}},
+	}
+	for _, f := range families {
+		var keys [][]byte
+		seen := map[string]bool{}
+		for batch := 0; len(keys) < n; batch++ {
+			for _, k := range f.next(batch) {
+				if !seen[string(k)] && len(keys) < n {
+					seen[string(k)] = true
+					keys = append(keys, k)
+				}
+			}
+		}
+		for _, shards := range []int{2, 4, 16, 64} {
+			p := NewHashPartitioner(shards)
+			counts := make([]int, shards)
+			for _, k := range keys {
+				counts[p.Shard(k)]++
+			}
+			mean := float64(n) / float64(shards)
+			if top := slices.Max(counts); float64(top) > 1.10*mean {
+				t.Errorf("%s over %d shards: the fullest shard holds %d keys, %.3fx the mean %.0f",
+					f.name, shards, top, float64(top)/mean, mean)
+			}
+		}
+	}
 }
 
 // shardedSchemes covers nil (uncompressed) plus every tested scheme; the
