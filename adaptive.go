@@ -225,35 +225,22 @@ func (g *generation) memory() int {
 	return m
 }
 
-// walkChunk bounds how many keys one tree-lock hold of a walk visits.
-const walkChunk = 64
-
 // walk visits every stored key of g's tree shard w in order, with its
-// value, in chunks of walkChunk keys, one hold of the shard's read lock
-// each. fn runs under that lock, so it must not call back into the
-// index; its key aliases tree memory and is only valid during the call.
-// An error from fn ends the walk.
+// value, through a shard cursor: scanChunk keys per hold of the shard's
+// read lock, resuming the tree cursor while the shard goes unwritten. fn
+// runs outside the lock; its key aliases tree memory and must not be
+// modified. An error from fn ends the walk.
 func (g *generation) walk(w int, fn func(stored []byte, val uint64) error) error {
-	from := []byte{}
-	var last []byte
-	var err error
+	c := scanCursorPool.Get().(*shardCursor)
+	defer c.release()
+	c.reset(g.idx.shards[w], []byte{}, nil)
 	for {
-		n := 0
-		g.idx.scanShard(w, from, nil, func(k []byte, v uint64) bool {
-			if err = fn(k, v); err != nil {
-				return false
-			}
-			if n++; n < walkChunk {
-				return true
-			}
-			last = append(last[:0], k...)
-			return false
-		})
-		if err != nil || n < walkChunk {
+		if _, ok := c.peek(); !ok {
+			return nil
+		}
+		if err := fn(c.pop()); err != nil {
 			return err
 		}
-		// Resume just above the last stored key: lastKey+0x00.
-		from = append(append(from[:0], last...), 0)
 	}
 }
 

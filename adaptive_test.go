@@ -273,11 +273,11 @@ func TestAdaptiveBulkAndLen(t *testing.T) {
 	checkDifferential(t, "bulk-overwrite", a, model)
 }
 
-// A rebuild walks each old tree shard in chunks of walkChunk keys,
-// resuming above the last key of each chunk; with several chunks per
-// shard the rebuilt index must still hold exactly the model.
+// A rebuild walks each old tree shard in chunks of scanChunk keys,
+// resuming its tree cursor between chunks; with many chunks per shard the
+// rebuilt index must still hold exactly the model.
 func TestAdaptiveRebuildWalksInChunks(t *testing.T) {
-	keys := datagen.Generate(datagen.Email, 8*walkChunk, 5)
+	keys := datagen.Generate(datagen.Email, 64*scanChunk, 5)
 	a := openAdaptive(t, BTree, AdaptiveOptions{
 		Scheme: core.ThreeGrams, Build: core.Options{DictLimit: 1 << 10}, Shards: 2, Manual: true,
 		Lifecycle: lifecycle.Config{ReservoirSize: 512, Seed: 5},
@@ -719,6 +719,10 @@ func TestAdaptiveDriftRecovery(t *testing.T) {
 	adaptive, frozen := open(false), open(true)
 	// Both indexes see the stream window by window, each window Put and
 	// then read back, interleaved as the two would be served side by side.
+	// A rebuild a Put triggers lands before the next Put: which reservoir
+	// it builds from, and which later checks it suppresses, depends on
+	// the stream position alone, not on when the background goroutine
+	// gets a core.
 	for w := 0; w < windows; w++ {
 		lo, hi := w*chunkLen, (w+1)*chunkLen
 		if w == windows-1 {
@@ -729,6 +733,7 @@ func TestAdaptiveDriftRecovery(t *testing.T) {
 				if err := a.Put(k, uint64(lo+i)); err != nil {
 					t.Fatal(err)
 				}
+				a.Quiesce()
 			}
 			for _, k := range stream[lo:hi] {
 				a.Get(k)
@@ -752,7 +757,8 @@ func TestAdaptiveDriftRecovery(t *testing.T) {
 		t.Fatalf("frozen control rebuilt: %+v", st)
 	}
 	if ratio := adaptiveCPR / scratchCPR; ratio < 0.9 {
-		t.Fatalf("post-adaptation CPR %.3f is below 90%% of scratch %.3f (ratio %.3f)", adaptiveCPR, scratchCPR, ratio)
+		t.Fatalf("post-adaptation CPR %.3f is below 90%% of scratch %.3f (ratio %.3f); adaptive stats %+v",
+			adaptiveCPR, scratchCPR, ratio, adaptive.Stats())
 	}
 	if adaptiveCPR <= frozenCPR {
 		t.Fatalf("adaptive CPR %.3f not better than frozen %.3f on the shifted distribution", adaptiveCPR, frozenCPR)
@@ -771,7 +777,7 @@ func TestAdaptiveScanSurvivesCutover(t *testing.T) {
 		Lifecycle: lifecycle.Config{ReservoirSize: 4096, Seed: 21},
 	})
 	// 200 low keys ("a-...") and 200 high keys ("z-..."): every shard's
-	// prefetched first chunk (scanChunkInit entries) is all low keys, so
+	// prefetched first chunk (scanChunk entries) is all low keys, so
 	// mutating only high keys after the first emission is deterministic.
 	var lows, highs [][]byte
 	for i := 0; i < 200; i++ {
@@ -786,13 +792,13 @@ func TestAdaptiveScanSurvivesCutover(t *testing.T) {
 		model[string(k)] = uint64(i)
 	}
 	// Precondition for determinism: each shard holds at least
-	// scanChunkInit low keys (fixed hash, fixed key set — stable).
+	// scanChunk low keys (fixed hash, fixed key set — stable).
 	perShard := map[int]int{}
 	for _, k := range lows {
 		perShard[a.shardIdx(k)]++
 	}
 	for s := 0; s < a.NumShards(); s++ {
-		if perShard[s] < scanChunkInit {
+		if perShard[s] < scanChunk {
 			t.Fatalf("shard %d holds only %d low keys; test precondition broken", s, perShard[s])
 		}
 	}

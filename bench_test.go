@@ -9,6 +9,7 @@
 package hope_test
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"sync"
@@ -351,7 +352,10 @@ var _ = core.Schemes // the façade aliases core's scheme type; keep the link ex
 // point-url leg (Double-Char URLs on a B+tree, 2 hash shards) take the
 // shapes of the perfbench workloads that scan, all through the hash
 // k-way merge. Every leg is allocation-free in steady state, which
-// TestHashScanZeroAlloc and TestSingleShardScanZeroAlloc pin.
+// TestHashScanZeroAlloc and TestSingleShardScanZeroAlloc pin. The art-10
+// legs take 10 results from the drift-email shape on one shard, as a
+// 1-shard ShardedIndex and as a plain Index, whose Scan drives the tree
+// cursor directly: the sharded core's own cost on a short scan.
 func BenchmarkShardedScan(b *testing.B) {
 	emails := datagen.Generate(datagen.Email, 20000, 1)
 	urls := datagen.Generate(datagen.URL, 20000, 1)
@@ -364,30 +368,39 @@ func BenchmarkShardedScan(b *testing.B) {
 	}
 	email4K := hope.Options{DictLimit: 1 << 12}
 	for _, leg := range []struct {
-		name string
-		keys [][]byte
-		open func(b *testing.B) (hope.Store, error)
+		name  string
+		keys  [][]byte
+		open  func(b *testing.B) (hope.Store, error)
+		limit int // results per scan; 0 means 50
 	}{
 		{"hash/8", emails, func(*testing.B) (hope.Store, error) {
 			return hope.Open(hope.BTree, hope.WithShards(8))
-		}},
+		}, 0},
 		{"range/8", emails, func(*testing.B) (hope.Store, error) {
 			return hope.Open(hope.BTree, hope.WithShards(8), hope.WithRangePartitioner(emails))
-		}},
+		}, 0},
 		{"drift-email/ShardedIndex", emails, func(b *testing.B) (hope.Store, error) {
 			enc := encoder(b, hope.ThreeGrams, emails, email4K)
 			return hope.Open(hope.ART, hope.WithEncoder(enc), hope.WithShards(2))
-		}},
+		}, 0},
 		{"drift-email/AdaptiveIndex", emails, func(b *testing.B) (hope.Store, error) {
 			enc := encoder(b, hope.ThreeGrams, emails, email4K)
 			return hope.Open(hope.ART, hope.WithAdaptive(hope.AdaptiveOptions{
 				Scheme: hope.ThreeGrams, Build: email4K, Encoder: enc, Shards: 2, Manual: true,
 			}))
-		}},
+		}, 0},
 		{"point-url", urls, func(b *testing.B) (hope.Store, error) {
 			enc := encoder(b, hope.DoubleChar, urls, hope.Options{})
 			return hope.Open(hope.BTree, hope.WithEncoder(enc), hope.WithShards(2))
-		}},
+		}, 0},
+		{"art-10/ShardedIndex-1", emails, func(b *testing.B) (hope.Store, error) {
+			enc := encoder(b, hope.ThreeGrams, emails, email4K)
+			return hope.Open(hope.ART, hope.WithEncoder(enc), hope.WithShards(1))
+		}, 10},
+		{"art-10/Index", emails, func(b *testing.B) (hope.Store, error) {
+			enc := encoder(b, hope.ThreeGrams, emails, email4K)
+			return hope.Open(hope.ART, hope.WithEncoder(enc))
+		}, 10},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			st, err := leg.open(b)
@@ -398,8 +411,9 @@ func BenchmarkShardedScan(b *testing.B) {
 			if err := st.Bulk(leg.keys, nil); err != nil {
 				b.Fatal(err)
 			}
+			limit := cmp.Or(leg.limit, 50)
 			n := 0
-			fn := func([]byte, uint64) bool { n++; return n < 50 }
+			fn := func([]byte, uint64) bool { n++; return n < limit }
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -119,23 +119,26 @@ func NewSampler(capacity int, seed int64) *Sampler { return core.NewSampler(capa
 
 // SampleKeys returns a deterministic random sample of about frac*len(keys)
 // keys (at least one when keys is non-empty), the input HOPE's build phase
-// expects.
+// expects. It draws the sample's distinct positions directly (Floyd's
+// algorithm, a bitmap marking the drawn ones) instead of permuting every
+// position to keep 1% of them.
 func SampleKeys(keys [][]byte, frac float64, seed int64) [][]byte {
 	if len(keys) == 0 {
 		return nil
 	}
-	n := int(frac * float64(len(keys)))
-	if n < 1 {
-		n = 1
-	}
-	if n > len(keys) {
-		n = len(keys)
-	}
+	n := min(max(int(frac*float64(len(keys))), 1), len(keys))
 	rng := rand.New(rand.NewSource(seed))
-	idx := rng.Perm(len(keys))[:n]
-	out := make([][]byte, n)
-	for i, j := range idx {
-		out[i] = keys[j]
+	taken := make([]uint64, (len(keys)+63)/64)
+	out := make([][]byte, 0, n)
+	// Each round draws j uniformly from [0, i]; a j drawn before is
+	// replaced by i, which no earlier round could draw.
+	for i := len(keys) - n; i < len(keys); i++ {
+		j := rng.Intn(i + 1)
+		if taken[j/64]&(1<<(j%64)) != 0 {
+			j = i
+		}
+		taken[j/64] |= 1 << (j % 64)
+		out = append(out, keys[j])
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package hope_test
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -97,5 +98,23 @@ func TestSampleKeys(t *testing.T) {
 	}
 	if hope.SampleKeys(nil, 0.5, 1) != nil {
 		t.Fatal("empty corpus")
+	}
+	// Distinct positions, at every fraction up to the whole corpus.
+	distinct := make([][]byte, 500)
+	for i := range distinct {
+		distinct[i] = []byte(fmt.Sprintf("key-%d", i))
+	}
+	for _, frac := range []float64{0.01, 0.1, 0.5, 0.9, 1} {
+		got := hope.SampleKeys(distinct, frac, 3)
+		seen := map[string]bool{}
+		for _, k := range got {
+			if seen[string(k)] {
+				t.Fatalf("frac %v: %q sampled twice", frac, k)
+			}
+			seen[string(k)] = true
+		}
+		if want := int(frac * 500); len(got) != want {
+			t.Fatalf("frac %v: sample size %d, want %d", frac, len(got), want)
+		}
 	}
 }

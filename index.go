@@ -68,6 +68,7 @@ type Index struct {
 	closed bool // set by Close; mutations refused afterwards
 
 	buf []byte // scratch for point-operation encodes
+	cur cursor // the last scan's cursor, reused by the next
 }
 
 // newIndex wraps the named backend. enc may be nil for an uncompressed
@@ -202,7 +203,8 @@ func totalLen(keys [][]byte) int {
 // Scan visits, in ascending original-key order, every stored key k with
 // lo <= k < hi (both bounds in original key space; a nil hi is unbounded)
 // and returns how many keys it visited. fn receives the stored (encoded)
-// key and may stop the scan by returning false.
+// key and may stop the scan by returning false. The key aliases tree
+// memory: it must not be modified and is valid only during the callback.
 //
 // Both bounds are complete keys, so they translate exactly: the encoded
 // order is strict, hence enc(lo) <= enc(k) < enc(hi) holds for stored
@@ -218,11 +220,18 @@ func (x *Index) Scan(lo, hi []byte, fn func(key []byte, val uint64) bool) int {
 	} else {
 		loEnc, hiEnc = lo, hi
 	}
+	// The cursor is detached while the scan runs, so a nested Scan from fn
+	// seeks a cursor of its own.
+	c := x.be.seek(x.cur, loEnc, hiEnc)
+	x.cur = nil
 	n := 0
-	x.be.scan(loEnc, hiEnc, func(k []byte, v uint64) bool {
+	for k, v, ok := c.Next(); ok; k, v, ok = c.Next() {
 		n++
-		return fn(k, v)
-	})
+		if !fn(k, v) {
+			break
+		}
+	}
+	x.cur = c
 	return n
 }
 
@@ -265,11 +274,37 @@ type indexBackend interface {
 	bulk(keys [][]byte, vals []uint64) error
 	get(k []byte) (uint64, bool)
 	remove(k []byte) (bool, error)
-	// scan visits stored keys in [lo, hi) byte order (nil hi unbounded)
-	// until fn returns false.
-	scan(lo, hi []byte, fn func(k []byte, v uint64) bool)
+	// seek returns a cursor over the stored keys in [lo, hi) (nil hi
+	// unbounded), reusing c's storage when c is a cursor of the same
+	// backend type (c may be nil).
+	seek(c cursor, lo, hi []byte) cursor
 	memory() int
 	length() int
+}
+
+// cursor walks a backend's stored keys in ascending byte order; Next
+// reports ok false past the last key of its range. A key it returns
+// aliases memory that no write changes — tree memory, or for the Prefix
+// B+tree the cursor's own arena, until the cursor is sought again — so
+// the key outlives the call and later writes, and must not be modified.
+// The cursor's position is valid only until the tree's next write.
+type cursor interface {
+	Next() (key []byte, val uint64, ok bool)
+}
+
+// seekTree seeks a tree package's cursor (type C, over a tree of type T)
+// in t, reusing c when it is one.
+func seekTree[C any, PC interface {
+	*C
+	cursor
+	Seek(t *T, lo, hi []byte)
+}, T any](c cursor, t *T, lo, hi []byte) cursor {
+	tc, ok := c.(PC)
+	if !ok {
+		tc = new(C)
+	}
+	tc.Seek(t, lo, hi)
+	return tc
 }
 
 // insertLoop implements bulk for a mutable tree that already holds keys:
@@ -295,11 +330,13 @@ func (b *artBackend) bulk(ks [][]byte, vs []uint64) error {
 	b.t = art.BulkLoad(art.IndexMode, keys, vals)
 	return nil
 }
-func (b *artBackend) get(k []byte) (uint64, bool)                      { return b.t.Get(k) }
-func (b *artBackend) remove(k []byte) (bool, error)                    { return b.t.Delete(k), nil }
-func (b *artBackend) memory() int                                      { return b.t.MemoryUsage() }
-func (b *artBackend) length() int                                      { return b.t.Len() }
-func (b *artBackend) scan(lo, hi []byte, fn func([]byte, uint64) bool) { b.t.Range(lo, hi, fn) }
+func (b *artBackend) get(k []byte) (uint64, bool)   { return b.t.Get(k) }
+func (b *artBackend) remove(k []byte) (bool, error) { return b.t.Delete(k), nil }
+func (b *artBackend) memory() int                   { return b.t.MemoryUsage() }
+func (b *artBackend) length() int                   { return b.t.Len() }
+func (b *artBackend) seek(c cursor, lo, hi []byte) cursor {
+	return seekTree[art.Cursor](c, b.t, lo, hi)
+}
 
 type hotBackend struct{ t *hot.Tree }
 
@@ -311,11 +348,13 @@ func (b *hotBackend) bulk(ks [][]byte, vs []uint64) error {
 	b.t = hot.BulkLoad(sortRun(ks, vs))
 	return nil
 }
-func (b *hotBackend) get(k []byte) (uint64, bool)                      { return b.t.Get(k) }
-func (b *hotBackend) remove(k []byte) (bool, error)                    { return b.t.Delete(k), nil }
-func (b *hotBackend) memory() int                                      { return b.t.MemoryUsage() }
-func (b *hotBackend) length() int                                      { return b.t.Len() }
-func (b *hotBackend) scan(lo, hi []byte, fn func([]byte, uint64) bool) { b.t.Range(lo, hi, fn) }
+func (b *hotBackend) get(k []byte) (uint64, bool)   { return b.t.Get(k) }
+func (b *hotBackend) remove(k []byte) (bool, error) { return b.t.Delete(k), nil }
+func (b *hotBackend) memory() int                   { return b.t.MemoryUsage() }
+func (b *hotBackend) length() int                   { return b.t.Len() }
+func (b *hotBackend) seek(c cursor, lo, hi []byte) cursor {
+	return seekTree[hot.Cursor](c, b.t, lo, hi)
+}
 
 type btreeBackend struct{ t *btree.Tree }
 
@@ -327,11 +366,13 @@ func (b *btreeBackend) bulk(ks [][]byte, vs []uint64) error {
 	b.t = btree.BulkLoad(sortRun(ks, vs))
 	return nil
 }
-func (b *btreeBackend) get(k []byte) (uint64, bool)                      { return b.t.Get(k) }
-func (b *btreeBackend) remove(k []byte) (bool, error)                    { return b.t.Delete(k), nil }
-func (b *btreeBackend) memory() int                                      { return b.t.MemoryUsage() }
-func (b *btreeBackend) length() int                                      { return b.t.Len() }
-func (b *btreeBackend) scan(lo, hi []byte, fn func([]byte, uint64) bool) { b.t.Range(lo, hi, fn) }
+func (b *btreeBackend) get(k []byte) (uint64, bool)   { return b.t.Get(k) }
+func (b *btreeBackend) remove(k []byte) (bool, error) { return b.t.Delete(k), nil }
+func (b *btreeBackend) memory() int                   { return b.t.MemoryUsage() }
+func (b *btreeBackend) length() int                   { return b.t.Len() }
+func (b *btreeBackend) seek(c cursor, lo, hi []byte) cursor {
+	return seekTree[btree.Cursor](c, b.t, lo, hi)
+}
 
 type prefixBackend struct{ t *prefixbtree.Tree }
 
@@ -343,11 +384,13 @@ func (b *prefixBackend) bulk(ks [][]byte, vs []uint64) error {
 	b.t = prefixbtree.BulkLoad(sortRun(ks, vs))
 	return nil
 }
-func (b *prefixBackend) get(k []byte) (uint64, bool)                      { return b.t.Get(k) }
-func (b *prefixBackend) remove(k []byte) (bool, error)                    { return b.t.Delete(k), nil }
-func (b *prefixBackend) memory() int                                      { return b.t.MemoryUsage() }
-func (b *prefixBackend) length() int                                      { return b.t.Len() }
-func (b *prefixBackend) scan(lo, hi []byte, fn func([]byte, uint64) bool) { b.t.Range(lo, hi, fn) }
+func (b *prefixBackend) get(k []byte) (uint64, bool)   { return b.t.Get(k) }
+func (b *prefixBackend) remove(k []byte) (bool, error) { return b.t.Delete(k), nil }
+func (b *prefixBackend) memory() int                   { return b.t.MemoryUsage() }
+func (b *prefixBackend) length() int                   { return b.t.Len() }
+func (b *prefixBackend) seek(c cursor, lo, hi []byte) cursor {
+	return seekTree[prefixbtree.Cursor](c, b.t, lo, hi)
+}
 
 // surfBackend is SuRF in its production role: a succinct filter in front
 // of a sorted run (as in an LSM level). Bulk sorts the encoded keys
@@ -385,19 +428,41 @@ func (b *surfBackend) get(k []byte) (uint64, bool) {
 	return 0, false
 }
 
-func (b *surfBackend) scan(lo, hi []byte, fn func([]byte, uint64) bool) {
+// surfCursor walks a slice of the immutable run: bulk replaces the run
+// rather than writing into it, so its keys outlive later loads.
+type surfCursor struct {
+	keys   [][]byte
+	vals   []uint64
+	i, end int
+}
+
+func (c *surfCursor) Next() ([]byte, uint64, bool) {
+	if c.i >= c.end {
+		return nil, 0, false
+	}
+	c.i++
+	return c.keys[c.i-1], c.vals[c.i-1], true
+}
+
+// seek short-circuits through MayIntersect, then binary-searches both
+// bounds in the run.
+func (b *surfBackend) seek(c cursor, lo, hi []byte) cursor {
+	sc, ok := c.(*surfCursor)
+	if !ok {
+		sc = new(surfCursor)
+	}
+	*sc = surfCursor{keys: b.keys, vals: b.vals}
 	if b.filter == nil || !b.filter.MayIntersect(lo, hi) {
-		return
+		return sc
 	}
-	i := sort.Search(len(b.keys), func(i int) bool { return bytes.Compare(b.keys[i], lo) >= 0 })
-	for ; i < len(b.keys); i++ {
-		if hi != nil && bytes.Compare(b.keys[i], hi) >= 0 {
-			return
-		}
-		if !fn(b.keys[i], b.vals[i]) {
-			return
-		}
+	search := func(bound []byte) int {
+		return sort.Search(len(b.keys), func(i int) bool { return bytes.Compare(b.keys[i], bound) >= 0 })
 	}
+	sc.i, sc.end = search(lo), len(b.keys)
+	if hi != nil {
+		sc.end = search(hi)
+	}
+	return sc
 }
 
 func (b *surfBackend) memory() int {

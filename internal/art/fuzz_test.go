@@ -118,7 +118,7 @@ func runOps(t *testing.T, mode Mode, data []byte) {
 				}
 			}
 			var got []string
-			tr.Range(lo, hi, func(k []byte, v uint64) bool {
+			cursorRange(tr, lo, hi, func(k []byte, v uint64) bool {
 				if model[string(k)] != v {
 					t.Fatalf("mode %v step %d: range value of %q is %d, model %d", mode, step, k, v, model[string(k)])
 				}

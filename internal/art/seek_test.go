@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestRangeSeekFromEveryByte drives Range from each of the 256 start bytes
+// TestRangeSeekFromEveryByte drives a Cursor from each of the 256 start bytes
 // into Node48 and Node256 fan-outs — at the root and under a shared path
 // longer than the inline prefix bytes — and compares every result with a
 // sorted model. Start bytes land on present children, absent bytes,
@@ -93,7 +93,7 @@ func TestRangeSeekFromEveryByte(t *testing.T) {
 				i := sort.SearchStrings(sorted, string(start))
 				want := sorted[i:]
 				var got []string
-				tr.Range(start, nil, func(k []byte, _ uint64) bool {
+				cursorRange(tr, start, nil, func(k []byte, _ uint64) bool {
 					got = append(got, string(k))
 					return true
 				})
@@ -108,7 +108,7 @@ func TestRangeSeekFromEveryByte(t *testing.T) {
 				hi[len(hi)-1] = byte(min(int(hi[len(hi)-1])+3, 255))
 				j := sort.SearchStrings(sorted, string(hi))
 				got = got[:0]
-				tr.Range(start, hi, func(k []byte, _ uint64) bool {
+				cursorRange(tr, start, hi, func(k []byte, _ uint64) bool {
 					got = append(got, string(k))
 					return true
 				})
@@ -130,4 +130,33 @@ func sameKeys(got, want []string) error {
 		}
 	}
 	return nil
+}
+
+// cursorRange visits tr's keys in [lo, hi) through a Cursor until fn
+// returns false.
+func cursorRange(tr *Tree, lo, hi []byte, fn func([]byte, uint64) bool) {
+	var c Cursor
+	c.Seek(tr, lo, hi)
+	for k, v, ok := c.Next(); ok && fn(k, v); k, v, ok = c.Next() {
+	}
+}
+
+// TestScanZeroAlloc: Scan takes its cursor from a pool, so a steady-state
+// scan allocates no path stack.
+func TestScanZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race")
+	}
+	tr := New(IndexMode)
+	for i := range 2000 {
+		tr.Insert([]byte(fmt.Sprintf("key-%d/%d", i%37, i)), uint64(i))
+	}
+	n := 0
+	scan := func() {
+		tr.Scan([]byte("key-1"), func([]byte, uint64) bool { n++; return n%50 != 0 })
+	}
+	scan()
+	if allocs := testing.AllocsPerRun(200, scan); allocs != 0 {
+		t.Fatalf("Scan allocates %.1f/op, want 0", allocs)
+	}
 }

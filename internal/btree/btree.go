@@ -9,7 +9,7 @@
 // inserts append, and a leaf that runs out of capacity, or whose dead
 // bytes outgrow its live ones, copies its live keys into a new arena
 // rather than compacting in place, so key slices handed out by Scan and
-// Range stay valid. Inner nodes route on separators that own their
+// Cursor stay valid. Inner nodes route on separators that own their
 // bytes: the shortest prefix of a right leaf's first key that still
 // exceeds its left neighbour's last.
 //
@@ -586,33 +586,62 @@ func (v *innerNode) splitInsert(idx int, sep []byte, right node) ([]byte, node) 
 
 // Scan visits keys >= start in order until fn returns false.
 func (t *Tree) Scan(start []byte, fn func(key []byte, val uint64) bool) {
+	var c Cursor
+	c.Seek(t, start, nil)
+	for k, v, ok := c.Next(); ok && fn(k, v); k, v, ok = c.Next() {
+	}
+}
+
+// Cursor walks a tree's keys in ascending order from a seek position up
+// to an exclusive bound: a leaf and the occupancy mask of its slots still
+// to visit, stepping along the leaves' next links, so only Seek descends
+// from the root. A key it returns aliases its leaf's arena, whose bytes
+// never change (see compact), so the key stays intact after later
+// writes; the position itself is valid only until the tree's next write.
+// The zero Cursor is exhausted.
+type Cursor struct {
+	l  *leafNode
+	mm uint32 // slots of l still to visit
+	hi []byte
+}
+
+// Seek positions c at the first key >= lo. Keys >= hi end the walk; a nil
+// hi leaves it unbounded.
+func (c *Cursor) Seek(t *Tree, lo, hi []byte) {
 	n := t.root
 	for {
 		in, ok := n.(*innerNode)
 		if !ok {
 			break
 		}
-		n = in.child[in.upperBound(start)]
+		n = in.child[in.upperBound(lo)]
 	}
 	l := n.(*leafNode)
-	i := l.lowerBound(start)
-	mm := uint32(0)
-	if i < Fanout {
-		mm = uint32(l.occ) >> i << i
+	c.l, c.mm, c.hi = l, 0, hi
+	if i := l.lowerBound(lo); i < Fanout {
+		c.mm = uint32(l.occ) >> i << i
 	}
-	for l != nil {
-		for mm != 0 {
-			s := bits.TrailingZeros32(mm)
-			mm &= mm - 1
-			if !fn(l.key(s), l.vals[s]) {
-				return
-			}
+}
+
+// Next returns the next key and its value; ok is false once the walk has
+// passed the last key or reached hi.
+func (c *Cursor) Next() (key []byte, val uint64, ok bool) {
+	for c.mm == 0 {
+		if c.l == nil || c.l.next == nil {
+			c.l = nil
+			return nil, 0, false
 		}
-		l = l.next
-		if l != nil {
-			mm = uint32(l.occ)
-		}
+		c.l = c.l.next
+		c.mm = uint32(c.l.occ)
 	}
+	s := bits.TrailingZeros32(c.mm)
+	c.mm &= c.mm - 1
+	key = c.l.key(s)
+	if c.hi != nil && bytes.Compare(key, c.hi) >= 0 {
+		c.l, c.mm = nil, 0
+		return nil, 0, false
+	}
+	return key, c.l.vals[s], true
 }
 
 // bulkFill is how many of a leaf's Fanout slots BulkLoad fills. The

@@ -15,7 +15,10 @@
 // fanout bound, memory proportionality and partial-key semantics match.
 package hot
 
-import "bytes"
+import (
+	"bytes"
+	"sync"
+)
 
 // MaxFanout is the compound-node capacity (the published HOT's k = 32).
 const MaxFanout = 32
@@ -202,45 +205,100 @@ func (t *Tree) AvgLeafDepth() float64 {
 	return float64(s.SumLeafDepth) / float64(s.Leaves)
 }
 
-// Scan visits keys >= start in ascending order until fn returns false.
-// Entries within each compound node are in key order, so iteration is a
-// nested in-order walk; the start position is located by key comparison
-// (bit walks alone cannot lower-bound absent keys in a Patricia trie).
+// Scan visits keys >= start in ascending order until fn returns false, a
+// loop over a Cursor.
 func (t *Tree) Scan(start []byte, fn func(key []byte, val uint64) bool) {
-	if t.root != nil {
-		scanRec(t.root, start, fn)
+	c := scanCursors.Get().(*Cursor)
+	c.Seek(t, start, nil)
+	for k, v, ok := c.Next(); ok && fn(k, v); k, v, ok = c.Next() {
 	}
+	scanCursors.Put(c)
 }
 
-func scanRec(c *cnode, start []byte, fn func([]byte, uint64) bool) bool {
-	for i := range c.entries {
+// scanCursors recycles Scan's cursors, whose path stacks would otherwise be
+// allocated by every call.
+var scanCursors = sync.Pool{New: func() any { return new(Cursor) }}
+
+// Cursor walks a tree's keys in ascending order from a seek position up
+// to an exclusive bound. Entries within each compound node are in key
+// order, so the walk is a nested in-order one: the cursor keeps the path
+// of compound nodes from the root, each with the index of its next entry,
+// and only Seek descends from the root. A key it returns is its leaf's
+// own copy, which no write changes, so it stays intact after later
+// writes; the position itself is valid only until the tree's next write.
+// The zero Cursor is exhausted.
+type Cursor struct {
+	stack []frame
+	leaf  *leaf // a leaf Seek stopped on, returned before the stack
+	hi    []byte
+}
+
+// frame is a compound node on the cursor's path and its next entry.
+type frame struct {
+	c *cnode
+	i int
+}
+
+// Seek positions c at the first key >= lo. Keys >= hi end the walk; a nil
+// hi leaves it unbounded. Bit walks alone cannot lower-bound an absent key
+// in a Patricia trie, so each level takes the first entry whose subtree
+// maximum is >= lo; every later entry's keys lie above it.
+func (cur *Cursor) Seek(t *Tree, lo, hi []byte) {
+	cur.stack, cur.leaf, cur.hi = cur.stack[:0], nil, hi
+	for c := t.root; c != nil; {
+		i := 0
+		for i < len(c.entries) && bytes.Compare(entryMax(&c.entries[i]), lo) < 0 {
+			i++
+		}
+		if i == len(c.entries) {
+			return
+		}
+		cur.stack = append(cur.stack, frame{c, i + 1})
 		e := &c.entries[i]
 		if e.leaf != nil {
-			if bytes.Compare(e.leaf.key, start) >= 0 {
-				if !fn(e.leaf.key, e.leaf.val) {
-					return false
-				}
-			}
-			continue
-		}
-		// Prune subtrees that end before start: compare against the
-		// subtree's maximum key.
-		if bytes.Compare(maxKey(e.child), start) < 0 {
-			continue
-		}
-		if !scanRec(e.child, start, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-func maxKey(c *cnode) []byte {
-	for {
-		e := c.entries[len(c.entries)-1]
-		if e.leaf != nil {
-			return e.leaf.key
+			cur.leaf = e.leaf
+			return
 		}
 		c = e.child
 	}
+}
+
+// Next returns the next key and its value; ok is false once the walk has
+// passed the last key or reached hi.
+func (cur *Cursor) Next() (key []byte, val uint64, ok bool) {
+	if l := cur.leaf; l != nil {
+		cur.leaf = nil
+		return cur.emit(l)
+	}
+	for len(cur.stack) > 0 {
+		f := &cur.stack[len(cur.stack)-1]
+		if f.i == len(f.c.entries) {
+			cur.stack = cur.stack[:len(cur.stack)-1]
+			continue
+		}
+		e := &f.c.entries[f.i]
+		f.i++
+		if e.leaf != nil {
+			return cur.emit(e.leaf)
+		}
+		cur.stack = append(cur.stack, frame{e.child, 0})
+	}
+	return nil, 0, false
+}
+
+// emit returns l's key and value, or ends the walk when the key reached hi.
+func (cur *Cursor) emit(l *leaf) ([]byte, uint64, bool) {
+	if cur.hi != nil && bytes.Compare(l.key, cur.hi) >= 0 {
+		cur.stack = cur.stack[:0]
+		return nil, 0, false
+	}
+	return l.key, l.val, true
+}
+
+// entryMax returns the greatest key under e.
+func entryMax(e *entry) []byte {
+	for e.leaf == nil {
+		e = &e.child.entries[len(e.child.entries)-1]
+	}
+	return e.leaf.key
 }

@@ -10,6 +10,7 @@ package prefixbtree
 import (
 	"bytes"
 	"encoding/binary"
+	"sync"
 )
 
 // Fanout is the number of key slots per node.
@@ -374,30 +375,77 @@ func (v *innerNode) splitInsert(idx int, sep []byte, right node) ([]byte, node) 
 	return up, r
 }
 
-// Scan visits keys >= start in order until fn returns false. The key slice
-// passed to fn is reused between calls; copy it to retain.
+// Scan visits keys >= start in order until fn returns false, a loop over
+// a Cursor. The key slice passed to fn is only valid during the call;
+// copy it to retain.
 func (t *Tree) Scan(start []byte, fn func(key []byte, val uint64) bool) {
+	c := scanCursors.Get().(*Cursor)
+	c.Seek(t, start, nil)
+	for k, v, ok := c.Next(); ok && fn(k, v); k, v, ok = c.Next() {
+	}
+	scanCursors.Put(c)
+}
+
+// scanCursors recycles Scan's cursors, whose key arenas would otherwise be
+// allocated by every call.
+var scanCursors = sync.Pool{New: func() any { return new(Cursor) }}
+
+// cursorArena is the smallest arena a Cursor rebuilds keys into.
+const cursorArena = 4 << 10
+
+// Cursor walks a tree's keys in ascending order from a seek position up
+// to an exclusive bound: a leaf and a slot, stepping along the leaves'
+// next links, so only Seek descends from the root. A leaf stores its
+// prefix once, so the cursor rebuilds each key it returns into its own
+// arena; a key stays intact until the cursor's next Seek (a full arena is
+// replaced, never overwritten), also after later writes to the tree. The
+// position itself is valid only until the tree's next write. The zero
+// Cursor is exhausted.
+type Cursor struct {
+	l     *leafNode
+	i     int
+	hi    []byte
+	arena []byte
+}
+
+// Seek positions c at the first key >= lo. Keys >= hi end the walk; a nil
+// hi leaves it unbounded. Keys returned before the seek are overwritten.
+func (c *Cursor) Seek(t *Tree, lo, hi []byte) {
 	n := t.root
 	for {
 		in, ok := n.(*innerNode)
 		if !ok {
 			break
 		}
-		n = in.child[in.upperBound(start)]
+		n = in.child[in.upperBound(lo)]
 	}
-	l := n.(*leafNode)
-	i := l.lowerBound(start)
-	var buf []byte
-	for l != nil {
-		for ; i < l.n; i++ {
-			buf = l.fullKey(buf, i)
-			if !fn(buf, l.vals[i]) {
-				return
-			}
-		}
-		l = l.next
-		i = 0
+	c.l = n.(*leafNode)
+	c.i, c.hi, c.arena = c.l.lowerBound(lo), hi, c.arena[:0]
+}
+
+// Next returns the next key and its value; ok is false once the walk has
+// passed the last key or reached hi.
+func (c *Cursor) Next() (key []byte, val uint64, ok bool) {
+	for c.l != nil && c.i >= c.l.n {
+		c.l, c.i = c.l.next, 0
 	}
+	if c.l == nil {
+		return nil, 0, false
+	}
+	l, i := c.l, c.i
+	c.i++
+	need := len(l.prefix) + len(l.sufs[i])
+	if cap(c.arena)-len(c.arena) < need {
+		c.arena = make([]byte, 0, max(cursorArena, need))
+	}
+	o := len(c.arena)
+	c.arena = append(append(c.arena, l.prefix...), l.sufs[i]...)
+	key = c.arena[o:len(c.arena):len(c.arena)]
+	if c.hi != nil && bytes.Compare(key, c.hi) >= 0 {
+		c.l = nil
+		return nil, 0, false
+	}
+	return key, l.vals[i], true
 }
 
 // bulkFill is how many of a leaf's Fanout slots BulkLoad fills, leaving

@@ -86,11 +86,13 @@ func dumpIndex(x *Index, w *snapshot.Writer, trace *telemetry.EventTrace) (keys,
 
 	var ks [][]byte
 	var vs []uint64
-	x.be.scan([]byte{}, nil, func(k []byte, v uint64) bool {
-		ks = append(ks, append([]byte(nil), k...))
+	// A cursor's keys alias memory no write changes (see cursor), so the
+	// run holds them without copying.
+	c := x.be.seek(nil, []byte{}, nil)
+	for k, v, ok := c.Next(); ok; k, v, ok = c.Next() {
+		ks = append(ks, k)
 		vs = append(vs, v)
-		return true
-	})
+	}
 	if n, err = emitSection(w, trace, secRun, 0, encodeRun(ks, vs)); err != nil {
 		return 0, 0, err
 	}
@@ -144,7 +146,7 @@ func dumpRuns(s *ShardedIndex, kind uint8, w *snapshot.Writer, trace *telemetry.
 		var ks [][]byte
 		var vs []uint64
 		s.scanShard(i, []byte{}, nil, func(k []byte, v uint64) bool {
-			ks = append(ks, append([]byte(nil), k...))
+			ks = append(ks, k) // intact after the lock is released (see cursor)
 			vs = append(vs, v)
 			return true
 		})

@@ -51,9 +51,9 @@ import (
 //     into an empty index samples split points from its corpus
 //     (RangeSplits over a core.Sampler reservoir).
 //
-// The callback contract differs from Index in one respect: the stored
-// (encoded) key passed to a scan callback is only valid for the duration
-// of the callback (it lives in a reused merge buffer).
+// The callback contract is Index's: the stored (encoded) key passed to a
+// scan callback aliases tree memory, must not be modified, and is valid
+// only during the callback.
 type ShardedIndex struct {
 	backend Backend
 	enc     *core.Encoder           // build-phase template; nil = uncompressed
@@ -83,10 +83,20 @@ type ShardedIndex struct {
 	met opMetrics
 }
 
-// indexShard is one lock stripe: a search tree behind its lock.
+// indexShard is one lock stripe: a search tree behind its lock, and the
+// tree's write version, bumped under the write lock by every write, which
+// tells a shard cursor whether the tree cursor it kept across a lock
+// release still holds.
 type indexShard struct {
-	mu sync.RWMutex
-	be indexBackend
+	mu  sync.RWMutex
+	be  indexBackend
+	ver uint64
+}
+
+// lock takes sh's write lock for a write: it bumps the version.
+func (sh *indexShard) lock() {
+	sh.mu.Lock()
+	sh.ver++
 }
 
 // pointScratch is a pooled encode destination for the lock-free read path.
@@ -253,7 +263,7 @@ func (s *ShardedIndex) Put(key []byte, val uint64) error {
 func (s *ShardedIndex) putShard(shard int, key []byte, val uint64) (existed bool, storedLen int, err error) {
 	sh := s.shards[shard]
 	if s.cenc == nil {
-		sh.mu.Lock()
+		sh.lock()
 		n := sh.be.length()
 		err = sh.be.insert(key, val)
 		existed = sh.be.length() == n
@@ -262,7 +272,7 @@ func (s *ShardedIndex) putShard(shard int, key []byte, val uint64) (existed bool
 	}
 	sc := s.scratch.Get().(*pointScratch)
 	ek, _ := s.cenc.EncodeBits(sc.buf, key)
-	sh.mu.Lock()
+	sh.lock()
 	n := sh.be.length()
 	err = sh.be.insert(ek, val)
 	existed = sh.be.length() == n
@@ -277,7 +287,7 @@ func (s *ShardedIndex) putShard(shard int, key []byte, val uint64) (existed bool
 // through.
 func (s *ShardedIndex) writeStored(shard int, stored []byte, val uint64, del bool) error {
 	sh := s.shards[shard]
-	sh.mu.Lock()
+	sh.lock()
 	defer sh.mu.Unlock()
 	if del {
 		_, err := sh.be.remove(stored)
@@ -335,14 +345,14 @@ func (s *ShardedIndex) Delete(key []byte) (bool, error) {
 func (s *ShardedIndex) deleteShard(shard int, key []byte) (bool, error) {
 	sh := s.shards[shard]
 	if s.cenc == nil {
-		sh.mu.Lock()
+		sh.lock()
 		ok, err := sh.be.remove(key)
 		sh.mu.Unlock()
 		return ok, err
 	}
 	sc := s.scratch.Get().(*pointScratch)
 	ek, _ := s.cenc.EncodeBits(sc.buf, key)
-	sh.mu.Lock()
+	sh.lock()
 	ok, err := sh.be.remove(ek)
 	sh.mu.Unlock()
 	sc.buf = ek[:0]
@@ -384,7 +394,7 @@ func (s *ShardedIndex) Bulk(keys [][]byte, vals []uint64) error {
 	return bulkPass(s.enc, len(s.shards), shardOf, keys, vals, s.backend == SuRF,
 		func(shard int, keys [][]byte, vals []uint64) error {
 			sh := s.shards[shard]
-			sh.mu.Lock()
+			sh.lock()
 			defer sh.mu.Unlock()
 			return sh.be.bulk(keys, vals)
 		})
@@ -655,10 +665,12 @@ func (s *ShardedIndex) planScan(m *scanState, lo, hi []byte, fn func(key []byte,
 // key intervals overlap the encoded query range [lo, hi). Shard i holds
 // the keys in [split[i-1], split[i]), and the encoded order is strict, so
 // its stored encodings lie in [encSplit[i-1], encSplit[i]). ok is false
-// for unordered (hash) partitions, which have no prunable structure.
+// for unordered (hash) partitions over several shards, which have no
+// prunable structure.
 func (s *ShardedIndex) scanSpan(lo, hi []byte) (first, last int, ok bool) {
 	if !s.part.Ordered() {
-		return 0, 0, false
+		// A single hash shard holds every key: nothing to merge.
+		return 0, 0, len(s.shards) == 1
 	}
 	last = len(s.shards) - 1
 	es := s.encSplits.Load()
@@ -686,9 +698,9 @@ func (s *ShardedIndex) scanSpan(lo, hi []byte) (first, last int, ok bool) {
 	return first, last, true
 }
 
-// scanCursorPool recycles shardCursor shells (chunk arenas, resume
-// buffers, fill callbacks) across scans of either plan, so neither the
-// single-shard fast path nor the k-way merge allocates a cursor per scan.
+// scanCursorPool recycles shardCursor shells (tree cursors, resume
+// buffers) across scans of either plan, so neither the single-shard fast
+// path nor the k-way merge allocates a cursor per scan.
 var scanCursorPool = sync.Pool{New: func() any { return new(shardCursor) }}
 
 // scanState is one scan's pooled scratch: the encoded lo/hi bound
@@ -723,6 +735,7 @@ func (m *scanState) release() {
 // lock, exactly like the merge path's cursors.
 func (s *ShardedIndex) orderedScan(first, last int, lo, hi []byte, fn func(key []byte, val uint64) bool) int {
 	c := scanCursorPool.Get().(*shardCursor)
+	defer c.release()
 	count := 0
 	for w := first; w <= last; w++ {
 		c.reset(s.shards[w], lo, hi)
@@ -734,124 +747,109 @@ func (s *ShardedIndex) orderedScan(first, last int, lo, hi []byte, fn func(key [
 			_, v := c.pop()
 			count++
 			if !fn(k, v) {
-				c.release()
 				return count
 			}
 		}
 	}
-	c.release()
 	return count
 }
 
-// Shard-cursor chunk sizing: each lock acquisition drains one chunk. The
-// first chunk is small — most range queries stop after a handful of
-// results, and with S shards a scan pre-drains up to S chunks before the
-// merge emits anything — then doubles per refill so long scans amortize
-// the lock and resume cost. scanChunk caps the growth to bound writer
-// latency impact and early-stop over-scan.
-const (
-	scanChunkInit = 8
-	scanChunk     = 64
-)
+// scanChunk is how many keys a shard cursor takes per hold of its shard's
+// read lock. Most range queries stop after a handful of results, and a
+// merged scan over S shards takes S chunks before it emits anything, so
+// chunks stay small; a refill that finds the shard unwritten resumes the
+// tree cursor where it stopped, so small chunks cost a lock hold each,
+// not a seek.
+const scanChunk = 8
 
-// shardCursor drains one shard's stored keys in [next, hi) in chunks.
-// Keys are copied into a reused arena so the cursor never retains tree
-// memory across lock releases; the resume point after a chunk is
-// lastKey+0x00, the smallest stored key strictly above lastKey in byte
-// order.
+// shardCursor drains one shard's stored keys in [lo, hi) in chunks of
+// scanChunk, one read-lock hold each. It keeps the tree cursor across the
+// lock release, with the shard's version when it last moved: a refill
+// that finds the version unchanged resumes the tree cursor, and one that
+// finds a write in between seeks again from lastKey+0x00, the smallest
+// key strictly above the last key it handed out. The chunk's keys alias
+// tree memory, which no write changes (see cursor), so they stay valid
+// after the lock is released.
 type shardCursor struct {
-	sh   *indexShard
-	next []byte // inclusive resume bound (owned)
-	hi   []byte // shared, read-only
+	sh     *indexShard
+	cur    cursor // the shard tree's cursor; kept for reuse across scans
+	ver    uint64 // sh.ver when cur last moved
+	sought bool   // cur is positioned in sh's tree
+	lo, hi []byte // shared, read-only
+	from   []byte // owned resume bound lastKey+0x00
 
-	arena []byte
-	keys  [][]byte
-	vals  []uint64
-	i     int
-	chunk int
-	done  bool // underlying shard exhausted; current chunk is the last
-
-	// collect is the fill callback, bound once per cursor lifetime (it
-	// captures only the cursor) so pooled cursors refill without
-	// allocating a fresh closure per chunk; nFill is its per-fill counter.
-	collect func(k []byte, v uint64) bool
-	nFill   int
+	keys [scanChunk][]byte
+	vals [scanChunk]uint64
+	n, i int
+	done bool // the tree cursor is exhausted; the current chunk is the last
 }
 
-// scanShard drains one shard's stored keys in [from, hi) (nil hi
+// scanShard visits one shard's stored keys in [from, hi) (nil hi
 // unbounded) in encoded order under the shard's read lock, until fn
-// returns false: one locked pass, the hook behind the snapshot dump and
-// AdaptiveIndex's chunked walks. Keys passed to fn alias tree memory and
-// are only valid during the callback, which must not call back into the
-// index.
+// returns false: one locked pass, the hook behind the snapshot dump. Keys
+// passed to fn alias tree memory (see cursor); fn must not call back into
+// the index.
 func (s *ShardedIndex) scanShard(shard int, from, hi []byte, fn func(k []byte, v uint64) bool) {
 	sh := s.shards[shard]
 	sh.mu.RLock()
-	sh.be.scan(from, hi, fn)
-	sh.mu.RUnlock()
+	defer sh.mu.RUnlock()
+	c := sh.be.seek(nil, from, hi)
+	for k, v, ok := c.Next(); ok && fn(k, v); k, v, ok = c.Next() {
+	}
 }
 
 // reset re-aims a (possibly pooled) cursor at one shard's [lo, hi) span,
-// keeping its arena and resume buffers for reuse.
+// keeping its tree cursor and resume buffer for reuse.
 func (c *shardCursor) reset(sh *indexShard, lo, hi []byte) {
-	c.sh = sh
-	c.next = append(c.next[:0], lo...)
-	c.hi = hi
-	c.arena, c.keys, c.vals = c.arena[:0], c.keys[:0], c.vals[:0]
-	c.i, c.chunk, c.done = 0, 0, false
+	c.sh, c.lo, c.hi = sh, lo, hi
+	c.sought, c.done = false, false
+	c.n, c.i = 0, 0
 }
 
-// release drops live references and returns the cursor to the pool.
+// release drops the chunk's and the bounds' references and returns the
+// cursor to the pool.
 func (c *shardCursor) release() {
-	c.sh, c.hi = nil, nil
+	c.sh, c.lo, c.hi = nil, nil, nil
+	clear(c.keys[:c.n])
 	scanCursorPool.Put(c)
 }
 
+// fill takes the next chunk under the shard's read lock.
 func (c *shardCursor) fill() {
-	c.arena = c.arena[:0]
-	c.keys = c.keys[:0]
-	c.vals = c.vals[:0]
-	c.i = 0
-	if c.done {
-		return
-	}
-	if c.chunk == 0 {
-		c.chunk = scanChunkInit
-	}
-	if c.collect == nil {
-		c.collect = func(k []byte, v uint64) bool {
-			start := len(c.arena)
-			c.arena = append(c.arena, k...)
-			c.keys = append(c.keys, c.arena[start:len(c.arena):len(c.arena)])
-			c.vals = append(c.vals, v)
-			c.nFill++
-			return c.nFill < c.chunk
-		}
-	}
-	c.nFill = 0
 	c.sh.mu.RLock()
-	c.sh.be.scan(c.next, c.hi, c.collect)
+	if !c.sought || c.ver != c.sh.ver {
+		from := c.lo
+		if c.sought {
+			// A full chunk was handed out before the write: its last key
+			// is still intact.
+			c.from = append(append(c.from[:0], c.keys[c.n-1]...), 0x00)
+			from = c.from
+		}
+		c.cur = c.sh.be.seek(c.cur, from, c.hi)
+		c.ver, c.sought = c.sh.ver, true
+	}
+	n := 0
+	for ; n < scanChunk; n++ {
+		k, v, ok := c.cur.Next()
+		if !ok {
+			c.done = true
+			break
+		}
+		c.keys[n], c.vals[n] = k, v
+	}
 	c.sh.mu.RUnlock()
-	n := c.nFill
-	if n < c.chunk {
-		c.done = true
-		return
-	}
-	c.next = append(append(c.next[:0], c.keys[n-1]...), 0x00)
-	if c.chunk < scanChunk {
-		c.chunk *= 2
-	}
+	c.n, c.i = n, 0
 }
 
 // peek returns the cursor's current key, refilling from the shard when the
 // chunk is consumed; ok is false when the shard is exhausted.
 func (c *shardCursor) peek() (key []byte, ok bool) {
-	if c.i >= len(c.keys) {
+	if c.i >= c.n {
 		if c.done {
 			return nil, false
 		}
 		c.fill()
-		if c.i >= len(c.keys) {
+		if c.n == 0 {
 			return nil, false
 		}
 	}

@@ -31,13 +31,15 @@ func hashScanStores(t *testing.T, keys [][]byte) map[string]Store {
 	return stores
 }
 
-// TestHashScanZeroAlloc pins the merge path's allocation bar: once the
+// TestHashScanZeroAlloc pins the scan paths' allocation bar: once the
 // pools are warm, a compressed scan over hash shards — bounds encoded
-// into pooled buffers, cursors and heap from the pooled scan state —
-// allocates nothing, and neither does an AdaptiveIndex scan, which runs
-// the same merge and decodes into a pooled buffer. A prefix scan builds
-// its successor bound in the pooled state too, so ScanPrefix allocates
-// nothing on those stores or on a range-sharded one.
+// into pooled buffers, cursors (tree cursors included) and heap from the
+// pooled scan state — allocates nothing, and neither does an
+// AdaptiveIndex scan, which runs the same merge and decodes into a pooled
+// buffer. The range-partitioned (ordered) path, on a ShardedIndex and on
+// an AdaptiveIndex, allocates nothing either. A prefix scan builds its
+// successor bound in the pooled state too, so ScanPrefix allocates
+// nothing on any of those stores.
 func TestHashScanZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race; zero-alloc steady state not reachable")
@@ -54,6 +56,17 @@ func TestHashScanZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	stores["BTree/range ShardedIndex"] = ranged
+	rangedART := mustOpen(t, ART, WithEncoder(testEncoders(t)[core.ThreeGrams]), WithShards(4), WithRangePartitioner(keys))
+	opts := manualOpts(core.ThreeGrams, testEncoders(t)[core.ThreeGrams].Clone())
+	opts.Shards, opts.Partition = 4, RangePartitioned
+	rangedAdaptive := openAdaptive(t, ART, opts)
+	for _, st := range []Store{rangedART, rangedAdaptive} {
+		if err := st.Bulk(keys, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stores["ART/range ShardedIndex"] = rangedART
+	stores["ART/range AdaptiveIndex"] = rangedAdaptive
 	for name, st := range stores {
 		n, i := 0, 0
 		fn := func([]byte, uint64) bool { n++; return n < 50 }

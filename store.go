@@ -16,7 +16,8 @@ package hope
 //     returning false. The key handed to fn is in the implementation's
 //     stored form — the HOPE encoding for a compressed Index/ShardedIndex,
 //     the original bytes for an AdaptiveIndex (which decodes its stored
-//     keys) — and is only valid for the duration of the callback.
+//     keys) — must not be modified, and is only valid for the duration
+//     of the callback. On an Index or ShardedIndex it aliases tree memory.
 //   - Bulk with nil vals assigns each key its position. On the bulk-only
 //     SuRF backend it is the only way to load keys.
 //   - Close makes the store final: it releases background machinery,
