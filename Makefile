@@ -17,7 +17,7 @@ lint:
 
 # chaos is the fault-injection soak: seeded fault plans firing errors,
 # stalls, and panics at every rebuild checkpoint under concurrent YCSB-style
-# traffic, differentially verified against a plain rebuilt Index — plus the
+# traffic, differentially verified against a plain rebuilt store — plus the
 # watchdog, breaker, panic-isolation, and Quiesce/Close robustness suite.
 # Runs under the race detector with a hard time budget; a failing seed is
 # printed by the fault plan's event log and replays deterministically.
@@ -59,7 +59,7 @@ bench:
 	$(GO) run ./cmd/hopebench -fig encode -dataset email -keys 200000 \
 		-json BENCH_encode.json
 
-# bench-tree records the end-to-end search-tree trajectory: hope.Index
+# bench-tree records the end-to-end search-tree trajectory: the default store's
 # load / point / range-scan latency and bytes-per-key for every backend ×
 # scheme, written to BENCH_tree.json (uploaded as a CI artifact alongside
 # BENCH_encode.json).

@@ -15,7 +15,7 @@ import (
 
 // ---------------------------------------------------------------------------
 // Helpers: a model-backed differential harness. The reference for every
-// comparison is an uncompressed Index rebuilt from the model — its scan
+// comparison is an uncompressed one-shard store rebuilt from the model — its scan
 // callbacks hand out original keys, exactly AdaptiveIndex's contract, so
 // result streams must be byte-identical.
 // ---------------------------------------------------------------------------
@@ -25,7 +25,7 @@ type kv struct {
 	v uint64
 }
 
-func referenceIndex(t *testing.T, backend Backend, model map[string]uint64) *Index {
+func referenceIndex(t *testing.T, backend Backend, model map[string]uint64) *ShardedIndex {
 	t.Helper()
 	ref := openIndex(t, backend, nil)
 	if backend == SuRF {
@@ -57,7 +57,7 @@ func collectAdaptiveScan(a *AdaptiveIndex, lo, hi []byte) []kv {
 	return out
 }
 
-func collectIndexScan(x *Index, lo, hi []byte) []kv {
+func collectIndexScan(x *ShardedIndex, lo, hi []byte) []kv {
 	var out []kv
 	x.Scan(lo, hi, func(k []byte, v uint64) bool {
 		out = append(out, kv{string(k), v})

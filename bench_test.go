@@ -227,8 +227,9 @@ func BenchmarkFig16(b *testing.B) {
 	spin(b)
 }
 
-// BenchmarkFigTree reports the end-to-end hope.Index series: load, point
-// and range-scan latency plus bytes/key for every backend × configuration.
+// BenchmarkFigTree reports the end-to-end series of the default-opened
+// store (one shard): load, point and range-scan latency plus bytes/key
+// for every backend × configuration.
 func BenchmarkFigTree(b *testing.B) {
 	cfg := benchCfg(datagen.Email)
 	rows := once(b, "figtree", func() ([]bench.TreeBenchRow, error) {
@@ -243,29 +244,13 @@ func BenchmarkFigTree(b *testing.B) {
 }
 
 // BenchmarkShardedIndexGet measures the zero-alloc concurrent read path
-// against the single-threaded Index.Get baseline (allocs/op must be 0 for
-// both; the sharded path adds the hash, the pool round-trip and the read
-// lock).
+// at DefaultShards, from one goroutine and from GOMAXPROCS (allocs/op
+// must be 0); the 1-shard Get is BenchmarkFigTree's point cell.
 func BenchmarkShardedIndexGet(b *testing.B) {
 	keys := datagen.Generate(datagen.Email, 20000, 1)
 	samples := hope.SampleKeys(keys, 0.01, 42)
 	enc := once(b, "enc/"+hope.SingleChar.String(), func() (*hope.Encoder, error) {
 		return hope.Build(hope.SingleChar, samples, hope.Options{DictLimit: 1 << 12})
-	})
-	b.Run("Index", func(b *testing.B) {
-		st, err := hope.Open(hope.ART, hope.WithEncoder(enc.Clone()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		x := st.(*hope.Index)
-		if err := x.Bulk(keys, nil); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			x.Get(keys[i%len(keys)])
-		}
 	})
 	b.Run("ShardedIndex", func(b *testing.B) {
 		s, err := hope.Open(hope.ART, hope.WithEncoder(enc.Clone()), hope.WithShards(0))
@@ -353,9 +338,8 @@ var _ = core.Schemes // the façade aliases core's scheme type; keep the link ex
 // shapes of the perfbench workloads that scan, all through the hash
 // k-way merge. Every leg is allocation-free in steady state, which
 // TestHashScanZeroAlloc and TestSingleShardScanZeroAlloc pin. The art-10
-// legs take 10 results from the drift-email shape on one shard, as a
-// 1-shard ShardedIndex and as a plain Index, whose Scan drives the tree
-// cursor directly: the sharded core's own cost on a short scan.
+// leg takes 10 results from the drift-email shape on one shard, the store
+// Open returns by default: the sharded core's own cost on a short scan.
 func BenchmarkShardedScan(b *testing.B) {
 	emails := datagen.Generate(datagen.Email, 20000, 1)
 	urls := datagen.Generate(datagen.URL, 20000, 1)
@@ -396,10 +380,6 @@ func BenchmarkShardedScan(b *testing.B) {
 		{"art-10/ShardedIndex-1", emails, func(b *testing.B) (hope.Store, error) {
 			enc := encoder(b, hope.ThreeGrams, emails, email4K)
 			return hope.Open(hope.ART, hope.WithEncoder(enc), hope.WithShards(1))
-		}, 10},
-		{"art-10/Index", emails, func(b *testing.B) (hope.Store, error) {
-			enc := encoder(b, hope.ThreeGrams, emails, email4K)
-			return hope.Open(hope.ART, hope.WithEncoder(enc))
 		}, 10},
 	} {
 		b.Run(leg.name, func(b *testing.B) {

@@ -412,7 +412,7 @@ func TestShardedMaxShardFrac(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // Chaos soak: seeded faults at every checkpoint under concurrent traffic,
-// differentially verified against a plain rebuilt Index at the end.
+// differentially verified against a plain rebuilt one-shard store at the end.
 // ---------------------------------------------------------------------------
 
 // chaosSoak drives one backend × partitioner combination: concurrent
@@ -421,7 +421,7 @@ func TestShardedMaxShardFrac(t *testing.T) {
 // errors, bounded stalls, and panics at every checkpoint. Every failure
 // must match the typed taxonomy; after disarming, one fault-free rebuild
 // must close any open breaker and the surviving state must be
-// byte-identical to a plain Index rebuilt from the merged models.
+// byte-identical to a plain one-shard store rebuilt from the merged models.
 func chaosSoak(t *testing.T, backend Backend, partition PartitionMode, seed int64, writers, ops int) {
 	plan := fault.NewPlan(seed,
 		fault.Rule{Point: "build-start", Shard: -1, Kind: fault.Error, Prob: 0.05},

@@ -61,10 +61,10 @@ var encodeMetrics = []metric{
 }
 
 // Tree gates the end-to-end search-tree figure: load throughput plus
-// point, scan and insert latencies through hope.Index. insert_ns is
-// absent from records written before the insert-heavy cell existed;
-// diffRows skips metrics with a non-positive baseline, so old baselines
-// still gate the other three.
+// point, scan and insert latencies through the store hope.Open returns by
+// default. insert_ns is absent from records written before the
+// insert-heavy cell existed; diffRows skips metrics with a non-positive
+// baseline, so old baselines still gate the other three.
 var treeMetrics = []metric{
 	{name: "load_keys_per_sec", higherBetter: true},
 	{name: "point_ns"},

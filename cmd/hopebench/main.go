@@ -137,7 +137,7 @@ func treeBench(cfg bench.Config, treeRows *[]bench.TreeBenchRow) error {
 			bench.F3(r.LoadSec), bench.F(r.PointNs), bench.F(r.ScanNs),
 			bench.F(r.BytesPerKey), bench.F3(r.TreeMB), bench.F3(r.DictMB), cpr})
 	}
-	bench.Table(os.Stdout, fmt.Sprintf("End-to-end trees (%s): hope.Index across backends x schemes", cfg.Dataset),
+	bench.Table(os.Stdout, fmt.Sprintf("End-to-end trees (%s): default hope.Open store across backends x schemes", cfg.Dataset),
 		[]string{"Backend", "Config", "Load (s)", "Point (ns)", "Scan (ns)",
 			"Bytes/key", "Tree (MB)", "Dict (MB)", "CPR"}, out)
 	return nil

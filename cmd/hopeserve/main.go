@@ -6,7 +6,7 @@
 //	hopeserve -store sharded -shards 16 -scheme Double-Char \
 //	    -preload 200000 -dataset email
 //	hopeserve -store adaptive -scheme 3-Grams       # lifecycle-managed
-//	hopeserve -store index                          # single Index, uncompressed
+//	hopeserve -shards 1 -scheme none                # one tree, uncompressed
 //
 // With -scheme and -preload the dictionary is built from a sample of the
 // preloaded keys before serving begins; an adaptive store can instead
@@ -47,7 +47,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7070", "TCP listen address (port 0 picks an ephemeral port)")
 		backend  = flag.String("backend", "art", "search tree: art | btree")
-		store    = flag.String("store", "sharded", "store implementation: index | sharded | adaptive")
+		store    = flag.String("store", "sharded", "store implementation: sharded | adaptive")
 		shards   = flag.Int("shards", 0, "shard count for sharded/adaptive stores (0 = #cores)")
 		rangePrt = flag.Bool("range", false, "range-partition the shards (sharded/adaptive stores)")
 		scheme   = flag.String("scheme", "none", "compression scheme (Single-Char, Double-Char, 3-Grams, 4-Grams, ALM, ALM-Improved) or none")
@@ -184,10 +184,6 @@ func buildStore(backend, store string, shards int, rangePrt bool, scheme string,
 		}
 	}
 	switch store {
-	case "index":
-		if shards != 0 || rangePrt {
-			return nil, 0, fmt.Errorf("-store index is single-shard; use -store sharded")
-		}
 	case "sharded":
 		opts = append(opts, hope.WithShards(shards))
 		if rangePrt {
@@ -202,7 +198,7 @@ func buildStore(backend, store string, shards int, rangePrt bool, scheme string,
 			opts = append(opts, hope.WithRangePartitioner(nil))
 		}
 	default:
-		return nil, 0, fmt.Errorf("unknown -store %q (want index, sharded or adaptive)", store)
+		return nil, 0, fmt.Errorf("unknown -store %q (want sharded or adaptive)", store)
 	}
 
 	if snapDir != "" {

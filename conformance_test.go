@@ -3,19 +3,26 @@ package hope
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 )
 
 // storeConformance is the shared Store contract suite: one table-driven
-// harness run against every implementation (Index, ShardedIndex,
-// AdaptiveIndex) × partition layout × encoder configuration, replacing the
-// per-type copies of the basic point-op/scan/edge-key boilerplate. It is
-// self-contained — expected results are computed from a plain Go map and
-// sort, not from a reference Index — so it also conformance-tests the
-// reference implementation itself. open must return a fresh empty Store.
+// harness run against every shape Open builds (the default one-shard
+// store, ShardedIndex and AdaptiveIndex) × partition layout × encoder
+// configuration, replacing the per-type copies of the basic
+// point-op/scan/edge-key boilerplate. It is self-contained — expected
+// results are computed from a plain Go map and sort, not from a reference
+// store — so it also conformance-tests the one-shard store the
+// differential tests use as their reference. open must return a fresh
+// empty Store.
 func storeConformance(t *testing.T, open func(t *testing.T) Store) {
 	corpus := adversarialCorpus()
 
@@ -294,6 +301,8 @@ func TestStoreConformance(t *testing.T) {
 				name string
 				open func(t *testing.T) Store
 			}{
+				// "Index" is the store Open returns with no shape
+				// option: a ShardedIndex of one hash shard.
 				{"Index", func(t *testing.T) Store {
 					return mustOpen(t, backend, WithEncoder(cloneEnc()))
 				}},
@@ -355,12 +364,92 @@ func TestOpenUnknownBackendReturnsNilStore(t *testing.T) {
 	}
 }
 
+// TestDefaultStoreConcurrent: the store Open returns with no options is
+// safe for concurrent use. On every mutable backend 4 goroutines each own
+// a key range of the same store and run Put, Get, Delete and Scan on it
+// against a sorted model; the race detector fails a store that does not
+// lock.
+func TestDefaultStoreConcurrent(t *testing.T) {
+	const workers, ops = 4, 600
+	for _, backend := range []Backend{ART, HOT, BTree, PrefixBTree} {
+		t.Run(string(backend), func(t *testing.T) {
+			st := mustOpen(t, backend)
+			defer st.Close()
+			errs := make([]error, workers)
+			var wg sync.WaitGroup
+			for w := range workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[w] = defaultStoreWorker(st, w, ops)
+				}()
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// defaultStoreWorker runs ops random operations on the keys "w<w>/000"
+// to "w<w>/063" of st, which no other worker touches, checking every
+// result against a model of that range.
+func defaultStoreWorker(st Store, w, ops int) error {
+	rng := rand.New(rand.NewSource(int64(w) + 1))
+	prefix := fmt.Appendf(nil, "w%d/", w)
+	end := prefixSuccessor(prefix)
+	model := map[string]uint64{}
+	for i := range ops {
+		k := fmt.Appendf(nil, "%s%03d", prefix, rng.Intn(64))
+		want, present := model[string(k)]
+		switch op := rng.Intn(8); {
+		case op < 3:
+			if err := st.Put(k, uint64(i)); err != nil {
+				return err
+			}
+			model[string(k)] = uint64(i)
+		case op < 5:
+			ok, err := st.Delete(k)
+			if err != nil || ok != present {
+				return fmt.Errorf("Delete(%q) = %v, %v; want %v", k, ok, err, present)
+			}
+			delete(model, string(k))
+		case op < 7:
+			if v, ok := st.Get(k); ok != present || v != want {
+				return fmt.Errorf("Get(%q) = %d,%v; want %d,%v", k, v, ok, want, present)
+			}
+		default:
+			// A short scan from k, then the whole range.
+			sorted := slices.Sorted(maps.Keys(model))
+			from, _ := slices.BinarySearch(sorted, string(k))
+			for _, sc := range []struct {
+				lo        []byte
+				from, lim int
+			}{{k, from, 5}, {prefix, 0, len(sorted)}} {
+				var got, want []kv
+				st.Scan(sc.lo, end, func(sk []byte, v uint64) bool {
+					got = append(got, kv{string(sk), v})
+					return len(got) < sc.lim
+				})
+				for _, mk := range sorted[sc.from:min(sc.from+sc.lim, len(sorted))] {
+					want = append(want, kv{mk, model[mk]})
+				}
+				if !equalKV(got, want) {
+					return fmt.Errorf("Scan(%q, %q) limit %d = %v; want %v", sc.lo, end, sc.lim, got, want)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // TestOpenDispatch pins which implementation each option combination
 // selects, and the option plumbing into it.
 func TestOpenDispatch(t *testing.T) {
 	s := mustOpen(t, BTree)
-	if _, ok := s.(*Index); !ok {
-		t.Fatalf("Open() = %T, want *Index", s)
+	if one, ok := s.(*ShardedIndex); !ok || one.NumShards() != 1 || one.Partitioner().Ordered() {
+		t.Fatalf("Open() = %T, want a 1-shard hash *ShardedIndex", s)
 	}
 
 	s = mustOpen(t, BTree, WithShards(8))

@@ -106,12 +106,11 @@ func cursorDifferential(t *testing.T, backend Backend, enc *core.Encoder, keys [
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored := func(k []byte) string {
-		if s.cenc == nil {
-			return string(k)
-		}
-		return string(s.encodeBound(nil, k))
+	var boundEnc *core.Encoder
+	if enc != nil {
+		boundEnc = enc.Clone()
 	}
+	stored := func(k []byte) string { return string(encodeBound(boundEnc, nil, k)) }
 	m := &cursorModel{vals: map[string]uint64{}, orig: map[string][]byte{}}
 	load := func() {
 		var ks [][]byte

@@ -18,11 +18,11 @@
 //
 // The repository also contains the five search trees the paper evaluates
 // (SuRF, ART, HOT, B+tree, Prefix B+tree) under internal/, composed with
-// the encoder by the Index facade (one Put/Get/Delete/Scan/Bulk interface
-// with transparent key compression and encoded range queries), by
-// ShardedIndex, the lock-striped concurrent serving layer over the same
-// backends (shared read-only dictionary, zero-alloc point reads, merged
-// encoded scans), and by AdaptiveIndex, which automates the dictionary
+// the encoder by ShardedIndex (one Put/Get/Delete/Scan/Bulk interface
+// with transparent key compression and encoded range queries, over one
+// lock-striped shard or many: shared read-only dictionary, zero-alloc
+// point reads, merged encoded scans), and by AdaptiveIndex, which
+// automates the dictionary
 // lifecycle the paper leaves to the application — online sampling, drift
 // detection, and background re-encode migration to a new-generation
 // dictionary without blocking traffic — plus a YCSB A-F workload driver

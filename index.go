@@ -9,14 +9,13 @@ import (
 
 	"repro/internal/art"
 	"repro/internal/btree"
-	"repro/internal/core"
 	"repro/internal/hot"
 	"repro/internal/prefixbtree"
 	"repro/internal/surf"
 )
 
-// Backend names one of the five search trees the paper evaluates and
-// hope.Index can wrap.
+// Backend names one of the five search trees the paper evaluates; every
+// store holds its keys in one of them per shard.
 type Backend string
 
 const (
@@ -42,50 +41,7 @@ var Backends = []Backend{ART, HOT, SuRF, BTree, PrefixBTree}
 // place).
 var ErrImmutableBackend = errors.New("hope: backend is immutable; load it with Bulk")
 
-// Index is the unified compressed-index facade: one of the five search
-// trees behind a single Put/Get/Delete/Scan/Bulk interface, with an
-// optional HOPE encoder applied transparently to every key. With a nil
-// encoder the Index stores keys uncompressed — the paper's baseline
-// configuration and the reference the differential tests compare encoded
-// scans against.
-//
-// All keys the caller passes are original (uncompressed) keys; the facade
-// encodes points and translates range bounds into encoded space (see
-// Scan and ScanPrefix for how the order-preserving guarantees compose).
-// Stored keys handed to scan callbacks are in stored (encoded) form; pair
-// the Index with a Decoder if originals must be reconstructed, or carry
-// the association through the value.
-//
-// An Index is not safe for concurrent use (the underlying trees and the
-// encoder's bit buffer are single-writer); wrap it with external locking,
-// or use ShardedIndex, the lock-striped serving layer that shares the
-// read-only dictionary across shards with one encoder clone per shard.
-type Index struct {
-	backend Backend
-	be      indexBackend
-	enc     *core.Encoder
-
-	closed bool // set by Close; mutations refused afterwards
-
-	buf []byte // scratch for point-operation encodes
-	cur cursor // the last scan's cursor, reused by the next
-}
-
-// newIndex wraps the named backend. enc may be nil for an uncompressed
-// index; otherwise every key is encoded with it transparently. The
-// encoder is captured by reference and its point-encode state is
-// mutable, so an encoder may be shared between Index instances only as
-// long as all of them are driven from one goroutine.
-func newIndex(backend Backend, enc *core.Encoder) (*Index, error) {
-	be, err := newIndexBackend(backend)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{backend: backend, be: be, enc: enc}, nil
-}
-
-// newIndexBackend constructs the named search tree; shared by Index and by
-// ShardedIndex (one backend per shard).
+// newIndexBackend constructs the named search tree, one per shard.
 func newIndexBackend(backend Backend) (indexBackend, error) {
 	switch backend {
 	case ART:
@@ -100,83 +56,6 @@ func newIndexBackend(backend Backend) (indexBackend, error) {
 		return &prefixBackend{t: prefixbtree.New()}, nil
 	}
 	return nil, fmt.Errorf("hope: unknown backend %q", backend)
-}
-
-// Backend returns the wrapped tree's name.
-func (x *Index) Backend() Backend { return x.backend }
-
-// Encoder returns the encoder applied to keys (nil when uncompressed).
-func (x *Index) Encoder() *core.Encoder { return x.enc }
-
-// Len returns the number of stored keys.
-func (x *Index) Len() int { return x.be.length() }
-
-// MemoryUsage returns the modeled footprint in bytes of the tree plus the
-// encoder's dictionary — the paper's reported metric ("HOPE size
-// included").
-func (x *Index) MemoryUsage() int {
-	m := x.be.memory()
-	if x.enc != nil {
-		m += x.enc.MemoryUsage()
-	}
-	return m
-}
-
-// TreeMemoryUsage returns the tree's modeled footprint alone.
-func (x *Index) TreeMemoryUsage() int { return x.be.memory() }
-
-// encodePoint encodes key into the reusable scratch buffer; the result is
-// only valid until the next point operation.
-func (x *Index) encodePoint(key []byte) []byte {
-	if x.enc == nil {
-		return key
-	}
-	b, _ := x.enc.EncodeBits(x.buf, key)
-	x.buf = b[:0]
-	return b
-}
-
-// Put inserts or overwrites one key. Bulk is the fast path for loading
-// many keys at once (it runs the parallel encoder and, for SuRF, is the
-// only way to populate the index).
-func (x *Index) Put(key []byte, val uint64) error {
-	if x.closed {
-		return ErrClosed
-	}
-	return x.be.insert(x.encodePoint(key), val)
-}
-
-// Get returns the value stored under key.
-func (x *Index) Get(key []byte) (uint64, bool) {
-	return x.be.get(x.encodePoint(key))
-}
-
-// Delete removes key, reporting whether it was present.
-func (x *Index) Delete(key []byte) (bool, error) {
-	if x.closed {
-		return false, ErrClosed
-	}
-	return x.be.remove(x.encodePoint(key))
-}
-
-// Bulk loads keys[i] -> vals[i] through the parallel bulk path
-// (bulkPass with one shard). A nil vals assigns each key its position; a
-// key given more than once keeps the value of its last position. Keys
-// need not be sorted. Into an empty ART, B+tree, Prefix B+tree or HOT,
-// the encoded keys are sorted once and the tree is built bottom-up; a
-// tree that already holds keys inserts them one by one (overwriting
-// stored values). For the SuRF backend Bulk builds the filter over the
-// sorted encoded run and retains the run, replacing any earlier contents.
-func (x *Index) Bulk(keys [][]byte, vals []uint64) error {
-	if x.closed {
-		return ErrClosed
-	}
-	if vals != nil && len(vals) != len(keys) {
-		return fmt.Errorf("hope: %d keys but %d values", len(keys), len(vals))
-	}
-	return bulkPass(x.enc, 1, nil, keys, vals, true, func(_ int, keys [][]byte, vals []uint64) error {
-		return x.be.bulk(keys, vals)
-	})
 }
 
 // copyAll deep-copies keys into slices of one backing array: the run a
@@ -198,49 +77,6 @@ func totalLen(keys [][]byte) int {
 		n += len(k)
 	}
 	return n
-}
-
-// Scan visits, in ascending original-key order, every stored key k with
-// lo <= k < hi (both bounds in original key space; a nil hi is unbounded)
-// and returns how many keys it visited. fn receives the stored (encoded)
-// key and may stop the scan by returning false. The key aliases tree
-// memory: it must not be modified and is valid only during the callback.
-//
-// Both bounds are complete keys, so they translate exactly: the encoded
-// order is strict, hence enc(lo) <= enc(k) < enc(hi) holds for stored
-// keys precisely when lo <= k < hi holds for the originals.
-func (x *Index) Scan(lo, hi []byte, fn func(key []byte, val uint64) bool) int {
-	var loEnc, hiEnc []byte
-	if x.enc != nil {
-		loEnc = x.enc.EncodeBound(lo)
-		if loEnc == nil {
-			loEnc = []byte{}
-		}
-		hiEnc = x.enc.EncodeBound(hi)
-	} else {
-		loEnc, hiEnc = lo, hi
-	}
-	// The cursor is detached while the scan runs, so a nested Scan from fn
-	// seeks a cursor of its own.
-	c := x.be.seek(x.cur, loEnc, hiEnc)
-	x.cur = nil
-	n := 0
-	for k, v, ok := c.Next(); ok; k, v, ok = c.Next() {
-		n++
-		if !fn(k, v) {
-			break
-		}
-	}
-	x.cur = c
-	return n
-}
-
-// ScanPrefix visits every stored key that starts with prefix, in
-// ascending order, and returns how many keys it visited: the keys
-// carrying prefix are exactly those in [prefix, prefixSuccessor(prefix)),
-// and both bounds are complete keys.
-func (x *Index) ScanPrefix(prefix []byte, fn func(key []byte, val uint64) bool) int {
-	return x.Scan(prefix, prefixSuccessor(prefix), fn)
 }
 
 // prefixSuccessor returns the smallest byte string greater than every

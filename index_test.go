@@ -122,14 +122,14 @@ func testEncoders(t *testing.T) map[core.Scheme]*core.Encoder {
 	return encFixture.encs
 }
 
-// openIndex opens a single-goroutine Index through Open.
-func openIndex(t *testing.T, backend Backend, enc *core.Encoder) *Index {
+// openIndex opens the default store through Open: one hash shard.
+func openIndex(t *testing.T, backend Backend, enc *core.Encoder) *ShardedIndex {
 	t.Helper()
-	return mustOpen(t, backend, WithEncoder(enc)).(*Index)
+	return mustOpen(t, backend, WithEncoder(enc)).(*ShardedIndex)
 }
 
 // loadIndex builds an index over the corpus with val i for key i.
-func loadIndex(t *testing.T, backend Backend, enc *core.Encoder, keys [][]byte) *Index {
+func loadIndex(t *testing.T, backend Backend, enc *core.Encoder, keys [][]byte) *ShardedIndex {
 	t.Helper()
 	x := openIndex(t, backend, enc)
 	if err := x.Bulk(keys, nil); err != nil {
@@ -158,7 +158,7 @@ func requireUniqueEncodings(t *testing.T, enc *core.Encoder, keys [][]byte) {
 // ---------------------------------------------------------------------------
 
 // collectScan runs one scan and returns the visited vals.
-func collectScan(x *Index, lo, hi []byte) []uint64 {
+func collectScan(x *ShardedIndex, lo, hi []byte) []uint64 {
 	var out []uint64
 	x.Scan(lo, hi, func(_ []byte, v uint64) bool {
 		out = append(out, v)
@@ -219,7 +219,7 @@ func TestScanPrefixDifferential(t *testing.T) {
 		{0x00}, {0xff}, {0xff, 0xff}, []byte("a\xff"), []byte("a\xff\xff"),
 		[]byte("nosuchprefix"), []byte("z"), []byte("a\x00"), {0x00, 0x00},
 	}
-	collect := func(x *Index, p []byte) []uint64 {
+	collect := func(x *ShardedIndex, p []byte) []uint64 {
 		var out []uint64
 		x.ScanPrefix(p, func(_ []byte, v uint64) bool {
 			out = append(out, v)
@@ -333,7 +333,7 @@ func TestScanEarlyStop(t *testing.T) {
 		plain := loadIndex(t, backend, nil, keys)
 		coded := loadIndex(t, backend, encs[core.DoubleChar], keys)
 		for _, limit := range []int{0, 1, 3, 10} {
-			take := func(x *Index) []uint64 {
+			take := func(x *ShardedIndex) []uint64 {
 				var out []uint64
 				x.Scan([]byte("a"), nil, func(_ []byte, v uint64) bool {
 					out = append(out, v)

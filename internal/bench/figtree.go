@@ -41,9 +41,10 @@ type TreeBenchRow struct {
 const treeScanLen = 10
 
 // RunFigTree reproduces the end-to-end figure: every facade backend under
-// every standard encoder configuration, loaded and queried through
-// hope.Index so the measured path is the one applications use (transparent
-// key encoding, bound translation, filter short-circuits).
+// every standard encoder configuration, loaded and queried through the
+// store hope.Open returns by default (a 1-shard hope.ShardedIndex), so the
+// measured path is the one applications use (transparent key encoding,
+// bound translation, filter short-circuits).
 func RunFigTree(cfg Config, backends []hope.Backend) ([]TreeBenchRow, error) {
 	keys := cfg.Keys()
 	samples := cfg.Sample(keys)
@@ -64,7 +65,7 @@ func RunFigTree(cfg Config, backends []hope.Backend) ([]TreeBenchRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			x := st.(*hope.Index)
+			x := st.(*hope.ShardedIndex)
 			// Each timed phase starts from a collected heap so a GC cycle
 			// triggered by the previous phase's garbage does not land in
 			// this phase's window (the cells are single wall-clock runs).
@@ -138,7 +139,7 @@ func insertCell(backend hope.Backend, enc *core.Encoder, keys [][]byte) (float64
 	if err != nil {
 		return 0, err
 	}
-	xi := ins.(*hope.Index)
+	xi := ins.(*hope.ShardedIndex)
 	loaded := make([][]byte, 0, len(keys))
 	held := make([][]byte, 0, len(keys)/10+1)
 	for i, k := range keys {

@@ -43,9 +43,14 @@ func TestShardedRegisterMetrics(t *testing.T) {
 	if got := snap["hope_index_scan_total"]; got != 1 {
 		t.Fatalf("hope_index_scan_total = %v, want 1", got)
 	}
-	// Scans record every invocation, so the latency series must be live.
+	// Scans are sampled 1-in-sampleEvery like point ops: once that many
+	// have run, the latency series must be live.
+	for i := 1; i < sampleEvery; i++ {
+		s.Scan(nil, nil, func(_ []byte, _ uint64) bool { return true })
+	}
+	snap = reg.Snapshot()
 	if snap["hope_index_scan_max_us"] <= 0 {
-		t.Fatalf("hope_index_scan_max_us = %v, want > 0", snap["hope_index_scan_max_us"])
+		t.Fatalf("hope_index_scan_max_us = %v after %d scans, want > 0", snap["hope_index_scan_max_us"], sampleEvery)
 	}
 	if got := snap["hope_index_len"]; got != n {
 		t.Fatalf("hope_index_len = %v, want %d", got, n)

@@ -38,10 +38,10 @@ func WithEncoder(enc *Encoder) Option {
 	return func(c *openConfig) { c.enc = enc; c.encSet = true }
 }
 
-// WithShards selects the concurrent lock-striped implementation with n
-// shards (rounded up to a power of two; n <= 0 selects DefaultShards).
-// Without it — and without WithRangePartitioner or WithAdaptive — Open
-// returns the single-goroutine Index.
+// WithShards sets the shard count of the lock-striped ShardedIndex to n
+// (rounded up to a power of two; n <= 0 selects DefaultShards). Without
+// it — and without WithRangePartitioner or WithAdaptive — Open returns a
+// ShardedIndex of one hash shard: one tree behind one lock.
 func WithShards(n int) Option {
 	return func(c *openConfig) { c.shards = n; c.shardsSet = true }
 }
@@ -98,9 +98,9 @@ func WithSnapshotFS(fs snapshot.VFS) Option {
 // Open constructs a Store over the named backend, selecting the
 // implementation from the options:
 //
-//	Open(BTree)                                  // single-goroutine Index, uncompressed
-//	Open(ART, WithEncoder(enc))                  // compressed Index
-//	Open(ART, WithEncoder(enc), WithShards(16))  // lock-striped ShardedIndex
+//	Open(BTree)                                  // 1-shard ShardedIndex, uncompressed
+//	Open(ART, WithEncoder(enc))                  // compressed, 1 shard
+//	Open(ART, WithEncoder(enc), WithShards(16))  // 16 hash shards
 //	Open(ART, WithEncoder(enc), WithShards(16),
 //	     WithRangePartitioner(corpus))           // range-partitioned ShardedIndex
 //	Open(ART, WithAdaptive(AdaptiveOptions{      // lifecycle-managed AdaptiveIndex
@@ -143,10 +143,11 @@ func buildStore(backend Backend, c *openConfig) (Store, error) {
 	if c.rangePart {
 		return asStore(NewShardedIndexWithPartitioner(backend, c.enc, newRangePartitioner(c.shards, c.corpus)))
 	}
+	shards := 1
 	if c.shardsSet {
-		return asStore(NewShardedIndexWithPartitioner(backend, c.enc, NewHashPartitioner(c.shards)))
+		shards = c.shards
 	}
-	return asStore(newIndex(backend, c.enc))
+	return asStore(NewShardedIndexWithPartitioner(backend, c.enc, NewHashPartitioner(shards)))
 }
 
 // asStore returns a built store as a Store, or a nil Store beside a build

@@ -46,11 +46,9 @@ const DefaultSnapshotRetain = 2
 // exception: its routing hash has changed, so its keys are decoded and
 // re-Bulked.)
 //
-// Snapshot may be called concurrently with serving traffic on the
-// concurrent stores (ShardedIndex, AdaptiveIndex); the image is per-shard
-// consistent, the same contract Len and Scan give. Concurrent Snapshot
-// calls serialize. For the single-goroutine Index the caller must not
-// mutate during Snapshot, the type's usual contract.
+// Snapshot may be called concurrently with serving traffic; the image is
+// per-shard consistent, the same contract Len and Scan give. Concurrent
+// Snapshot calls serialize.
 type Persistent struct {
 	Store
 

@@ -30,7 +30,9 @@ const (
 	secRetiredARun uint8 = 4
 )
 
-// Store kinds recorded in the meta section.
+// Store kinds recorded in the meta section. kindIndex is read, never
+// written: it marked the retired single-tree store, whose meta already
+// says one hash shard, so restore loads it as a 1-shard ShardedIndex.
 const (
 	kindIndex    uint8 = 0
 	kindSharded  uint8 = 1

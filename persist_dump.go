@@ -18,8 +18,6 @@ import (
 // snapshot-section event per section.
 func dumpStore(st Store, w *snapshot.Writer, trace *telemetry.EventTrace) (keys, bytes int, err error) {
 	switch s := st.(type) {
-	case *Index:
-		return dumpIndex(s, w, trace)
 	case *ShardedIndex:
 		return dumpSharded(s, w, trace)
 	case *AdaptiveIndex:
@@ -60,43 +58,6 @@ func writeDict(w *snapshot.Writer, trace *telemetry.EventTrace, enc *core.Encode
 		return 0, nil
 	}
 	return emitSection(w, trace, secDict, -1, encodeDict(enc.Entries()))
-}
-
-// dumpIndex serializes a single-goroutine Index: the meta and dictionary
-// sections, then one secRun with the tree's stored keys in encoded order.
-// The Index concurrency contract applies — the caller must not mutate the
-// index while the dump runs.
-func dumpIndex(x *Index, w *snapshot.Writer, trace *telemetry.EventTrace) (keys, size int, err error) {
-	m := snapMeta{
-		storeKind: kindIndex,
-		backend:   x.backend,
-		shards:    1,
-		keyCount:  uint64(x.Len()),
-	}
-	encoderMeta(&m, x.enc)
-	n, err := emitSection(w, trace, secMeta, -1, encodeMeta(m))
-	if err != nil {
-		return 0, 0, err
-	}
-	size += n
-	if n, err = writeDict(w, trace, x.enc); err != nil {
-		return 0, 0, err
-	}
-	size += n
-
-	var ks [][]byte
-	var vs []uint64
-	// A cursor's keys alias memory no write changes (see cursor), so the
-	// run holds them without copying.
-	c := x.be.seek(nil, []byte{}, nil)
-	for k, v, ok := c.Next(); ok; k, v, ok = c.Next() {
-		ks = append(ks, k)
-		vs = append(vs, v)
-	}
-	if n, err = emitSection(w, trace, secRun, 0, encodeRun(ks, vs)); err != nil {
-		return 0, 0, err
-	}
-	return len(ks), size + n, nil
 }
 
 // dumpSharded serializes a ShardedIndex: meta (including the partition

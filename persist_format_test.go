@@ -134,6 +134,75 @@ func TestPersistReadsVersion1(t *testing.T) {
 	}
 }
 
+// TestPersistRestoresRetiredIndexKind: store kind 0 marked the retired
+// single-goroutine Index, and no dump writes it any more; a snapshot of
+// that kind — version 3, and the same sections under the version-1 meta
+// layout — restores into a 1-shard hash ShardedIndex whose Len, Get and
+// every scanBounds() scan (stored keys and values) equal the source's.
+func TestPersistRestoresRetiredIndexKind(t *testing.T) {
+	keys := adversarialCorpus()
+	for _, enc := range []*core.Encoder{nil, testEncoders(t)[core.ThreeGrams]} {
+		src := loadIndex(t, BTree, encCloneOrNil(enc), keys)
+		snap, _ := snapshotOf(t, BTree, keys, WithEncoder(encCloneOrNil(enc)))
+		meta, err := decodeMeta(snap.Sections[0].Payload, snap.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.storeKind != kindSharded || meta.shards != 1 || meta.partition != 0 {
+			t.Fatalf("encoded=%v: default store dumped as kind %d, %d shards, partition %d; want kind %d, 1 hash shard",
+				enc != nil, meta.storeKind, meta.shards, meta.partition, kindSharded)
+		}
+		meta.storeKind = kindIndex
+		for _, version := range []uint32{3, 1} {
+			name := fmt.Sprintf("encoded=%v/v%d", enc != nil, version)
+			old := append([]snapshot.Section(nil), snap.Sections...)
+			if version == 1 {
+				old[0].Payload = encodeMetaV1(meta, 1)
+			} else {
+				old[0].Payload = encodeMeta(meta)
+			}
+			dir := t.TempDir()
+			writeSnapshotFile(t, dir, version, snap.Generation, old)
+			p := mustOpen(t, BTree, WithSnapshotDir(dir)).(*Persistent)
+			if !p.Restored() {
+				t.Fatalf("%s: kind-%d snapshot not restored", name, kindIndex)
+			}
+			got, ok := p.Unwrap().(*ShardedIndex)
+			if !ok || got.NumShards() != 1 || got.Partitioner().Ordered() {
+				t.Fatalf("%s: restored %T, want a 1-shard hash *ShardedIndex", name, p.Unwrap())
+			}
+			if got.Len() != src.Len() {
+				t.Fatalf("%s: restored Len = %d, want %d", name, got.Len(), src.Len())
+			}
+			for i, k := range keys {
+				if v, ok := got.Get(k); !ok || v != uint64(i) {
+					t.Fatalf("%s: Get(%q) = %d,%v, want %d,true", name, k, v, ok, i)
+				}
+			}
+			bounds := scanBounds()
+			for _, lo := range bounds {
+				for _, hi := range append(bounds, nil) {
+					want, have := collectStored(src, lo, hi), collectStored(got, lo, hi)
+					if !slices.Equal(have, want) {
+						t.Fatalf("%s: Scan(%q, %q) = %v, want %v", name, lo, hi, have, want)
+					}
+				}
+			}
+			p.Close()
+		}
+	}
+}
+
+// collectStored returns the stored keys and values one scan visits.
+func collectStored(s Store, lo, hi []byte) []kv {
+	var out []kv
+	s.Scan(lo, hi, func(k []byte, v uint64) bool {
+		out = append(out, kv{string(k), v})
+		return true
+	})
+	return out
+}
+
 // fnvShard is the routing of snapshot format versions 1 and 2: FNV-1a
 // over the key bytes, high half folded in, masked to the shard count.
 func fnvShard(key []byte, shards int) int {

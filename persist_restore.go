@@ -73,9 +73,8 @@ func restoreStore(backend Backend, snap *snapshot.Snapshot, c *openConfig) (Stor
 	// sit in the wrong shards for today's hash.
 	reroute := snap.Version < 3 && meta.partition != 1 && meta.shards > 1
 	switch meta.storeKind {
-	case kindIndex:
-		return restoreIndex(backend, enc, rest)
-	case kindSharded:
+	case kindIndex, kindSharded:
+		// A kindIndex snapshot (no longer written) is a 1-shard hash store.
 		return restoreSharded(backend, meta, enc, rest, reroute)
 	case kindAdaptive:
 		return restoreAdaptive(backend, meta, enc, rest, c, reroute)
@@ -102,25 +101,6 @@ func runSections(sections []snapshot.Section, kind uint8, shards int) ([][]byte,
 		return nil, fmt.Errorf("%w: %d run sections for %d shards", ErrSnapshotCorrupt, seen, shards)
 	}
 	return payloads, nil
-}
-
-func restoreIndex(backend Backend, enc *core.Encoder, sections []snapshot.Section) (*Index, error) {
-	payloads, err := runSections(sections, secRun, 1)
-	if err != nil {
-		return nil, err
-	}
-	x, err := newIndex(backend, enc)
-	if err != nil {
-		return nil, err
-	}
-	keys, vals, err := decodeRun(payloads[0])
-	if err != nil {
-		return nil, err
-	}
-	if err := x.be.bulk(keys, vals); err != nil {
-		return nil, err
-	}
-	return x, nil
 }
 
 // restorePartitioner rebuilds the dumped partition layout.

@@ -95,11 +95,12 @@ func persistShapes(enc func() *core.Encoder) []struct {
 		opts  func() []Option
 		check func(t *testing.T, s Store)
 	}{
+		// "Index" is the default store: one hash shard.
 		{"Index", func() []Option {
 			return []Option{WithEncoder(enc())}
 		}, func(t *testing.T, s Store) {
-			if _, ok := s.(*Index); !ok {
-				t.Fatalf("restored %T, want *Index", s)
+			if sh, ok := s.(*ShardedIndex); !ok || sh.NumShards() != 1 {
+				t.Fatalf("restored %T, want a 1-shard *ShardedIndex", s)
 			}
 		}},
 		{"Sharded/hash", func() []Option {
@@ -267,8 +268,8 @@ func TestPersistRoundTripSuRF(t *testing.T) {
 			r := mustOpen(t, SuRF, WithSnapshotDir(dir))
 			rp := r.(*Persistent)
 			defer rp.Close()
-			if _, ok := rp.Unwrap().(*Index); !ok {
-				t.Fatalf("restored %T, want *Index", rp.Unwrap())
+			if sh, ok := rp.Unwrap().(*ShardedIndex); !ok || sh.NumShards() != 1 {
+				t.Fatalf("restored %T, want a 1-shard *ShardedIndex", rp.Unwrap())
 			}
 			checkRestoredEquals(t, rp, oracle)
 		})

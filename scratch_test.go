@@ -10,8 +10,8 @@ import (
 )
 
 // TestPointOpScratchNotRetained locks the facade's most fragile contract:
-// Index.Get and Index.Delete hand the backends a *reusable* scratch buffer
-// (encodePoint's), so no backend may retain it — not in a node, not in a
+// Get and Delete hand the backends a *reusable* scratch buffer (the
+// pooled opScratch), so no backend may retain it — not in a node, not in a
 // rebuilt prefix, not in a separator. The test drives Get/Delete across
 // every backend × scheme and violently clobbers the scratch buffer after
 // every single call; if any backend aliased the buffer into its structure,
@@ -27,13 +27,16 @@ import (
 func TestPointOpScratchNotRetained(t *testing.T) {
 	keys := adversarialCorpus()
 	encs := testEncoders(t)
-	clobber := func(x *Index) {
-		// The scratch lives in x.buf between point ops (same package:
-		// reach in directly). Overwrite every byte of its capacity.
-		b := x.buf[:cap(x.buf)]
+	clobber := func(x *ShardedIndex) {
+		// The scratch returns to x.scratch between point ops (same
+		// package: take it from the pool directly). Overwrite every byte
+		// of its capacity.
+		sc := x.scratch.Get().(*opScratch)
+		b := sc.buf[:cap(sc.buf)]
 		for i := range b {
 			b[i] = 0xA5
 		}
+		x.scratch.Put(sc)
 	}
 	for _, backend := range Backends {
 		for _, scheme := range testSchemes {

@@ -18,19 +18,21 @@ import (
 // bytes by a pluggable Partitioner (hash by default; range with sampled
 // split points via WithRangePartitioner). The expensive build artifact —
 // the HOPE dictionary — is built once and shared read-only by every shard
-// and by the pooled point-encode state, so memory overhead versus a single
-// Index is a lock and a tree header per shard, not a dictionary per shard.
+// and by the pooled encode state, so each further shard costs a lock and
+// a tree header, not a dictionary. Open without a shape option returns one
+// hash shard: one tree behind one lock, the paper's single-index
+// configuration, still safe for concurrent use.
 //
 // Concurrency model:
 //
 //   - Put/Get/Delete route the original key to one shard and encode it
-//     outside any lock through a pooled scratch buffer
-//     (core.ConcurrentEncoder); the trees copy what they keep. Writers
+//     outside any lock through pooled scratch (opScratch: an encoder clone
+//     and its output buffer); the trees copy what they keep. Writers
 //     then take that shard's exclusive lock, Get only its read lock for
 //     the tree probe, so read-mostly workloads scale with the shard count
 //     and point ops are allocation-free in steady state.
-//   - Scan/ScanPrefix translate bounds once (through the concurrent
-//     encoder) and plan by partition shape. Hash shards interleave the
+//   - Scan/ScanPrefix translate bounds once (through the pooled encoder
+//     clone) and plan by partition shape. Hash shards interleave the
 //     keyspace, so every shard is drained in chunks under its read lock
 //     and a k-way merge interleaves the chunks by encoded-byte order,
 //     which is original-key order. Range shards hold disjoint ascending
@@ -51,13 +53,11 @@ import (
 //     into an empty index samples split points from its corpus
 //     (RangeSplits over a core.Sampler reservoir).
 //
-// The callback contract is Index's: the stored (encoded) key passed to a
-// scan callback aliases tree memory, must not be modified, and is valid
-// only during the callback.
+// The stored (encoded) key passed to a scan callback aliases tree memory,
+// must not be modified, and is valid only during the callback.
 type ShardedIndex struct {
 	backend Backend
-	enc     *core.Encoder           // build-phase template; nil = uncompressed
-	cenc    *core.ConcurrentEncoder // pooled encode state for the read path
+	enc     *core.Encoder // build-phase template; nil = uncompressed
 	shards  []*indexShard
 	part    Partitioner
 
@@ -68,7 +68,7 @@ type ShardedIndex struct {
 	// splits yet, or is single-shard.
 	encSplits atomic.Pointer[[][]byte]
 
-	scratch sync.Pool // *pointScratch; Get's zero-alloc encode buffers
+	scratch sync.Pool // *opScratch; one per point op or scan in flight
 
 	// closed is set by Close; the public mutation entry points (Put,
 	// Delete, Bulk) refuse with ErrClosed afterwards. Internal
@@ -99,8 +99,19 @@ func (sh *indexShard) lock() {
 	sh.ver++
 }
 
-// pointScratch is a pooled encode destination for the lock-free read path.
-type pointScratch struct{ buf []byte }
+// opScratch is one operation's pooled state, so that a steady-state point
+// op or scan takes one pool round trip and allocates nothing: a clone of
+// the encoder (its own bit buffer over the shared read-only dictionary;
+// nil when uncompressed), the point-encode destination, and a scan's
+// encoded bounds, prefix successor, ordered-plan cursor and merge heap.
+type opScratch struct {
+	enc    *core.Encoder
+	buf    []byte
+	lo, hi []byte
+	succ   []byte
+	cur    shardCursor
+	heap   []*shardCursor // taken from scanCursorPool
+}
 
 // DefaultShards returns the default shard count: the smallest power of two
 // at or above 4x GOMAXPROCS (striping beyond the parallelism level keeps
@@ -152,9 +163,6 @@ func NewShardedIndexWithPartitioner(backend Backend, enc *core.Encoder, p Partit
 		part:    p,
 		met:     newOpMetrics(),
 	}
-	if enc != nil {
-		s.cenc = core.NewConcurrentEncoder(enc)
-	}
 	for i := range s.shards {
 		be, err := newIndexBackend(backend)
 		if err != nil {
@@ -162,7 +170,13 @@ func NewShardedIndexWithPartitioner(backend Backend, enc *core.Encoder, p Partit
 		}
 		s.shards[i] = &indexShard{be: be}
 	}
-	s.scratch.New = func() any { return new(pointScratch) }
+	s.scratch.New = func() any {
+		sc := new(opScratch)
+		if enc != nil {
+			sc.enc = enc.Clone()
+		}
+		return sc
+	}
 	s.refreshEncSplits()
 	return s, nil
 }
@@ -178,13 +192,13 @@ func (s *ShardedIndex) refreshEncSplits() {
 	if !s.part.Ordered() || len(splits) == 0 {
 		return
 	}
+	var enc *core.Encoder
+	if s.enc != nil {
+		enc = s.enc.Clone()
+	}
 	es := make([][]byte, len(splits))
 	for i, sp := range splits {
-		if s.cenc != nil {
-			es[i] = s.cenc.EncodeBound(sp)
-		} else {
-			es[i] = append([]byte(nil), sp...)
-		}
+		es[i] = encodeBound(enc, nil, sp)
 	}
 	s.encSplits.Store(&es)
 }
@@ -262,7 +276,7 @@ func (s *ShardedIndex) Put(key []byte, val uint64) error {
 // the stored (encoded) key length, in one encode and one lock hold.
 func (s *ShardedIndex) putShard(shard int, key []byte, val uint64) (existed bool, storedLen int, err error) {
 	sh := s.shards[shard]
-	if s.cenc == nil {
+	if s.enc == nil {
 		sh.lock()
 		n := sh.be.length()
 		err = sh.be.insert(key, val)
@@ -270,8 +284,8 @@ func (s *ShardedIndex) putShard(shard int, key []byte, val uint64) (existed bool
 		sh.mu.Unlock()
 		return existed, len(key), err
 	}
-	sc := s.scratch.Get().(*pointScratch)
-	ek, _ := s.cenc.EncodeBits(sc.buf, key)
+	sc := s.scratch.Get().(*opScratch)
+	ek, _ := sc.enc.EncodeBits(sc.buf, key)
 	sh.lock()
 	n := sh.be.length()
 	err = sh.be.insert(ek, val)
@@ -310,14 +324,14 @@ func (s *ShardedIndex) Get(key []byte) (uint64, bool) {
 // getShard is Get routed to a known shard (see putShard).
 func (s *ShardedIndex) getShard(shard int, key []byte) (uint64, bool) {
 	sh := s.shards[shard]
-	if s.cenc == nil {
+	if s.enc == nil {
 		sh.mu.RLock()
 		v, ok := sh.be.get(key)
 		sh.mu.RUnlock()
 		return v, ok
 	}
-	sc := s.scratch.Get().(*pointScratch)
-	ek, _ := s.cenc.EncodeBits(sc.buf, key)
+	sc := s.scratch.Get().(*opScratch)
+	ek, _ := sc.enc.EncodeBits(sc.buf, key)
 	sh.mu.RLock()
 	v, ok := sh.be.get(ek)
 	sh.mu.RUnlock()
@@ -344,14 +358,14 @@ func (s *ShardedIndex) Delete(key []byte) (bool, error) {
 // deleteShard is Delete routed to a known shard (see putShard).
 func (s *ShardedIndex) deleteShard(shard int, key []byte) (bool, error) {
 	sh := s.shards[shard]
-	if s.cenc == nil {
+	if s.enc == nil {
 		sh.lock()
 		ok, err := sh.be.remove(key)
 		sh.mu.Unlock()
 		return ok, err
 	}
-	sc := s.scratch.Get().(*pointScratch)
-	ek, _ := s.cenc.EncodeBits(sc.buf, key)
+	sc := s.scratch.Get().(*opScratch)
+	ek, _ := sc.enc.EncodeBits(sc.buf, key)
 	sh.lock()
 	ok, err := sh.be.remove(ek)
 	sh.mu.Unlock()
@@ -519,8 +533,12 @@ func (bw *bulkWorker) gather(ks [][]byte, vs []uint64, shard int, keys [][]byte,
 // Routing the *original* bytes (not the encoding) keeps it independent of
 // the dictionary, so a rebuilt encoder never re-partitions live data. This
 // is the single routing function — point ops and Bulk partitioning must
-// agree exactly.
+// agree exactly. One shard holds every key, so it is not hashed (Bulk
+// passes no routing function at all then).
 func (s *ShardedIndex) shardIdx(key []byte) int {
+	if len(s.shards) == 1 {
+		return 0
+	}
 	return s.part.Shard(key)
 }
 
@@ -597,42 +615,62 @@ func (s *ShardedIndex) Scan(lo, hi []byte, fn func(key []byte, val uint64) bool)
 }
 
 // scan is Scan without the instrument — the entry point AdaptiveIndex
-// scans a generation through. The bounds are encoded into the pooled scan
-// state's buffers, so a steady-state scan allocates nothing.
+// scans a generation through. The bounds are encoded into the pooled
+// scratch's buffers, so a steady-state scan allocates nothing.
 func (s *ShardedIndex) scan(lo, hi []byte, fn func(key []byte, val uint64) bool) int {
-	m := scanStatePool.Get().(*scanState)
-	defer m.release()
+	m := s.scratch.Get().(*opScratch)
+	defer s.release(m)
 	return s.scanWith(m, lo, hi, fn)
 }
 
-// scanWith is scan on a scan state the caller holds.
-func (s *ShardedIndex) scanWith(m *scanState, lo, hi []byte, fn func(key []byte, val uint64) bool) int {
-	if s.cenc != nil {
+// scanWith is scan on scratch the caller holds.
+func (s *ShardedIndex) scanWith(m *opScratch, lo, hi []byte, fn func(key []byte, val uint64) bool) int {
+	if m.enc != nil {
 		// A nil lo still becomes a present (empty) bound; a nil hi stays
 		// unbounded.
-		m.lo = s.encodeBound(m.lo, lo)
+		m.lo = encodeBound(m.enc, m.lo, lo)
 		lo = m.lo
 		if hi != nil {
-			m.hi = s.encodeBound(m.hi, hi)
+			m.hi = encodeBound(m.enc, m.hi, hi)
 			hi = m.hi
 		}
 	}
 	return s.planScan(m, lo, hi, fn)
 }
 
-// encodeBound encodes one complete-key bound into dst's storage. The
-// result is never nil: the empty key is an empty but present bound.
-func (s *ShardedIndex) encodeBound(dst, key []byte) []byte {
-	b, _ := s.cenc.EncodeBits(dst[:0], key)
+// encodeBound encodes one complete-key bound with enc (nil copies it
+// as is) into dst's storage. The result is never nil: the empty key is an
+// empty but present bound.
+func encodeBound(enc *core.Encoder, dst, key []byte) []byte {
+	var b []byte
+	if enc != nil {
+		b, _ = enc.EncodeBits(dst[:0], key)
+	} else {
+		b = append(dst[:0], key...)
+	}
 	if b == nil {
 		b = []byte{}
 	}
 	return b
 }
 
+// release returns a scan's merge cursors to scanCursorPool, drops the
+// ordered cursor's references and returns m to the pool. Scans defer it,
+// so a panicking callback returns them too.
+func (s *ShardedIndex) release(m *opScratch) {
+	for i, c := range m.heap {
+		c.release()
+		m.heap[i] = nil
+	}
+	m.heap = m.heap[:0]
+	m.cur.drop()
+	s.scratch.Put(m)
+}
+
 // ScanPrefix visits every stored key that starts with prefix, in ascending
 // order, and returns how many keys it visited: the scan of
-// [prefix, prefixSuccessor(prefix)), as in Index.ScanPrefix.
+// [prefix, prefixSuccessor(prefix)): both bounds are complete keys, so
+// they translate exactly.
 func (s *ShardedIndex) ScanPrefix(prefix []byte, fn func(key []byte, val uint64) bool) int {
 	t := s.met.scan.Begin(0)
 	n := s.scanPrefix(prefix, fn)
@@ -641,11 +679,11 @@ func (s *ShardedIndex) ScanPrefix(prefix []byte, fn func(key []byte, val uint64)
 }
 
 // scanPrefix is ScanPrefix without the instrument (see scan). The
-// successor is built in the scan state's buffer and encoded into its hi
+// successor is built in the scratch's buffer and encoded into its hi
 // buffer, so a steady-state prefix scan allocates nothing either.
 func (s *ShardedIndex) scanPrefix(prefix []byte, fn func(key []byte, val uint64) bool) int {
-	m := scanStatePool.Get().(*scanState)
-	defer m.release()
+	m := s.scratch.Get().(*opScratch)
+	defer s.release(m)
 	m.succ = appendSuccessor(m.succ, prefix)
 	return s.scanWith(m, prefix, m.succ, fn)
 }
@@ -654,9 +692,9 @@ func (s *ShardedIndex) scanPrefix(prefix []byte, fn func(key []byte, val uint64)
 // strategy the partition shape allows: a pruned sequential walk for
 // ordered partitions — single-shard scans skip the merge machinery
 // entirely — or the k-way merge for hash partitions.
-func (s *ShardedIndex) planScan(m *scanState, lo, hi []byte, fn func(key []byte, val uint64) bool) int {
+func (s *ShardedIndex) planScan(m *opScratch, lo, hi []byte, fn func(key []byte, val uint64) bool) int {
 	if first, last, ok := s.scanSpan(lo, hi); ok {
-		return s.orderedScan(first, last, lo, hi, fn)
+		return s.orderedScan(&m.cur, first, last, lo, hi, fn)
 	}
 	return s.mergeScan(m, lo, hi, fn)
 }
@@ -668,9 +706,12 @@ func (s *ShardedIndex) planScan(m *scanState, lo, hi []byte, fn func(key []byte,
 // for unordered (hash) partitions over several shards, which have no
 // prunable structure.
 func (s *ShardedIndex) scanSpan(lo, hi []byte) (first, last int, ok bool) {
+	if len(s.shards) == 1 {
+		// A single shard holds every key: nothing to prune or merge.
+		return 0, 0, true
+	}
 	if !s.part.Ordered() {
-		// A single hash shard holds every key: nothing to merge.
-		return 0, 0, len(s.shards) == 1
+		return 0, 0, false
 	}
 	last = len(s.shards) - 1
 	es := s.encSplits.Load()
@@ -699,55 +740,29 @@ func (s *ShardedIndex) scanSpan(lo, hi []byte) (first, last int, ok bool) {
 }
 
 // scanCursorPool recycles shardCursor shells (tree cursors, resume
-// buffers) across scans of either plan, so neither the single-shard fast
-// path nor the k-way merge allocates a cursor per scan.
+// buffers) for the k-way merge's per-shard cursors and the rebuild walk,
+// so neither allocates a cursor per scan.
 var scanCursorPool = sync.Pool{New: func() any { return new(shardCursor) }}
-
-// scanState is one scan's pooled scratch: the encoded lo/hi bound
-// buffers, a prefix scan's successor bound, and, for a hash-merged scan,
-// the merge heap of per-shard cursors taken from scanCursorPool. With it a
-// steady-state scan allocates nothing.
-type scanState struct {
-	lo, hi []byte
-	succ   []byte
-	heap   []*shardCursor
-}
-
-var scanStatePool = sync.Pool{New: func() any { return new(scanState) }}
-
-// release returns the cursors still in the heap to scanCursorPool and the
-// state to its pool. Scans defer it, so a panicking callback returns them
-// too.
-func (m *scanState) release() {
-	for i, c := range m.heap {
-		c.release()
-		m.heap[i] = nil
-	}
-	m.heap = m.heap[:0]
-	scanStatePool.Put(m)
-}
 
 // orderedScan drains shards first..last sequentially. Ordered disjoint
 // shard intervals make interleaving impossible: everything in shard w
 // precedes everything in shard w+1 in encoded (hence original) order, so
 // the global order is the concatenation of per-shard orders and no merge
 // or heap is needed. Each shard still drains in chunks under its read
-// lock, exactly like the merge path's cursors.
-func (s *ShardedIndex) orderedScan(first, last int, lo, hi []byte, fn func(key []byte, val uint64) bool) int {
-	c := scanCursorPool.Get().(*shardCursor)
-	defer c.release()
+// lock, exactly like the merge path's cursors, through c, the scratch's
+// cursor; with nothing to compare, the keys go out straight from each
+// chunk.
+func (s *ShardedIndex) orderedScan(c *shardCursor, first, last int, lo, hi []byte, fn func(key []byte, val uint64) bool) int {
 	count := 0
 	for w := first; w <= last; w++ {
 		c.reset(s.shards[w], lo, hi)
-		for {
-			k, ok := c.peek()
-			if !ok {
-				break
-			}
-			_, v := c.pop()
-			count++
-			if !fn(k, v) {
-				return count
+		for !c.done {
+			c.fill()
+			for i := range c.n {
+				count++
+				if !fn(c.keys[i], c.vals[i]) {
+					return count
+				}
 			}
 		}
 	}
@@ -806,11 +821,16 @@ func (c *shardCursor) reset(sh *indexShard, lo, hi []byte) {
 	c.n, c.i = 0, 0
 }
 
-// release drops the chunk's and the bounds' references and returns the
-// cursor to the pool.
-func (c *shardCursor) release() {
+// drop drops the chunk's and the bounds' references, keeping the tree
+// cursor and resume buffer for reuse.
+func (c *shardCursor) drop() {
 	c.sh, c.lo, c.hi = nil, nil, nil
 	clear(c.keys[:c.n])
+}
+
+// release drops the cursor's references and returns it to the pool.
+func (c *shardCursor) release() {
+	c.drop()
 	scanCursorPool.Put(c)
 }
 
@@ -872,7 +892,7 @@ func (c *shardCursor) pop() (key []byte, val uint64) {
 // ~30× on the scan hot path). The heap lives in m and its cursors come
 // from scanCursorPool; a cursor goes back as soon as its shard is
 // exhausted, the rest when the caller releases m.
-func (s *ShardedIndex) mergeScan(m *scanState, lo, hi []byte, fn func(key []byte, val uint64) bool) int {
+func (s *ShardedIndex) mergeScan(m *opScratch, lo, hi []byte, fn func(key []byte, val uint64) bool) int {
 	for _, sh := range s.shards {
 		c := scanCursorPool.Get().(*shardCursor)
 		c.reset(sh, lo, hi)

@@ -85,7 +85,7 @@ func TestRangePartitionerUnits(t *testing.T) {
 // TestRangeShardedScanDifferential is the tentpole's acceptance test: on
 // every backend × scheme, a range-partitioned ShardedIndex returns exactly
 // the vals (hence byte-identical keys, in the same order) a hash-
-// partitioned one and a single hope.Index return, across the adversarial
+// partitioned one and a 1-shard store return, across the adversarial
 // corpus and bound sweep — proving the pruned sequential scan planner
 // reconstructs the same global order the k-way merge and the single tree
 // produce.
@@ -103,7 +103,7 @@ func TestRangeShardedScanDifferential(t *testing.T) {
 			hash := loadSharded(t, backend, hashEnc, 8, keys)
 			ranged := loadRangeSharded(t, backend, enc, 8, keys)
 			if ref.Len() != ranged.Len() {
-				t.Fatalf("%s/%s: Index holds %d keys, range ShardedIndex %d",
+				t.Fatalf("%s/%s: 1-shard store holds %d keys, range ShardedIndex %d",
 					backend, schemeName(enc), ref.Len(), ranged.Len())
 			}
 			pairs := [][2][]byte{{nil, nil}}
@@ -127,7 +127,7 @@ func TestRangeShardedScanDifferential(t *testing.T) {
 					return true
 				})
 				if !equalU64(want, gotRange) || !equalU64(want, gotHash) {
-					t.Fatalf("%s/%s: Scan(%q, %q): Index %v, hash %v, range %v",
+					t.Fatalf("%s/%s: Scan(%q, %q): 1-shard %v, hash %v, range %v",
 						backend, schemeName(enc), p[0], p[1], want, gotHash, gotRange)
 				}
 			}
@@ -136,7 +136,7 @@ func TestRangeShardedScanDifferential(t *testing.T) {
 }
 
 // TestRangeShardedScanPrefixDifferential: prefix scans through the pruned
-// planner match the single-Index reference on every backend × scheme.
+// planner match the 1-shard reference on every backend × scheme.
 func TestRangeShardedScanPrefixDifferential(t *testing.T) {
 	keys := adversarialCorpus()
 	prefixes := [][]byte{
@@ -164,7 +164,7 @@ func TestRangeShardedScanPrefixDifferential(t *testing.T) {
 					return true
 				})
 				if !equalU64(want, got) {
-					t.Fatalf("%s/%s: ScanPrefix(%q): Index %v != range ShardedIndex %v",
+					t.Fatalf("%s/%s: ScanPrefix(%q): 1-shard %v != range ShardedIndex %v",
 						backend, schemeName(enc), p, want, got)
 				}
 			}
@@ -327,7 +327,7 @@ func TestRangeShardedBulkSeedsSplits(t *testing.T) {
 }
 
 // TestRangeShardedEarlyStop: early-stopping callbacks through the
-// sequential ordered path match the single-Index scan and count.
+// sequential ordered path match the 1-shard scan and count.
 func TestRangeShardedEarlyStop(t *testing.T) {
 	keys := adversarialCorpus()
 	encs := testEncoders(t)
@@ -346,7 +346,7 @@ func TestRangeShardedEarlyStop(t *testing.T) {
 			want, wantN := take(ref.Scan)
 			got, gotN := take(ranged.Scan)
 			if !equalU64(want, got) || wantN != gotN {
-				t.Fatalf("%s limit %d: Index %v (n=%d) != range %v (n=%d)",
+				t.Fatalf("%s limit %d: 1-shard %v (n=%d) != range %v (n=%d)",
 					backend, limit, want, wantN, got, gotN)
 			}
 		}
@@ -354,10 +354,10 @@ func TestRangeShardedEarlyStop(t *testing.T) {
 }
 
 // TestSingleShardScanZeroAlloc is the acceptance criterion's allocation
-// bar for the fast path: a short compressed scan confined to one shard of
-// a range-partitioned index builds no merge heap and allocates nothing —
-// the cursor, its chunk arena, and its resume buffer come from the scan
-// cursor pool, the encoded bounds from the pooled scan state.
+// bar for the fast path: a short compressed scan confined to one shard —
+// of a range-partitioned index, or of the default one-shard store —
+// builds no merge heap and allocates nothing: the cursor, its resume
+// buffer and the encoded bounds come from the pooled scratch.
 func TestSingleShardScanZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race; zero-alloc steady state not reachable")
@@ -367,22 +367,27 @@ func TestSingleShardScanZeroAlloc(t *testing.T) {
 		keys = append(keys, []byte(fmt.Sprintf("com.user@%05d", i)))
 	}
 	enc := testEncoders(t)[core.DoubleChar]
-	s := mustOpen(t, BTree, WithEncoder(enc), WithShards(16), WithRangePartitioner(keys)).(*ShardedIndex)
-	if err := s.Bulk(keys, nil); err != nil {
-		t.Fatal(err)
-	}
-	lo := []byte("com.user@02000")
-	run := func() {
-		n := 0
-		s.Scan(lo, nil, func(_ []byte, _ uint64) bool {
-			n++
-			return n < 50
-		})
-	}
-	run() // warm the cursor pool
-	allocs := testing.AllocsPerRun(2000, run)
-	if allocs >= 0.5 {
-		t.Fatalf("single-shard scan allocates %.2f/op in steady state, want 0", allocs)
+	for name, opts := range map[string][]Option{
+		"range/16": {WithEncoder(enc.Clone()), WithShards(16), WithRangePartitioner(keys)},
+		"default":  {WithEncoder(enc.Clone())}, // one hash shard
+	} {
+		s := mustOpen(t, BTree, opts...).(*ShardedIndex)
+		if err := s.Bulk(keys, nil); err != nil {
+			t.Fatal(err)
+		}
+		lo := []byte("com.user@02000")
+		run := func() {
+			n := 0
+			s.Scan(lo, nil, func(_ []byte, _ uint64) bool {
+				n++
+				return n < 50
+			})
+		}
+		run() // warm the scratch pool
+		allocs := testing.AllocsPerRun(2000, run)
+		if allocs >= 0.5 {
+			t.Fatalf("%s: single-shard scan allocates %.2f/op in steady state, want 0", name, allocs)
+		}
 	}
 }
 

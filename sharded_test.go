@@ -120,7 +120,7 @@ func TestShardHashBalance(t *testing.T) {
 }
 
 // shardedSchemes covers nil (uncompressed) plus every tested scheme; the
-// acceptance bar is identity with a single Index on all of them.
+// acceptance bar is identity with a 1-shard store on all of them.
 func shardedSchemes(t *testing.T) []*core.Encoder {
 	encs := testEncoders(t)
 	out := []*core.Encoder{nil}
@@ -139,16 +139,17 @@ func schemeName(enc *core.Encoder) string {
 
 // TestShardedScanDifferential is the tentpole's acceptance test: on every
 // backend × scheme, ShardedIndex.Scan returns exactly the vals (hence
-// byte-identical original keys, in the same order) a single hope.Index
+// byte-identical original keys, in the same order) a 1-shard store
 // returns, across the adversarial corpus and bound sweep — proving the
-// k-way shard merge reconstructs the global encoded order.
+// k-way shard merge reconstructs the global encoded order the 1-shard
+// store's ordered plan reads off one tree.
 func TestShardedScanDifferential(t *testing.T) {
 	keys := adversarialCorpus()
 	bounds := scanBounds()
 	for _, backend := range Backends {
 		for _, enc := range shardedSchemes(t) {
-			// The encoder template is shared between the reference Index
-			// and the sharded one: clone for the single-writer reference.
+			// The encoder template is captured by each store: clone one
+			// for the 1-shard reference.
 			var refEnc *core.Encoder
 			if enc != nil {
 				refEnc = enc.Clone()
@@ -156,7 +157,7 @@ func TestShardedScanDifferential(t *testing.T) {
 			ref := loadIndex(t, backend, refEnc, keys)
 			sharded := loadSharded(t, backend, enc, 8, keys)
 			if ref.Len() != sharded.Len() {
-				t.Fatalf("%s/%s: Index holds %d keys, ShardedIndex %d",
+				t.Fatalf("%s/%s: 1-shard store holds %d keys, ShardedIndex %d",
 					backend, schemeName(enc), ref.Len(), sharded.Len())
 			}
 			pairs := [][2][]byte{{nil, nil}}
@@ -176,7 +177,7 @@ func TestShardedScanDifferential(t *testing.T) {
 					return true
 				})
 				if !equalU64(want, got) {
-					t.Fatalf("%s/%s: Scan(%q, %q): Index %v != ShardedIndex %v",
+					t.Fatalf("%s/%s: Scan(%q, %q): 1-shard %v != ShardedIndex %v",
 						backend, schemeName(enc), p[0], p[1], want, got)
 				}
 			}
@@ -185,7 +186,7 @@ func TestShardedScanDifferential(t *testing.T) {
 }
 
 // TestShardedScanPrefixDifferential: merged prefix scans, the range scans
-// of [prefix, successor), match the single-Index reference.
+// of [prefix, successor), match the 1-shard reference.
 func TestShardedScanPrefixDifferential(t *testing.T) {
 	keys := adversarialCorpus()
 	prefixes := [][]byte{
@@ -213,7 +214,7 @@ func TestShardedScanPrefixDifferential(t *testing.T) {
 					return true
 				})
 				if !equalU64(want, got) {
-					t.Fatalf("%s/%s: ScanPrefix(%q): Index %v != ShardedIndex %v",
+					t.Fatalf("%s/%s: ScanPrefix(%q): 1-shard %v != ShardedIndex %v",
 						backend, schemeName(enc), p, want, got)
 				}
 			}
@@ -222,7 +223,7 @@ func TestShardedScanPrefixDifferential(t *testing.T) {
 }
 
 // TestShardedEarlyStop: a callback returning false stops the merged scan
-// after the same results as the single-Index scan, and the chunked shard
+// after the same results as the 1-shard scan, and the chunked shard
 // cursors do not over-report the visit count.
 func TestShardedEarlyStop(t *testing.T) {
 	keys := adversarialCorpus()
@@ -242,7 +243,7 @@ func TestShardedEarlyStop(t *testing.T) {
 			want, wantN := take(ref.Scan)
 			got, gotN := take(sharded.Scan)
 			if !equalU64(want, got) || wantN != gotN {
-				t.Fatalf("%s limit %d: Index %v (n=%d) != ShardedIndex %v (n=%d)",
+				t.Fatalf("%s limit %d: 1-shard %v (n=%d) != ShardedIndex %v (n=%d)",
 					backend, limit, want, wantN, got, gotN)
 			}
 		}
@@ -250,7 +251,7 @@ func TestShardedEarlyStop(t *testing.T) {
 }
 
 // TestShardedPointOpsDifferential drives the same Put/Get/Delete sequence
-// through a ShardedIndex and a model map, mirroring the single-Index
+// through a ShardedIndex and a model map, mirroring the 1-shard
 // point-op differential.
 func TestShardedPointOpsDifferential(t *testing.T) {
 	keys := adversarialCorpus()
@@ -370,7 +371,7 @@ func TestShardedGetZeroAlloc(t *testing.T) {
 	encs := testEncoders(t)
 	for _, enc := range []*core.Encoder{nil, encs[core.SingleChar], encs[core.DoubleChar]} {
 		s := loadSharded(t, ART, enc, 8, keys)
-		// Warm the scratch and appender pools.
+		// Warm the scratch pool.
 		for _, k := range keys {
 			s.Get(k)
 		}

@@ -236,7 +236,7 @@ func bulkShapes(e *core.Encoder) []bulkShape {
 		return e.Clone()
 	}
 	return []bulkShape{
-		{"Index", []Option{WithEncoder(clone())}},
+		{"Index", []Option{WithEncoder(clone())}}, // the default store: one shard
 		{"Sharded/hash", []Option{WithEncoder(clone()), WithShards(4)}},
 		{"Sharded/range", []Option{WithEncoder(clone()), WithShards(4), WithRangePartitioner(nil)}},
 		{"Adaptive/hash", []Option{WithAdaptive(AdaptiveOptions{Encoder: clone(), Shards: 4, Manual: true})}},

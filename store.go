@@ -1,11 +1,12 @@
 package hope
 
 // Store is the unified contract every index in this package serves: the
-// single-goroutine Index, the lock-striped ShardedIndex, and the
-// lifecycle-managed AdaptiveIndex all implement it, and everything built
-// on top of the library — the network server in package server above all —
-// accepts a Store rather than a concrete index type. Construct one with
-// Open, which selects the implementation from functional options.
+// lock-striped ShardedIndex (one shard unless Open is asked for more) and
+// the lifecycle-managed AdaptiveIndex both implement it, and everything
+// built on top of the library — the network server in package server
+// above all — accepts a Store rather than a concrete index type. Construct
+// one with Open, which selects the implementation from functional options.
+// Every store is safe for concurrent use.
 //
 // Semantics shared by every implementation:
 //
@@ -14,10 +15,10 @@ package hope
 //   - Scan and ScanPrefix visit keys in ascending original-key order and
 //     return how many keys they visited; fn may stop the traversal by
 //     returning false. The key handed to fn is in the implementation's
-//     stored form — the HOPE encoding for a compressed Index/ShardedIndex,
-//     the original bytes for an AdaptiveIndex (which decodes its stored
+//     stored form — the HOPE encoding for a compressed ShardedIndex, the
+//     original bytes for an AdaptiveIndex (which decodes its stored
 //     keys) — must not be modified, and is only valid for the duration
-//     of the callback. On an Index or ShardedIndex it aliases tree memory.
+//     of the callback. On a ShardedIndex it aliases tree memory.
 //   - Bulk with nil vals assigns each key its position. On the bulk-only
 //     SuRF backend it is the only way to load keys.
 //   - Close makes the store final: it releases background machinery,
@@ -26,10 +27,6 @@ package hope
 //     final contents. Close is idempotent — a second call is a no-op
 //     returning nil. Finality is what lets a snapshot-on-drain serialize
 //     a store that can no longer change underneath it (see Persistent).
-//
-// Concurrency is the one axis the contract leaves to the implementation:
-// Index is single-goroutine, ShardedIndex and AdaptiveIndex are safe for
-// concurrent use. Servers should Open with WithShards or WithAdaptive.
 type Store interface {
 	// Put inserts or overwrites one key.
 	Put(key []byte, val uint64) error
@@ -61,20 +58,10 @@ type Quiescer interface {
 
 // Every index implements Store; the server layer depends on it.
 var (
-	_ Store    = (*Index)(nil)
 	_ Store    = (*ShardedIndex)(nil)
 	_ Store    = (*AdaptiveIndex)(nil)
 	_ Quiescer = (*AdaptiveIndex)(nil)
 )
-
-// Close implements Store. The plain Index has no background machinery to
-// release; Close marks the index final, so subsequent mutations return
-// ErrClosed while reads and scans keep serving. Idempotent; always
-// returns nil.
-func (x *Index) Close() error {
-	x.closed = true
-	return nil
-}
 
 // Close implements Store. ShardedIndex runs no background goroutines —
 // shards are plain lock stripes — so Close only marks the index final:
