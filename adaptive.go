@@ -35,22 +35,17 @@ import (
 // (zero-padded) encoding decodes to exactly one original key. A rebuild
 // decodes the old generation's keys to re-encode them, and scans decode
 // what they emit (core.TableDecoder): scan callbacks receive the
-// *original* key — unlike Index and ShardedIndex, which hand out stored
+// *original* key — unlike ShardedIndex, which hands out stored
 // encodings. Keys passed to callbacks are only valid during the callback.
 //
-// # Stripes versus tree shards
+// # Change logs on tree shards
 //
-// The adaptive layer's unit of bookkeeping is the *stripe*: a fixed,
-// generation-independent hash of the original key bytes (see shardHash)
-// selects one adaptiveShard, whose lock serializes that stripe's writes
-// and, during a migration, guards its change list. Each generation's
-// ShardedIndex routes the same key to its *tree shards* by its own
-// Partitioner — hash by default, or range with split points re-sampled
-// from the lifecycle reservoir at every rebuild
-// (AdaptiveOptions.Partition). Decoupling the two is what lets a rebuild
-// change the key partition: the change lists stay stripe-addressed while
-// the trees re-balance underneath, so a drift migration doubles as shard
-// re-balancing.
+// The adaptive layer keeps no locks of its own. A write routes once, by
+// the serving generation's partitioner — hash by default, or range
+// (WithRangePartitioner) with split points re-sampled from the lifecycle
+// reservoir at every rebuild, so a drift migration doubles as shard
+// re-balancing — and takes that tree shard's write lock, under which a
+// migration's change list for the shard also records it.
 //
 // # Migration protocol
 //
@@ -58,19 +53,24 @@ import (
 // next one beside it and flips once. Every backend runs the same steps:
 //
 //   - Build the dictionary from a reservoir snapshot with no locks held.
-//   - Start every stripe's change list: from then on each Put and Delete
-//     also logs (op, key, value) there.
+//   - Start a change list on every old tree shard, under its write lock:
+//     from then on each Put and Delete also logs (op, key, value) there.
 //   - Walk: every old tree shard in parallel, decoding its stored keys
 //     in chunks, one read-lock hold per chunk.
 //   - Build the next generation's trees off every lock with one Bulk:
 //     one parallel route-and-encode pass, one sort of each shard's
 //     compressed keys, a bottom-up BulkLoad.
-//   - Replay, pass one: per stripe, under its own lock, take the change
-//     list; apply it to next's trees after the unlock — each key's last
-//     logged write, which is exact whatever the walk saw of a concurrent
-//     write. Pass one repeats while each round replays less than the last.
-//   - Replay, pass two, and flip: with every stripe lock held, replay only
-//     what arrived since pass one, then make next the serving generation.
+//   - Replay, pass one: per old tree shard, under its write lock, take the
+//     change list; apply it to next's trees after the unlock, routed by
+//     next's partitioner — each key's last logged write, which is exact
+//     whatever the walk saw of a concurrent write. Pass one repeats while
+//     each round replays less than the last.
+//   - Replay, pass two, and flip: with every old tree-shard write lock
+//     held, replay only what arrived since pass one, close the old
+//     generation, then make next the serving generation. A writer that
+//     routed into the old generation before the flip and took its shard
+//     lock after it finds the generation closed and retries on the
+//     serving one.
 //
 // Until the flip only the old generation takes writes, so an abort — a
 // failed build, a fault injected by tests, a watchdog timeout — simply
@@ -82,8 +82,6 @@ type AdaptiveIndex struct {
 	backend Backend
 	opts    AdaptiveOptions
 	ctl     *lifecycle.Controller
-	mask    uint64
-	shards  []*adaptiveShard
 
 	// rebuildMu serializes rebuilds and excludes Bulk's stop-the-world
 	// load from overlapping a migration; rebuilding dedupes async
@@ -92,8 +90,9 @@ type AdaptiveIndex struct {
 	rebuilding atomic.Bool
 
 	// cur is the serving generation. It changes only at a flip, with every
-	// stripe lock held, so an op holding one stripe lock sees it stable.
-	// next is the generation a migration is building (nil otherwise).
+	// tree-shard write lock of the generation it retires held, after that
+	// generation is closed. next is the generation a migration is building
+	// (nil otherwise).
 	cur, next atomic.Pointer[generation]
 
 	// injector, when set (tests and chaos harnesses), fires at every
@@ -145,17 +144,15 @@ type AdaptiveOptions struct {
 	// from the first full window of live traffic.
 	Encoder *core.Encoder
 	// Shards is the shard count (rounded up to a power of two; <= 0
-	// selects DefaultShards). Every generation uses the same count.
+	// selects DefaultShards). Every generation uses the same count and the
+	// same partition shape: hash, or range with WithRangePartitioner, whose
+	// split points are re-sampled from the lifecycle reservoir at every
+	// rebuild so short scans stay confined to the overlapping shards and
+	// migrations re-balance the partition. Before the first rebuild a
+	// range-partitioned index partitions on WithRangePartitioner's corpus,
+	// or else seeds from its first Bulk; one populated by Puts alone
+	// serves from a single tree shard until the first rebuild spreads it.
 	Shards int
-	// Partition selects each generation's tree-shard layout:
-	// HashPartitioned (default) or RangePartitioned, which samples split
-	// points from the lifecycle reservoir at every rebuild so short scans
-	// stay confined to the overlapping shards and migrations re-balance
-	// the partition. Before the first rebuild a range-partitioned index
-	// seeded by Bulk partitions on the bulk corpus; one populated by Puts
-	// alone serves from a single tree shard until the first rebuild
-	// spreads it.
-	Partition PartitionMode
 	// MigrationTimeout is the watchdog's progress bound: a rebuild that
 	// makes no checkpoint progress for this long is cancelled and aborts
 	// with ErrMigrationTimeout, restoring the old generation. It should
@@ -171,7 +168,7 @@ type AdaptiveOptions struct {
 	// is triggered even without CPR drift, re-sampling split points from
 	// the reservoir. Checked on the lifecycle's CheckEvery insert cadence
 	// and gated by the same cooldown and failure backoff as drift rebuilds.
-	// 0 disables; ignored unless Partition == RangePartitioned.
+	// 0 disables; ignored unless the index is range-partitioned.
 	ResplitAbove float64
 	// Manual disables automatic rebuilds: the lifecycle still samples and
 	// tracks drift, but only an explicit Rebuild call acts on it.
@@ -195,9 +192,8 @@ const (
 // AdaptiveStats is a point-in-time snapshot of the lifecycle.
 type AdaptiveStats struct {
 	lifecycle.Stats
-	Backend   Backend
-	Shards    int
-	Partition PartitionMode
+	Backend Backend
+	Shards  int
 }
 
 // generation is one dictionary era: a sharded tree mapping encoded keys
@@ -268,16 +264,9 @@ func (g *generation) decodeShard(w int) (walkRun, error) {
 	return r, err
 }
 
-// adaptiveShard is one stripe. Its lock serializes the stripe's writes
-// and guards its change list. Lock order: adaptiveShard.mu before any
-// tree lock.
-type adaptiveShard struct {
-	mu  sync.Mutex
-	mig *changeList // nil unless a migration is in flight
-}
-
-// changeList is one stripe's writes since a migration started, in order,
-// their keys back to back in keys.
+// changeList is one old tree shard's writes since a migration started, in
+// order, their original keys back to back in keys. It lives on the
+// indexShard (mig) and is guarded by the shard's write lock.
 type changeList struct {
 	keys []byte
 	ops  []change
@@ -290,22 +279,21 @@ type change struct {
 	del bool
 }
 
-// log appends one write to the stripe's change list, when a migration is
-// in flight.
-func (sh *adaptiveShard) log(key []byte, val uint64, del bool) {
-	if c := sh.mig; c != nil {
+// log appends one write to c; a nil c (no migration in flight) drops it.
+func (c *changeList) log(key []byte, val uint64, del bool) {
+	if c != nil {
 		c.keys = append(c.keys, key...)
 		c.ops = append(c.ops, change{end: len(c.keys), val: val, del: del})
 	}
 }
 
-// apply replays c on stripe i of next's trees. Only a key's last logged
+// apply replays c on next's trees, routed by next's partitioner. Only a key's last logged
 // write decides its state, so the writes are encoded in one batch, sorted
 // with each key's duplicates collapsed to its last write (sortRun), and
 // applied in key order, where neighbouring inserts share cache-warm
 // paths; a round then costs less than the puts that filled it, so rounds
 // shrink even under a closed-loop writer.
-func (c *changeList) apply(i int, next *generation) error {
+func (c *changeList) apply(next *generation) error {
 	if len(c.ops) == 0 {
 		return nil
 	}
@@ -324,30 +312,27 @@ func (c *changeList) apply(i int, next *generation) error {
 	stored, order = sortRun(stored, order)
 	for j, ek := range stored {
 		op, key := c.ops[order[j]], keys[order[j]]
-		if err := next.idx.writeStored(route(next, i, key), ek, op.val, op.del); err != nil {
+		if err := next.idx.writeStored(next.idx.shardIdx(key), ek, op.val, op.del); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// newAdaptiveIndexWithSplits builds an adaptive index over the named
-// backend (Open with WithAdaptive is the public constructor). With
-// opts.Encoder nil the index starts in the Sampling state, serving
-// uncompressed until enough keys arrived for the first dictionary.
-// splits, when non-nil, seed generation 0's range partitioner — the
-// restore path hands back the persisted split points so the restored
-// trees keep the dumped partition instead of starting unseeded.
-func newAdaptiveIndexWithSplits(backend Backend, opts AdaptiveOptions, splits [][]byte) (*AdaptiveIndex, error) {
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards()
+// newAdaptiveIndex builds an adaptive index over the named backend (Open
+// with WithAdaptive is the public constructor). With opts.Encoder nil the
+// index starts in the Sampling state, serving uncompressed until enough
+// keys arrived for the first dictionary. p is generation 0's partitioner
+// and fixes the shard count and the partition shape of every generation;
+// nil selects opts.Shards hash shards.
+func newAdaptiveIndex(backend Backend, opts AdaptiveOptions, p Partitioner) (*AdaptiveIndex, error) {
+	if p == nil {
+		p = NewHashPartitioner(opts.Shards)
 	}
-	opts.Shards = ceilPow2(opts.Shards)
+	opts.Shards = p.NumShards()
 	a := &AdaptiveIndex{
 		backend: backend,
 		opts:    opts,
-		mask:    uint64(opts.Shards - 1),
-		shards:  make([]*adaptiveShard, opts.Shards),
 		met:     newOpMetrics(),
 		trace:   telemetry.NewEventTrace(0),
 	}
@@ -356,32 +341,16 @@ func newAdaptiveIndexWithSplits(backend Backend, opts AdaptiveOptions, splits []
 		initial = lifecycle.Steady
 	}
 	a.ctl = lifecycle.NewController(opts.Lifecycle, initial)
-	gen, err := a.newGeneration(opts.Encoder, splits)
+	gen, err := a.newGeneration(opts.Encoder, p)
 	if err != nil {
 		return nil, err
 	}
 	a.cur.Store(gen)
-	for i := range a.shards {
-		a.shards[i] = &adaptiveShard{}
-	}
 	return a, nil
 }
 
-// newGeneration builds one dictionary era's sharded index. splits, when
-// the index is range-partitioned, are the generation's split points
-// (re-sampled from the reservoir at every rebuild); nil leaves a
-// range partitioner unseeded (generation 0 before any bulk corpus
-// exists — Bulk seeds it, or the first rebuild replaces it).
-func (a *AdaptiveIndex) newGeneration(enc *core.Encoder, splits [][]byte) (*generation, error) {
-	var p Partitioner
-	switch {
-	case a.opts.Partition == RangePartitioned && splits != nil:
-		p = NewRangePartitioner(splits)
-	case a.opts.Partition == RangePartitioned:
-		p = NewUnseededRangePartitioner(a.opts.Shards)
-	default:
-		p = NewHashPartitioner(a.opts.Shards)
-	}
+// newGeneration builds one dictionary era's sharded index over p.
+func (a *AdaptiveIndex) newGeneration(enc *core.Encoder, p Partitioner) (*generation, error) {
 	idx, err := NewShardedIndexWithPartitioner(a.backend, enc, p)
 	if err != nil {
 		return nil, err
@@ -395,22 +364,11 @@ func (a *AdaptiveIndex) newGeneration(enc *core.Encoder, splits [][]byte) (*gene
 	return g, nil
 }
 
-// route routes a key whose stripe is already known to one
-// generation's tree shard: for a hash-partitioned generation the tree
-// shard IS the stripe (same hash, same power-of-two count), so no hash is
-// recomputed; range partitioners binary-search the key.
-func route(g *generation, stripe int, key []byte) int {
-	if _, ok := g.idx.part.(*HashPartitioner); ok {
-		return stripe
-	}
-	return g.idx.part.Shard(key)
-}
-
 // Backend returns the wrapped tree's name.
 func (a *AdaptiveIndex) Backend() Backend { return a.backend }
 
 // NumShards returns the shard count (a power of two, fixed for life).
-func (a *AdaptiveIndex) NumShards() int { return len(a.shards) }
+func (a *AdaptiveIndex) NumShards() int { return a.opts.Shards }
 
 // State returns the lifecycle state.
 func (a *AdaptiveIndex) State() LifecycleState { return a.ctl.State() }
@@ -428,10 +386,9 @@ func (a *AdaptiveIndex) Encoder() *core.Encoder { return a.cur.Load().enc }
 // Stats snapshots the lifecycle counters.
 func (a *AdaptiveIndex) Stats() AdaptiveStats {
 	return AdaptiveStats{
-		Stats:     a.ctl.Stats(),
-		Backend:   a.backend,
-		Shards:    len(a.shards),
-		Partition: a.opts.Partition,
+		Stats:   a.ctl.Stats(),
+		Backend: a.backend,
+		Shards:  a.opts.Shards,
 	}
 }
 
@@ -440,11 +397,11 @@ func (a *AdaptiveIndex) Stats() AdaptiveStats {
 // range-mode rebuild this reflects the re-sampled split points.
 func (a *AdaptiveIndex) ShardLens() []int { return a.cur.Load().idx.ShardLens() }
 
-func (a *AdaptiveIndex) shardIdx(key []byte) int { return int(shardHash(key) & a.mask) }
-
-// Put inserts or overwrites one key in the serving generation: one
-// encode and one tree-lock hold through ShardedIndex.putShard, under the
-// stripe lock, which also logs the write when a migration is in flight.
+// Put inserts or overwrites one key in the serving generation: one route,
+// one encode and one tree-shard write lock through ShardedIndex.putShard,
+// which also logs the write when a migration is in flight. A generation
+// a flip retired after Put loaded it refuses with ErrClosed, and Put
+// retries on the serving one.
 func (a *AdaptiveIndex) Put(key []byte, val uint64) error {
 	if a.closed.Load() {
 		return ErrClosed
@@ -452,16 +409,14 @@ func (a *AdaptiveIndex) Put(key []byte, val uint64) error {
 	if a.backend == SuRF {
 		return ErrImmutableBackend
 	}
-	i := a.shardIdx(key)
-	t := a.met.put.Begin(uint64(i))
-	sh := a.shards[i]
-	sh.mu.Lock()
 	g := a.cur.Load()
-	existed, storedLen, err := g.idx.putShard(route(g, i, key), key, val)
-	if err == nil {
-		sh.log(key, val, false)
+	i := g.idx.shardIdx(key)
+	t := a.met.put.Begin(uint64(i))
+	existed, storedLen, err := g.idx.putShard(i, key, val)
+	for errors.Is(err, ErrClosed) && !a.closed.Load() {
+		g = a.cur.Load()
+		existed, storedLen, err = g.idx.putShard(g.idx.shardIdx(key), key, val)
 	}
-	sh.mu.Unlock()
 	a.met.put.End(t)
 	if err != nil {
 		return err
@@ -483,20 +438,21 @@ func (a *AdaptiveIndex) Put(key []byte, val uint64) error {
 	return nil
 }
 
-// Get returns the value stored under key in the serving generation. It
-// takes no stripe lock: a generation retired by a concurrent flip holds
-// exactly the writes made before the flip, so reading it is a read at
-// the flip.
+// Get returns the value stored under key in the serving generation. A
+// generation retired by a concurrent flip holds exactly the writes made
+// before the flip, so reading it is a read at the flip; a Get that
+// reaches its shard while the flip holds the write lock waits for it.
 func (a *AdaptiveIndex) Get(key []byte) (uint64, bool) {
-	i := a.shardIdx(key)
-	t := a.met.get.Begin(uint64(i))
 	g := a.cur.Load()
-	v, ok := g.idx.getShard(route(g, i, key), key)
+	i := g.idx.shardIdx(key)
+	t := a.met.get.Begin(uint64(i))
+	v, ok := g.idx.getShard(i, key)
 	a.met.get.End(t)
 	return v, ok
 }
 
-// Delete removes key, reporting whether it was present.
+// Delete removes key, reporting whether it was present; it retries on
+// the serving generation like Put.
 func (a *AdaptiveIndex) Delete(key []byte) (bool, error) {
 	if a.closed.Load() {
 		return false, ErrClosed
@@ -504,17 +460,15 @@ func (a *AdaptiveIndex) Delete(key []byte) (bool, error) {
 	if a.backend == SuRF {
 		return false, ErrImmutableBackend
 	}
-	i := a.shardIdx(key)
-	mt := a.met.del.Begin(uint64(i))
-	sh := a.shards[i]
-	sh.mu.Lock()
 	g := a.cur.Load()
-	found, err := g.idx.deleteShard(route(g, i, key), key)
-	if found {
-		sh.log(key, 0, true)
+	i := g.idx.shardIdx(key)
+	t := a.met.del.Begin(uint64(i))
+	found, err := g.idx.deleteShard(i, key)
+	for errors.Is(err, ErrClosed) && !a.closed.Load() {
+		g = a.cur.Load()
+		found, err = g.idx.deleteShard(g.idx.shardIdx(key), key)
 	}
-	sh.mu.Unlock()
-	a.met.del.End(mt)
+	a.met.del.End(t)
 	if err != nil {
 		return false, err
 	}
@@ -584,17 +538,9 @@ func (a *AdaptiveIndex) bulkLoad(keys [][]byte, vals []uint64) (viaPuts bool, er
 		}
 		return true, nil
 	}
-	// Stop-the-world load: lock every stripe and bulk-load the serving
-	// generation's trees through the parallel encode pipeline. For SuRF
-	// this replaces the whole contents.
-	for _, sh := range a.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range a.shards {
-			sh.mu.Unlock()
-		}
-	}()
+	// Bulk-load the serving generation's trees through the parallel encode
+	// pipeline; rebuildMu keeps the generation serving throughout. For
+	// SuRF this replaces the whole contents.
 	return false, a.cur.Load().idx.Bulk(keys, vals)
 }
 
@@ -604,8 +550,9 @@ func (a *AdaptiveIndex) bulkLoad(keys [][]byte, vals []uint64) (viaPuts bool, er
 
 // Rebuild forces a full dictionary rebuild and migration now, blocking
 // until the cutover (or the abort) completes. Traffic keeps flowing except
-// during the flip, which holds every stripe lock while it replays the
-// writes that arrived since the last replay pass. The drift detector
+// during the flip, which holds every tree-shard write lock of the serving
+// generation while it replays the writes that arrived since the last
+// replay pass. The drift detector
 // triggers this same path automatically unless opts.Manual.
 //
 // Failures are typed: errors.Is(err, ErrMigrationTimeout) for a
@@ -726,7 +673,7 @@ func (a *AdaptiveIndex) revalidateSkew() bool {
 // skew and ask the controller whether a re-split rebuild may run (Steady,
 // cooldown elapsed, failure backoff expired).
 func (a *AdaptiveIndex) skewCheck() bool {
-	if a.opts.ResplitAbove <= 0 || a.opts.Partition != RangePartitioned || len(a.shards) < 2 {
+	if a.opts.ResplitAbove <= 0 || a.opts.Shards < 2 || !a.cur.Load().idx.part.Ordered() {
 		return false
 	}
 	if a.skewTick.Add(1)%int64(a.ctl.Config().CheckEvery) != 0 {
@@ -967,11 +914,11 @@ func (a *AdaptiveIndex) rebuildLocked() (err error) {
 	// Range mode re-samples split points from the same reservoir snapshot
 	// the dictionary is built from: the migration that re-encodes every
 	// key also re-balances the partition to current traffic.
-	var splits [][]byte
-	if a.opts.Partition == RangePartitioned {
-		splits = RangeSplits(samples, a.opts.Shards, splitSeed)
+	var p Partitioner = NewHashPartitioner(a.opts.Shards)
+	if a.cur.Load().idx.part.Ordered() {
+		p = NewRangePartitioner(RangeSplits(samples, a.opts.Shards, splitSeed))
 	}
-	next, err := a.newGeneration(enc, splits)
+	next, err := a.newGeneration(enc, p)
 	if err != nil {
 		return err
 	}
@@ -987,10 +934,10 @@ func (a *AdaptiveIndex) rebuildLocked() (err error) {
 
 // migrate runs the protocol described on the type: change lists, walk,
 // build, replay twice, flip. It reports how many logged writes the
-// replays applied and how long the flip held every stripe lock. Any error
-// — or any panic, recovered here so the change lists are cleared before
-// the error propagates — drops next; the old generation was the only one
-// written, so nothing is lost.
+// replays applied and how long the flip held every old tree-shard lock.
+// Any error — or any panic, recovered here so the change lists are
+// cleared before the error propagates — drops next; the old generation
+// was the only one written, so nothing is lost.
 func (a *AdaptiveIndex) migrate(next *generation) (replayed int, pause time.Duration, err error) {
 	old := a.cur.Load()
 	a.next.Store(next)
@@ -999,16 +946,20 @@ func (a *AdaptiveIndex) migrate(next *generation) (replayed int, pause time.Dura
 			err = a.recoveredErr(r)
 		}
 		if err != nil {
-			for _, sh := range a.shards {
-				withLock(sh, func() { sh.mig = nil })
+			for _, sh := range old.idx.shards {
+				sh.mu.Lock()
+				sh.mig = nil
+				sh.mu.Unlock()
 			}
 		}
 		a.next.Store(nil)
 	}()
 
 	start := time.Now()
-	for _, sh := range a.shards {
-		withLock(sh, func() { sh.mig = &changeList{} })
+	for _, sh := range old.idx.shards {
+		sh.mu.Lock()
+		sh.mig = &changeList{}
+		sh.mu.Unlock()
 	}
 	// Walk the old tree shards in parallel, one decoded run each.
 	runs := make([]walkRun, len(old.idx.shards))
@@ -1052,7 +1003,7 @@ func (a *AdaptiveIndex) migrate(next *generation) (replayed int, pause time.Dura
 	// Pass one repeats while it keeps shrinking, so the all-locks flip is
 	// left only what arrived during the last round.
 	for prev := math.MaxInt; ; {
-		n, err := a.replayPass(next)
+		n, err := replayPass(old, next)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -1062,19 +1013,21 @@ func (a *AdaptiveIndex) migrate(next *generation) (replayed int, pause time.Dura
 		}
 		prev = n
 	}
-	n, pause, err := a.flip(next)
+	n, pause, err := a.flip(old, next)
 	return replayed + n, pause, err
 }
 
-// replayPass is one round of replay pass one. It holds each stripe lock
-// only to take the stripe's change list and replays it after the unlock,
-// so writers keep flowing: only this goroutine touches next's trees, and
-// it applies every round in order.
-func (a *AdaptiveIndex) replayPass(next *generation) (replayed int, err error) {
-	for i, sh := range a.shards {
-		var c *changeList
-		withLock(sh, func() { c, sh.mig = sh.mig, &changeList{} })
-		if err := c.apply(i, next); err != nil {
+// replayPass is one round of replay pass one. It holds each old tree
+// shard's write lock only to take the shard's change list and replays it
+// after the unlock, so writers keep flowing: only this goroutine touches
+// next's trees, and it applies every round in order.
+func replayPass(old, next *generation) (replayed int, err error) {
+	for _, sh := range old.idx.shards {
+		sh.mu.Lock()
+		c := sh.mig
+		sh.mig = &changeList{}
+		sh.mu.Unlock()
+		if err := c.apply(next); err != nil {
 			return 0, err
 		}
 		replayed += len(c.ops)
@@ -1082,22 +1035,24 @@ func (a *AdaptiveIndex) replayPass(next *generation) (replayed int, err error) {
 	return replayed, nil
 }
 
-// flip is the migration's one stop-the-world step: with every stripe lock
-// held it replays what arrived since the last round of pass one and makes
-// next the serving generation. The unlocks are deferred so an injected panic
-// cannot leak a lock on its way to migrate's recovery.
-func (a *AdaptiveIndex) flip(next *generation) (replayed int, pause time.Duration, err error) {
+// flip is the migration's one stop-the-world step: with every old tree
+// shard's write lock held it replays what arrived since the last round of
+// pass one, closes old — a writer that routed into old waits on the lock
+// and then finds it closed — and makes next the serving generation. The
+// unlocks are deferred so an injected panic cannot leak a lock on its way
+// to migrate's recovery.
+func (a *AdaptiveIndex) flip(old, next *generation) (replayed int, pause time.Duration, err error) {
 	start := time.Now()
-	for _, sh := range a.shards {
+	for _, sh := range old.idx.shards {
 		sh.mu.Lock()
 	}
 	defer func() {
-		for _, sh := range a.shards {
+		for _, sh := range old.idx.shards {
 			sh.mu.Unlock()
 		}
 	}()
-	for i, sh := range a.shards {
-		if err := sh.mig.apply(i, next); err != nil {
+	for i, sh := range old.idx.shards {
+		if err := sh.mig.apply(next); err != nil {
 			return 0, 0, err
 		}
 		replayed += len(sh.mig.ops)
@@ -1108,18 +1063,12 @@ func (a *AdaptiveIndex) flip(next *generation) (replayed int, pause time.Duratio
 	if err := a.checkpoint("cutover", -1); err != nil {
 		return 0, 0, err
 	}
+	old.idx.closed.Store(true)
 	a.cur.Store(next)
-	for _, sh := range a.shards {
+	for _, sh := range old.idx.shards {
 		sh.mig = nil
 	}
 	return replayed, time.Since(start), nil
-}
-
-// withLock runs fn under sh's write lock, releasing it even if fn panics.
-func withLock(sh *adaptiveShard, fn func()) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fn()
 }
 
 // ---------------------------------------------------------------------------

@@ -2,20 +2,18 @@ package hope
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/lifecycle"
 )
 
-// rangeManualOpts is manualOpts with range-partitioned generations.
-func rangeManualOpts(scheme core.Scheme, enc *core.Encoder) AdaptiveOptions {
-	o := manualOpts(scheme, enc)
-	o.Partition = RangePartitioned
-	return o
+// openRangeManual opens manualOpts with range-partitioned generations,
+// generation 0 unseeded.
+func openRangeManual(t *testing.T, backend Backend, scheme core.Scheme, enc *core.Encoder) *AdaptiveIndex {
+	t.Helper()
+	return openAdaptive(t, backend, manualOpts(scheme, enc), WithRangePartitioner(nil))
 }
 
 // TestAdaptiveRangePartitionLifecycle walks a range-partitioned
@@ -27,9 +25,9 @@ func TestAdaptiveRangePartitionLifecycle(t *testing.T) {
 	keys := adversarialCorpus()
 	encs := testEncoders(t)
 	for _, backend := range []Backend{ART, BTree} {
-		a := openAdaptive(t, backend, rangeManualOpts(core.DoubleChar, encs[core.DoubleChar].Clone()))
-		if a.Stats().Partition != RangePartitioned {
-			t.Fatal("stats do not report the partition mode")
+		a := openRangeManual(t, backend, core.DoubleChar, encs[core.DoubleChar].Clone())
+		if !a.cur.Load().idx.Partitioner().Ordered() {
+			t.Fatal("WithRangePartitioner did not range-partition generation 0")
 		}
 		model := seedAdaptive(t, a, keys)
 		label := fmt.Sprintf("%s/range gen0", backend)
@@ -93,7 +91,7 @@ func TestAdaptiveRangeMidMigrationDifferential(t *testing.T) {
 	for _, backend := range []Backend{BTree, SuRF} {
 		t.Run(string(backend), func(t *testing.T) {
 			for _, scheme := range []core.Scheme{core.SingleChar, core.DoubleChar} {
-				a := openAdaptive(t, backend, rangeManualOpts(scheme, encs[scheme].Clone()))
+				a := openRangeManual(t, backend, scheme, encs[scheme].Clone())
 				model := seedAdaptive(t, a, keys)
 				if lens := a.ShardLens(); backend == SuRF && slices.Max(lens) == len(model) {
 					t.Fatalf("bulk did not seed gen0 splits: shard lens %v", lens)
@@ -106,97 +104,11 @@ func TestAdaptiveRangeMidMigrationDifferential(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRangeRebuildRaceStress is the -race leg for the
-// range-partitioned lifecycle: concurrent writers and scanning readers
-// across repeated rebuilds, each of which re-samples split points and
-// re-partitions the trees under traffic.
-func TestAdaptiveRangeRebuildRaceStress(t *testing.T) {
-	const (
-		writers  = 4
-		readers  = 2
-		opsPerG  = 1000
-		keySpace = 500
-		rebuilds = 3
-	)
-	a := openAdaptive(t, ART, AdaptiveOptions{
-		Scheme: core.DoubleChar, Shards: 8, Manual: true,
-		Partition: RangePartitioned,
-		Lifecycle: lifecycle.Config{ReservoirSize: 2048, Seed: 9},
-	})
-	for g := 0; g < writers; g++ {
-		for i := 0; i < 50; i++ {
-			a.Put([]byte(fmt.Sprintf("stress-%d-%04d", g, i)), uint64(i))
-		}
-	}
-	var writeWG, readWG sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < writers; g++ {
-		writeWG.Add(1)
-		go func(g int) {
-			defer writeWG.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < opsPerG; i++ {
-				k := []byte(fmt.Sprintf("stress-%d-%04d", g, rng.Intn(keySpace)))
-				switch rng.Intn(10) {
-				case 0:
-					a.Delete(k)
-				default:
-					a.Put(k, uint64(i))
-				}
-			}
-		}(g)
-	}
-	for r := 0; r < readers; r++ {
-		readWG.Add(1)
-		go func(r int) {
-			defer readWG.Done()
-			rng := rand.New(rand.NewSource(int64(100 + r)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				a.Get([]byte(fmt.Sprintf("stress-%d-%04d", rng.Intn(writers), rng.Intn(keySpace))))
-				prev := ""
-				n := 0
-				a.Scan([]byte("stress-"), nil, func(key []byte, _ uint64) bool {
-					s := string(key)
-					if prev != "" && s <= prev {
-						t.Errorf("scan order violated: %q after %q", s, prev)
-						return false
-					}
-					prev = s
-					n++
-					return n < 50
-				})
-			}
-		}(r)
-	}
-	for i := 0; i < rebuilds; i++ {
-		if err := a.Rebuild(); err != nil {
-			t.Fatalf("rebuild %d: %v", i, err)
-		}
-	}
-	writeWG.Wait()
-	close(stop)
-	readWG.Wait()
-
-	if a.Generation() != rebuilds {
-		t.Fatalf("generation %d want %d", a.Generation(), rebuilds)
-	}
-	n := 0
-	a.Scan(nil, nil, func(k []byte, v uint64) bool {
-		n++
-		if got, ok := a.Get(append([]byte(nil), k...)); !ok || got != v {
-			t.Fatalf("scan/get mismatch for %q: %d,%v vs %d", k, got, ok, v)
-		}
-		return true
-	})
-	if n != a.Len() {
-		t.Fatalf("full scan saw %d keys, Len %d", n, a.Len())
-	}
-}
+// TestAdaptiveRangeRebuildRaceStress runs the point-op checker across
+// flips (rebuildRaceStress) on range-partitioned generations: every
+// rebuild re-samples split points and re-partitions the trees under
+// traffic.
+func TestAdaptiveRangeRebuildRaceStress(t *testing.T) { rebuildRaceStress(t, true) }
 
 // TestAdaptivePutOverwriteZeroAlloc pins the Put path's allocation
 // profile: an overwrite encodes through putShard's pooled scratch and

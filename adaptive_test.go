@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,10 +138,11 @@ func checkDifferential(t *testing.T, label string, a *AdaptiveIndex, model map[s
 	}
 }
 
-// openAdaptive opens an AdaptiveIndex through Open.
-func openAdaptive(t *testing.T, backend Backend, opts AdaptiveOptions) *AdaptiveIndex {
+// openAdaptive opens an AdaptiveIndex through Open; extra options (a
+// WithRangePartitioner) follow WithAdaptive.
+func openAdaptive(t *testing.T, backend Backend, opts AdaptiveOptions, extra ...Option) *AdaptiveIndex {
 	t.Helper()
-	return mustOpen(t, backend, WithAdaptive(opts)).(*AdaptiveIndex)
+	return mustOpen(t, backend, append([]Option{WithAdaptive(opts)}, extra...)...).(*AdaptiveIndex)
 }
 
 // seedAdaptive stores the corpus with val i for key i — by Put, or by
@@ -434,8 +436,8 @@ func TestAdaptiveAbortRestoresOldGeneration(t *testing.T) {
 		{"gathered", 0},
 		{"gathered", 3},
 		{"built", -1},
-		{"mid-replay", -1}, // every stripe lock held
-		{"mid-replay", 5},  // later stripes not yet replayed
+		{"mid-replay", -1}, // every tree-shard lock held
+		{"mid-replay", 5},  // later tree shards not yet replayed
 		{"cutover", -1},
 	}
 	for _, backend := range []Backend{ART, SuRF} {
@@ -517,99 +519,184 @@ func TestAdaptiveAbortBeforeFirstBuild(t *testing.T) {
 // Concurrency: rebuilds racing live traffic under the race detector.
 // ---------------------------------------------------------------------------
 
-func TestAdaptiveRebuildRaceStress(t *testing.T) {
+// TestAdaptiveRebuildRaceStress runs the point-op checker across flips
+// (rebuildRaceStress) on hash-partitioned generations.
+func TestAdaptiveRebuildRaceStress(t *testing.T) { rebuildRaceStress(t, false) }
+
+// rebuildRaceStress checks point ops against rebuilds racing live
+// traffic, so a write lost at a flip fails it. Each writer owns its keys
+// and writes strictly increasing values, so every acknowledged write is
+// known exactly: a writer re-Gets the key after every Put and Delete
+// (read-your-writes across a flip), a Delete must report the presence
+// its writer's model predicts, and readers require each key's value
+// never to go down across their Gets and scans. A rebuilder flips
+// generations until the writers are done — and the writers keep going
+// until it has flipped minFlips times — then the settled store must
+// equal the union of the writers' models. ranged range-partitions every
+// generation, so each flip also re-routes every key.
+func rebuildRaceStress(t *testing.T, ranged bool) {
 	const (
-		writers   = 4
-		readers   = 2
-		opsPerG   = 1500
-		keySpace  = 600
-		rebuilds  = 3
-		keyFormat = "stress-%d-%04d"
+		writers  = 4
+		readers  = 2
+		opsPerG  = 1500
+		keySpace = 300
+		minFlips = 20
 	)
+	seed := time.Now().UnixNano()
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("rebuildRaceStress seed %d (ranged=%v)", seed, ranged)
+		}
+	})
+	var shape []Option
+	if ranged {
+		shape = append(shape, WithRangePartitioner(nil))
+	}
 	a := openAdaptive(t, ART, AdaptiveOptions{
 		Scheme: core.DoubleChar, Shards: 8, Manual: true,
 		Lifecycle: lifecycle.Config{ReservoirSize: 2048, Seed: 9},
-	})
-	// Warm up so the first rebuild has a reservoir.
-	for g := 0; g < writers; g++ {
-		for i := 0; i < 50; i++ {
-			a.Put([]byte(fmt.Sprintf(keyFormat, g, i)), uint64(i))
+	}, shape...)
+	key := func(w, i int) []byte { return []byte(fmt.Sprintf("stress-%d-%04d", w, i)) }
+	// Each writer's values count up from its own base, so every value
+	// it writes is larger than every value it wrote before.
+	models := make([]map[string]uint64, writers)
+	next := make([]uint64, writers)
+	for w := range models {
+		models[w] = map[string]uint64{}
+		next[w] = 1
+		for i := 0; i < 50; i++ { // warm-up: the first rebuild needs a reservoir
+			if err := a.Put(key(w, i), next[w]); err != nil {
+				t.Fatal(err)
+			}
+			models[w][string(key(w, i))] = next[w]
+			next[w]++
 		}
 	}
-	var writeWG, readWG sync.WaitGroup
+
+	var flips atomic.Int64
+	var rebuilderDone atomic.Bool // a failed rebuild releases the writers
 	stop := make(chan struct{})
-	for g := 0; g < writers; g++ {
+	var writeWG, auxWG sync.WaitGroup
+	for w := 0; w < writers; w++ {
 		writeWG.Add(1)
-		go func(g int) {
+		go func(w int) {
 			defer writeWG.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < opsPerG; i++ {
-				k := []byte(fmt.Sprintf(keyFormat, g, rng.Intn(keySpace)))
-				switch rng.Intn(10) {
-				case 0:
-					a.Delete(k)
-				default:
-					a.Put(k, uint64(i))
+			rng := rand.New(rand.NewSource(seed + int64(w)))
+			m := models[w]
+			for i := 0; i < opsPerG || (flips.Load() < minFlips && !rebuilderDone.Load()); i++ {
+				k := key(w, rng.Intn(keySpace))
+				if rng.Intn(10) == 0 {
+					_, want := m[string(k)]
+					found, err := a.Delete(k)
+					if err != nil || found != want {
+						t.Errorf("writer %d: Delete(%q) = %v, %v; model says present=%v", w, k, found, err, want)
+						return
+					}
+					delete(m, string(k))
+					if v, ok := a.Get(k); ok {
+						t.Errorf("writer %d: Get(%q) = %d after its acknowledged Delete", w, k, v)
+						return
+					}
+					continue
+				}
+				v := next[w]
+				next[w]++
+				if err := a.Put(k, v); err != nil {
+					t.Errorf("writer %d: Put(%q): %v", w, k, err)
+					return
+				}
+				m[string(k)] = v
+				if got, ok := a.Get(k); !ok || got != v {
+					t.Errorf("writer %d: Get(%q) = %d,%v after its acknowledged Put of %d", w, k, got, ok, v)
+					return
 				}
 			}
-		}(g)
+		}(w)
 	}
 	for r := 0; r < readers; r++ {
-		readWG.Add(1)
+		auxWG.Add(1)
 		go func(r int) {
-			defer readWG.Done()
-			rng := rand.New(rand.NewSource(int64(100 + r)))
+			defer auxWG.Done()
+			rng := rand.New(rand.NewSource(seed + int64(100+r)))
+			seen := map[string]uint64{} // highest value this reader observed per key
+			observe := func(op string, k []byte, v uint64) bool {
+				if v < seen[string(k)] {
+					t.Errorf("reader %d: %s saw %q go back from %d to %d", r, op, k, seen[string(k)], v)
+					return false
+				}
+				seen[string(k)] = v
+				return true
+			}
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				k := []byte(fmt.Sprintf(keyFormat, rng.Intn(writers), rng.Intn(keySpace)))
-				a.Get(k)
-				prev := ""
-				n := 0
-				a.Scan([]byte("stress-"), nil, func(key []byte, _ uint64) bool {
+				k := key(rng.Intn(writers), rng.Intn(keySpace))
+				if v, ok := a.Get(k); ok && !observe("Get", k, v) {
+					return
+				}
+				prev, n, ok := "", 0, true
+				a.Scan([]byte("stress-"), nil, func(key []byte, v uint64) bool {
 					s := string(key)
 					if prev != "" && s <= prev {
-						t.Errorf("scan order violated: %q after %q", s, prev)
+						t.Errorf("reader %d: scan order violated: %q after %q", r, s, prev)
+						ok = false
 						return false
 					}
 					prev = s
 					n++
-					return n < 50
+					ok = observe("Scan", key, v)
+					return ok && n < 50
 				})
-				a.ScanPrefix([]byte(fmt.Sprintf("stress-%d-", rng.Intn(writers))), func([]byte, uint64) bool {
-					return true
+				if !ok {
+					return
+				}
+				a.ScanPrefix([]byte(fmt.Sprintf("stress-%d-", rng.Intn(writers))), func(key []byte, v uint64) bool {
+					ok = observe("ScanPrefix", key, v)
+					return ok
 				})
+				if !ok {
+					return
+				}
 			}
 		}(r)
 	}
-	for i := 0; i < rebuilds; i++ {
-		if err := a.Rebuild(); err != nil {
-			t.Fatalf("rebuild %d: %v", i, err)
+	auxWG.Add(1)
+	go func() {
+		defer auxWG.Done()
+		defer rebuilderDone.Store(true)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := a.Rebuild(); err != nil {
+				t.Errorf("rebuild %d: %v", flips.Load(), err)
+				return
+			}
+			flips.Add(1)
 		}
-	}
+	}()
 	writeWG.Wait()
 	close(stop)
-	readWG.Wait()
-
-	if a.Generation() != rebuilds {
-		t.Fatalf("generation %d want %d", a.Generation(), rebuilds)
+	auxWG.Wait()
+	if t.Failed() {
+		return
 	}
-	// Settled state must be internally consistent: every key a scan
-	// reports must Get to the same value.
-	n := 0
-	a.Scan(nil, nil, func(k []byte, v uint64) bool {
-		n++
-		if got, ok := a.Get(append([]byte(nil), k...)); !ok || got != v {
-			t.Fatalf("scan/get mismatch for %q: %d,%v vs %d", k, got, ok, v)
+	if int64(a.Generation()) != flips.Load() || flips.Load() < minFlips {
+		t.Fatalf("generation %d after %d flips, want at least %d", a.Generation(), flips.Load(), minFlips)
+	}
+	union := map[string]uint64{}
+	for _, m := range models {
+		for k, v := range m {
+			union[k] = v
 		}
-		return true
-	})
-	if n != a.Len() {
-		t.Fatalf("full scan saw %d keys, Len %d", n, a.Len())
 	}
+	checkDifferential(t, fmt.Sprintf("settled after %d flips", flips.Load()), a, union)
+	t.Logf("%d flips, %d keys settled", flips.Load(), len(union))
 }
 
 // ---------------------------------------------------------------------------
@@ -795,7 +882,7 @@ func TestAdaptiveScanSurvivesCutover(t *testing.T) {
 	// scanChunk low keys (fixed hash, fixed key set — stable).
 	perShard := map[int]int{}
 	for _, k := range lows {
-		perShard[a.shardIdx(k)]++
+		perShard[a.cur.Load().idx.Partitioner().Shard(k)]++
 	}
 	for s := 0; s < a.NumShards(); s++ {
 		if perShard[s] < scanChunk {

@@ -115,7 +115,7 @@ func TestAdaptiveWatchdogTimesOutWedgedMigration(t *testing.T) {
 		progress time.Duration
 		deadline time.Duration
 	}{
-		// mid-replay wedges with every stripe lock held — the worst spot;
+		// mid-replay wedges with every tree-shard lock held — the worst spot;
 		// the watchdog must wake the stall so the deferred unlocks run.
 		{"progress-timeout-mid-replay", "mid-replay", 75 * time.Millisecond, 0},
 		{"rebuild-deadline-gathered", "gathered", 0, 75 * time.Millisecond},
@@ -177,7 +177,7 @@ func TestAdaptivePanicIsolationAtEveryCheckpoint(t *testing.T) {
 		{"build-start", -1},
 		{"gathered", 2},
 		{"built", -1},
-		{"mid-replay", 4}, // every stripe lock held when the panic fires
+		{"mid-replay", 4}, // every tree-shard lock held when the panic fires
 		{"cutover", -1},
 	}
 	for _, backend := range []Backend{ART, SuRF} {
@@ -348,7 +348,6 @@ func TestAdaptiveSkewResplitRebalancesRangePartition(t *testing.T) {
 		Build:        core.Options{DictLimit: 1 << 10, MaxPatternLen: 16},
 		Encoder:      encs[core.SingleChar].Clone(),
 		Shards:       8,
-		Partition:    RangePartitioned,
 		ResplitAbove: 0.6,
 		Lifecycle: lifecycle.Config{
 			ReservoirSize: 2048, CheckEvery: 32, Cooldown: 32,
@@ -356,7 +355,7 @@ func TestAdaptiveSkewResplitRebalancesRangePartition(t *testing.T) {
 			Seed: 11, RetryJitter: -1,
 		},
 	}
-	a := openAdaptive(t, BTree, opts)
+	a := openAdaptive(t, BTree, opts, WithRangePartitioner(nil))
 	// A balanced bulk corpus seeds the range partition.
 	var keys [][]byte
 	for i := 0; i < 512; i++ {
@@ -422,7 +421,7 @@ func TestShardedMaxShardFrac(t *testing.T) {
 // must match the typed taxonomy; after disarming, one fault-free rebuild
 // must close any open breaker and the surviving state must be
 // byte-identical to a plain one-shard store rebuilt from the merged models.
-func chaosSoak(t *testing.T, backend Backend, partition PartitionMode, seed int64, writers, ops int) {
+func chaosSoak(t *testing.T, backend Backend, partition string, seed int64, writers, ops int) {
 	plan := fault.NewPlan(seed,
 		fault.Rule{Point: "build-start", Shard: -1, Kind: fault.Error, Prob: 0.05},
 		fault.Rule{Point: "gathered", Shard: -1, Kind: fault.Error, Prob: 0.01},
@@ -432,15 +431,18 @@ func chaosSoak(t *testing.T, backend Backend, partition PartitionMode, seed int6
 		fault.Rule{Point: "mid-replay", Shard: -1, Kind: fault.Panic, Prob: 0.02},
 		fault.Rule{Point: "cutover", Shard: -1, Kind: fault.Error, Prob: 0.3},
 	)
+	var shape []Option
+	if partition == "range" {
+		shape = append(shape, WithRangePartitioner(nil))
+	}
 	a := openAdaptive(t, backend, AdaptiveOptions{
 		Scheme:           core.SingleChar,
 		Build:            core.Options{DictLimit: 1 << 10, MaxPatternLen: 16},
 		Shards:           8,
-		Partition:        partition,
 		Manual:           true,
 		MigrationTimeout: 30 * time.Second, // watchdog armed; must not fire on 1ms stalls
 		Lifecycle:        lifecycle.Config{ReservoirSize: 2048, Seed: seed},
-	})
+	}, shape...)
 	a.injector = plan
 
 	// Seed before arming concurrency so the first rebuild has a reservoir.
@@ -600,8 +602,8 @@ func chaosSoak(t *testing.T, backend Backend, partition PartitionMode, seed int6
 			model[k] = v
 		}
 	}
-	checkDifferential(t, fmt.Sprintf("%s/%v soak", backend, partition), a, model)
-	t.Logf("%s/%v: %d events (%d errors, %d stalls, %d panics), %d rebuilds, %d aborts",
+	checkDifferential(t, fmt.Sprintf("%s/%s soak", backend, partition), a, model)
+	t.Logf("%s/%s: %d events (%d errors, %d stalls, %d panics), %d rebuilds, %d aborts",
 		backend, partition, len(plan.Events()), plan.Fired(fault.Error),
 		plan.Fired(fault.Stall), plan.Fired(fault.Panic), s.Rebuilds, s.Aborts)
 }
@@ -609,14 +611,14 @@ func chaosSoak(t *testing.T, backend Backend, partition PartitionMode, seed int6
 func TestAdaptiveChaosSoak(t *testing.T) {
 	combos := []struct {
 		backend   Backend
-		partition PartitionMode
+		partition string // "hash", or "range" (WithRangePartitioner)
 	}{
-		{ART, HashPartitioned},
-		{ART, RangePartitioned},
-		{BTree, HashPartitioned},
-		{BTree, RangePartitioned},
-		{HOT, HashPartitioned},
-		{PrefixBTree, RangePartitioned},
+		{ART, "hash"},
+		{ART, "range"},
+		{BTree, "hash"},
+		{BTree, "range"},
+		{HOT, "hash"},
+		{PrefixBTree, "range"},
 	}
 	writers, ops := 4, 1200
 	if testing.Short() {
@@ -626,7 +628,7 @@ func TestAdaptiveChaosSoak(t *testing.T) {
 	for i, c := range combos {
 		c := c
 		seed := int64(0xC4A05) + int64(i)
-		t.Run(fmt.Sprintf("%s_%v", c.backend, c.partition), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s_%s", c.backend, c.partition), func(t *testing.T) {
 			chaosSoak(t, c.backend, c.partition, seed, writers, ops)
 		})
 	}

@@ -321,8 +321,7 @@ func TestStoreConformance(t *testing.T) {
 				{"Adaptive/range", func(t *testing.T) Store {
 					return mustOpen(t, backend, WithAdaptive(AdaptiveOptions{
 						Encoder: cloneEnc(), Shards: 4, Manual: true,
-						Partition: RangePartitioned,
-					}))
+					}), WithRangePartitioner(nil))
 				}},
 			}
 			for _, impl := range impls {

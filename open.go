@@ -52,8 +52,9 @@ func WithShards(n int) Option {
 // key population from which the split points are drawn; with a nil corpus
 // the partition starts unseeded and the first Bulk into the empty store
 // seeds it. Implies a sharded store (DefaultShards unless WithShards is
-// also given). With WithAdaptive the corpus is ignored — each adaptive
-// generation re-samples its split points from the lifecycle reservoir.
+// also given). With WithAdaptive every generation is range-partitioned:
+// the corpus seeds generation 0, and each rebuild re-samples the split
+// points from the lifecycle reservoir.
 func WithRangePartitioner(corpus [][]byte) Option {
 	return func(c *openConfig) { c.rangePart = true; c.corpus = corpus }
 }
@@ -61,8 +62,8 @@ func WithRangePartitioner(corpus [][]byte) Option {
 // WithAdaptive selects the lifecycle-managed AdaptiveIndex: online
 // sampling, drift detection, and background re-encode migration (see
 // AdaptiveOptions). Other options override the corresponding fields of
-// opts: WithEncoder sets opts.Encoder, WithShards sets opts.Shards, and
-// WithRangePartitioner sets opts.Partition = RangePartitioned.
+// opts: WithEncoder sets opts.Encoder and WithShards sets opts.Shards;
+// WithRangePartitioner range-partitions every generation.
 func WithAdaptive(opts AdaptiveOptions) Option {
 	return func(c *openConfig) { c.adaptive = &opts }
 }
@@ -135,10 +136,11 @@ func buildStore(backend Backend, c *openConfig) (Store, error) {
 		if c.shardsSet {
 			ao.Shards = c.shards
 		}
+		var p Partitioner
 		if c.rangePart {
-			ao.Partition = RangePartitioned
+			p = newRangePartitioner(ao.Shards, c.corpus)
 		}
-		return asStore(newAdaptiveIndexWithSplits(backend, ao, nil))
+		return asStore(newAdaptiveIndex(backend, ao, p))
 	}
 	if c.rangePart {
 		return asStore(NewShardedIndexWithPartitioner(backend, c.enc, newRangePartitioner(c.shards, c.corpus)))

@@ -47,32 +47,6 @@ type Partitioner interface {
 	Splits() [][]byte
 }
 
-// PartitionMode selects how an AdaptiveIndex lays out each generation's
-// tree shards.
-type PartitionMode int
-
-const (
-	// HashPartitioned spreads keys by hash — the default; perfect point-op
-	// balance, every-shard scans.
-	HashPartitioned PartitionMode = iota
-	// RangePartitioned gives each shard a contiguous key interval from
-	// split points sampled off the lifecycle reservoir (or the first bulk
-	// corpus), so short scans touch only the overlapping shards. Every
-	// rebuild re-samples the split points from current traffic, so drift
-	// migration doubles as shard re-balancing.
-	RangePartitioned
-)
-
-func (m PartitionMode) String() string {
-	switch m {
-	case HashPartitioned:
-		return "hash"
-	case RangePartitioned:
-		return "range"
-	}
-	return "PartitionMode(?)"
-}
-
 // HashPartitioner is the default policy: a word-at-a-time hash of the
 // original key bytes, masked to a power-of-two shard count (see
 // shardHash).

@@ -74,8 +74,9 @@ func dumpSharded(s *ShardedIndex, w *snapshot.Writer, trace *telemetry.EventTrac
 // dictionary and one secRun of stored keys per tree shard. A cutover
 // during the dump retires the pinned generation, which then holds the
 // writes made before the cutover, so the snapshot stays per-shard
-// consistent (the Len contract); it never blocks a rebuild and a rebuild
-// never blocks it.
+// consistent (the Len contract). The flip takes every shard's write lock
+// of the generation it retires, so it waits for at most the one shard
+// pass the dump is in; the rest of the rebuild runs beside the dump.
 //
 // Lifecycle state (reservoir contents, drift baselines, rebuild counters)
 // is deliberately not persisted: a restored index starts its lifecycle

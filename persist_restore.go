@@ -220,20 +220,15 @@ func restoreAdaptive(backend Backend, meta snapMeta, enc *core.Encoder, sections
 		opts = *c.adaptive
 	}
 	// Structural truth comes from the snapshot: shard count, partition
-	// mode, split points, and the serving dictionary override whatever the
+	// shape, split points, and the serving dictionary override whatever the
 	// caller's options say. With a compressed snapshot the index restores
 	// straight into the Steady state (opts.Encoder semantics); the
 	// lifecycle reservoir starts empty and refills from live traffic.
-	opts.Shards = int(meta.shards)
-	opts.Partition = HashPartitioned
-	if meta.partition == 1 {
-		opts.Partition = RangePartitioned
-	}
 	opts.Encoder = enc
 	if enc != nil {
 		opts.Scheme = enc.Scheme()
 	}
-	a, err := newAdaptiveIndexWithSplits(backend, opts, meta.splits)
+	a, err := newAdaptiveIndex(backend, opts, restorePartitioner(meta))
 	if err != nil {
 		return nil, err
 	}

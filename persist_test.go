@@ -130,17 +130,25 @@ func persistShapes(enc func() *core.Encoder) []struct {
 		{"Adaptive/hash", func() []Option {
 			return []Option{WithAdaptive(AdaptiveOptions{Encoder: enc(), Shards: 4, Manual: true})}
 		}, func(t *testing.T, s Store) {
-			if _, ok := s.(*AdaptiveIndex); !ok {
+			a, ok := s.(*AdaptiveIndex)
+			if !ok {
 				t.Fatalf("restored %T, want *AdaptiveIndex", s)
+			}
+			if p := a.cur.Load().idx.Partitioner(); a.NumShards() != 4 || p.Ordered() {
+				t.Fatalf("restored %d shards (ordered=%v), want 4 hash shards", a.NumShards(), p.Ordered())
 			}
 		}},
 		{"Adaptive/range", func() []Option {
 			return []Option{WithAdaptive(AdaptiveOptions{
-				Encoder: enc(), Shards: 4, Manual: true, Partition: RangePartitioned,
-			})}
+				Encoder: enc(), Shards: 4, Manual: true,
+			}), WithRangePartitioner(nil)}
 		}, func(t *testing.T, s Store) {
-			if _, ok := s.(*AdaptiveIndex); !ok {
+			a, ok := s.(*AdaptiveIndex)
+			if !ok {
 				t.Fatalf("restored %T, want *AdaptiveIndex", s)
+			}
+			if p := a.cur.Load().idx.Partitioner(); a.NumShards() != 4 || !p.Ordered() {
+				t.Fatalf("restored %d shards (ordered=%v), want 4 range shards", a.NumShards(), p.Ordered())
 			}
 		}},
 	}
@@ -583,26 +591,81 @@ func TestPersistRestoreReadFaults(t *testing.T) {
 	}
 }
 
-// TestPersistSnapshotUnderLoad snapshots an adaptive store while writers
-// hammer it. The snapshot must commit and restore to a consistent image;
-// exact contents are unknowable mid-stream, so after the writers join a
-// final snapshot is taken and that one must match the live store exactly.
+// TestPersistSnapshotUnderLoad snapshots an adaptive store, hash- and
+// range-partitioned, while writers hammer it and a rebuilder rebuilds it
+// back to back, so dumps race flips: a flip waits on the dump's shard
+// read lock. Every mid-flight snapshot must commit and restore to a
+// consistent image — the same partition shape, every key holding the one
+// value its writer gave it; exact contents are unknowable mid-stream, so
+// after the writers join a final snapshot is taken and that one must
+// match the live store exactly.
 func TestPersistSnapshotUnderLoad(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, BTree,
-		WithAdaptive(AdaptiveOptions{Shards: 4, Manual: true}),
-		WithSnapshotDir(dir))
-	p := s.(*Persistent)
+	for _, ranged := range []bool{false, true} {
+		name, shape := "hash", []Option(nil)
+		if ranged {
+			name, shape = "range", []Option{WithRangePartitioner(nil)}
+		}
+		t.Run(name, func(t *testing.T) { snapshotUnderLoad(t, ranged, shape) })
+	}
+}
 
-	const writers, perWriter = 4, 200
-	var wg sync.WaitGroup
+func snapshotUnderLoad(t *testing.T, ranged bool, shape []Option) {
+	dir := t.TempDir()
+	s := mustOpen(t, BTree, append(shape,
+		WithAdaptive(AdaptiveOptions{Shards: 4, Manual: true}),
+		WithSnapshotDir(dir))...)
+	p := s.(*Persistent)
+	a := p.Unwrap().(*AdaptiveIndex)
+
+	// Key i of writer w only ever holds val(w, i), so any image is
+	// checkable key by key.
+	const writers, perWriter, snapshots = 4, 200, 3
+	key := func(w, i int) []byte { return []byte(fmt.Sprintf("w%d-key-%04d", w, i)) }
+	val := func(w, i int) uint64 { return uint64(w)<<32 | uint64(i) }
+	for i := 0; i < 64; i++ { // the first rebuild needs a reservoir
+		if err := s.Put(key(writers, i), val(writers, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var flips, snapped atomic.Int64
+	var done atomic.Bool
+	stop := make(chan struct{})
+	var wg, rebuilder sync.WaitGroup
+	// finish stops every goroutine, also when a check below fails first.
+	var once sync.Once
+	finish := func() {
+		once.Do(func() {
+			done.Store(true)
+			wg.Wait()
+			close(stop)
+			rebuilder.Wait()
+		})
+	}
+	defer finish()
+	rebuilder.Add(1)
+	go func() {
+		defer rebuilder.Done()
+		defer done.Store(true) // a failed rebuild releases the writers
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := a.Rebuild(); err != nil {
+				t.Errorf("rebuild under snapshots: %v", err)
+				return
+			}
+			flips.Add(1)
+		}
+	}()
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				k := []byte(fmt.Sprintf("w%d-key-%04d", w, i))
-				if err := s.Put(k, uint64(w*perWriter+i)); err != nil {
+			for i := 0; !done.Load() && (i < perWriter || snapped.Load() < snapshots || flips.Load() < 2); i++ {
+				k := key(w, i)
+				if err := s.Put(k, val(w, i)); err != nil {
 					t.Errorf("put: %v", err)
 					return
 				}
@@ -615,13 +678,41 @@ func TestPersistSnapshotUnderLoad(t *testing.T) {
 			}
 		}(w)
 	}
-	// Mid-flight snapshots: each must commit a valid generation.
-	for i := 0; i < 3; i++ {
+	// Mid-flight snapshots: each must commit a generation that restores
+	// to a consistent image.
+	for i := 0; i < snapshots; i++ {
 		if err := p.Snapshot(); err != nil {
 			t.Fatalf("snapshot under load: %v", err)
 		}
+		snapped.Add(1)
+		snap, err := p.dir.Load(p.Generation())
+		if err != nil {
+			t.Fatalf("load mid-flight snapshot %d: %v", i, err)
+		}
+		r, err := restoreStore(BTree, snap, &openConfig{adaptive: &AdaptiveOptions{Manual: true}})
+		if err != nil {
+			t.Fatalf("restore mid-flight snapshot %d: %v", i, err)
+		}
+		if got := r.(*AdaptiveIndex).cur.Load().idx.Partitioner().Ordered(); got != ranged {
+			t.Fatalf("mid-flight snapshot %d restored ordered=%v, want %v", i, got, ranged)
+		}
+		n := r.Scan(nil, nil, func(k []byte, v uint64) bool {
+			var w, j int
+			if _, err := fmt.Sscanf(string(k), "w%d-key-%d", &w, &j); err != nil || v != val(w, j) {
+				t.Errorf("mid-flight snapshot %d restored %q -> %#x", i, k, v)
+				return false
+			}
+			return true
+		})
+		if n != r.Len() {
+			t.Fatalf("mid-flight snapshot %d: full scan saw %d keys, Len %d", i, n, r.Len())
+		}
 	}
 	wg.Wait()
+	finish()
+	if t.Failed() {
+		return
+	}
 
 	oracle := newPersistOracle()
 	s.Scan(nil, nil, func(k []byte, v uint64) bool {
@@ -632,6 +723,7 @@ func TestPersistSnapshotUnderLoad(t *testing.T) {
 		t.Fatalf("final snapshot: %v", err)
 	}
 	p.Close()
+	t.Logf("%d flips during the snapshots", flips.Load())
 
 	r := mustOpen(t, BTree,
 		WithAdaptive(AdaptiveOptions{Manual: true}), WithSnapshotDir(dir))

@@ -363,6 +363,7 @@ func (s *Server) handle(conn net.Conn, id uint64) {
 	defer conn.Close()
 	r := bufio.NewReaderSize(conn, connBufSize)
 	w := bufio.NewWriterSize(conn, connBufSize)
+	c := s.newSession(w, id)
 	for {
 		line, err := r.ReadSlice('\n')
 		if err != nil {
@@ -389,7 +390,7 @@ func (s *Server) handle(conn net.Conn, id uint64) {
 			w.Flush()
 			return
 		}
-		if !s.dispatch(trimLine(line), w, id) {
+		if !c.dispatch(trimLine(line)) {
 			w.Flush()
 			return
 		}
@@ -411,10 +412,39 @@ func trimLine(line []byte) []byte {
 	return line
 }
 
-// dispatch executes one request line, writing the reply into w. It
-// returns false when the connection should close (quit). id is the
-// connection's accept ordinal, used as the stripe hint for counters.
-func (s *Server) dispatch(line []byte, w *bufio.Writer, id uint64) bool {
+// session is one connection's reply state: its writer, its accept
+// ordinal (the counters' stripe hint), a buffer replies are
+// formatted in, and the range callback, bound once per connection, so a
+// get or range reply allocates nothing of its own.
+type session struct {
+	s    *Server
+	w    *bufio.Writer
+	id   uint64
+	buf  []byte
+	left int // keys the range in flight may still emit
+	emit func(key []byte, val uint64) bool
+}
+
+func (s *Server) newSession(w *bufio.Writer, id uint64) *session {
+	c := &session{s: s, w: w, id: id, buf: make([]byte, 0, 128)}
+	c.emit = c.emitKey
+	return c
+}
+
+// emitKey writes one range reply line, "K <hex key> <val>".
+func (c *session) emitKey(key []byte, val uint64) bool {
+	c.buf = append(hex.AppendEncode(append(c.buf[:0], "K "...), key), ' ')
+	c.buf = append(strconv.AppendUint(c.buf, val, 10), '\n')
+	c.w.Write(c.buf)
+	c.left--
+	return c.left > 0
+}
+
+// dispatch executes one request line, writing the reply into the
+// session's writer. It returns false when the connection should close
+// (quit).
+func (c *session) dispatch(line []byte) bool {
+	s, w, id := c.s, c.w, c.id
 	cmd, rest := nextToken(line)
 	switch string(cmd) {
 	case "get":
@@ -425,9 +455,8 @@ func (s *Server) dispatch(line []byte, w *bufio.Writer, id uint64) bool {
 		t := s.cmdGet.Begin(id)
 		if v, ok := s.store.Get(key); ok {
 			s.getHits.Inc(id)
-			w.WriteString("VAL ")
-			w.Write(strconv.AppendUint(nil, v, 10))
-			w.WriteByte('\n')
+			c.buf = append(strconv.AppendUint(append(c.buf[:0], "VAL "...), v, 10), '\n')
+			w.Write(c.buf)
 		} else {
 			w.WriteString("NF\n")
 		}
@@ -484,18 +513,8 @@ func (s *Server) dispatch(line []byte, w *bufio.Writer, id uint64) bool {
 			hi = hiTok
 		}
 		t := s.cmdRange.Begin(id)
-		hexBuf := make([]byte, 0, 128)
-		n := s.store.Scan(lo, hi, func(key []byte, val uint64) bool {
-			hexBuf = hexBuf[:0]
-			hexBuf = hexAppend(hexBuf, key)
-			w.WriteString("K ")
-			w.Write(hexBuf)
-			w.WriteByte(' ')
-			w.Write(strconv.AppendUint(nil, val, 10))
-			w.WriteByte('\n')
-			limit--
-			return limit > 0
-		})
+		c.left = limit
+		n := s.store.Scan(lo, hi, c.emit)
 		s.cmdRange.End(t)
 		s.rangeKeys.Add(id, uint64(n))
 		w.WriteString("END\n")
@@ -568,13 +587,6 @@ func (s *Server) writeStats(w *bufio.Writer) {
 	}
 	fmt.Fprintf(w, "STAT draining %v\n", s.draining.Load())
 	w.WriteString("END\n")
-}
-
-func hexAppend(dst, src []byte) []byte {
-	n := len(dst)
-	dst = append(dst, make([]byte, hex.EncodedLen(len(src)))...)
-	hex.Encode(dst[n:], src)
-	return dst
 }
 
 // nextToken splits off the next space-separated token.

@@ -70,10 +70,10 @@ type ShardedIndex struct {
 
 	scratch sync.Pool // *opScratch; one per point op or scan in flight
 
-	// closed is set by Close; the public mutation entry points (Put,
-	// Delete, Bulk) refuse with ErrClosed afterwards. Internal
-	// shard-routed hooks stay unchecked — AdaptiveIndex drives those and
-	// gates its own lifecycle.
+	// closed is set by Close; writes refuse with ErrClosed afterwards.
+	// putShard and deleteShard check it under the shard's write lock, so a
+	// write either lands before a Close made under every shard lock — the
+	// flip that retires an AdaptiveIndex generation — or is refused.
 	closed atomic.Bool
 
 	// met instruments the public ops (always-on, sampled latencies; see
@@ -86,11 +86,13 @@ type ShardedIndex struct {
 // indexShard is one lock stripe: a search tree behind its lock, and the
 // tree's write version, bumped under the write lock by every write, which
 // tells a shard cursor whether the tree cursor it kept across a lock
-// release still holds.
+// release still holds. mig, set by an AdaptiveIndex migration under the
+// write lock, logs every write the shard takes until the flip.
 type indexShard struct {
 	mu  sync.RWMutex
 	be  indexBackend
 	ver uint64
+	mig *changeList
 }
 
 // lock takes sh's write lock for a write: it bumps the version.
@@ -260,9 +262,6 @@ func (s *ShardedIndex) maxShardFrac() (frac float64, total int) {
 
 // Put inserts or overwrites one key.
 func (s *ShardedIndex) Put(key []byte, val uint64) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
 	shard := s.shardIdx(key)
 	t := s.met.put.Begin(uint64(shard))
 	_, _, err := s.putShard(shard, key, val)
@@ -271,28 +270,33 @@ func (s *ShardedIndex) Put(key []byte, val uint64) error {
 }
 
 // putShard is Put routed to a known shard — the hook AdaptiveIndex writes
-// and replays through, having routed the original key itself. It reports
-// whether the key was already stored (the tree's length did not grow) and
-// the stored (encoded) key length, in one encode and one lock hold.
+// through. It reports whether the key was already stored (the tree's
+// length did not grow) and the stored (encoded) key length, in one encode
+// and one lock hold, under which it also checks closed and logs the write
+// to a migration's change list.
 func (s *ShardedIndex) putShard(shard int, key []byte, val uint64) (existed bool, storedLen int, err error) {
 	sh := s.shards[shard]
-	if s.enc == nil {
-		sh.lock()
-		n := sh.be.length()
-		err = sh.be.insert(key, val)
-		existed = sh.be.length() == n
-		sh.mu.Unlock()
-		return existed, len(key), err
+	ek := key
+	var sc *opScratch
+	if s.enc != nil {
+		sc = s.scratch.Get().(*opScratch)
+		ek, _ = sc.enc.EncodeBits(sc.buf, key)
 	}
-	sc := s.scratch.Get().(*opScratch)
-	ek, _ := sc.enc.EncodeBits(sc.buf, key)
 	sh.lock()
-	n := sh.be.length()
-	err = sh.be.insert(ek, val)
-	existed = sh.be.length() == n
+	if s.closed.Load() {
+		err = ErrClosed
+	} else {
+		n := sh.be.length()
+		if err = sh.be.insert(ek, val); err == nil {
+			sh.mig.log(key, val, false)
+		}
+		existed = sh.be.length() == n
+	}
 	sh.mu.Unlock()
-	sc.buf = ek[:0]
-	s.scratch.Put(sc)
+	if sc != nil {
+		sc.buf = ek[:0]
+		s.scratch.Put(sc)
+	}
 	return existed, len(ek), err
 }
 
@@ -345,9 +349,6 @@ func (s *ShardedIndex) getShard(shard int, key []byte) (uint64, bool) {
 // buffers — see TestPointOpScratchNotRetained), but holds the shard's
 // write lock for the tree mutation.
 func (s *ShardedIndex) Delete(key []byte) (bool, error) {
-	if s.closed.Load() {
-		return false, ErrClosed
-	}
 	shard := s.shardIdx(key)
 	t := s.met.del.Begin(uint64(shard))
 	ok, err := s.deleteShard(shard, key)
@@ -356,21 +357,25 @@ func (s *ShardedIndex) Delete(key []byte) (bool, error) {
 }
 
 // deleteShard is Delete routed to a known shard (see putShard).
-func (s *ShardedIndex) deleteShard(shard int, key []byte) (bool, error) {
+func (s *ShardedIndex) deleteShard(shard int, key []byte) (ok bool, err error) {
 	sh := s.shards[shard]
-	if s.enc == nil {
-		sh.lock()
-		ok, err := sh.be.remove(key)
-		sh.mu.Unlock()
-		return ok, err
+	ek := key
+	var sc *opScratch
+	if s.enc != nil {
+		sc = s.scratch.Get().(*opScratch)
+		ek, _ = sc.enc.EncodeBits(sc.buf, key)
 	}
-	sc := s.scratch.Get().(*opScratch)
-	ek, _ := sc.enc.EncodeBits(sc.buf, key)
 	sh.lock()
-	ok, err := sh.be.remove(ek)
+	if s.closed.Load() {
+		err = ErrClosed
+	} else if ok, err = sh.be.remove(ek); ok {
+		sh.mig.log(key, 0, true)
+	}
 	sh.mu.Unlock()
-	sc.buf = ek[:0]
-	s.scratch.Put(sc)
+	if sc != nil {
+		sc.buf = ek[:0]
+		s.scratch.Put(sc)
+	}
 	return ok, err
 }
 
@@ -547,9 +552,9 @@ func (s *ShardedIndex) shardIdx(key []byte) int {
 // tail bytes make one more word, and the key length seeds the state. The
 // closing multiply and fold bring the high bits, where a multiply leaves
 // a word's top bytes, into the low bits callers mask to their
-// power-of-two shard count (DESIGN.md, "The routing hash"). AdaptiveIndex
-// relies on every generation with the same shard count routing a key
-// identically.
+// power-of-two shard count (DESIGN.md, "The routing hash"). Successive
+// hash-partitioned AdaptiveIndex generations route a key alike, so a
+// migration's walk of an old tree shard lands whole in one new shard.
 func shardHash(key []byte) uint64 {
 	const m1, m2 = 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9
 	h := uint64(len(key)) * m1

@@ -58,8 +58,8 @@ func TestHashScanZeroAlloc(t *testing.T) {
 	stores["BTree/range ShardedIndex"] = ranged
 	rangedART := mustOpen(t, ART, WithEncoder(testEncoders(t)[core.ThreeGrams]), WithShards(4), WithRangePartitioner(keys))
 	opts := manualOpts(core.ThreeGrams, testEncoders(t)[core.ThreeGrams].Clone())
-	opts.Shards, opts.Partition = 4, RangePartitioned
-	rangedAdaptive := openAdaptive(t, ART, opts)
+	opts.Shards = 4
+	rangedAdaptive := openAdaptive(t, ART, opts, WithRangePartitioner(nil))
 	for _, st := range []Store{rangedART, rangedAdaptive} {
 		if err := st.Bulk(keys, nil); err != nil {
 			t.Fatal(err)

@@ -241,8 +241,8 @@ func bulkShapes(e *core.Encoder) []bulkShape {
 		{"Sharded/range", []Option{WithEncoder(clone()), WithShards(4), WithRangePartitioner(nil)}},
 		{"Adaptive/hash", []Option{WithAdaptive(AdaptiveOptions{Encoder: clone(), Shards: 4, Manual: true})}},
 		{"Adaptive/range", []Option{WithAdaptive(AdaptiveOptions{
-			Encoder: clone(), Shards: 4, Manual: true, Partition: RangePartitioned,
-		})}},
+			Encoder: clone(), Shards: 4, Manual: true,
+		}), WithRangePartitioner(nil)}},
 	}
 }
 
